@@ -48,6 +48,12 @@ def _family_param(family: str, theta, r, s, m, degrees: bool):
         raise click.UsageError(f"family {family!r} needs parameter --{exc.args[0]}")
 
 
+def _tolerance(ctx, param, value: float | None) -> float | None:
+    if value is not None and not (value > 0.0 and math.isfinite(value)):
+        raise click.BadParameter(f"must be positive and finite, got {value}")
+    return value
+
+
 def _param_options(fn):
     fn = click.option("--theta", type=float, default=None,
                       help="Angle parameter (radians unless --degrees).")(fn)
@@ -149,16 +155,18 @@ def unitize_cmd(family, theta, r, s, m, degrees, scale, input_path, fmt):
 @click.option("--family", required=True)
 @click.option("--lo", type=float, default=None, help="Bracket low end (1D families).")
 @click.option("--hi", type=float, default=None, help="Bracket high end (1D families).")
-@click.option("--tol", type=float, default=None, help="Parameter tolerance override.")
+@click.option("--tol", type=float, default=None, callback=_tolerance,
+              help="Parameter tolerance override.")
 @click.option("--format", "fmt", type=FORMATS, default="json")
 def minimize_cmd(family, lo, hi, tol, fmt):
     """Minimize a family's fundamental measure over its parameters."""
     name = family.replace("-", "_")
+    tol_arg = {} if tol is None else {"tol": tol}
     if name in optimize.FAMILIES_2D:
-        result = optimize.minimize_2d(name, **({"tol": tol} if tol else {}))
+        result = optimize.minimize_2d(name, **tol_arg)
     else:
         bracket = (lo, hi) if lo is not None and hi is not None else None
-        result = optimize.minimize_1d(name, bracket, **({"tol": tol} if tol else {}))
+        result = optimize.minimize_1d(name, bracket, **tol_arg)
     if fmt == "csv":
         click.echo(
             _csv_text(
@@ -213,7 +221,8 @@ def scan_cmd(family, quantity, lo, hi, n, fmt):
 @main.command(name="verify")
 @click.option("--suite", default="all", type=click.Choice(sorted(verify.SUITES) + ["all"]))
 @click.option("--seed", type=int, default=0, help="RNG seed for sampled checks.")
-@click.option("--tol", type=float, default=None, help="Tolerance override for every check.")
+@click.option("--tol", type=float, default=None, callback=_tolerance,
+              help="Tolerance override for every check.")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="json")
 def verify_cmd(suite, seed, tol, fmt):
     """Run a verification suite; exit 1 if any claim fails."""

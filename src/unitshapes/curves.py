@@ -15,8 +15,10 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain, starmap
 from typing import Iterable, Sequence
 
+from .errors import DomainError
 from .quadrature import adaptive_quadrature
 
 JOIN_TOL = 1e-12
@@ -637,53 +639,57 @@ def _motion_to_dict(m: RigidMotion) -> dict:
     }
 
 
-def _motion_from_dict(d: dict) -> RigidMotion:
-    return RigidMotion(
-        float(d.get("rotation_angle", 0.0)),
-        bool(d.get("reflect", False)),
-        (float(d["translation"][0]), float(d["translation"][1])) if "translation" in d else (0.0, 0.0),
-    )
+def _check_finite(values: Iterable[float], piece: int) -> None:
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"piece {piece} of the shape JSON holds a NaN or infinite number")
 
 
-def _piece_from_dict(d: dict) -> CurvePiece:
+def _floats(values: Iterable, piece: int) -> list[float]:
+    out = [float(v) for v in values]
+    _check_finite(out, piece)
+    return out
+
+
+def _point_from_list(v: Sequence, piece: int) -> Point:
+    x, y = _floats(v, piece)
+    return Point(x, y)
+
+
+def _motion_from_dict(d: dict, piece: int) -> RigidMotion:
+    t = d.get("translation", (0.0, 0.0))
+    angle, tx, ty = _floats([d.get("rotation_angle", 0.0), t[0], t[1]], piece)
+    return RigidMotion(angle, bool(d.get("reflect", False)), (tx, ty))
+
+
+def _piece_from_dict(d: dict, piece: int) -> CurvePiece:
     kind = d["kind"]
     if kind == "line_segment":
-        return LineSegment(Point(*map(float, d["start"])), Point(*map(float, d["end"])))
+        return LineSegment(_point_from_list(d["start"], piece), _point_from_list(d["end"], piece))
     if kind == "polyline":
-        return Polyline(tuple(Point(float(x), float(y)) for x, y in d["vertices"]))
+        xy = [(float(x), float(y)) for x, y in d["vertices"]]
+        _check_finite(chain.from_iterable(xy), piece)
+        return Polyline(tuple(starmap(Point, xy)))
     if kind == "circular_arc":
-        return CircularArc(
-            Point(*map(float, d["center"])),
-            float(d["radius"]),
-            float(d["angle_start"]),
-            float(d["angle_end"]),
-        )
+        radius, t0, t1 = _floats([d["radius"], d["angle_start"], d["angle_end"]], piece)
+        return CircularArc(_point_from_list(d["center"], piece), radius, t0, t1)
     if kind == "elliptical_arc":
         a, b = d["semi_axes"]
-        return EllipticalArc(
-            Point(*map(float, d["center"])),
-            (float(a), float(b)),
-            float(d["rotation"]),
-            float(d["t_start"]),
-            float(d["t_end"]),
-        )
+        a, b, rotation, t0, t1 = _floats([a, b, d["rotation"], d["t_start"], d["t_end"]], piece)
+        return EllipticalArc(_point_from_list(d["center"], piece), (a, b), rotation, t0, t1)
     if kind == "parabolic_arc":
         alpha, beta, gamma = d["coefficients"]
-        return ParabolicArc(
-            (float(alpha), float(beta), float(gamma)),
-            float(d["x_start"]),
-            float(d["x_end"]),
-            _motion_from_dict(d.get("frame", {})),
-        )
+        alpha, beta, gamma, x0, x1 = _floats([alpha, beta, gamma, d["x_start"], d["x_end"]], piece)
+        frame = _motion_from_dict(d.get("frame", {}), piece)
+        return ParabolicArc((alpha, beta, gamma), x0, x1, frame)
     if kind == "rational_point":
-        return RationalPoint(
-            float(d["t_start"]), float(d["t_end"]), _motion_from_dict(d.get("frame", {}))
-        )
+        t0, t1 = _floats([d["t_start"], d["t_end"]], piece)
+        return RationalPoint(t0, t1, _motion_from_dict(d.get("frame", {}), piece))
     raise ValueError(f"unknown piece kind: {kind!r}")
 
 
 def shape_from_dict(d: dict) -> Shape:
-    return Shape([_piece_from_dict(p) for p in d["pieces"]])
+    """Shape from its JSON document; rejects NaN and infinities, which ``json`` accepts."""
+    return Shape([_piece_from_dict(p, i) for i, p in enumerate(d["pieces"])])
 
 
 def shape_from_json(text: str) -> Shape:

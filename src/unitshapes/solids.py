@@ -1,25 +1,28 @@
 """Platonic solids from explicit vertex models; the 3D unit condition V = SA/3.
 
-Volume, surface area and inradius are all computed from the convex hull of
-the vertex coordinates (triangle fans and centroid tetrahedra), never from
-closed-form solid formulas, so the golden-ratio table is a genuine
-cross-check of the vertex models.
+Volume, surface area and inradius are all computed from the vertex
+coordinates, never from closed-form solid formulas, so the golden-ratio
+table is a genuine cross-check of the vertex models. The facets come from
+enumerating vertex triples: a plane through three vertices that leaves every
+vertex on one side holds one facet, and the vertices on it, ordered by angle,
+are that facet's polygon.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.spatial import ConvexHull
+from itertools import combinations
 
 from .errors import DomainError
+
+Vec = tuple[float, float, float]
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Canonical vertex sets with known edge lengths.
-_BASES: dict[str, tuple[list[tuple[float, float, float]], float]] = {
+_BASES: dict[str, tuple[list[Vec], float]] = {
     "tetrahedron": (
         [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
         2.0 * math.sqrt(2.0),
@@ -64,8 +67,8 @@ class PlatonicSolid:
     def __post_init__(self) -> None:
         if self.kind not in _BASES:
             raise DomainError(f"unknown solid kind {self.kind!r}; choose from {KINDS}")
-        if not self.edge_length > 0.0:
-            raise DomainError(f"edge length must be positive, got {self.edge_length}")
+        if not (self.edge_length > 0.0 and math.isfinite(self.edge_length)):
+            raise DomainError(f"edge length must be positive and finite, got {self.edge_length}")
 
 
 @dataclass(frozen=True)
@@ -76,27 +79,100 @@ class SolidMeasures:
     fundamental_measure: float  # volume rescaled to unit inradius
 
 
-def vertices(solid: PlatonicSolid) -> np.ndarray:
+# On-plane tolerance, as a fraction of the edge length.
+_PLANE_TOL = 1e-9
+
+
+def _sub(p: Vec, q: Vec) -> Vec:
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _dot(p: Vec, q: Vec) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p: Vec, q: Vec) -> Vec:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _centroid(pts: list[Vec]) -> Vec:
+    return tuple(sum(c) / len(pts) for c in zip(*pts))
+
+
+def vertices(solid: PlatonicSolid) -> list[Vec]:
     base, base_edge = _BASES[solid.kind]
-    return np.asarray(base, dtype=float) * (solid.edge_length / base_edge)
+    k = solid.edge_length / base_edge
+    return [(x * k, y * k, z * k) for x, y, z in base]
+
+
+def facets(solid: PlatonicSolid) -> list[tuple[Vec, list[Vec]]]:
+    """Each facet as (outward unit normal, its vertices in angular order)."""
+    pts = vertices(solid)
+    tol = _PLANE_TOL * solid.edge_length
+    covered: set[tuple[int, int, int]] = set()
+    found = []
+    for tri in combinations(range(len(pts)), 3):
+        if tri in covered:
+            continue  # a triple of an already found facet spans that facet's plane
+        a = pts[tri[0]]
+        n = _cross(_sub(pts[tri[1]], a), _sub(pts[tri[2]], a))
+        norm = math.hypot(*n)
+        if norm <= tol * solid.edge_length:
+            continue  # collinear triple; |n| is twice its area, a squared length
+        ux, uy, uz = n[0] / norm, n[1] / norm, n[2] / norm
+        offset = ux * a[0] + uy * a[1] + uz * a[2]
+        above = below = False
+        on = []
+        for i, (x, y, z) in enumerate(pts):
+            d = ux * x + uy * y + uz * z - offset
+            if d > tol:
+                above = True
+            elif d < -tol:
+                below = True
+            else:
+                on.append(i)
+            if above and below:
+                break
+        else:
+            covered.update(combinations(on, 3))
+            u = (-ux, -uy, -uz) if above else (ux, uy, uz)
+            found.append((u, _angular_order([pts[i] for i in on], u)))
+    return found
+
+
+def _angular_order(poly: list[Vec], u: Vec) -> list[Vec]:
+    """Sort coplanar points by angle about their centroid, counter-clockwise about u."""
+    g = _centroid(poly)
+    e1 = _sub(poly[0], g)
+    e2 = _cross(u, e1)
+
+    def angle(p: Vec) -> float:
+        r = _sub(p, g)
+        return math.atan2(_dot(r, e2), _dot(r, e1))
+
+    return sorted(poly, key=angle)
 
 
 def measures(solid: PlatonicSolid) -> SolidMeasures:
-    pts = vertices(solid)
-    centroid = pts.mean(axis=0)
-    hull = ConvexHull(pts, qhull_options="Qt")
-    volume = 0.0
+    centroid = _centroid(vertices(solid))
+    cone_sum = 0.0  # sum of facet area times height: three times the volume
     surface_area = 0.0
     inradius = math.inf
-    for simplex in hull.simplices:
-        a, b, c = pts[simplex] - centroid
-        cross = np.cross(b - a, c - a)
-        norm = float(np.linalg.norm(cross))
-        if norm <= 1e-12 * solid.edge_length**2:
-            continue  # sliver from triangulating a coplanar facet
-        surface_area += 0.5 * norm
-        volume += abs(float(np.dot(a, np.cross(b, c)))) / 6.0
-        inradius = min(inradius, abs(float(np.dot(cross / norm, a))))
+    for u, poly in facets(solid):
+        g = _centroid(poly)
+        rim = [_sub(p, g) for p in poly]
+        area = 0.0
+        for p, q in zip(rim, rim[1:] + rim[:1]):
+            area += 0.5 * math.hypot(*_cross(p, q))
+        h = _dot(u, _sub(poly[0], centroid))
+        surface_area += area
+        cone_sum += area * h
+        inradius = min(inradius, h)
+    volume = cone_sum / 3.0
+    if not sys.float_info.min <= volume < math.inf:
+        raise DomainError(
+            f"edge length {solid.edge_length} puts the {solid.kind}'s volume outside the float range"
+        )
     return SolidMeasures(volume, surface_area, inradius, volume / inradius**3)
 
 

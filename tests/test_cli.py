@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -169,3 +173,45 @@ def test_pretty_formats_render(capsys):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert out.strip()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_minimize_rejects_bad_tol(capsys, tol):
+    code, out, err = invoke(capsys, "minimize", "--family", "rectangle", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_bad_tol(capsys, tol):
+    code, out, err = invoke(capsys, "verify", "--suite", "mgon", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_minimize_tol_is_applied(capsys):
+    _, coarse, _ = invoke(capsys, "minimize", "--family", "rectangle", "--tol", "1e-3")
+    _, default, _ = invoke(capsys, "minimize", "--family", "rectangle")
+    assert json.loads(coarse)["iterations"] < json.loads(default)["iterations"]
+
+
+def test_unitize_nan_vertex_exit_two(tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text('{"pieces": [{"kind": "polyline",'
+                    ' "vertices": [[0, 0], [1, 0], [NaN, 1], [0, 0]]}]}')
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "piece 0" in err
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    # A fresh interpreter, so modules loaded by the test session do not count.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, unitshapes.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

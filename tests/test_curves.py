@@ -24,6 +24,7 @@ from unitshapes.curves import (
     shape_from_dict,
     shape_from_json,
 )
+from unitshapes.errors import DomainError
 
 from oracles import dense_simpson
 
@@ -301,3 +302,39 @@ def test_json_document_layout():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown piece kind"):
         shape_from_dict({"pieces": [{"kind": "nurbs"}]})
+
+
+def _number_paths(obj, path=()):
+    """Paths to every number in a JSON value (booleans excluded)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _number_paths(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+def test_non_finite_numbers_rejected_in_every_piece_kind():
+    lead = LineSegment(Point(0.0, 0.0), Point(1.0, 0.0)).to_dict()
+    checked = 0
+    for piece in sample_pieces():
+        doc = piece.to_dict()
+        for path in _number_paths(doc):
+            for bad in (math.nan, math.inf, -math.inf):
+                corrupt = json.loads(json.dumps(doc))
+                target = corrupt
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = bad
+                with pytest.raises(DomainError, match="piece 1 "):
+                    shape_from_dict({"pieces": [lead, corrupt]})
+                checked += 1
+    assert checked >= 3 * 30
+
+
+def test_nan_literal_in_shape_json_rejected():
+    text = '{"pieces": [{"kind": "polyline", "vertices": [[0, 0], [1, 0], [NaN, 1], [0, 0]]}]}'
+    with pytest.raises(DomainError, match="piece 0 "):
+        shape_from_json(text)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitshapes.errors import DomainError
@@ -9,6 +9,7 @@ from unitshapes.solids import (
     KINDS,
     PlatonicSolid,
     expected_unit_measures,
+    facets,
     measures,
     solids_table,
     table_check,
@@ -84,7 +85,9 @@ def test_vertex_counts_and_edge_lengths():
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(KINDS), lam=st.floats(0.1, 10.0))
+@given(kind=st.sampled_from(KINDS), lam=st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+@example(kind="dodecahedron", lam=1e-12)
+@example(kind="icosahedron", lam=1e12)
 def test_solid_scaling_laws(kind, lam):
     base = measures(PlatonicSolid(kind, 1.3))
     scaled_ = measures(PlatonicSolid(kind, 1.3 * lam))
@@ -129,5 +132,53 @@ def test_solids_table_rows():
 def test_invalid_solids_rejected():
     with pytest.raises(DomainError):
         PlatonicSolid("teapot")
-    with pytest.raises(DomainError):
-        PlatonicSolid("cube", 0.0)
+    for edge in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            PlatonicSolid("cube", edge)
+
+
+def test_volume_outside_float_range_rejected():
+    for edge in (1e-120, 1e120):
+        with pytest.raises(DomainError):
+            measures(PlatonicSolid("cube", edge))
+
+
+def _vector_area(poly):
+    # Half the norm of sum p_i x p_(i+1): the area of a planar polygon whose
+    # vertices are in cyclic order, wherever the origin lies.
+    sx = sy = sz = 0.0
+    for (ax, ay, az), (bx, by, bz) in zip(poly, poly[1:] + poly[:1]):
+        sx += ay * bz - az * by
+        sy += az * bx - ax * bz
+        sz += ax * by - ay * bx
+    return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
+
+
+def test_facet_enumeration():
+    expected = {  # kind: (facets, vertices per facet)
+        "tetrahedron": (4, 3),
+        "cube": (6, 4),
+        "octahedron": (8, 3),
+        "dodecahedron": (12, 5),
+        "icosahedron": (20, 3),
+    }
+    for kind, (count, corners) in expected.items():
+        solid = PlatonicSolid(kind, 1.7)
+        found = facets(solid)
+        assert len(found) == count
+        assert all(len(poly) == corners for _, poly in found)
+        # No vertex set is reported twice.
+        assert len({frozenset(poly) for _, poly in found}) == count
+        for u, poly in found:
+            assert math.hypot(*u) == pytest.approx(1.0, rel=1e-12)
+            # Outward: every vertex lies on the inner side of the facet plane.
+            offset = sum(a * b for a, b in zip(u, poly[0]))
+            assert all(
+                sum(a * b for a, b in zip(u, p)) <= offset + 1e-9 for p in vertices(solid)
+            )
+            # Angular order: consecutive corners are joined by an edge.
+            for p, q in zip(poly, poly[1:] + poly[:1]):
+                assert math.dist(p, q) == pytest.approx(1.7, rel=1e-12)
+        # The vector area is exact only for cyclically ordered polygons.
+        total = sum(_vector_area(poly) for _, poly in found)
+        assert total == pytest.approx(measures(solid).surface_area, rel=1e-12)
