@@ -1,9 +1,11 @@
 """Shape families with closed-form fundamental measures and unit-shape builders.
 
 Each family is a tagged parameter record; ``fundamental_measure`` evaluates
-the closed form (quadrature for the ellipse integral) and ``build_unit_shape``
-constructs the concrete unit-scale member so the curve kernel can cross-check
-the formulas.
+the closed form (the ellipse's half perimeter by the arithmetic-geometric
+mean) and ``build_unit_shape`` constructs the concrete unit-scale member so
+the curve kernel can cross-check the formulas. Adaptive quadrature of the
+ellipse's speed integral is kept only as the cross-check in
+``conciliation_checks``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Union
 
-from .curves import EllipticalArc, Point, Shape, make_polygon
+from .curves import EllipticalArc, Point, Shape, ellipse_half_perimeter, make_polygon
 from .errors import DomainError
 from .quadrature import adaptive_quadrature
 
@@ -132,7 +134,7 @@ def family_from_dict(d: dict) -> FamilyParam:
     return cls(**kwargs)
 
 
-def _ellipse_speed_integral(r: float) -> float:
+def _ellipse_speed_integral_by_quadrature(r: float) -> float:
     """int_0^pi sqrt(1 + (r^2 - 1) cos^2 t) dt, the unit-semi-major speed integral."""
     k = r * r - 1.0
     return adaptive_quadrature(
@@ -144,7 +146,7 @@ def ellipse_semi_minor(r: float) -> float:
     """Semi-minor axis of the unit ellipse with axis ratio r; lies in (2/pi, 1)."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {r}")
-    return _ellipse_speed_integral(r) / math.pi
+    return ellipse_half_perimeter(1.0, r) / math.pi
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def fundamental_measure(p: FamilyParam) -> float:
     if isinstance(p, Parallelogram):
         return (1.0 + p.r) ** 2 / (p.r * math.sin(p.theta))
     if isinstance(p, Ellipse):
-        return _ellipse_speed_integral(p.r) ** 2 / (math.pi * p.r)
+        return ellipse_half_perimeter(1.0, p.r) ** 2 / (math.pi * p.r)
     if isinstance(p, RegularPolygon):
         return p.m * math.tan(math.pi / p.m)
     raise DomainError(f"unsupported family parameter: {p!r}")
@@ -275,7 +277,9 @@ def conciliation_checks(grid_size: int = 400, rel_tol: float = 1e-10) -> Concili
     * a right triangle with acute angle theta is the general triangle with
       side ratios (sin theta, cos theta) against its hypotenuse;
     * a right-angle parallelogram is a rectangle;
-    * an equal-sides parallelogram is a rhombus.
+    * an equal-sides parallelogram is a rhombus;
+    * the ellipse's half perimeter by the AGM is its speed integral by
+      adaptive quadrature.
     """
     report = ConciliationReport()
 
@@ -313,5 +317,13 @@ def conciliation_checks(grid_size: int = 400, rel_tol: float = 1e-10) -> Concili
         angles,
         lambda t: fundamental_measure(Parallelogram(t, 1.0)),
         lambda t: fundamental_measure(Rhombus(t)),
+    )
+
+    axis_ratios = [(i + 0.5) / grid_size for i in range(grid_size)]
+    run(
+        "ellipse_agm_vs_quadrature",
+        axis_ratios,
+        lambda r: ellipse_half_perimeter(1.0, r),
+        _ellipse_speed_integral_by_quadrature,
     )
     return report

@@ -4,7 +4,9 @@ A Shape is an ordered chain of parametric pieces forming a closed curve,
 normalized to counterclockwise orientation at construction. Area comes from
 the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter from the
 speed integral. Line segments, polylines and circular arcs use closed forms;
-the remaining piece kinds fall back to adaptive quadrature.
+the remaining piece kinds fall back to adaptive quadrature. The complete
+ellipse integral has a closed form here too, ``ellipse_half_perimeter``, by
+the arithmetic-geometric mean.
 
 All types are immutable values; every operation here is pure.
 """
@@ -23,6 +25,7 @@ from .quadrature import adaptive_quadrature
 
 JOIN_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
+AGM_MAX_STEPS = 64  # the AGM converges quadratically; about 10 steps reach 1e-15
 
 
 @dataclass(frozen=True)
@@ -336,6 +339,27 @@ class CircularArc(CurvePiece):
             "angle_start": self.angle_start,
             "angle_end": self.angle_end,
         }
+
+
+def ellipse_half_perimeter(a: float, b: float) -> float:
+    """Half the perimeter of the ellipse with semi-axes a, b > 0, by the arithmetic-geometric mean.
+
+    pi (a^2 - sum_n 2^(n-1) c_n^2) / M(a, b) with c_0^2 = a^2 - b^2 (Borwein & Borwein,
+    *Pi and the AGM*, 1987). The loop stops once c_n is below an ulp-scale share of
+    a_n: a_n and b_n can stay one ulp apart forever, so c_n == 0 is no stop rule.
+    """
+    an, bn = max(a, b), min(a, b)
+    major_squared = an * an
+    cn = math.sqrt((an - bn) * (an + bn))
+    weight = 0.5
+    total = weight * cn * cn
+    for _ in range(AGM_MAX_STEPS):
+        if cn <= 1e-15 * an:
+            return math.pi * (major_squared - total) / an
+        an, bn, cn = 0.5 * (an + bn), math.sqrt(an * bn), 0.5 * (an - bn)
+        weight *= 2.0
+        total += weight * cn * cn
+    raise ArithmeticError(f"AGM for semi-axes ({a}, {b}) did not converge in {AGM_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -661,7 +685,7 @@ def _motion_from_dict(d: dict, piece: int) -> RigidMotion:
     return RigidMotion(angle, bool(d.get("reflect", False)), (tx, ty))
 
 
-def _piece_from_dict(d: dict, piece: int) -> CurvePiece:
+def _parse_piece(d: dict, piece: int) -> CurvePiece:
     kind = d["kind"]
     if kind == "line_segment":
         return LineSegment(_point_from_list(d["start"], piece), _point_from_list(d["end"], piece))
@@ -687,9 +711,28 @@ def _piece_from_dict(d: dict, piece: int) -> CurvePiece:
     raise ValueError(f"unknown piece kind: {kind!r}")
 
 
+def _piece_from_dict(d: dict, piece: int) -> CurvePiece:
+    """The piece, or a DomainError naming it; errors are caught, so a valid piece pays nothing."""
+    try:
+        return _parse_piece(d, piece)
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"piece {piece} of the shape JSON lacks the field {exc}") from None
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DomainError(f"piece {piece} of the shape JSON is invalid: {exc}") from None
+
+
 def shape_from_dict(d: dict) -> Shape:
-    """Shape from its JSON document; rejects NaN and infinities, which ``json`` accepts."""
-    return Shape([_piece_from_dict(p, i) for i, p in enumerate(d["pieces"])])
+    """Shape from its JSON document.
+
+    Rejects NaN and infinities, which ``json`` accepts, and documents of the
+    wrong structure, with a DomainError that names the piece.
+    """
+    pieces = d.get("pieces") if isinstance(d, dict) else None
+    if not isinstance(pieces, list):
+        raise DomainError('shape JSON must be an object whose "pieces" is a list')
+    return Shape([_piece_from_dict(p, i) for i, p in enumerate(pieces)])
 
 
 def shape_from_json(text: str) -> Shape:

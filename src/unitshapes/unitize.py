@@ -101,11 +101,12 @@ def check_calculus_friendly(
 
     * a central finite difference of the kernel-measured area A(lambda), with
       step 1e-5 * lambda, against the kernel-measured perimeter 2 S(lambda);
-    * the exact quadratic-growth identity
+    * the kernel-measured area difference A(lambda + d) - A(lambda) against
+      the exact quadratic-growth identity
       A(lambda + d) - A(lambda) = 2 * ((lambda + (lambda + d)) / 2) * d * Pi,
       which holds for any increment. The increment here is lambda / 4, large
-      enough that the difference of the two quadratic terms carries no
-      cancellation, so the identity must hold to roundoff.
+      enough that the difference of the two areas carries no cancellation,
+      so the identity must hold to roundoff.
     """
     base = probe.base_unit_shape
     measure = 0.5 * (base.area() + base.semiperimeter())
@@ -115,11 +116,12 @@ def check_calculus_friendly(
         area_plus = scaled(base, lam + h).area()
         area_minus = scaled(base, lam - h).area()
         derivative = (area_plus - area_minus) / (2.0 * h)
-        perimeter = 2.0 * scaled(base, lam).semiperimeter()
+        member = scaled(base, lam)
+        perimeter = 2.0 * member.semiperimeter()
         deriv_err = abs(derivative - perimeter) / perimeter
 
         d = 0.25 * lam
-        delta_area = measure * (lam + d) ** 2 - measure * lam**2
+        delta_area = scaled(base, lam + d).area() - member.area()
         strip = 2.0 * ((lam + (lam + d)) / 2.0) * d * measure
         identity_err = abs(delta_area - strip) / abs(strip)
 

@@ -166,8 +166,8 @@ def check_blob_pythagoras(
 def check_rational_circle(tol: float = 1e-9) -> VerificationReport:
     """The trig-free rational circle measures A = S = pi by quadrature alone."""
     circle = make_rational_circle()
-    a = circle.area()
-    s = circle.semiperimeter()
+    a = circle.area(force_quadrature=True)
+    s = circle.semiperimeter(force_quadrature=True)
     report = VerificationReport("rational_circle", 1, max(abs(a - math.pi), abs(s - math.pi)))
     report.details.update({"area": a, "semiperimeter": s})
     if abs(a - math.pi) > tol or abs(s - math.pi) > tol:

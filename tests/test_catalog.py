@@ -20,6 +20,7 @@ from unitshapes.catalog import (
     fundamental_measure,
     rhombus_short_diagonal,
 )
+from unitshapes.curves import ellipse_half_perimeter
 from unitshapes.errors import DomainError
 
 from oracles import dense_simpson
@@ -191,6 +192,37 @@ def test_ellipse_semi_minor_matches_simpson_everywhere():
             n=100_000,
         ) / math.pi
         assert ellipse_semi_minor(r) == pytest.approx(expected, rel=1e-8)
+
+
+def test_ellipse_agm_matches_simpson():
+    for i in range(25):
+        r = 0.01 + 0.98 * i / 24
+        expected = dense_simpson(
+            lambda t: math.sqrt(1.0 + (r * r - 1.0) * math.cos(t) ** 2), 0.0, math.pi
+        )
+        assert ellipse_half_perimeter(1.0, r) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.01, 0.2, 0.5, 0.8, 0.99])
+def test_ellipse_agm_matches_kernel_quadrature(r):
+    shape = build_unit_shape(Ellipse(r))
+    expected = fundamental_measure(Ellipse(r))
+    assert shape.area(force_quadrature=True) == pytest.approx(expected, rel=1e-10)
+    assert shape.semiperimeter(force_quadrature=True) == pytest.approx(expected, rel=1e-10)
+
+
+def test_ellipse_agm_terminates_at_the_ends():
+    # a_n and b_n one ulp apart must not keep the loop going.
+    assert ellipse_half_perimeter(1.0, 1e-9) == pytest.approx(2.0, abs=1e-9)
+    assert ellipse_half_perimeter(1.0, 1.0 - 1e-15) == pytest.approx(math.pi, abs=1e-9)
+    # Near the circle I(r) = pi (1 + r) / 2 up to a term of order (1 - r)^2.
+    r = 1.0 - 1e-9
+    assert ellipse_half_perimeter(1.0, r) == pytest.approx(math.pi * (1.0 + r) / 2.0, rel=1e-15)
+    assert ellipse_half_perimeter(2.5, 2.5) == pytest.approx(2.5 * math.pi, rel=1e-15)
+    assert ellipse_half_perimeter(0.3, 1.0) == ellipse_half_perimeter(1.0, 0.3)
+    # A degenerate axis never converges; the step cap ends the loop.
+    with pytest.raises(ArithmeticError):
+        ellipse_half_perimeter(1.0, 0.0)
 
 
 def test_ellipse_semi_minor_domain():

@@ -207,6 +207,25 @@ def test_unitize_nan_vertex_exit_two(tmp_path, capsys):
     assert "piece 0" in err
 
 
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ('{"pieces": [{"kind": "polyline"}]}', "piece 0"),
+        ('{"pieces": 5}', "pieces"),
+        ("[1, 2]", "pieces"),
+        ("{}", "pieces"),
+        ('{"pieces": [{"kind": "line_segment", "start": [0], "end": [1, 1]}]}', "piece 0"),
+    ],
+)
+def test_unitize_malformed_shape_json_exit_two(tmp_path, capsys, document, message):
+    path = tmp_path / "shape.json"
+    path.write_text(document)
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_cli_import_loads_no_numpy_or_scipy():
     # A fresh interpreter, so modules loaded by the test session do not count.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

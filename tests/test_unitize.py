@@ -12,7 +12,15 @@ from unitshapes.catalog import (
     Triangle,
     build_unit_shape,
 )
-from unitshapes.curves import RigidMotion, Similarity, make_circle, make_polygon, scaled
+from unitshapes.curves import (
+    Polyline,
+    RigidMotion,
+    Shape,
+    Similarity,
+    make_circle,
+    make_polygon,
+    scaled,
+)
 from unitshapes.errors import DomainError
 from unitshapes.unitize import (
     IndexedFamilyProbe,
@@ -155,6 +163,27 @@ def test_calculus_friendly_identity_is_exact():
     assert report.passed
     for entry in report.entries:
         assert entry.identity_rel_err <= 1e-12
+
+
+class _LengthSkewedPolyline(Polyline):
+    """A polyline whose kernel area gains 1e-9 times its length: A is not quadratic in scale."""
+
+    def _exact_area_term(self) -> float:
+        return super()._exact_area_term() + 1e-9 * self._exact_length()
+
+    def transformed(self, sim):
+        return _LengthSkewedPolyline(super().transformed(sim).vertices)
+
+
+def test_calculus_friendly_identity_measures_the_kernel():
+    square = make_polygon([(0, 0), (2, 0), (2, 2), (0, 2)]).pieces[0]
+    skewed = Shape([_LengthSkewedPolyline(square.vertices)])
+    report = check_calculus_friendly(IndexedFamilyProbe(skewed, (0.5, 1.0, 2.0)))
+    assert not report.passed
+    for entry in report.entries:
+        # Too small for the finite difference to see, far above roundoff.
+        assert entry.derivative_rel_err <= 1e-5
+        assert entry.identity_rel_err > 1e-11
 
 
 def test_measure_multiset_match():

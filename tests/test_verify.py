@@ -13,7 +13,7 @@ from unitshapes.catalog import (
     Triangle,
     build_unit_shape,
 )
-from unitshapes.curves import make_circle, make_polygon, scaled
+from unitshapes.curves import RationalPoint, make_circle, make_polygon, make_rational_circle, scaled
 from unitshapes.unitize import unitize
 from unitshapes.verify import (
     check_blob_pythagoras,
@@ -187,6 +187,19 @@ def test_rational_circle_is_unit_shape():
     assert report.passed
     assert report.details["area"] == pytest.approx(math.pi, abs=1e-9)
     assert report.details["semiperimeter"] == pytest.approx(math.pi, abs=1e-9)
+
+
+def test_rational_circle_measured_by_quadrature(monkeypatch):
+    forced = make_rational_circle()
+    area = forced.area(force_quadrature=True)
+    semiperimeter = forced.semiperimeter(force_quadrature=True)
+    # A closed form for the rational piece, right or wrong, must not reach the fixture.
+    monkeypatch.setattr(RationalPoint, "_exact_length", lambda self: 1.0, raising=False)
+    monkeypatch.setattr(RationalPoint, "_exact_area_term", lambda self: 1.0, raising=False)
+    report = check_rational_circle()
+    assert report.passed
+    assert report.details["area"] == area
+    assert report.details["semiperimeter"] == semiperimeter
 
 
 # --- sampler and suites -----------------------------------------------------------
