@@ -153,8 +153,10 @@ def unitize_cmd(family, theta, r, s, m, degrees, scale, input_path, fmt):
 
 @main.command(name="minimize")
 @click.option("--family", required=True)
-@click.option("--lo", type=float, default=None, help="Bracket low end (1D families).")
-@click.option("--hi", type=float, default=None, help="Bracket high end (1D families).")
+@click.option("--lo", type=float, default=None,
+              help="Bracket low end (one-parameter families; needs --hi).")
+@click.option("--hi", type=float, default=None,
+              help="Bracket high end (one-parameter families; needs --lo).")
 @click.option("--tol", type=float, default=None, callback=_tolerance,
               help="Parameter tolerance override.")
 @click.option("--format", "fmt", type=FORMATS, default="json")
@@ -162,10 +164,14 @@ def minimize_cmd(family, lo, hi, tol, fmt):
     """Minimize a family's fundamental measure over its parameters."""
     name = family.replace("-", "_")
     tol_arg = {} if tol is None else {"tol": tol}
+    if (lo is None) != (hi is None):
+        raise click.UsageError("--lo and --hi set the bracket together; give both or neither")
     if name in optimize.FAMILIES_2D:
+        if lo is not None:
+            raise click.UsageError(f"--lo/--hi bracket one-parameter families; {family!r} has two")
         result = optimize.minimize_2d(name, **tol_arg)
     else:
-        bracket = (lo, hi) if lo is not None and hi is not None else None
+        bracket = None if lo is None else (lo, hi)
         result = optimize.minimize_1d(name, bracket, **tol_arg)
     if fmt == "csv":
         click.echo(

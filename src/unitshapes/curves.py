@@ -49,10 +49,15 @@ class RigidMotion:
     reflect: bool = False
     translation: tuple[float, float] = (0.0, 0.0)
 
+    def __post_init__(self) -> None:
+        # Cached outside the fields, so ==, hash and repr see only the fields.
+        object.__setattr__(self, "_cos", math.cos(self.rotation_angle))
+        object.__setattr__(self, "_sin", math.sin(self.rotation_angle))
+
     def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
         """Linear part only (no translation)."""
-        c = math.cos(self.rotation_angle)
-        s = math.sin(self.rotation_angle)
+        c = self._cos
+        s = self._sin
         x = c * vx - s * vy
         y = s * vx + c * vy
         if self.reflect:
@@ -76,8 +81,9 @@ class Similarity:
             raise ValueError(f"similarity scale must be positive, got {self.scale}")
 
     def apply(self, p: Point) -> Point:
-        q = self.motion.apply(p)
-        return Point(self.scale * q.x, self.scale * q.y)
+        x, y = self.motion.apply_vector(p.x, p.y)
+        tx, ty = self.motion.translation
+        return Point(self.scale * (x + tx), self.scale * (y + ty))
 
 
 def _motion_from_columns(
@@ -224,8 +230,12 @@ class Polyline(CurvePiece):
         if len(self.vertices) < 2:
             raise ValueError("polyline needs at least two vertices")
         for a, b in zip(self.vertices, self.vertices[1:]):
-            if a.distance_to(b) == 0.0:
+            if a.x == b.x and a.y == b.y:
                 raise ValueError("degenerate polyline edge (zero length)")
+
+    @property
+    def start(self) -> Point:
+        return self.vertices[0]
 
     @property
     def t_start(self) -> float:  # type: ignore[override]
@@ -253,13 +263,14 @@ class Polyline(CurvePiece):
         return Polyline(tuple(reversed(self.vertices)))
 
     def transformed(self, sim: Similarity) -> "Polyline":
-        return Polyline(tuple(sim.apply(v) for v in self.vertices))
+        return Polyline(tuple(map(sim.apply, self.vertices)))
 
     def _smooth_spans(self) -> list[tuple[float, float]]:
         return [(float(i), float(i + 1)) for i in range(len(self.vertices) - 1)]
 
     def _exact_length(self) -> float:
-        return sum(a.distance_to(b) for a, b in zip(self.vertices, self.vertices[1:]))
+        hypot = math.hypot
+        return sum(hypot(a.x - b.x, a.y - b.y) for a, b in zip(self.vertices, self.vertices[1:]))
 
     def _exact_area_term(self) -> float:
         return 0.5 * sum(
@@ -380,6 +391,9 @@ class EllipticalArc(CurvePiece):
             raise ValueError(f"ellipse semi-axes must be positive, got {self.semi_axes}")
         if self.t_start == self.t_end:
             raise ValueError("degenerate elliptical arc (zero sweep)")
+        # Cached outside the fields, so ==, hash and repr see only the fields.
+        object.__setattr__(self, "_cos", math.cos(self.rotation))
+        object.__setattr__(self, "_sin", math.sin(self.rotation))
 
     def _local(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
@@ -387,13 +401,13 @@ class EllipticalArc(CurvePiece):
 
     def point(self, t: float) -> Point:
         x, y = self._local(t)
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        c, s = self._cos, self._sin
         return Point(self.center.x + c * x - s * y, self.center.y + s * x + c * y)
 
     def velocity(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
         vx, vy = (-a * math.sin(t), b * math.cos(t))
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        c, s = self._cos, self._sin
         return (c * vx - s * vy, s * vx + c * vy)
 
     def reversed_(self) -> "EllipticalArc":
@@ -402,7 +416,7 @@ class EllipticalArc(CurvePiece):
     def transformed(self, sim: Similarity) -> "EllipticalArc":
         center = sim.apply(self.center)
         a, b = self.semi_axes
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        c, s = self._cos, self._sin
         e1 = sim.motion.apply_vector(c, s)
         e2 = sim.motion.apply_vector(-s, c)
         det = e1[0] * e2[1] - e1[1] * e2[0]
@@ -567,15 +581,10 @@ class Shape:
         self.join_tol = join_tol
         self._cache: dict[str, float] = {"signed_area": raw_area}
 
-    def _measure(self, key: str, compute) -> float:
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
     def signed_area(self, *, force_quadrature: bool = False) -> float:
         if force_quadrature:
             return _signed_area_of(self.pieces, force_quadrature=True)
-        return self._measure("signed_area", lambda: _signed_area_of(self.pieces))
+        return self._cache["signed_area"]
 
     def area(self, *, force_quadrature: bool = False) -> float:
         return abs(self.signed_area(force_quadrature=force_quadrature))
@@ -583,7 +592,10 @@ class Shape:
     def perimeter(self, *, force_quadrature: bool = False) -> float:
         if force_quadrature:
             return sum(p.length(force_quadrature=True) for p in self.pieces)
-        return self._measure("perimeter", lambda: sum(p.length() for p in self.pieces))
+        cache = self._cache
+        if "perimeter" not in cache:
+            cache["perimeter"] = sum(p.length() for p in self.pieces)
+        return cache["perimeter"]
 
     def semiperimeter(self, *, force_quadrature: bool = False) -> float:
         return 0.5 * self.perimeter(force_quadrature=force_quadrature)
@@ -640,8 +652,8 @@ def make_circle(radius: float, center: tuple[float, float] = (0.0, 0.0)) -> Shap
 
 def make_polygon(vertices: Sequence[tuple[float, float]]) -> Shape:
     """Closed polygon from a vertex loop (first vertex not repeated)."""
-    pts = [Point(x, y) for x, y in vertices]
-    return Shape([Polyline(tuple(pts + [pts[0]]))])
+    pts = tuple(starmap(Point, vertices))
+    return Shape([Polyline(pts + pts[:1])])
 
 
 def make_rational_circle() -> Shape:
@@ -682,7 +694,11 @@ def _point_from_list(v: Sequence, piece: int) -> Point:
 def _motion_from_dict(d: dict, piece: int) -> RigidMotion:
     t = d.get("translation", (0.0, 0.0))
     angle, tx, ty = _floats([d.get("rotation_angle", 0.0), t[0], t[1]], piece)
-    return RigidMotion(angle, bool(d.get("reflect", False)), (tx, ty))
+    reflect = d.get("reflect", False)
+    if not isinstance(reflect, bool):
+        raise DomainError(f"piece {piece} of the shape JSON has a frame.reflect that is not"
+                          f" true or false: {reflect!r}")
+    return RigidMotion(angle, reflect, (tx, ty))
 
 
 def _parse_piece(d: dict, piece: int) -> CurvePiece:

@@ -191,6 +191,27 @@ def test_verify_rejects_bad_tol(capsys, tol):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("bound", [["--lo", "5.0"], ["--hi", "5.0"]])
+def test_minimize_rejects_half_bracket(capsys, bound):
+    code, out, err = invoke(capsys, "minimize", "--family", "rectangle", *bound)
+    assert code == 2
+    assert out == ""
+    assert "--lo and --hi" in err
+
+
+def test_minimize_rejects_bracket_for_two_parameter_family(capsys):
+    code, out, err = invoke(capsys, "minimize", "--family", "triangle", "--lo", "5", "--hi", "6")
+    assert code == 2
+    assert out == ""
+    assert "one-parameter" in err
+
+
+def test_minimize_bracket_is_applied(capsys):
+    code, out, _ = invoke(capsys, "minimize", "--family", "rectangle", "--lo", "2", "--hi", "3")
+    assert code == 0
+    assert 2.0 <= json.loads(out)["argmin"][0] <= 3.0
+
+
 def test_minimize_tol_is_applied(capsys):
     _, coarse, _ = invoke(capsys, "minimize", "--family", "rectangle", "--tol", "1e-3")
     _, default, _ = invoke(capsys, "minimize", "--family", "rectangle")
@@ -215,6 +236,10 @@ def test_unitize_nan_vertex_exit_two(tmp_path, capsys):
         ("[1, 2]", "pieces"),
         ("{}", "pieces"),
         ('{"pieces": [{"kind": "line_segment", "start": [0], "end": [1, 1]}]}', "piece 0"),
+        # With "false" read as true this is a closed circle, so only the type check rejects it.
+        ('{"pieces": [{"kind": "rational_point", "t_start": -1, "t_end": 1,'
+         ' "frame": {"reflect": "false"}}, {"kind": "rational_point", "t_start": 1, "t_end": -1}]}',
+         "frame.reflect"),
     ],
 )
 def test_unitize_malformed_shape_json_exit_two(tmp_path, capsys, document, message):

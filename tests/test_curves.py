@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -338,3 +340,80 @@ def test_nan_literal_in_shape_json_rejected():
     text = '{"pieces": [{"kind": "polyline", "vertices": [[0, 0], [1, 0], [NaN, 1], [0, 0]]}]}'
     with pytest.raises(DomainError, match="piece 0 "):
         shape_from_json(text)
+
+
+@pytest.mark.parametrize("kind", ["parabolic_arc", "rational_point"])
+@pytest.mark.parametrize("reflect", ["false", "true", 0, 1, None, [True]])
+def test_frame_reflect_must_be_a_json_boolean(kind, reflect):
+    lead = LineSegment(Point(0.0, 0.0), Point(1.0, 0.0)).to_dict()
+    piece = next(p for p in sample_pieces() if p.kind == kind).to_dict()
+    piece["frame"]["reflect"] = reflect
+    with pytest.raises(DomainError, match="piece 1 .*frame.reflect"):
+        shape_from_dict({"pieces": [lead, piece]})
+
+
+# --- cached trigonometry and the one-step similarity map ------------------------------
+
+
+def _two_step_similarity(sim, p):
+    """Motion, then scale, as two Points, with the rotation's cos and sin taken afresh."""
+    m = sim.motion
+    c, s = math.cos(m.rotation_angle), math.sin(m.rotation_angle)
+    x = c * p.x - s * p.y
+    y = s * p.x + c * p.y
+    if m.reflect:
+        y = -y
+    q = Point(x + m.translation[0], y + m.translation[1])
+    return Point(sim.scale * q.x, sim.scale * q.y)
+
+
+def test_similarity_apply_matches_two_step_map_exactly():
+    rng = random.Random(11)
+    for reflect in (False, True):
+        for _ in range(1000):
+            shift = (rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
+            motion = RigidMotion(rng.uniform(-10.0, 10.0), reflect, shift)
+            sim = Similarity(motion, 10.0 ** rng.uniform(-12.0, 12.0))
+            p = Point(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            got, expected = sim.apply(p), _two_step_similarity(sim, p)
+            assert (got.x, got.y) == (expected.x, expected.y)
+
+
+CACHED_TRIG = {
+    "rigid_motion": (
+        lambda angle: RigidMotion(angle, True, (1.5, -2.0)),
+        "rotation_angle",
+        "RigidMotion(rotation_angle=0.7, reflect=True, translation=(1.5, -2.0))",
+    ),
+    "elliptical_arc": (
+        lambda angle: EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), angle, -0.5, 1.8),
+        "rotation",
+        "EllipticalArc(center=Point(x=1.0, y=2.0), semi_axes=(2.0, 0.75), rotation=0.7,"
+        " t_start=-0.5, t_end=1.8)",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CACHED_TRIG))
+def test_cached_trig_leaves_eq_hash_and_repr_to_the_fields(key):
+    make, angle_field, expected_repr = CACHED_TRIG[key]
+    one, twin = make(0.7), make(0.7)
+    assert one == twin
+    assert hash(one) == hash(twin) == hash(dataclasses.astuple(one))
+    assert repr(one) == repr(twin) == expected_repr
+    assert angle_field in {f.name for f in dataclasses.fields(one)}
+    assert one != make(0.7000000000000001)
+
+
+def test_replace_refreshes_cached_trig():
+    motion = dataclasses.replace(RigidMotion(0.7, True, (1.5, -2.0)), rotation_angle=1.9)
+    assert motion.apply_vector(1.0, 0.0) == (math.cos(1.9), -math.sin(1.9))
+    assert motion.apply_vector(0.0, 1.0) == (-math.sin(1.9), -math.cos(1.9))
+
+    arc = dataclasses.replace(EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), 0.7, -0.5, 1.8),
+                              rotation=1.9)
+    c, s = math.cos(1.9), math.sin(1.9)
+    x, y = 2.0 * math.cos(0.3), 0.75 * math.sin(0.3)
+    assert arc.point(0.3) == Point(1.0 + c * x - s * y, 2.0 + s * x + c * y)
+    vx, vy = -2.0 * math.sin(0.3), 0.75 * math.cos(0.3)
+    assert arc.velocity(0.3) == (c * vx - s * vy, s * vx + c * vy)

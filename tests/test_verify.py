@@ -213,6 +213,34 @@ def test_random_mgon_is_simple_and_sized():
         assert poly.area() >= 1e-6
 
 
+def _mgon_vertices_by_uniform(m, rng):
+    """The sampler's draws re-derived with rng.uniform, as it was first written."""
+    while True:
+        cx = rng.uniform(-5.0, 5.0)
+        cy = rng.uniform(-5.0, 5.0)
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(m))
+        gaps = [b - a for a, b in zip(angles, angles[1:])]
+        gaps.append(2.0 * math.pi - (angles[-1] - angles[0]))
+        if min(gaps) < 1e-3:
+            continue
+        radii = [rng.uniform(0.2, 3.0) for _ in range(m)]
+        vertices = [(cx + r * math.cos(t), cy + r * math.sin(t)) for r, t in zip(radii, angles)]
+        if make_polygon(vertices).area() >= 1e-6:
+            return vertices
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_random_mgon_draws_match_uniform_exactly(m):
+    for seed in (0, 1, 7, 42, 2019):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            vertices = [(v.x, v.y) for v in random_simple_mgon(m, rng).pieces[0].vertices]
+            expected = _mgon_vertices_by_uniform(m, ref_rng)
+            closed = expected + expected[:1]
+            assert vertices in (closed, closed[::-1])  # Shape reverses a clockwise loop
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_random_mgon_deterministic_for_seed():
     a = random_simple_mgon(5, random.Random(99))
     b = random_simple_mgon(5, random.Random(99))
