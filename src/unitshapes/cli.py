@@ -2,18 +2,15 @@
 verification suites and the solids table, with pretty/json/csv output.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage or domain errors.
+2 on usage or domain errors, reported as one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import argparse
 import json
 import math
 import sys
-
-import click
 
 from . import catalog, optimize, solids, verify
 from .catalog import build_unit_shape, family_from_dict, family_to_dict, fundamental_measure
@@ -21,10 +18,32 @@ from .curves import scaled, shape_from_json
 from .errors import UnitShapesError
 from .unitize import unitize
 
-FORMATS = click.Choice(["pretty", "json", "csv"])
+FORMATS = ["pretty", "json", "csv"]
+
+
+class UsageError(Exception):
+    """A bad command line; ``run`` reports it and returns exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(message)
+
+    def _parse_optional(self, arg_string: str):
+        # A negative number in any float spelling ("-1e-3", "-inf") is a value, not an option.
+        if arg_string.startswith("-"):
+            try:
+                float(arg_string)
+                return None
+            except ValueError:
+                pass
+        return super()._parse_optional(arg_string)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -45,24 +64,35 @@ def _family_param(family: str, theta, r, s, m, degrees: bool):
     try:
         return family_from_dict(d)
     except KeyError as exc:
-        raise click.UsageError(f"family {family!r} needs parameter --{exc.args[0]}")
+        raise UsageError(f"family {family!r} needs parameter --{exc.args[0]}")
 
 
-def _tolerance(ctx, param, value: float | None) -> float | None:
-    if value is not None and not (value > 0.0 and math.isfinite(value)):
-        raise click.BadParameter(f"must be positive and finite, got {value}")
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
-def _param_options(fn):
-    fn = click.option("--theta", type=float, default=None,
-                      help="Angle parameter (radians unless --degrees).")(fn)
-    fn = click.option("--r", type=float, default=None, help="Ratio parameter.")(fn)
-    fn = click.option("--s", type=float, default=None,
-                      help="Second ratio parameter (triangles).")(fn)
-    fn = click.option("--m", type=int, default=None, help="Polygon order (regular polygons).")(fn)
-    fn = click.option("--degrees", is_flag=True, help="Interpret --theta in degrees.")(fn)
-    return fn
+def _existing_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist") from None
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+def _param_options(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--theta", type=float, help="Angle parameter (radians unless --degrees).")
+    cmd.add_argument("--r", type=float, help="Ratio parameter.")
+    cmd.add_argument("--s", type=float, help="Second ratio parameter (triangles).")
+    cmd.add_argument("--m", type=int, help="Polygon order (regular polygons).")
+    cmd.add_argument("--degrees", action="store_true", help="Interpret --theta in degrees.")
 
 
 # Canonical parameters for the no-argument catalog table.
@@ -76,15 +106,6 @@ _TABLE_ENTRIES = [
 ] + [catalog.RegularPolygon(m) for m in range(3, 13)]
 
 
-@click.group()
-def main() -> None:
-    """Unit-shape toolkit: canonicalize, measure, minimize and verify."""
-
-
-@main.command(name="catalog")
-@click.option("--family", default=None, help="Family name; omit for the standard table.")
-@_param_options
-@click.option("--format", "fmt", type=FORMATS, default="pretty")
 def catalog_cmd(family, theta, r, s, m, degrees, fmt):
     """Fundamental measures of catalog families."""
     if family is None:
@@ -98,9 +119,9 @@ def catalog_cmd(family, theta, r, s, m, degrees, fmt):
         rows.append({"family": name, "params": d, "Pi": fundamental_measure(p)})
     if fmt == "json":
         for row in rows:
-            click.echo(json.dumps({"family": row["family"], **row["params"], "Pi": row["Pi"]}))
+            print(json.dumps({"family": row["family"], **row["params"], "Pi": row["Pi"]}))
     elif fmt == "csv":
-        click.echo(
+        print(
             _csv_text(
                 ["family", "params", "Pi"],
                 [[row["family"], json.dumps(row["params"]), repr(row["Pi"])] for row in rows],
@@ -109,21 +130,13 @@ def catalog_cmd(family, theta, r, s, m, degrees, fmt):
     else:
         for row in rows:
             params = ", ".join(f"{k}={v:g}" for k, v in row["params"].items())
-            click.echo(f"{row['family']:<16} {params:<24} Pi = {row['Pi']:.12g}")
+            print(f"{row['family']:<16} {params:<24} Pi = {row['Pi']:.12g}")
 
 
-@main.command(name="unitize")
-@click.option("--family", default=None, help="Build the family's unit shape, then unitize.")
-@_param_options
-@click.option("--scale", type=float, default=1.0, help="Pre-scale applied to the built shape.")
-@click.option("--input", "input_path", type=click.Path(exists=True), default=None,
-              help="Read a shape JSON document instead of building one.")
-@click.option("--format", "fmt", type=FORMATS, default="json")
-def unitize_cmd(family, theta, r, s, m, degrees, scale, input_path, fmt):
+def unitize_cmd(family, theta, r, s, m, degrees, scale, input_text, fmt):
     """Canonicalize a shape so its area equals its semiperimeter."""
-    if input_path is not None:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            shape = shape_from_json(fh.read())
+    if input_text is not None:
+        shape = shape_from_json(input_text)
     elif family is not None:
         shape = build_unit_shape(_family_param(family, theta, r, s, m, degrees))
         if scale != 1.0:
@@ -134,47 +147,38 @@ def unitize_cmd(family, theta, r, s, m, degrees, scale, input_path, fmt):
         except OSError:
             text = ""
         if not text.strip():
-            raise click.UsageError("provide --family, --input, or a shape JSON document on stdin")
+            raise UsageError("provide --family, --input, or a shape JSON document on stdin")
         shape = shape_from_json(text)
     result = unitize(shape)
     if fmt == "csv":
-        click.echo(
+        print(
             _csv_text(
                 ["tong_inradius_reciprocal", "fundamental_measure"],
                 [[repr(result.tong_inradius_reciprocal), repr(result.fundamental_measure)]],
             )
         )
     elif fmt == "pretty":
-        click.echo(f"scale to unit      : {result.tong_inradius_reciprocal:.12g}")
-        click.echo(f"fundamental measure: {result.fundamental_measure:.12g}")
+        print(f"scale to unit      : {result.tong_inradius_reciprocal:.12g}")
+        print(f"fundamental measure: {result.fundamental_measure:.12g}")
     else:
-        click.echo(json.dumps(result.to_dict()))
+        print(json.dumps(result.to_dict()))
 
 
-@main.command(name="minimize")
-@click.option("--family", required=True)
-@click.option("--lo", type=float, default=None,
-              help="Bracket low end (one-parameter families; needs --hi).")
-@click.option("--hi", type=float, default=None,
-              help="Bracket high end (one-parameter families; needs --lo).")
-@click.option("--tol", type=float, default=None, callback=_tolerance,
-              help="Parameter tolerance override.")
-@click.option("--format", "fmt", type=FORMATS, default="json")
 def minimize_cmd(family, lo, hi, tol, fmt):
     """Minimize a family's fundamental measure over its parameters."""
     name = family.replace("-", "_")
     tol_arg = {} if tol is None else {"tol": tol}
     if (lo is None) != (hi is None):
-        raise click.UsageError("--lo and --hi set the bracket together; give both or neither")
+        raise UsageError("--lo and --hi set the bracket together; give both or neither")
     if name in optimize.FAMILIES_2D:
         if lo is not None:
-            raise click.UsageError(f"--lo/--hi bracket one-parameter families; {family!r} has two")
+            raise UsageError(f"--lo/--hi bracket one-parameter families; {family!r} has two")
         result = optimize.minimize_2d(name, **tol_arg)
     else:
         bracket = None if lo is None else (lo, hi)
         result = optimize.minimize_1d(name, bracket, **tol_arg)
     if fmt == "csv":
-        click.echo(
+        print(
             _csv_text(
                 ["argmin", "min_value", "converged"],
                 [[json.dumps(list(result.argmin)), repr(result.min_value), result.converged]],
@@ -182,29 +186,22 @@ def minimize_cmd(family, lo, hi, tol, fmt):
         )
     elif fmt == "pretty":
         args = ", ".join(f"{x:.10g}" for x in result.argmin)
-        click.echo(f"argmin    : ({args})")
-        click.echo(f"min value : {result.min_value:.12g}")
-        click.echo(f"converged : {result.converged}")
+        print(f"argmin    : ({args})")
+        print(f"min value : {result.min_value:.12g}")
+        print(f"converged : {result.converged}")
         if result.boundary_infimum is not None:
-            click.echo(f"boundary infimum : {result.boundary_infimum:.12g}")
+            print(f"boundary infimum : {result.boundary_infimum:.12g}")
     else:
-        click.echo(json.dumps(result.to_dict()))
+        print(json.dumps(result.to_dict()))
 
 
-@main.command(name="scan")
-@click.option("--family", required=True)
-@click.option("--quantity", type=click.Choice(list(optimize.SCAN_QUANTITIES)), default="Pi")
-@click.option("--lo", type=float, required=True)
-@click.option("--hi", type=float, required=True)
-@click.option("--n", type=int, default=200)
-@click.option("--format", "fmt", type=FORMATS, default="csv")
 def scan_cmd(family, quantity, lo, hi, n, fmt):
     """Grid-evaluate a family quantity; report monotone runs and extrema."""
     result = optimize.scan(family, quantity, lo, hi, n)
     if fmt == "csv":
-        click.echo(_csv_text(["param", "value"], [[repr(p), repr(v)] for p, v in result.rows()]))
+        print(_csv_text(["param", "value"], [[repr(p), repr(v)] for p, v in result.rows()]))
     elif fmt == "json":
-        click.echo(
+        print(
             json.dumps(
                 {
                     "family": result.family,
@@ -217,19 +214,13 @@ def scan_cmd(family, quantity, lo, hi, n, fmt):
             )
         )
     else:
-        click.echo(f"{result.quantity} over [{lo:g}, {hi:g}] ({n} points)")
+        print(f"{result.quantity} over [{lo:g}, {hi:g}] ({n} points)")
         for a, b, direction in result.monotone_runs:
-            click.echo(f"  {direction:<10} on [{a:.6g}, {b:.6g}]")
-        click.echo(f"  minimum {result.minimum[1]:.10g} at {result.minimum[0]:.10g}")
-        click.echo(f"  maximum {result.maximum[1]:.10g} at {result.maximum[0]:.10g}")
+            print(f"  {direction:<10} on [{a:.6g}, {b:.6g}]")
+        print(f"  minimum {result.minimum[1]:.10g} at {result.minimum[0]:.10g}")
+        print(f"  maximum {result.maximum[1]:.10g} at {result.maximum[0]:.10g}")
 
 
-@main.command(name="verify")
-@click.option("--suite", default="all", type=click.Choice(sorted(verify.SUITES) + ["all"]))
-@click.option("--seed", type=int, default=0, help="RNG seed for sampled checks.")
-@click.option("--tol", type=float, default=None, callback=_tolerance,
-              help="Tolerance override for every check.")
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="json")
 def verify_cmd(suite, seed, tol, fmt):
     """Run a verification suite; exit 1 if any claim fails."""
     reports = verify.run_suite(suite, seed=seed, tol=tol)
@@ -237,24 +228,21 @@ def verify_cmd(suite, seed, tol, fmt):
     for report in reports:
         failed = failed or not report.passed
         if fmt == "json":
-            click.echo(report.to_json_line())
+            print(report.to_json_line())
         else:
             status = "pass" if report.passed else "FAIL"
-            click.echo(
+            print(
                 f"{status}  {report.claim:<32} instances={report.instances_tested}"
                 f" worst_slack={report.worst_slack:.3e}"
             )
-    if failed:
-        sys.exit(1)
+    return 1 if failed else 0
 
 
-@main.command(name="solids")
-@click.option("--format", "fmt", type=FORMATS, default="pretty")
 def solids_cmd(fmt):
     """The five unit Platonic solids and their fundamental measures."""
     rows = solids.solids_table()
     if fmt == "csv":
-        click.echo(
+        print(
             _csv_text(
                 ["solid", "fundamental_measure"],
                 [[row["solid"], repr(row["fundamental_measure"])] for row in rows],
@@ -262,28 +250,75 @@ def solids_cmd(fmt):
         )
     elif fmt == "json":
         for row in rows:
-            click.echo(json.dumps(row))
+            print(json.dumps(row))
     else:
         for row in rows:
-            click.echo(
+            print(
                 f"{row['solid']:<13} measure = {row['fundamental_measure']:.12g}"
                 f"  ({row['expression']})"
             )
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="unit-shapes", allow_abbrev=False,
+                     description="Unit-shape toolkit: canonicalize, measure, minimize and verify.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, handler):
+        doc = handler.__doc__
+        cmd = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    cmd = command("catalog", catalog_cmd)
+    cmd.add_argument("--family", help="Family name; omit for the standard table.")
+    _param_options(cmd)
+    cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
+
+    cmd = command("unitize", unitize_cmd)
+    cmd.add_argument("--family", help="Build the family's unit shape, then unitize.")
+    _param_options(cmd)
+    cmd.add_argument("--scale", type=float, default=1.0, help="Pre-scale applied to the built shape.")
+    cmd.add_argument("--input", dest="input_text", type=_existing_file, metavar="PATH",
+                     help="Read a shape JSON document instead of building one.")
+    cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
+
+    cmd = command("minimize", minimize_cmd)
+    cmd.add_argument("--family", required=True)
+    cmd.add_argument("--lo", type=float, help="Bracket low end (one-parameter families; needs --hi).")
+    cmd.add_argument("--hi", type=float, help="Bracket high end (one-parameter families; needs --lo).")
+    cmd.add_argument("--tol", type=_tolerance, help="Parameter tolerance override.")
+    cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
+
+    cmd = command("scan", scan_cmd)
+    cmd.add_argument("--family", required=True)
+    cmd.add_argument("--quantity", choices=list(optimize.SCAN_QUANTITIES), default="Pi")
+    cmd.add_argument("--lo", type=float, required=True)
+    cmd.add_argument("--hi", type=float, required=True)
+    cmd.add_argument("--n", type=int, default=200)
+    cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
+
+    cmd = command("verify", verify_cmd)
+    cmd.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], default="all")
+    cmd.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks.")
+    cmd.add_argument("--tol", type=_tolerance, help="Tolerance override for every check.")
+    cmd.add_argument("--format", dest="fmt", choices=["pretty", "json"], default="json")
+
+    cmd = command("solids", solids_cmd)
+    cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
     """Programmatic entry point returning the process exit code."""
     try:
-        main.main(args=argv, standalone_mode=False)
-        return 0
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 2
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    except (UnitShapesError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        args = vars(_build_parser().parse_args(argv))
+        del args["command"]
+        return args.pop("handler")(**args) or 0
+    except SystemExit as exc:  # --help prints its text, then exits 0
+        return exc.code or 0
+    except (UsageError, UnitShapesError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -238,6 +238,10 @@ class Polyline(CurvePiece):
         return self.vertices[0]
 
     @property
+    def end(self) -> Point:
+        return self.vertices[-1]
+
+    @property
     def t_start(self) -> float:  # type: ignore[override]
         return 0.0
 
@@ -680,7 +684,17 @@ def _check_finite(values: Iterable[float], piece: int) -> None:
         raise DomainError(f"piece {piece} of the shape JSON holds a NaN or infinite number")
 
 
-def _floats(values: Iterable, piece: int) -> list[float]:
+# What JSON numbers decode to; bool is a subclass of int but not a number here.
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _check_numbers(values: Iterable, piece: int) -> None:
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise DomainError(f"piece {piece} of the shape JSON holds a value that is not a number")
+
+
+def _floats(values: Sequence, piece: int) -> list[float]:
+    _check_numbers(values, piece)
     out = [float(v) for v in values]
     _check_finite(out, piece)
     return out
@@ -706,7 +720,9 @@ def _parse_piece(d: dict, piece: int) -> CurvePiece:
     if kind == "line_segment":
         return LineSegment(_point_from_list(d["start"], piece), _point_from_list(d["end"], piece))
     if kind == "polyline":
-        xy = [(float(x), float(y)) for x, y in d["vertices"]]
+        vertices = d["vertices"]
+        _check_numbers(chain.from_iterable(vertices), piece)
+        xy = [(float(x), float(y)) for x, y in vertices]
         _check_finite(chain.from_iterable(xy), piece)
         return Polyline(tuple(starmap(Point, xy)))
     if kind == "circular_arc":

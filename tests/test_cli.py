@@ -252,10 +252,111 @@ def test_unitize_malformed_shape_json_exit_two(tmp_path, capsys, document, messa
 
 
 def test_cli_import_loads_no_numpy_or_scipy():
-    # A fresh interpreter, so modules loaded by the test session do not count.
+    # A fresh interpreter, so modules loaded by the test session do not count; the modules it
+    # holds before the import (its site hooks may load third-party ones) are the baseline.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, unitshapes.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    code = ("import sys; before = set(sys.modules); import unitshapes.cli;"
+            " print(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    loaded = proc.stdout.split()
+    assert "unitshapes.cli" in loaded
+    foreign = [name for name in loaded
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"unitshapes"}]
+    assert foreign == []
+    assert not {"numpy", "scipy", "click", "csv"} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        ([], "COMMAND"),
+        (["bogus"], "'bogus'"),
+        (["catalog", "--format", "xml"], "--format"),
+        (["catalog", "--family", "rectangle", "--r", "abc"], "--r: invalid float value: 'abc'"),
+        (["minimize"], "--family"),
+        (["scan", "--family", "ellipse", "--lo", "0.1"], "--hi"),
+        (["catalog", "--bogus", "1"], "--bogus"),
+        (["catalog", "--fam", "rectangle", "--r", "1"], "--fam"),
+        (["unitize", "--input", "missing.json"], "does not exist"),
+        (["verify", "--suite", "nope"], "'nope'"),
+        (["verify", "--seed", "x"], "--seed"),
+    ],
+)
+def test_usage_errors_print_one_line_and_exit_two(capsys, tmp_path, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert named in err
+
+
+def test_unitize_input_directory_exit_two(capsys, tmp_path):
+    code, out, err = invoke(capsys, "unitize", "--input", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: argument --input: cannot read")
+
+
+def test_negative_scientific_value_is_a_value(capsys):
+    code, out, err = invoke(capsys, "catalog", "--family", "rhombus", "--theta", "-1e-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rhombus angle must lie in (0, pi), got -0.001\n"
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, err = invoke(capsys, "--help")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: unit-shapes")
+    for name in ["catalog", "unitize", "minimize", "scan", "verify", "solids"]:
+        assert f"\n    {name} " in out
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("catalog", ["--family", "--theta", "--r", "--s", "--m", "--degrees", "--format"]),
+        ("unitize", ["--family", "--theta", "--r", "--s", "--m", "--degrees", "--scale", "--input",
+                     "--format"]),
+        ("minimize", ["--family", "--lo", "--hi", "--tol", "--format"]),
+        ("scan", ["--family", "--quantity", "--lo", "--hi", "--n", "--format"]),
+        ("verify", ["--suite", "--seed", "--tol", "--format"]),
+        ("solids", ["--format"]),
+    ],
+)
+def test_subcommand_help_lists_every_option(capsys, command, options):
+    code, out, err = invoke(capsys, command, "--help")
+    assert code == 0
+    assert err == ""
+    assert out.startswith(f"usage: unit-shapes {command}")
+    for option in options:
+        assert f"\n  {option}" in out
+
+
+@pytest.mark.parametrize(
+    "piece",
+    [
+        {"kind": "line_segment", "start": [0, 0], "end": ["1", 0]},
+        {"kind": "polyline", "vertices": [["0", "0"], [True, "0"], ["1", " 1 "], [False, 0]]},
+        {"kind": "circular_arc", "center": [0, 0], "radius": True, "angle_start": 0,
+         "angle_end": 6.283185307179586},
+        {"kind": "elliptical_arc", "center": [0, 0], "semi_axes": [2, "1"], "rotation": 0,
+         "t_start": 0, "t_end": 6.283185307179586},
+        {"kind": "parabolic_arc", "coefficients": [-1, 0, 1], "x_start": -1, "x_end": 1,
+         "frame": {"rotation_angle": False}},
+        {"kind": "rational_point", "t_start": "-1", "t_end": 1},
+    ],
+    ids=lambda piece: piece["kind"],
+)
+def test_unitize_rejects_non_numbers_in_every_piece_kind(tmp_path, capsys, piece):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [piece]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "piece 0" in err and "not a number" in err

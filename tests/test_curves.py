@@ -113,6 +113,36 @@ def test_open_chain_rejected():
         Shape([LineSegment(Point(0, 0), Point(1, 0)), LineSegment(Point(2, 0), Point(0, 0))])
 
 
+def test_polyline_end_is_its_last_vertex_exactly():
+    rng = random.Random(5)
+    rounded = 0
+    for _ in range(400):
+        scale = 10.0 ** rng.uniform(-12.0, 12.0)
+        shift = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 6.0) for _ in range(2)]
+        vertices = tuple(
+            Point(scale * (rng.uniform(-1.0, 1.0) + shift[0]), scale * (rng.uniform(-1.0, 1.0) + shift[1]))
+            for _ in range(rng.randrange(2, 9))
+        )
+        line = Polyline(vertices)
+        a, b = vertices[-2], vertices[-1]
+        rounded += (a.x + (b.x - a.x), a.y + (b.y - a.y)) != (b.x, b.y)
+        assert (line.end.x, line.end.y) == (b.x, b.y)
+        assert (line.reversed_().end.x, line.reversed_().end.y) == (vertices[0].x, vertices[0].y)
+    assert rounded > 0  # the draws include edges that a + 1.0 * (b - a) does not close
+
+
+def test_posed_polygon_closes_far_from_the_origin():
+    # The closing edge runs from y = 1e6 + 0.7 to y = 0.2; evaluated as a + 1.0 * (b - a)
+    # it ended 4.7e-11 from the first vertex, beyond the 1e-12 join tolerance.
+    vertices = [[0.1, 0.2], [1e6 + 0.3, 0.1], [1e6 + 0.2, 1e6 + 0.1], [0.3, 1e6 + 0.7], [0.1, 0.2]]
+    shape = shape_from_json(json.dumps({"pieces": [{"kind": "polyline", "vertices": vertices}]}))
+    ring = vertices[:-1]
+    shoelace = 0.5 * math.fsum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1])
+    )
+    assert shape.area() == pytest.approx(shoelace, rel=1e-12)
+
+
 def test_single_segment_not_closed():
     with pytest.raises(ValueError):
         Shape([LineSegment(Point(0, 0), Point(1, 0))])
@@ -318,21 +348,27 @@ def _number_paths(obj, path=()):
         yield path
 
 
-def test_non_finite_numbers_rejected_in_every_piece_kind():
-    lead = LineSegment(Point(0.0, 0.0), Point(1.0, 0.0)).to_dict()
-    checked = 0
+def _corrupted_pieces(bad):
+    """Each sample piece's JSON with one of its numbers replaced by ``bad``, for every number."""
     for piece in sample_pieces():
         doc = piece.to_dict()
         for path in _number_paths(doc):
-            for bad in (math.nan, math.inf, -math.inf):
-                corrupt = json.loads(json.dumps(doc))
-                target = corrupt
-                for key in path[:-1]:
-                    target = target[key]
-                target[path[-1]] = bad
-                with pytest.raises(DomainError, match="piece 1 "):
-                    shape_from_dict({"pieces": [lead, corrupt]})
-                checked += 1
+            corrupt = json.loads(json.dumps(doc))
+            target = corrupt
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = bad
+            yield corrupt
+
+
+def test_non_finite_numbers_rejected_in_every_piece_kind():
+    lead = LineSegment(Point(0.0, 0.0), Point(1.0, 0.0)).to_dict()
+    checked = 0
+    for bad in (math.nan, math.inf, -math.inf):
+        for corrupt in _corrupted_pieces(bad):
+            with pytest.raises(DomainError, match="piece 1 "):
+                shape_from_dict({"pieces": [lead, corrupt]})
+            checked += 1
     assert checked >= 3 * 30
 
 
@@ -340,6 +376,24 @@ def test_nan_literal_in_shape_json_rejected():
     text = '{"pieces": [{"kind": "polyline", "vertices": [[0, 0], [1, 0], [NaN, 1], [0, 0]]}]}'
     with pytest.raises(DomainError, match="piece 0 "):
         shape_from_json(text)
+
+
+@pytest.mark.parametrize("bad", ["1", " 1 ", "nan", True, False, None])
+def test_non_numbers_rejected_in_every_piece_kind(bad):
+    lead = LineSegment(Point(0.0, 0.0), Point(1.0, 0.0)).to_dict()
+    checked = 0
+    for corrupt in _corrupted_pieces(bad):
+        with pytest.raises(DomainError, match="piece 1 .*not a number"):
+            shape_from_dict({"pieces": [lead, corrupt]})
+        checked += 1
+    assert checked >= 30
+
+
+def test_json_integers_are_numbers():
+    text = '{"pieces": [{"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1], [0, 0]]}]}'
+    shape = shape_from_json(text)
+    assert shape.area() == 2.0
+    assert all(type(c) is float for v in shape.pieces[0].vertices for c in (v.x, v.y))
 
 
 @pytest.mark.parametrize("kind", ["parabolic_arc", "rational_point"])
