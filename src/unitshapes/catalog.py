@@ -11,100 +11,99 @@ ellipse's speed integral is kept only as the cross-check in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Union
 
 from .curves import EllipticalArc, Point, Shape, ellipse_half_perimeter, make_polygon
 from .errors import DomainError
 from .quadrature import adaptive_quadrature
+from .records import MutableRecord, Record, setfield
 
 
-@dataclass(frozen=True)
-class RightTriangle:
+class RightTriangle(Record):
     """Right triangles indexed by an acute angle."""
 
-    theta: float
+    __slots__ = _fields = ("theta",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi / 2.0:
-            raise DomainError(f"right-triangle angle must lie in (0, pi/2), got {self.theta}")
+    def __init__(self, theta: float) -> None:
+        if not 0.0 < theta < math.pi / 2.0:
+            raise DomainError(f"right-triangle angle must lie in (0, pi/2), got {theta}")
+        setfield(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """General triangles indexed by the two shorter-to-longest side ratios.
 
     The pair must satisfy r <= 1, s <= 1 and r + s > 1 (a triangle with its
     longest side normalized exists exactly then).
     """
 
-    r: float
-    s: float
+    __slots__ = _fields = ("r", "s")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r <= 1.0 and 0.0 < self.s <= 1.0 and self.r + self.s > 1.0):
-            raise DomainError(f"({self.r}, {self.s}) is not a triangle-friendly ratio pair")
+    def __init__(self, r: float, s: float) -> None:
+        if not (0.0 < r <= 1.0 and 0.0 < s <= 1.0 and r + s > 1.0):
+            raise DomainError(f"({r}, {s}) is not a triangle-friendly ratio pair")
+        setfield(self, "r", r)
+        setfield(self, "s", s)
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Record):
     """Rectangles indexed by the height-to-length ratio."""
 
-    r: float
+    __slots__ = _fields = ("r",)
 
-    def __post_init__(self) -> None:
-        if not self.r > 0.0:
-            raise DomainError(f"rectangle ratio must be positive, got {self.r}")
+    def __init__(self, r: float) -> None:
+        if not r > 0.0:
+            raise DomainError(f"rectangle ratio must be positive, got {r}")
+        setfield(self, "r", r)
 
 
-@dataclass(frozen=True)
-class Rhombus:
+class Rhombus(Record):
     """Rhombi indexed by an interior angle."""
 
-    theta: float
+    __slots__ = _fields = ("theta",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(f"rhombus angle must lie in (0, pi), got {self.theta}")
+    def __init__(self, theta: float) -> None:
+        if not 0.0 < theta < math.pi:
+            raise DomainError(f"rhombus angle must lie in (0, pi), got {theta}")
+        setfield(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class Parallelogram:
+class Parallelogram(Record):
     """Parallelograms indexed by an interior angle and a side ratio."""
 
-    theta: float
-    r: float
+    __slots__ = _fields = ("theta", "r")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(f"parallelogram angle must lie in (0, pi), got {self.theta}")
-        if not self.r > 0.0:
-            raise DomainError(f"parallelogram ratio must be positive, got {self.r}")
+    def __init__(self, theta: float, r: float) -> None:
+        if not 0.0 < theta < math.pi:
+            raise DomainError(f"parallelogram angle must lie in (0, pi), got {theta}")
+        if not r > 0.0:
+            raise DomainError(f"parallelogram ratio must be positive, got {r}")
+        setfield(self, "theta", theta)
+        setfield(self, "r", r)
 
 
-@dataclass(frozen=True)
-class Ellipse:
+class Ellipse(Record):
     """Ellipses indexed by the semi-minor to semi-major axis ratio."""
 
-    r: float
+    __slots__ = _fields = ("r",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < 1.0:
-            raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {self.r}")
-
-
-@dataclass(frozen=True)
-class RegularPolygon:
-    m: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and self.m >= 3):
-            raise DomainError(f"regular polygon needs an integer m >= 3, got {self.m}")
+    def __init__(self, r: float) -> None:
+        if not 0.0 < r < 1.0:
+            raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {r}")
+        setfield(self, "r", r)
 
 
-FamilyParam = Union[
-    RightTriangle, Triangle, Rectangle, Rhombus, Parallelogram, Ellipse, RegularPolygon
-]
+class RegularPolygon(Record):
+    __slots__ = _fields = ("m",)
+
+    def __init__(self, m: int) -> None:
+        if not (isinstance(m, int) and m >= 3):
+            raise DomainError(f"regular polygon needs an integer m >= 3, got {m}")
+        setfield(self, "m", m)
+
+
+FamilyParam = (
+    RightTriangle | Triangle | Rectangle | Rhombus | Parallelogram | Ellipse | RegularPolygon
+)
 
 FAMILY_NAMES = {
     RightTriangle: "right_triangle",
@@ -120,8 +119,8 @@ FAMILY_BY_NAME = {name: cls for cls, name in FAMILY_NAMES.items()}
 
 def family_to_dict(p: FamilyParam) -> dict:
     d: dict = {"family": FAMILY_NAMES[type(p)]}
-    for f in fields(p):
-        d[f.name] = getattr(p, f.name)
+    for name in p._fields:
+        d[name] = getattr(p, name)
     return d
 
 
@@ -130,7 +129,7 @@ def family_from_dict(d: dict) -> FamilyParam:
     if name not in FAMILY_BY_NAME:
         raise DomainError(f"unknown family: {d['family']!r}")
     cls = FAMILY_BY_NAME[name]
-    kwargs = {f.name: d[f.name] for f in fields(cls)}
+    kwargs = {name: d[name] for name in cls._fields}
     return cls(**kwargs)
 
 
@@ -149,8 +148,7 @@ def ellipse_semi_minor(r: float) -> float:
     return ellipse_half_perimeter(1.0, r) / math.pi
 
 
-@dataclass(frozen=True)
-class EllipseMeanRadius:
+class EllipseMeanRadius(Record):
     """Axis ratio r paired with the ellipse's mean radius R.
 
     R is the radius of the circle whose semiperimeter matches the ellipse
@@ -158,14 +156,15 @@ class EllipseMeanRadius:
     ellipse's semi-minor axis and always lies strictly between 2/pi and 1.
     """
 
-    r: float
-    R: float
+    __slots__ = _fields = ("r", "R")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < 1.0:
-            raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {self.r}")
-        if not 2.0 / math.pi < self.R < 1.0:
-            raise DomainError(f"mean radius must lie in (2/pi, 1), got {self.R}")
+    def __init__(self, r: float, R: float) -> None:
+        if not 0.0 < r < 1.0:
+            raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {r}")
+        if not 2.0 / math.pi < R < 1.0:
+            raise DomainError(f"mean radius must lie in (2/pi, 1), got {R}")
+        setfield(self, "r", r)
+        setfield(self, "R", R)
 
 
 def ellipse_mean_radius(r: float) -> EllipseMeanRadius:
@@ -250,21 +249,26 @@ def build_unit_shape(p: FamilyParam) -> Shape:
     raise DomainError(f"unsupported family parameter: {p!r}")
 
 
-@dataclass
-class ConciliationCheck:
-    name: str
-    points_tested: int
-    worst_rel_err: float
-    failures: list[tuple] = field(default_factory=list)
+class ConciliationCheck(MutableRecord):
+    __slots__ = _fields = ("name", "points_tested", "worst_rel_err", "failures")
+
+    def __init__(self, name: str, points_tested: int, worst_rel_err: float,
+                 failures: list[tuple] | None = None) -> None:
+        self.name = name
+        self.points_tested = points_tested
+        self.worst_rel_err = worst_rel_err
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class ConciliationReport:
-    checks: list[ConciliationCheck] = field(default_factory=list)
+class ConciliationReport(MutableRecord):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: list[ConciliationCheck] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -16,43 +16,53 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import chain, starmap
-from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .quadrature import adaptive_quadrature
+from .records import Record, setfield
 
 JOIN_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 AGM_MAX_STEPS = 64  # the AGM converges quadratically; about 10 steps reach 1e-15
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
+class Point(Record):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        # v - v is 0.0 for a finite v and NaN for NaN or an infinity, so one test covers both.
+        if (x - x) + (y - y):
+            raise DomainError(f"non-finite number in a point: {x}, {y}")
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class RigidMotion:
+class RigidMotion(Record):
     """Rotation, optional mirror, then translation: T o S^eps o R.
 
     The mirror S is fixed as reflection across the x-axis; together with the
     rotation angle this parameterizes every rigid motion of the plane.
     """
 
-    rotation_angle: float = 0.0
-    reflect: bool = False
-    translation: tuple[float, float] = (0.0, 0.0)
+    _fields = ("rotation_angle", "reflect", "translation")
+    # The rotation's cos and sin sit outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("_cos", "_sin")
 
-    def __post_init__(self) -> None:
-        # Cached outside the fields, so ==, hash and repr see only the fields.
-        object.__setattr__(self, "_cos", math.cos(self.rotation_angle))
-        object.__setattr__(self, "_sin", math.sin(self.rotation_angle))
+    def __init__(self, rotation_angle: float = 0.0, reflect: bool = False,
+                 translation: tuple[float, float] = (0.0, 0.0)) -> None:
+        tx, ty = translation
+        if (rotation_angle - rotation_angle) + (tx - tx) + (ty - ty):
+            raise DomainError(f"non-finite number in a rigid motion: {rotation_angle}, {translation}")
+        setfield(self, "rotation_angle", rotation_angle)
+        setfield(self, "reflect", reflect)
+        setfield(self, "translation", translation)
+        setfield(self, "_cos", math.cos(rotation_angle))
+        setfield(self, "_sin", math.sin(rotation_angle))
 
     def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
         """Linear part only (no translation)."""
@@ -69,16 +79,16 @@ class RigidMotion:
         return Point(x + self.translation[0], y + self.translation[1])
 
 
-@dataclass(frozen=True)
-class Similarity:
+class Similarity(Record):
     """A rigid motion followed by a uniform scale lambda > 0."""
 
-    motion: RigidMotion = RigidMotion()
-    scale: float = 1.0
+    __slots__ = _fields = ("motion", "scale")
 
-    def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"similarity scale must be positive, got {self.scale}")
+    def __init__(self, motion: RigidMotion = RigidMotion(), scale: float = 1.0) -> None:
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise DomainError(f"similarity scale must be positive, got {scale}")
+        setfield(self, "motion", motion)
+        setfield(self, "scale", scale)
 
     def apply(self, p: Point) -> Point:
         x, y = self.motion.apply_vector(p.x, p.y)
@@ -104,13 +114,15 @@ def _compose_motion(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:
     return _motion_from_columns(e1, e2, (t.x, t.y))
 
 
-class CurvePiece(ABC):
+class CurvePiece(Record, ABC):
     """One smooth run of a shape boundary.
 
     Pieces are parameterized over (t_start, t_end); the bounds may appear in
     either order, and reversing a piece swaps them (or the vertex list, for
     polylines). Speed never vanishes on the open parameter interval.
     """
+
+    __slots__ = ()
 
     kind: str
     t_start: float
@@ -178,18 +190,18 @@ class CurvePiece(ABC):
         return total
 
 
-@dataclass(frozen=True)
 class LineSegment(CurvePiece):
-    start_point: Point
-    end_point: Point
+    __slots__ = _fields = ("start_point", "end_point")
 
     kind = "line_segment"
     t_start = 0.0
     t_end = 1.0
 
-    def __post_init__(self) -> None:
-        if self.start_point.distance_to(self.end_point) == 0.0:
-            raise ValueError("degenerate line segment (zero length)")
+    def __init__(self, start_point: Point, end_point: Point) -> None:
+        if start_point.distance_to(end_point) == 0.0:
+            raise DomainError("degenerate line segment (zero length)")
+        setfield(self, "start_point", start_point)
+        setfield(self, "end_point", end_point)
 
     def point(self, t: float) -> Point:
         return Point(
@@ -220,18 +232,18 @@ class LineSegment(CurvePiece):
         }
 
 
-@dataclass(frozen=True)
 class Polyline(CurvePiece):
-    vertices: tuple[Point, ...]
+    __slots__ = _fields = ("vertices",)
 
     kind = "polyline"
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ValueError("polyline needs at least two vertices")
-        for a, b in zip(self.vertices, self.vertices[1:]):
+    def __init__(self, vertices: tuple[Point, ...]) -> None:
+        if len(vertices) < 2:
+            raise DomainError("polyline needs at least two vertices")
+        for a, b in zip(vertices, vertices[1:]):
             if a.x == b.x and a.y == b.y:
-                raise ValueError("degenerate polyline edge (zero length)")
+                raise DomainError("degenerate polyline edge (zero length)")
+        setfield(self, "vertices", vertices)
 
     @property
     def start(self) -> Point:
@@ -285,20 +297,23 @@ class Polyline(CurvePiece):
         return {"kind": self.kind, "vertices": [[v.x, v.y] for v in self.vertices]}
 
 
-@dataclass(frozen=True)
 class CircularArc(CurvePiece):
-    center: Point
-    radius: float
-    angle_start: float
-    angle_end: float
+    __slots__ = _fields = ("center", "radius", "angle_start", "angle_end")
 
     kind = "circular_arc"
 
-    def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError(f"arc radius must be positive, got {self.radius}")
-        if self.angle_start == self.angle_end:
-            raise ValueError("degenerate circular arc (zero sweep)")
+    def __init__(self, center: Point, radius: float, angle_start: float, angle_end: float) -> None:
+        if not radius > 0.0:
+            raise DomainError(f"arc radius must be positive, got {radius}")
+        if angle_start == angle_end:
+            raise DomainError("degenerate circular arc (zero sweep)")
+        if (radius - radius) + (angle_start - angle_start) + (angle_end - angle_end):
+            raise DomainError(
+                f"non-finite number in a circular arc: {radius}, {angle_start}, {angle_end}")
+        setfield(self, "center", center)
+        setfield(self, "radius", radius)
+        setfield(self, "angle_start", angle_start)
+        setfield(self, "angle_end", angle_end)
 
     @property
     def t_start(self) -> float:  # type: ignore[override]
@@ -377,27 +392,32 @@ def ellipse_half_perimeter(a: float, b: float) -> float:
     raise ArithmeticError(f"AGM for semi-axes ({a}, {b}) did not converge in {AGM_MAX_STEPS} steps")
 
 
-@dataclass(frozen=True)
 class EllipticalArc(CurvePiece):
     """Arc of an axis pair (a, b) ellipse: center + R(rotation) @ (a cos t, b sin t)."""
 
-    center: Point
-    semi_axes: tuple[float, float]
-    rotation: float
-    t_start: float
-    t_end: float
+    _fields = ("center", "semi_axes", "rotation", "t_start", "t_end")
+    # The rotation's cos and sin sit outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("_cos", "_sin")
 
     kind = "elliptical_arc"
 
-    def __post_init__(self) -> None:
-        a, b = self.semi_axes
+    def __init__(self, center: Point, semi_axes: tuple[float, float], rotation: float,
+                 t_start: float, t_end: float) -> None:
+        a, b = semi_axes
         if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"ellipse semi-axes must be positive, got {self.semi_axes}")
-        if self.t_start == self.t_end:
-            raise ValueError("degenerate elliptical arc (zero sweep)")
-        # Cached outside the fields, so ==, hash and repr see only the fields.
-        object.__setattr__(self, "_cos", math.cos(self.rotation))
-        object.__setattr__(self, "_sin", math.sin(self.rotation))
+            raise DomainError(f"ellipse semi-axes must be positive, got {semi_axes}")
+        if t_start == t_end:
+            raise DomainError("degenerate elliptical arc (zero sweep)")
+        if (a - a) + (b - b) + (rotation - rotation) + (t_start - t_start) + (t_end - t_end):
+            raise DomainError(f"non-finite number in an elliptical arc: {semi_axes}, {rotation},"
+                              f" {t_start}, {t_end}")
+        setfield(self, "center", center)
+        setfield(self, "semi_axes", semi_axes)
+        setfield(self, "rotation", rotation)
+        setfield(self, "t_start", t_start)
+        setfield(self, "t_end", t_end)
+        setfield(self, "_cos", math.cos(rotation))
+        setfield(self, "_sin", math.sin(rotation))
 
     def _local(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
@@ -444,20 +464,25 @@ class EllipticalArc(CurvePiece):
         }
 
 
-@dataclass(frozen=True)
 class ParabolicArc(CurvePiece):
     """Graph y = alpha x^2 + beta x + gamma in a local frame, placed rigidly."""
 
-    coefficients: tuple[float, float, float]
-    x_start: float
-    x_end: float
-    frame: RigidMotion = RigidMotion()
+    __slots__ = _fields = ("coefficients", "x_start", "x_end", "frame")
 
     kind = "parabolic_arc"
 
-    def __post_init__(self) -> None:
-        if self.x_start == self.x_end:
-            raise ValueError("degenerate parabolic arc (zero span)")
+    def __init__(self, coefficients: tuple[float, float, float], x_start: float, x_end: float,
+                 frame: RigidMotion = RigidMotion()) -> None:
+        if x_start == x_end:
+            raise DomainError("degenerate parabolic arc (zero span)")
+        alpha, beta, gamma = coefficients
+        if (alpha - alpha) + (beta - beta) + (gamma - gamma) + (x_start - x_start) + (x_end - x_end):
+            raise DomainError(
+                f"non-finite number in a parabolic arc: {coefficients}, {x_start}, {x_end}")
+        setfield(self, "coefficients", coefficients)
+        setfield(self, "x_start", x_start)
+        setfield(self, "x_end", x_end)
+        setfield(self, "frame", frame)
 
     @property
     def t_start(self) -> float:  # type: ignore[override]
@@ -501,7 +526,6 @@ class ParabolicArc(CurvePiece):
         }
 
 
-@dataclass(frozen=True)
 class RationalPoint(CurvePiece):
     """Unit-circle arc via t -> (2t/(1+t^2), (1-t^2)/(1+t^2)), placed rigidly.
 
@@ -509,15 +533,18 @@ class RationalPoint(CurvePiece):
     are rational in t. t in [-1, 1] covers the upper half of the circle.
     """
 
-    t_start: float
-    t_end: float
-    frame: RigidMotion = RigidMotion()
+    __slots__ = _fields = ("t_start", "t_end", "frame")
 
     kind = "rational_point"
 
-    def __post_init__(self) -> None:
-        if self.t_start == self.t_end:
-            raise ValueError("degenerate rational arc (zero sweep)")
+    def __init__(self, t_start: float, t_end: float, frame: RigidMotion = RigidMotion()) -> None:
+        if t_start == t_end:
+            raise DomainError("degenerate rational arc (zero sweep)")
+        if (t_start - t_start) + (t_end - t_end):
+            raise DomainError(f"non-finite number in a rational arc: {t_start}, {t_end}")
+        setfield(self, "t_start", t_start)
+        setfield(self, "t_end", t_end)
+        setfield(self, "frame", frame)
 
     def point(self, t: float) -> Point:
         d = 1.0 + t * t
@@ -568,16 +595,16 @@ class Shape:
     def __init__(self, pieces: Iterable[CurvePiece], join_tol: float = JOIN_TOL):
         pieces = tuple(pieces)
         if not pieces:
-            raise ValueError("a shape needs at least one piece")
+            raise DomainError("a shape needs at least one piece")
         for i, (cur, nxt) in enumerate(zip(pieces, pieces[1:] + pieces[:1])):
             gap = cur.end.distance_to(nxt.start)
             if gap > join_tol:
-                raise ValueError(
+                raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )
         raw_area = _signed_area_of(pieces)
         if raw_area == 0.0:
-            raise ValueError("degenerate shape (zero enclosed area)")
+            raise DomainError("degenerate shape (zero enclosed area)")
         if raw_area < 0.0:
             pieces = tuple(p.reversed_() for p in reversed(pieces))
             raw_area = -raw_area
@@ -650,7 +677,7 @@ def scaled(shape: Shape, factor: float) -> Shape:
 
 def make_circle(radius: float, center: tuple[float, float] = (0.0, 0.0)) -> Shape:
     if not radius > 0.0:
-        raise ValueError(f"circle radius must be positive, got {radius}")
+        raise DomainError(f"circle radius must be positive, got {radius}")
     return Shape([CircularArc(Point(*center), radius, 0.0, 2.0 * math.pi)])
 
 
@@ -679,76 +706,78 @@ def _motion_to_dict(m: RigidMotion) -> dict:
     }
 
 
-def _check_finite(values: Iterable[float], piece: int) -> None:
+class _Malformed(Exception):
+    """What is wrong with one piece's JSON; ``_piece_from_dict`` names the piece."""
+
+
+def _check_finite(values: Iterable[float]) -> None:
     if not all(map(math.isfinite, values)):
-        raise DomainError(f"piece {piece} of the shape JSON holds a NaN or infinite number")
+        raise _Malformed("holds a NaN or infinite number")
 
 
 # What JSON numbers decode to; bool is a subclass of int but not a number here.
 _NUMBER_TYPES = frozenset({int, float})
 
 
-def _check_numbers(values: Iterable, piece: int) -> None:
+def _check_numbers(values: Iterable) -> None:
     if not _NUMBER_TYPES.issuperset(map(type, values)):
-        raise DomainError(f"piece {piece} of the shape JSON holds a value that is not a number")
+        raise _Malformed("holds a value that is not a number")
 
 
-def _floats(values: Sequence, piece: int) -> list[float]:
-    _check_numbers(values, piece)
+def _floats(values: Sequence) -> list[float]:
+    _check_numbers(values)
     out = [float(v) for v in values]
-    _check_finite(out, piece)
+    _check_finite(out)
     return out
 
 
-def _point_from_list(v: Sequence, piece: int) -> Point:
-    x, y = _floats(v, piece)
+def _point_from_list(v: Sequence) -> Point:
+    x, y = _floats(v)
     return Point(x, y)
 
 
-def _motion_from_dict(d: dict, piece: int) -> RigidMotion:
+def _motion_from_dict(d: dict) -> RigidMotion:
     t = d.get("translation", (0.0, 0.0))
-    angle, tx, ty = _floats([d.get("rotation_angle", 0.0), t[0], t[1]], piece)
+    angle, tx, ty = _floats([d.get("rotation_angle", 0.0), t[0], t[1]])
     reflect = d.get("reflect", False)
     if not isinstance(reflect, bool):
-        raise DomainError(f"piece {piece} of the shape JSON has a frame.reflect that is not"
-                          f" true or false: {reflect!r}")
+        raise _Malformed(f"has a frame.reflect that is not true or false: {reflect!r}")
     return RigidMotion(angle, reflect, (tx, ty))
 
 
-def _parse_piece(d: dict, piece: int) -> CurvePiece:
+def _parse_piece(d: dict) -> CurvePiece:
     kind = d["kind"]
     if kind == "line_segment":
-        return LineSegment(_point_from_list(d["start"], piece), _point_from_list(d["end"], piece))
+        return LineSegment(_point_from_list(d["start"]), _point_from_list(d["end"]))
     if kind == "polyline":
         vertices = d["vertices"]
-        _check_numbers(chain.from_iterable(vertices), piece)
+        _check_numbers(chain.from_iterable(vertices))
         xy = [(float(x), float(y)) for x, y in vertices]
-        _check_finite(chain.from_iterable(xy), piece)
+        _check_finite(chain.from_iterable(xy))
         return Polyline(tuple(starmap(Point, xy)))
     if kind == "circular_arc":
-        radius, t0, t1 = _floats([d["radius"], d["angle_start"], d["angle_end"]], piece)
-        return CircularArc(_point_from_list(d["center"], piece), radius, t0, t1)
+        radius, t0, t1 = _floats([d["radius"], d["angle_start"], d["angle_end"]])
+        return CircularArc(_point_from_list(d["center"]), radius, t0, t1)
     if kind == "elliptical_arc":
         a, b = d["semi_axes"]
-        a, b, rotation, t0, t1 = _floats([a, b, d["rotation"], d["t_start"], d["t_end"]], piece)
-        return EllipticalArc(_point_from_list(d["center"], piece), (a, b), rotation, t0, t1)
+        a, b, rotation, t0, t1 = _floats([a, b, d["rotation"], d["t_start"], d["t_end"]])
+        return EllipticalArc(_point_from_list(d["center"]), (a, b), rotation, t0, t1)
     if kind == "parabolic_arc":
         alpha, beta, gamma = d["coefficients"]
-        alpha, beta, gamma, x0, x1 = _floats([alpha, beta, gamma, d["x_start"], d["x_end"]], piece)
-        frame = _motion_from_dict(d.get("frame", {}), piece)
-        return ParabolicArc((alpha, beta, gamma), x0, x1, frame)
+        alpha, beta, gamma, x0, x1 = _floats([alpha, beta, gamma, d["x_start"], d["x_end"]])
+        return ParabolicArc((alpha, beta, gamma), x0, x1, _motion_from_dict(d.get("frame", {})))
     if kind == "rational_point":
-        t0, t1 = _floats([d["t_start"], d["t_end"]], piece)
-        return RationalPoint(t0, t1, _motion_from_dict(d.get("frame", {}), piece))
+        t0, t1 = _floats([d["t_start"], d["t_end"]])
+        return RationalPoint(t0, t1, _motion_from_dict(d.get("frame", {})))
     raise ValueError(f"unknown piece kind: {kind!r}")
 
 
 def _piece_from_dict(d: dict, piece: int) -> CurvePiece:
     """The piece, or a DomainError naming it; errors are caught, so a valid piece pays nothing."""
     try:
-        return _parse_piece(d, piece)
-    except DomainError:
-        raise
+        return _parse_piece(d)
+    except _Malformed as exc:
+        raise DomainError(f"piece {piece} of the shape JSON {exc}") from None
     except KeyError as exc:
         raise DomainError(f"piece {piece} of the shape JSON lacks the field {exc}") from None
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -9,8 +9,7 @@ its boundary, so penalties are the natural constraint handling).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import catalog
 from .catalog import (
@@ -23,6 +22,7 @@ from .catalog import (
     fundamental_measure,
 )
 from .errors import DomainError, NotConverged
+from .records import MutableRecord, Record, setfield
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -54,13 +54,16 @@ FAMILIES_2D: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
-    argmin: tuple[float, ...]
-    min_value: float
-    iterations: int
-    converged: bool
-    boundary_infimum: float | None = None
+class MinimizationResult(Record):
+    __slots__ = _fields = ("argmin", "min_value", "iterations", "converged", "boundary_infimum")
+
+    def __init__(self, argmin: tuple[float, ...], min_value: float, iterations: int,
+                 converged: bool, boundary_infimum: float | None = None) -> None:
+        setfield(self, "argmin", argmin)
+        setfield(self, "min_value", min_value)
+        setfield(self, "iterations", iterations)
+        setfield(self, "converged", converged)
+        setfield(self, "boundary_infimum", boundary_infimum)
 
     def to_dict(self) -> dict:
         d = {
@@ -260,15 +263,21 @@ def minimize_2d(
 SCAN_QUANTITIES = ("Pi", "a", "h")
 
 
-@dataclass
-class ScanResult:
-    family: str
-    quantity: str
-    params: list[float]
-    values: list[float]
-    monotone_runs: list[tuple[float, float, str]] = field(default_factory=list)
-    minimum: tuple[float, float] | None = None
-    maximum: tuple[float, float] | None = None
+class ScanResult(MutableRecord):
+    __slots__ = _fields = ("family", "quantity", "params", "values", "monotone_runs", "minimum",
+                           "maximum")
+
+    def __init__(self, family: str, quantity: str, params: list[float], values: list[float],
+                 monotone_runs: list[tuple[float, float, str]] | None = None,
+                 minimum: tuple[float, float] | None = None,
+                 maximum: tuple[float, float] | None = None) -> None:
+        self.family = family
+        self.quantity = quantity
+        self.params = params
+        self.values = values
+        self.monotone_runs = [] if monotone_runs is None else monotone_runs
+        self.minimum = minimum
+        self.maximum = maximum
 
     @property
     def endpoint_values(self) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import QuadratureFailure
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
+from .records import Record, setfield
 
 Vec = tuple[float, float, float]
 
@@ -59,24 +59,29 @@ _BASES: dict[str, tuple[list[Vec], float]] = {
 KINDS = tuple(_BASES)
 
 
-@dataclass(frozen=True)
-class PlatonicSolid:
-    kind: str
-    edge_length: float = 1.0
+class PlatonicSolid(Record):
+    __slots__ = _fields = ("kind", "edge_length")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _BASES:
-            raise DomainError(f"unknown solid kind {self.kind!r}; choose from {KINDS}")
-        if not (self.edge_length > 0.0 and math.isfinite(self.edge_length)):
-            raise DomainError(f"edge length must be positive and finite, got {self.edge_length}")
+    def __init__(self, kind: str, edge_length: float = 1.0) -> None:
+        if kind not in _BASES:
+            raise DomainError(f"unknown solid kind {kind!r}; choose from {KINDS}")
+        if not (edge_length > 0.0 and math.isfinite(edge_length)):
+            raise DomainError(f"edge length must be positive and finite, got {edge_length}")
+        setfield(self, "kind", kind)
+        setfield(self, "edge_length", edge_length)
 
 
-@dataclass(frozen=True)
-class SolidMeasures:
-    volume: float
-    surface_area: float
-    inradius: float
-    fundamental_measure: float  # volume rescaled to unit inradius
+class SolidMeasures(Record):
+    """Volume, surface area, inradius, and the volume rescaled to unit inradius."""
+
+    __slots__ = _fields = ("volume", "surface_area", "inradius", "fundamental_measure")
+
+    def __init__(self, volume: float, surface_area: float, inradius: float,
+                 fundamental_measure: float) -> None:
+        setfield(self, "volume", volume)
+        setfield(self, "surface_area", surface_area)
+        setfield(self, "inradius", inradius)
+        setfield(self, "fundamental_measure", fundamental_measure)
 
 
 # On-plane tolerance, as a fraction of the edge length.

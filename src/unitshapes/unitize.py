@@ -10,17 +10,22 @@ to perimeter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .curves import Shape, scaled
 from .errors import DomainError
+from .records import MutableRecord, Record, setfield
 
 
-@dataclass(frozen=True)
-class UnitizationResult:
-    tong_inradius_reciprocal: float  # S/A of the input shape, units 1/length
-    unit_shape: Shape
-    fundamental_measure: float  # common value A = S of the unit shape
+class UnitizationResult(Record):
+    """S/A of the input shape (units 1/length), the unit shape, and its common value A = S."""
+
+    __slots__ = _fields = ("tong_inradius_reciprocal", "unit_shape", "fundamental_measure")
+
+    def __init__(self, tong_inradius_reciprocal: float, unit_shape: Shape,
+                 fundamental_measure: float) -> None:
+        setfield(self, "tong_inradius_reciprocal", tong_inradius_reciprocal)
+        setfield(self, "unit_shape", unit_shape)
+        setfield(self, "fundamental_measure", fundamental_measure)
 
     def to_dict(self) -> dict:
         return {
@@ -54,36 +59,45 @@ def idempotence_check(shape: Shape, tol: float = 1e-9) -> bool:
     return scale_fixed and measure_fixed
 
 
-@dataclass(frozen=True)
-class IndexedFamilyProbe:
+class IndexedFamilyProbe(Record):
     """Sample points for probing the indexing of a unit shape's family."""
 
-    base_unit_shape: Shape
-    lambdas: tuple[float, ...]
+    __slots__ = _fields = ("base_unit_shape", "lambdas")
 
-    def __post_init__(self) -> None:
-        a = self.base_unit_shape.area()
-        s = self.base_unit_shape.semiperimeter()
+    def __init__(self, base_unit_shape: Shape, lambdas: tuple[float, ...]) -> None:
+        a = base_unit_shape.area()
+        s = base_unit_shape.semiperimeter()
         if abs(a - s) > 1e-6 * s:
             raise DomainError(f"probe base is not a unit shape: A={a!r}, S={s!r}")
-        if any(lam <= 0.0 for lam in self.lambdas):
+        if any(lam <= 0.0 for lam in lambdas):
             raise DomainError("family indices must be positive")
+        setfield(self, "base_unit_shape", base_unit_shape)
+        setfield(self, "lambdas", lambdas)
 
 
-@dataclass(frozen=True)
-class IndexingEntry:
-    lam: float
-    area_derivative: float  # central finite difference of measured area
-    twice_semiperimeter: float  # 2 S(lambda), i.e. the perimeter, measured
-    derivative_rel_err: float
-    identity_rel_err: float
-    ok: bool
+class IndexingEntry(Record):
+    """One index lambda: the area's central finite difference against 2 S(lambda), both measured."""
+
+    __slots__ = _fields = ("lam", "area_derivative", "twice_semiperimeter", "derivative_rel_err",
+                           "identity_rel_err", "ok")
+
+    def __init__(self, lam: float, area_derivative: float, twice_semiperimeter: float,
+                 derivative_rel_err: float, identity_rel_err: float, ok: bool) -> None:
+        setfield(self, "lam", lam)
+        setfield(self, "area_derivative", area_derivative)
+        setfield(self, "twice_semiperimeter", twice_semiperimeter)
+        setfield(self, "derivative_rel_err", derivative_rel_err)
+        setfield(self, "identity_rel_err", identity_rel_err)
+        setfield(self, "ok", ok)
 
 
-@dataclass
-class IndexingReport:
-    entries: list[IndexingEntry] = field(default_factory=list)
-    failures: list[float] = field(default_factory=list)
+class IndexingReport(MutableRecord):
+    __slots__ = _fields = ("entries", "failures")
+
+    def __init__(self, entries: list[IndexingEntry] | None = None,
+                 failures: list[float] | None = None) -> None:
+        self.entries = [] if entries is None else entries
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

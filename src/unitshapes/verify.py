@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .catalog import (
     Ellipse,
@@ -34,18 +33,22 @@ from .curves import (
     make_rational_circle,
     scaled,
 )
+from .records import MutableRecord
 from .unitize import UnitizationResult, unitize
 
 ISOPERIMETRIC_REL_TOL = 1e-9
 
 
-@dataclass
-class VerificationReport:
-    claim: str
-    instances_tested: int
-    worst_slack: float
-    counterexamples: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+class VerificationReport(MutableRecord):
+    __slots__ = _fields = ("claim", "instances_tested", "worst_slack", "counterexamples", "details")
+
+    def __init__(self, claim: str, instances_tested: int, worst_slack: float,
+                 counterexamples: list | None = None, details: dict | None = None) -> None:
+        self.claim = claim
+        self.instances_tested = instances_tested
+        self.worst_slack = worst_slack
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:

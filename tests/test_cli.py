@@ -265,7 +265,8 @@ def test_cli_import_loads_no_numpy_or_scipy():
     foreign = [name for name in loaded
                if name.partition(".")[0] not in sys.stdlib_module_names | {"unitshapes"}]
     assert foreign == []
-    assert not {"numpy", "scipy", "click", "csv"} & set(loaded)
+    # Records are plain classes: no dataclass code generation, nor the inspect and typing it loads.
+    assert not {"numpy", "scipy", "click", "csv", "dataclasses", "inspect", "typing"} & set(loaded)
 
 
 @pytest.mark.parametrize(

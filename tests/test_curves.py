@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -89,27 +90,105 @@ def test_reversal_swaps_endpoints_and_negates_area(piece):
 
 
 def test_degenerate_pieces_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LineSegment(Point(1, 1), Point(1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         CircularArc(Point(0, 0), 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         CircularArc(Point(0, 0), 1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Polyline((Point(0, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Polyline((Point(0, 0), Point(0, 0), Point(1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         EllipticalArc(Point(0, 0), (1.0, 0.0), 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         RationalPoint(0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Shape([]), "a shape needs at least one piece"),
+        (lambda: Shape([Polyline((Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 0)))]),
+         "degenerate shape"),
+        (lambda: ParabolicArc((1.0, 0.0, 0.0), 0.5, 0.5), "degenerate parabolic arc"),
+        (lambda: EllipticalArc(Point(0, 0), (1.0, 2.0), 0.0, 0.5, 0.5), "degenerate elliptical arc"),
+        (lambda: Similarity(scale=0.0), "similarity scale must be positive"),
+        (lambda: make_circle(-1.0), "circle radius must be positive"),
+    ],
+    ids=["no_piece", "zero_area", "parabolic_arc", "elliptical_arc", "similarity", "make_circle"],
+)
+def test_construction_errors_are_domain_errors(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+# Each constructor with one of its numbers replaced by v, for every number it takes.
+NUMBER_SLOTS = {
+    "point": [lambda v: Point(v, 0.0), lambda v: Point(0.0, v)],
+    "rigid_motion": [
+        lambda v: RigidMotion(v),
+        lambda v: RigidMotion(0.0, False, (v, 0.0)),
+        lambda v: RigidMotion(0.0, True, (0.0, v)),
+    ],
+    "line_segment": [
+        lambda v: LineSegment(Point(v, 0.0), Point(1.0, 1.0)),
+        lambda v: LineSegment(Point(0.0, 0.0), Point(1.0, v)),
+    ],
+    "polyline": [
+        lambda v: Polyline((Point(0.0, 0.0), Point(1.0, 0.5), Point(v, -0.25))),
+    ],
+    "circular_arc": [
+        lambda v: CircularArc(Point(v, 0.0), 1.0, 0.0, 1.0),
+        lambda v: CircularArc(Point(0.0, 0.0), v, 0.0, 1.0),
+        lambda v: CircularArc(Point(0.0, 0.0), 1.0, v, 1.0),
+        lambda v: CircularArc(Point(0.0, 0.0), 1.0, 0.0, v),
+    ],
+    "elliptical_arc": [
+        lambda v: EllipticalArc(Point(0.0, v), (2.0, 1.0), 0.3, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (v, 1.0), 0.3, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, v), 0.3, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, 1.0), v, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, 1.0), 0.3, v, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, 1.0), 0.3, 0.0, v),
+    ],
+    "parabolic_arc": [
+        lambda v: ParabolicArc((v, 0.0, 1.0), -1.0, 1.0),
+        lambda v: ParabolicArc((-1.0, v, 1.0), -1.0, 1.0),
+        lambda v: ParabolicArc((-1.0, 0.0, v), -1.0, 1.0),
+        lambda v: ParabolicArc((-1.0, 0.0, 1.0), v, 1.0),
+        lambda v: ParabolicArc((-1.0, 0.0, 1.0), -1.0, v),
+        lambda v: ParabolicArc((-1.0, 0.0, 1.0), -1.0, 1.0, RigidMotion(v)),
+    ],
+    "rational_point": [
+        lambda v: RationalPoint(v, 1.0),
+        lambda v: RationalPoint(-1.0, v),
+        lambda v: RationalPoint(-1.0, 1.0, RigidMotion(0.0, False, (v, 0.0))),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMBER_SLOTS))
+def test_non_finite_numbers_rejected_at_construction(kind):
+    for build in NUMBER_SLOTS[kind]:
+        build(0.25)  # the finite value builds
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                build(bad)
+
+
+def test_degenerate_json_piece_is_named_as_invalid():
+    doc = {"pieces": [{"kind": "line_segment", "start": [0, 0], "end": [0, 0]}]}
+    with pytest.raises(DomainError, match=r"^piece 0 of the shape JSON is invalid: degenerate line"):
+        shape_from_dict(doc)
 
 
 # --- shape construction -----------------------------------------------------
 
 
 def test_open_chain_rejected():
-    with pytest.raises(ValueError, match="open chain"):
+    with pytest.raises(DomainError, match="open chain"):
         Shape([LineSegment(Point(0, 0), Point(1, 0)), LineSegment(Point(2, 0), Point(0, 0))])
 
 
@@ -144,7 +223,7 @@ def test_posed_polygon_closes_far_from_the_origin():
 
 
 def test_single_segment_not_closed():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="open chain"):
         Shape([LineSegment(Point(0, 0), Point(1, 0))])
 
 
@@ -453,21 +532,30 @@ def test_cached_trig_leaves_eq_hash_and_repr_to_the_fields(key):
     make, angle_field, expected_repr = CACHED_TRIG[key]
     one, twin = make(0.7), make(0.7)
     assert one == twin
-    assert hash(one) == hash(twin) == hash(dataclasses.astuple(one))
+    assert hash(one) == hash(twin) == hash(tuple(getattr(one, name) for name in one._fields))
     assert repr(one) == repr(twin) == expected_repr
-    assert angle_field in {f.name for f in dataclasses.fields(one)}
+    assert angle_field in one._fields
+    assert not {"_cos", "_sin"} & set(one._fields)
     assert one != make(0.7000000000000001)
 
 
-def test_replace_refreshes_cached_trig():
-    motion = dataclasses.replace(RigidMotion(0.7, True, (1.5, -2.0)), rotation_angle=1.9)
-    assert motion.apply_vector(1.0, 0.0) == (math.cos(1.9), -math.sin(1.9))
-    assert motion.apply_vector(0.0, 1.0) == (-math.sin(1.9), -math.cos(1.9))
+def _with_copies(record):
+    """The record, then its copy, deep copy and pickle round trip, each rebuilt by __init__."""
+    return [record, copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
 
-    arc = dataclasses.replace(EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), 0.7, -0.5, 1.8),
-                              rotation=1.9)
+
+def test_replace_refreshes_cached_trig():
+    # Replacing the angle means building a new record; it and its copies apply the new angle.
     c, s = math.cos(1.9), math.sin(1.9)
+    old = RigidMotion(0.7, True, (1.5, -2.0))
+    for motion in _with_copies(RigidMotion(1.9, old.reflect, old.translation)):
+        assert motion.apply_vector(1.0, 0.0) == (c, -s)
+        assert motion.apply_vector(0.0, 1.0) == (-s, -c)
+
+    old_arc = EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), 0.7, -0.5, 1.8)
     x, y = 2.0 * math.cos(0.3), 0.75 * math.sin(0.3)
-    assert arc.point(0.3) == Point(1.0 + c * x - s * y, 2.0 + s * x + c * y)
     vx, vy = -2.0 * math.sin(0.3), 0.75 * math.cos(0.3)
-    assert arc.velocity(0.3) == (c * vx - s * vy, s * vx + c * vy)
+    new_arc = EllipticalArc(old_arc.center, old_arc.semi_axes, 1.9, old_arc.t_start, old_arc.t_end)
+    for arc in _with_copies(new_arc):
+        assert arc.point(0.3) == Point(1.0 + c * x - s * y, 2.0 + s * x + c * y)
+        assert arc.velocity(0.3) == (c * vx - s * vy, s * vx + c * vy)
