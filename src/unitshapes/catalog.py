@@ -51,8 +51,8 @@ class Rectangle(Record):
     __slots__ = _fields = ("r",)
 
     def __init__(self, r: float) -> None:
-        if not r > 0.0:
-            raise DomainError(f"rectangle ratio must be positive, got {r}")
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"rectangle ratio must be positive and finite, got {r}")
         setfield(self, "r", r)
 
 
@@ -75,8 +75,8 @@ class Parallelogram(Record):
     def __init__(self, theta: float, r: float) -> None:
         if not 0.0 < theta < math.pi:
             raise DomainError(f"parallelogram angle must lie in (0, pi), got {theta}")
-        if not r > 0.0:
-            raise DomainError(f"parallelogram ratio must be positive, got {r}")
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"parallelogram ratio must be positive and finite, got {r}")
         setfield(self, "theta", theta)
         setfield(self, "r", r)
 
@@ -180,7 +180,21 @@ def rhombus_short_diagonal(theta: float) -> float:
 
 
 def fundamental_measure(p: FamilyParam) -> float:
-    """Closed-form area (= semiperimeter) of the family's unit shape."""
+    """Closed-form area (= semiperimeter) of the family's unit shape.
+
+    Raises DomainError where the measure overflows the float range, as it does
+    near the edges of the open domains (a ratio or angle near 0, say).
+    """
+    try:
+        measure = _closed_form_measure(p)
+    except (OverflowError, ZeroDivisionError):
+        measure = math.inf
+    if measure == math.inf:
+        raise DomainError(f"the {FAMILY_NAMES[type(p)]} measure at {p!r} overflows the float range")
+    return measure
+
+
+def _closed_form_measure(p: FamilyParam) -> float:
     if isinstance(p, RightTriangle):
         return (1.0 + 1.0 / math.cos(p.theta)) * (1.0 + 1.0 / math.sin(p.theta))
     if isinstance(p, Triangle):

@@ -233,17 +233,33 @@ class LineSegment(CurvePiece):
 
 
 class Polyline(CurvePiece):
-    __slots__ = _fields = ("vertices",)
+    _fields = ("vertices",)
+    # The length and the area term sit outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("_length", "_area_term")
 
     kind = "polyline"
 
     def __init__(self, vertices: tuple[Point, ...]) -> None:
         if len(vertices) < 2:
             raise DomainError("polyline needs at least two vertices")
-        for a, b in zip(vertices, vertices[1:]):
-            if a.x == b.x and a.y == b.y:
-                raise DomainError("degenerate polyline edge (zero length)")
+        # One pass over the edges collects each one's length and Green's-theorem term.
+        hypot = math.hypot
+        edges = []
+        area_terms = []
+        ax, ay = vertices[0].x, vertices[0].y
+        for b in vertices[1:]:
+            bx, by = b.x, b.y
+            edges.append(hypot(ax - bx, ay - by))
+            area_terms.append(ax * by - bx * ay)
+            ax, ay = bx, by
+        # An edge's length is 0.0 exactly when both coordinate differences are: hypot
+        # rounds to at least the larger of them, and a subnormal difference is not 0.0.
+        if 0.0 in edges:
+            raise DomainError("degenerate polyline edge (zero length)")
         setfield(self, "vertices", vertices)
+        # sum() adds the terms in edge order; a += loop would round differently on Python 3.12+.
+        setfield(self, "_length", sum(edges))
+        setfield(self, "_area_term", 0.5 * sum(area_terms))
 
     @property
     def start(self) -> Point:
@@ -285,13 +301,10 @@ class Polyline(CurvePiece):
         return [(float(i), float(i + 1)) for i in range(len(self.vertices) - 1)]
 
     def _exact_length(self) -> float:
-        hypot = math.hypot
-        return sum(hypot(a.x - b.x, a.y - b.y) for a, b in zip(self.vertices, self.vertices[1:]))
+        return self._length
 
     def _exact_area_term(self) -> float:
-        return 0.5 * sum(
-            a.x * b.y - b.x * a.y for a, b in zip(self.vertices, self.vertices[1:])
-        )
+        return self._area_term
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "vertices": [[v.x, v.y] for v in self.vertices]}
@@ -596,8 +609,12 @@ class Shape:
         pieces = tuple(pieces)
         if not pieces:
             raise DomainError("a shape needs at least one piece")
-        for i, (cur, nxt) in enumerate(zip(pieces, pieces[1:] + pieces[:1])):
-            gap = cur.end.distance_to(nxt.start)
+        chain_start = pieces[0].start
+        last = len(pieces) - 1
+        for i, piece in enumerate(pieces):
+            end = piece.end
+            start = pieces[i + 1].start if i < last else chain_start
+            gap = math.hypot(end.x - start.x, end.y - start.y)
             if gap > join_tol:
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"

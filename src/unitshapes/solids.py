@@ -5,11 +5,14 @@ coordinates, never from closed-form solid formulas, so the golden-ratio
 table is a genuine cross-check of the vertex models. The facets come from
 enumerating vertex triples: a plane through three vertices that leaves every
 vertex on one side holds one facet, and the vertices on it, ordered by angle,
-are that facet's polygon.
+are that facet's polygon. That incidence is found once per kind, on the
+canonical model, and reused; each solid's facet normals and measures are
+computed from its own scaled vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from itertools import combinations
@@ -110,10 +113,12 @@ def vertices(solid: PlatonicSolid) -> list[Vec]:
     return [(x * k, y * k, z * k) for x, y, z in base]
 
 
-def facets(solid: PlatonicSolid) -> list[tuple[Vec, list[Vec]]]:
-    """Each facet as (outward unit normal, its vertices in angular order)."""
-    pts = vertices(solid)
-    tol = _PLANE_TOL * solid.edge_length
+@functools.cache
+def _incidence(kind: str) -> tuple[tuple[tuple[int, int, int], bool, tuple[int, ...]], ...]:
+    """Each facet of the kind's canonical model: the vertex triple that defines it, whether
+    that triple's normal points inward, and the facet's vertex indices in angular order."""
+    pts, edge_length = _BASES[kind]
+    tol = _PLANE_TOL * edge_length
     covered: set[tuple[int, int, int]] = set()
     found = []
     for tri in combinations(range(len(pts)), 3):
@@ -122,7 +127,7 @@ def facets(solid: PlatonicSolid) -> list[tuple[Vec, list[Vec]]]:
         a = pts[tri[0]]
         n = _cross(_sub(pts[tri[1]], a), _sub(pts[tri[2]], a))
         norm = math.hypot(*n)
-        if norm <= tol * solid.edge_length:
+        if norm <= tol * edge_length:
             continue  # collinear triple; |n| is twice its area, a squared length
         ux, uy, uz = n[0] / norm, n[1] / norm, n[2] / norm
         offset = ux * a[0] + uy * a[1] + uz * a[2]
@@ -141,21 +146,46 @@ def facets(solid: PlatonicSolid) -> list[tuple[Vec, list[Vec]]]:
         else:
             covered.update(combinations(on, 3))
             u = (-ux, -uy, -uz) if above else (ux, uy, uz)
-            found.append((u, _angular_order([pts[i] for i in on], u)))
+            found.append((tri, above, _angular_order(on, pts, u)))
+    return tuple(found)
+
+
+def _angular_order(on: list[int], pts: list[Vec], u: Vec) -> tuple[int, ...]:
+    """Sort indices of coplanar points by angle about their centroid, counter-clockwise about u."""
+    g = _centroid([pts[i] for i in on])
+    e1 = _sub(pts[on[0]], g)
+    e2 = _cross(u, e1)
+
+    def angle(i: int) -> float:
+        r = _sub(pts[i], g)
+        return math.atan2(_dot(r, e2), _dot(r, e1))
+
+    return tuple(sorted(on, key=angle))
+
+
+def facets(solid: PlatonicSolid) -> list[tuple[Vec, list[Vec]]]:
+    """Each facet as (outward unit normal, its vertices in angular order).
+
+    The incidence is the canonical model's; each normal comes from this solid's own vertices.
+    """
+    pts = vertices(solid)
+    found = []
+    for (i, j, k), inward, order in _incidence(solid.kind):
+        a = pts[i]
+        n = _cross(_sub(pts[j], a), _sub(pts[k], a))
+        norm = math.hypot(*n)
+        if norm == 0.0:
+            raise _out_of_range(solid)
+        ux, uy, uz = n[0] / norm, n[1] / norm, n[2] / norm
+        u = (-ux, -uy, -uz) if inward else (ux, uy, uz)
+        found.append((u, [pts[m] for m in order]))
     return found
 
 
-def _angular_order(poly: list[Vec], u: Vec) -> list[Vec]:
-    """Sort coplanar points by angle about their centroid, counter-clockwise about u."""
-    g = _centroid(poly)
-    e1 = _sub(poly[0], g)
-    e2 = _cross(u, e1)
-
-    def angle(p: Vec) -> float:
-        r = _sub(p, g)
-        return math.atan2(_dot(r, e2), _dot(r, e1))
-
-    return sorted(poly, key=angle)
+def _out_of_range(solid: PlatonicSolid) -> DomainError:
+    return DomainError(
+        f"edge length {solid.edge_length} puts the {solid.kind}'s volume outside the float range"
+    )
 
 
 def measures(solid: PlatonicSolid) -> SolidMeasures:
@@ -175,9 +205,7 @@ def measures(solid: PlatonicSolid) -> SolidMeasures:
         inradius = min(inradius, h)
     volume = cone_sum / 3.0
     if not sys.float_info.min <= volume < math.inf:
-        raise DomainError(
-            f"edge length {solid.edge_length} puts the {solid.kind}'s volume outside the float range"
-        )
+        raise _out_of_range(solid)
     return SolidMeasures(volume, surface_area, inradius, volume / inradius**3)
 
 

@@ -11,6 +11,7 @@ import json
 import math
 import random
 from collections.abc import Sequence
+from operator import sub
 
 from .catalog import (
     Ellipse,
@@ -25,11 +26,12 @@ from .catalog import (
     fundamental_measure,
 )
 from .curves import (
+    Point,
+    Polyline,
     RigidMotion,
     Shape,
     Similarity,
     make_circle,
-    make_polygon,
     make_rational_circle,
     scaled,
 )
@@ -179,28 +181,32 @@ def check_rational_circle(tol: float = 1e-9) -> VerificationReport:
 
 
 def random_simple_mgon(m: int, rng: random.Random) -> Shape:
-    """Random simple m-gon: vertices sorted by angle about an interior center.
+    """Random m-gon: vertices sorted by angle about a center, joined in that order.
 
-    Star-shapedness about the center guarantees simplicity. Rejection keeps a
-    minimum angular gap (no near-degenerate edges) and a minimum area of 1e-6.
+    Rejection keeps a minimum angular gap (no near-degenerate edges) and a
+    minimum area of 1e-6. The polygon is star-shaped about the center, and so
+    simple, only when every angular gap is below pi; when one gap exceeds pi
+    the center lies outside and the loop can cross itself. Such draws are not
+    rejected yet, since that changes the seeded stream (ROADMAP item 5).
     """
     # Each draw is rng.uniform(a, b) written out as its documented a + (b - a) * rng.random()
     # (with a = 0 for the angles), which saves a method call per draw and keeps every value.
     draw = rng.random
+    cos, sin = math.cos, math.sin
     two_pi = 2.0 * math.pi
     while True:
         cx = -5.0 + (5.0 - -5.0) * draw()
         cy = -5.0 + (5.0 - -5.0) * draw()
-        angles = sorted(two_pi * draw() for _ in range(m))
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
-        gaps.append(two_pi - (angles[-1] - angles[0]))
-        if min(gaps) < 1e-3:
+        angles = [two_pi * draw() for _ in range(m)]
+        angles.sort()
+        if min(map(sub, angles[1:], angles)) < 1e-3 or two_pi - (angles[-1] - angles[0]) < 1e-3:
             continue
-        radii = [0.2 + (3.0 - 0.2) * draw() for _ in range(m)]
-        vertices = [
-            (cx + r * math.cos(t), cy + r * math.sin(t)) for r, t in zip(radii, angles)
+        # Vertex i takes the i-th radius draw, drawn after every angle, as a list of radii would.
+        loop = [
+            Point(cx + (r := 0.2 + (3.0 - 0.2) * draw()) * cos(t), cy + r * sin(t)) for t in angles
         ]
-        poly = make_polygon(vertices)
+        loop.append(loop[0])
+        poly = Shape((Polyline(tuple(loop)),))
         if poly.area() >= 1e-6:
             return poly
 

@@ -111,11 +111,31 @@ def test_ellipse_measure_approaches_circle_value():
         lambda: Ellipse(1.0),
         lambda: Ellipse(0.0),
         lambda: RegularPolygon(2),
+        lambda: Rectangle(math.inf),
+        lambda: Parallelogram(1.0, math.inf),
     ],
 )
 def test_out_of_domain_rejected(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+@pytest.mark.parametrize(
+    "param",
+    [
+        Rectangle(1e-320),
+        Rectangle(1e308),  # (1 + r) ** 2 raises OverflowError
+        Rhombus(1e-320),
+        RightTriangle(1e-320),
+        Parallelogram(1.0, 1e-320),
+        Parallelogram(1e-200, 1e-200),  # r sin(theta) underflows to 0.0
+        Ellipse(5e-324),
+    ],
+    ids=repr,
+)
+def test_measure_overflow_is_a_domain_error(param):
+    with pytest.raises(DomainError, match="overflows the float range"):
+        fundamental_measure(param)
 
 
 # --- builders vs formulas ---------------------------------------------------

@@ -149,6 +149,24 @@ def test_domain_error_exit_two(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["rectangle", "--r", "inf"], "rectangle ratio must be positive and finite"),
+        (["parallelogram", "--theta", "1", "--r", "inf"], "parallelogram ratio must be positive and finite"),
+        (["rectangle", "--r", "1e-320"], "overflows the float range"),
+        (["rectangle", "--r", "1e308"], "overflows the float range"),
+        (["rhombus", "--theta", "1e-320"], "overflows the float range"),
+        (["right_triangle", "--theta", "1e-320"], "overflows the float range"),
+        (["parallelogram", "--theta", "1", "--r", "1e-320"], "overflows the float range"),
+    ],
+)
+def test_catalog_infinite_or_overflowing_measure_exit_two(capsys, params, message):
+    code, out, err = invoke(capsys, "catalog", "--family", *params)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_param_exit_two(capsys):
     code, _, err = invoke(capsys, "catalog", "--family", "rectangle")
     assert code == 2

@@ -210,6 +210,44 @@ def test_polyline_end_is_its_last_vertex_exactly():
     assert rounded > 0  # the draws include edges that a + 1.0 * (b - a) does not close
 
 
+def test_polyline_stores_the_per_edge_sums_exactly():
+    # Length and area term are computed once, at construction; they must equal the
+    # per-edge sums the methods evaluated on each call before, bit for bit.
+    rng = random.Random(23)
+    repeated = 0
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-12.0, 12.0)
+        shift = [rng.uniform(-1e6, 1e6) for _ in range(2)]
+        vertices = tuple(
+            Point(scale * rng.uniform(-1.0, 1.0) + shift[0], scale * rng.uniform(-1.0, 1.0) + shift[1])
+            for _ in range(rng.randrange(3, 257))
+        )
+        pairs = list(zip(vertices, vertices[1:]))
+        if any(a == b for a, b in pairs):  # tiny scales at large shifts round vertices together
+            repeated += 1
+            with pytest.raises(DomainError, match="zero length"):
+                Polyline(vertices)
+            continue
+        length = sum(math.hypot(a.x - b.x, a.y - b.y) for a, b in pairs)
+        area_term = 0.5 * sum(a.x * b.y - b.x * a.y for a, b in pairs)
+        line = Polyline(vertices)
+        assert line.length() == length
+        assert line.signed_area_term() == area_term
+        # The stored values sit outside the fields and are computed afresh by each rebuild.
+        for copied in _with_copies(line):
+            assert (copied.length(), copied.signed_area_term()) == (length, area_term)
+        assert line == Polyline(vertices) and repr(line) == f"Polyline(vertices={vertices!r})"
+    assert 0 < repeated < 100
+
+
+@pytest.mark.parametrize("x", [1.0, 1e6, 1e-300, 0.0])
+def test_polyline_accepts_an_ulp_edge_and_rejects_a_repeated_vertex(x):
+    step = math.nextafter(x, math.inf)  # one ulp away; 5e-324 from 0.0
+    assert Polyline((Point(x, 0.0), Point(step, 0.0))).length() == step - x > 0.0
+    with pytest.raises(DomainError, match="zero length"):
+        Polyline((Point(x, 0.0), Point(step, 0.0), Point(step, 0.0), Point(x, 1.0)))
+
+
 def test_posed_polygon_closes_far_from_the_origin():
     # The closing edge runs from y = 1e6 + 0.7 to y = 0.2; evaluated as a + 1.0 * (b - a)
     # it ended 4.7e-11 from the first vertex, beyond the 1e-12 join tolerance.

@@ -1,13 +1,17 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unitshapes import solids as solids_module
 from unitshapes.errors import DomainError
 from unitshapes.solids import (
     KINDS,
     PlatonicSolid,
+    SolidMeasures,
     expected_unit_measures,
     facets,
     measures,
@@ -138,9 +142,88 @@ def test_invalid_solids_rejected():
 
 
 def test_volume_outside_float_range_rejected():
-    for edge in (1e-120, 1e120):
-        with pytest.raises(DomainError):
-            measures(PlatonicSolid("cube", edge))
+    # At 1e-170 every facet normal underflows to zero length; at 1e200 it overflows.
+    for kind in KINDS:
+        for edge in (1e-120, 1e-160, 1e-170, 1e-300, 1e120, 1e200, 1e300):
+            with pytest.raises(DomainError, match="outside the float range"):
+                measures(PlatonicSolid(kind, edge))
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _centroid(pts):
+    return tuple(sum(c) / len(pts) for c in zip(*pts))
+
+
+def _measures_by_enumeration(solid):
+    """Volume, surface area and inradius with the facets enumerated afresh for this solid."""
+    pts = vertices(solid)
+    tol = 1e-9 * solid.edge_length
+    covered, found = set(), []
+    for tri in itertools.combinations(range(len(pts)), 3):
+        if tri in covered:
+            continue
+        a = pts[tri[0]]
+        n = _cross(_sub(pts[tri[1]], a), _sub(pts[tri[2]], a))
+        norm = math.hypot(*n)
+        if norm <= tol * solid.edge_length:
+            continue
+        ux, uy, uz = n[0] / norm, n[1] / norm, n[2] / norm
+        offset = ux * a[0] + uy * a[1] + uz * a[2]
+        sides = [ux * x + uy * y + uz * z - offset for x, y, z in pts]
+        above, below = max(sides) > tol, min(sides) < -tol
+        if above and below:
+            continue
+        on = [i for i, d in enumerate(sides) if -tol <= d <= tol]
+        covered.update(itertools.combinations(on, 3))
+        u = (-ux, -uy, -uz) if above else (ux, uy, uz)
+        poly = [pts[i] for i in on]
+        g = _centroid(poly)
+        e1 = _sub(poly[0], g)
+        e2 = _cross(u, e1)
+        poly.sort(key=lambda p: math.atan2(_dot(_sub(p, g), e2), _dot(_sub(p, g), e1)))
+        found.append((u, poly))
+    centroid = _centroid(pts)
+    cone_sum = surface_area = 0.0
+    inradius = math.inf
+    for u, poly in found:
+        g = _centroid(poly)
+        rim = [_sub(p, g) for p in poly]
+        area = 0.0
+        for p, q in zip(rim, rim[1:] + rim[:1]):
+            area += 0.5 * math.hypot(*_cross(p, q))
+        h = _dot(u, _sub(poly[0], centroid))
+        surface_area += area
+        cone_sum += area * h
+        inradius = min(inradius, h)
+    volume = cone_sum / 3.0
+    return SolidMeasures(volume, surface_area, inradius, volume / inradius**3)
+
+
+def test_cached_incidence_gives_the_enumerated_measures_exactly():
+    # The facet incidence is found once per kind, on the canonical model; the measures
+    # of every solid must still equal a fresh enumeration on its own vertices.
+    rng = random.Random(3)
+    edges = [1e-5, 1.0, 1e90] + [10.0 ** rng.uniform(-5.0, 90.0) for _ in range(40)]
+    solids_ = [PlatonicSolid(kind, edge) for kind in KINDS for edge in edges]
+    solids_ += [unitize_solid(PlatonicSolid(kind)) for kind in KINDS]
+    expected = {solid: _measures_by_enumeration(solid) for solid in solids_}
+    for order in (KINDS, KINDS[::-1], KINDS[2:] + KINDS[:2]):
+        solids_module._incidence.cache_clear()
+        for kind in order:
+            for solid in solids_:
+                if solid.kind == kind:
+                    assert measures(solid) == expected[solid], solid
 
 
 def _vector_area(poly):

@@ -241,6 +241,38 @@ def test_random_mgon_draws_match_uniform_exactly(m):
         assert rng.getstate() == ref_rng.getstate()
 
 
+def _mgon_via_make_polygon(m, rng):
+    """The sampler as it was before it built its Points and Shape directly."""
+    draw = rng.random
+    two_pi = 2.0 * math.pi
+    while True:
+        cx = -5.0 + (5.0 - -5.0) * draw()
+        cy = -5.0 + (5.0 - -5.0) * draw()
+        angles = sorted(two_pi * draw() for _ in range(m))
+        gaps = [b - a for a, b in zip(angles, angles[1:])]
+        gaps.append(two_pi - (angles[-1] - angles[0]))
+        if min(gaps) < 1e-3:
+            continue
+        radii = [0.2 + (3.0 - 0.2) * draw() for _ in range(m)]
+        vertices = [
+            (cx + r * math.cos(t), cy + r * math.sin(t)) for r, t in zip(radii, angles)
+        ]
+        poly = make_polygon(vertices)
+        if poly.area() >= 1e-6:
+            return poly
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_random_mgon_stream_is_unchanged(m):
+    for seed in (0, 7, 42):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            got, expected = random_simple_mgon(m, rng), _mgon_via_make_polygon(m, ref_rng)
+            assert got.pieces[0].vertices == expected.pieces[0].vertices
+            assert (got.area(), got.perimeter()) == (expected.area(), expected.perimeter())
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_random_mgon_deterministic_for_seed():
     a = random_simple_mgon(5, random.Random(99))
     b = random_simple_mgon(5, random.Random(99))
