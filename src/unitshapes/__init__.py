@@ -9,6 +9,7 @@ three-dimensional analogues.
 """
 
 from .catalog import (
+    FAMILIES,
     Ellipse,
     EllipseMeanRadius,
     FamilyParam,
@@ -22,6 +23,7 @@ from .catalog import (
     ellipse_mean_radius,
     ellipse_semi_minor,
     family_from_dict,
+    family_named,
     family_to_dict,
     fundamental_measure,
     rhombus_short_diagonal,

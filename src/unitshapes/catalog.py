@@ -1,11 +1,11 @@
 """Shape families with closed-form fundamental measures and unit-shape builders.
 
-Each family is a tagged parameter record; ``fundamental_measure`` evaluates
-the closed form (the ellipse's half perimeter by the arithmetic-geometric
-mean) and ``build_unit_shape`` constructs the concrete unit-scale member so
-the curve kernel can cross-check the formulas. Adaptive quadrature of the
-ellipse's speed integral is kept only as the cross-check in
-``conciliation_checks``.
+Each family is one parameter record class, listed once in ``FAMILIES``;
+``fundamental_measure`` evaluates its closed form (the ellipse's half
+perimeter by the arithmetic-geometric mean) and ``build_unit_shape``
+constructs its concrete unit-scale member so the curve kernel can
+cross-check the formulas. Adaptive quadrature of the ellipse's speed
+integral is kept only as the cross-check in ``conciliation_checks``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,20 @@ class RightTriangle(Record):
     """Right triangles indexed by an acute angle."""
 
     __slots__ = _fields = ("theta",)
+    name = "right_triangle"
+    bracket = (1e-6, math.pi / 2.0 - 1e-6)
 
     def __init__(self, theta: float) -> None:
         if not 0.0 < theta < math.pi / 2.0:
             raise DomainError(f"right-triangle angle must lie in (0, pi/2), got {theta}")
         setfield(self, "theta", theta)
+
+    def _measure(self) -> float:
+        return (1.0 + 1.0 / math.cos(self.theta)) * (1.0 + 1.0 / math.sin(self.theta))
+
+    def _unit_shape(self) -> Shape:
+        base = 1.0 + 1.0 / math.tan(self.theta) + 1.0 / math.sin(self.theta)
+        return make_polygon([(0.0, 0.0), (base, 0.0), (base, base * math.tan(self.theta))])
 
 
 class Triangle(Record):
@@ -37,6 +46,9 @@ class Triangle(Record):
     """
 
     __slots__ = _fields = ("r", "s")
+    name = "triangle"
+    seeds = ((1.0, 1.0), (0.9, 0.9), (0.75, 0.95), (0.95, 0.75), (0.8, 0.85))
+    step = 0.05
 
     def __init__(self, r: float, s: float) -> None:
         if not (0.0 < r <= 1.0 and 0.0 < s <= 1.0 and r + s > 1.0):
@@ -44,33 +56,70 @@ class Triangle(Record):
         setfield(self, "r", r)
         setfield(self, "s", s)
 
+    def _heron_product(self) -> float:
+        """(-r + s + 1)(r - s + 1)(r + s - 1): Heron's factors of 16 area^2 but the perimeter."""
+        r, s = self.r, self.s
+        return (-r + s + 1.0) * (r - s + 1.0) * (r + s - 1.0)
+
+    def _measure(self) -> float:
+        return (self.r + self.s + 1.0) ** 1.5 / math.sqrt(self._heron_product())
+
+    def _unit_shape(self) -> Shape:
+        r, s = self.r, self.s
+        c = 2.0 * math.sqrt((r + s + 1.0) / self._heron_product())
+        # Longest side on the x-axis, apex located from the two side lengths.
+        x3 = (c * c + (s * c) ** 2 - (r * c) ** 2) / (2.0 * c)
+        y3 = math.sqrt((s * c) ** 2 - x3 * x3)
+        return make_polygon([(0.0, 0.0), (c, 0.0), (x3, y3)])
+
 
 class Rectangle(Record):
     """Rectangles indexed by the height-to-length ratio."""
 
     __slots__ = _fields = ("r",)
+    name = "rectangle"
+    bracket = (0.01, 100.0)
 
     def __init__(self, r: float) -> None:
         if not 0.0 < r < math.inf:
             raise DomainError(f"rectangle ratio must be positive and finite, got {r}")
         setfield(self, "r", r)
 
+    def _measure(self) -> float:
+        return (1.0 + self.r) ** 2 / self.r
+
+    def _unit_shape(self) -> Shape:
+        length = (1.0 + self.r) / self.r
+        height = 1.0 + self.r
+        return make_polygon([(0.0, 0.0), (length, 0.0), (length, height), (0.0, height)])
+
 
 class Rhombus(Record):
     """Rhombi indexed by an interior angle."""
 
     __slots__ = _fields = ("theta",)
+    name = "rhombus"
+    bracket = (0.01, math.pi - 0.01)
 
     def __init__(self, theta: float) -> None:
         if not 0.0 < theta < math.pi:
             raise DomainError(f"rhombus angle must lie in (0, pi), got {theta}")
         setfield(self, "theta", theta)
 
+    def _measure(self) -> float:
+        return 4.0 / math.sin(self.theta)
+
+    def _unit_shape(self) -> Shape:
+        return build_unit_shape(Parallelogram(self.theta, 1.0))
+
 
 class Parallelogram(Record):
     """Parallelograms indexed by an interior angle and a side ratio."""
 
     __slots__ = _fields = ("theta", "r")
+    name = "parallelogram"
+    seeds = ((math.pi / 2.0, 1.0), (1.0, 0.5), (2.0, 2.0), (0.6, 1.5), (2.4, 0.8))
+    step = 0.1
 
     def __init__(self, theta: float, r: float) -> None:
         if not 0.0 < theta < math.pi:
@@ -80,57 +129,90 @@ class Parallelogram(Record):
         setfield(self, "theta", theta)
         setfield(self, "r", r)
 
+    def _measure(self) -> float:
+        return (1.0 + self.r) ** 2 / (self.r * math.sin(self.theta))
+
+    def _unit_shape(self) -> Shape:
+        base = (1.0 + self.r) / (self.r * math.sin(self.theta))
+        ox = self.r * base * math.cos(self.theta)
+        oy = self.r * base * math.sin(self.theta)
+        return make_polygon([(0.0, 0.0), (base, 0.0), (base + ox, oy), (ox, oy)])
+
 
 class Ellipse(Record):
     """Ellipses indexed by the semi-minor to semi-major axis ratio."""
 
     __slots__ = _fields = ("r",)
+    name = "ellipse"
+    bracket = (0.01, 0.99)
 
     def __init__(self, r: float) -> None:
         if not 0.0 < r < 1.0:
             raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {r}")
         setfield(self, "r", r)
 
+    def _measure(self) -> float:
+        return ellipse_half_perimeter(1.0, self.r) ** 2 / (math.pi * self.r)
+
+    def _unit_shape(self) -> Shape:
+        semi_minor = ellipse_semi_minor(self.r)
+        semi_major = semi_minor / self.r
+        return Shape(
+            [EllipticalArc(Point(0.0, 0.0), (semi_major, semi_minor), 0.0, 0.0, 2.0 * math.pi)]
+        )
+
 
 class RegularPolygon(Record):
     __slots__ = _fields = ("m",)
+    name = "regular_polygon"
 
     def __init__(self, m: int) -> None:
         if not (isinstance(m, int) and m >= 3):
             raise DomainError(f"regular polygon needs an integer m >= 3, got {m}")
         setfield(self, "m", m)
 
+    def _measure(self) -> float:
+        return self.m * math.tan(math.pi / self.m)
+
+    def _unit_shape(self) -> Shape:
+        # Unit apothem: circumradius 1/cos(pi/m), one edge centered below the x-axis.
+        m = self.m
+        radius = 1.0 / math.cos(math.pi / m)
+        offset = -math.pi / 2.0 + math.pi / m
+        angles = (offset + 2.0 * math.pi * k / m for k in range(m))
+        return make_polygon([(radius * math.cos(a), radius * math.sin(a)) for a in angles])
+
 
 FamilyParam = (
     RightTriangle | Triangle | Rectangle | Rhombus | Parallelogram | Ellipse | RegularPolygon
 )
 
-FAMILY_NAMES = {
-    RightTriangle: "right_triangle",
-    Triangle: "triangle",
-    Rectangle: "rectangle",
-    Rhombus: "rhombus",
-    Parallelogram: "parallelogram",
-    Ellipse: "ellipse",
-    RegularPolygon: "regular_polygon",
-}
-FAMILY_BY_NAME = {name: cls for cls, name in FAMILY_NAMES.items()}
+# The one list of families. Each class carries its ``name``, ``_measure``, ``_unit_shape``
+# and search data: a one-parameter ``bracket``, or two-parameter Nelder-Mead ``seeds`` and ``step``.
+FAMILIES = (RightTriangle, Triangle, Rectangle, Rhombus, Parallelogram, Ellipse, RegularPolygon)
+FAMILY_BY_NAME = {cls.name: cls for cls in FAMILIES}
+
+
+def family_key(name: str) -> str:
+    """``name`` spelled as a family's ``name``: "-" may stand for "_"."""
+    return str(name).replace("-", "_")
+
+
+def family_named(name: str) -> type[FamilyParam]:
+    """The family class called ``name``, where "-" may stand for "_"."""
+    key = family_key(name)
+    if key not in FAMILY_BY_NAME:
+        raise DomainError(f"unknown family: {key!r}")
+    return FAMILY_BY_NAME[key]
 
 
 def family_to_dict(p: FamilyParam) -> dict:
-    d: dict = {"family": FAMILY_NAMES[type(p)]}
-    for name in p._fields:
-        d[name] = getattr(p, name)
-    return d
+    return {"family": p.name, **{name: getattr(p, name) for name in p._fields}}
 
 
 def family_from_dict(d: dict) -> FamilyParam:
-    name = str(d["family"]).replace("-", "_")
-    if name not in FAMILY_BY_NAME:
-        raise DomainError(f"unknown family: {d['family']!r}")
-    cls = FAMILY_BY_NAME[name]
-    kwargs = {name: d[name] for name in cls._fields}
-    return cls(**kwargs)
+    cls = family_named(d["family"])
+    return cls(**{name: d[name] for name in cls._fields})
 
 
 def _ellipse_speed_integral_by_quadrature(r: float) -> float:
@@ -143,8 +225,7 @@ def _ellipse_speed_integral_by_quadrature(r: float) -> float:
 
 def ellipse_semi_minor(r: float) -> float:
     """Semi-minor axis of the unit ellipse with axis ratio r; lies in (2/pi, 1)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {r}")
+    Ellipse(r)
     return ellipse_half_perimeter(1.0, r) / math.pi
 
 
@@ -159,8 +240,7 @@ class EllipseMeanRadius(Record):
     __slots__ = _fields = ("r", "R")
 
     def __init__(self, r: float, R: float) -> None:
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"ellipse axis ratio must lie in (0, 1), got {r}")
+        Ellipse(r)
         if not 2.0 / math.pi < R < 1.0:
             raise DomainError(f"mean radius must lie in (2/pi, 1), got {R}")
         setfield(self, "r", r)
@@ -173,10 +253,22 @@ def ellipse_mean_radius(r: float) -> EllipseMeanRadius:
 
 def rhombus_short_diagonal(theta: float) -> float:
     """Shortest diagonal of the unit rhombus with interior angle theta."""
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"rhombus angle must lie in (0, pi), got {theta}")
+    Rhombus(theta)
     side = 2.0 / math.sin(theta)
     return 2.0 * side * min(math.sin(theta / 2.0), math.cos(theta / 2.0))
+
+
+def _finite_measure(p: FamilyParam) -> float:
+    """The family's closed-form measure, or DomainError where it overflows."""
+    if type(p) not in FAMILIES:
+        raise DomainError(f"unsupported family parameter: {p!r}")
+    try:
+        measure = p._measure()
+    except (OverflowError, ZeroDivisionError):
+        measure = math.inf
+    if measure == math.inf:
+        raise DomainError(f"the {p.name} measure at {p!r} overflows the float range")
+    return measure
 
 
 def fundamental_measure(p: FamilyParam) -> float:
@@ -185,82 +277,26 @@ def fundamental_measure(p: FamilyParam) -> float:
     Raises DomainError where the measure overflows the float range, as it does
     near the edges of the open domains (a ratio or angle near 0, say).
     """
-    try:
-        measure = _closed_form_measure(p)
-    except (OverflowError, ZeroDivisionError):
-        measure = math.inf
-    if measure == math.inf:
-        raise DomainError(f"the {FAMILY_NAMES[type(p)]} measure at {p!r} overflows the float range")
-    return measure
-
-
-def _closed_form_measure(p: FamilyParam) -> float:
-    if isinstance(p, RightTriangle):
-        return (1.0 + 1.0 / math.cos(p.theta)) * (1.0 + 1.0 / math.sin(p.theta))
-    if isinstance(p, Triangle):
-        r, s = p.r, p.s
-        return (r + s + 1.0) ** 1.5 / math.sqrt(
-            (-r + s + 1.0) * (r - s + 1.0) * (r + s - 1.0)
-        )
-    if isinstance(p, Rectangle):
-        return (1.0 + p.r) ** 2 / p.r
-    if isinstance(p, Rhombus):
-        return 4.0 / math.sin(p.theta)
-    if isinstance(p, Parallelogram):
-        return (1.0 + p.r) ** 2 / (p.r * math.sin(p.theta))
-    if isinstance(p, Ellipse):
-        return ellipse_half_perimeter(1.0, p.r) ** 2 / (math.pi * p.r)
-    if isinstance(p, RegularPolygon):
-        return p.m * math.tan(math.pi / p.m)
-    raise DomainError(f"unsupported family parameter: {p!r}")
+    return _finite_measure(p)
 
 
 def build_unit_shape(p: FamilyParam) -> Shape:
-    """Concrete unit-scale member of the family, in a canonical pose."""
-    if isinstance(p, RightTriangle):
-        base = 1.0 + 1.0 / math.tan(p.theta) + 1.0 / math.sin(p.theta)
-        return make_polygon([(0.0, 0.0), (base, 0.0), (base, base * math.tan(p.theta))])
-    if isinstance(p, Triangle):
-        r, s = p.r, p.s
-        c = 2.0 * math.sqrt(
-            (r + s + 1.0) / ((-r + s + 1.0) * (r - s + 1.0) * (r + s - 1.0))
-        )
-        # Longest side on the x-axis, apex located from the two side lengths.
-        x3 = (c * c + (s * c) ** 2 - (r * c) ** 2) / (2.0 * c)
-        y3 = math.sqrt((s * c) ** 2 - x3 * x3)
-        return make_polygon([(0.0, 0.0), (c, 0.0), (x3, y3)])
-    if isinstance(p, Rectangle):
-        length = (1.0 + p.r) / p.r
-        height = 1.0 + p.r
-        return make_polygon([(0.0, 0.0), (length, 0.0), (length, height), (0.0, height)])
-    if isinstance(p, Rhombus):
-        return build_unit_shape(Parallelogram(p.theta, 1.0))
-    if isinstance(p, Parallelogram):
-        base = (1.0 + p.r) / (p.r * math.sin(p.theta))
-        ox = p.r * base * math.cos(p.theta)
-        oy = p.r * base * math.sin(p.theta)
-        return make_polygon([(0.0, 0.0), (base, 0.0), (base + ox, oy), (ox, oy)])
-    if isinstance(p, Ellipse):
-        semi_minor = ellipse_semi_minor(p.r)
-        semi_major = semi_minor / p.r
-        return Shape(
-            [EllipticalArc(Point(0.0, 0.0), (semi_major, semi_minor), 0.0, 0.0, 2.0 * math.pi)]
-        )
-    if isinstance(p, RegularPolygon):
-        # Unit apothem: circumradius 1/cos(pi/m), one edge centered below the x-axis.
-        m = p.m
-        circumradius = 1.0 / math.cos(math.pi / m)
-        offset = -math.pi / 2.0 + math.pi / m
-        return make_polygon(
-            [
-                (
-                    circumradius * math.cos(offset + 2.0 * math.pi * k / m),
-                    circumradius * math.sin(offset + 2.0 * math.pi * k / m),
-                )
-                for k in range(m)
-            ]
-        )
-    raise DomainError(f"unsupported family parameter: {p!r}")
+    """Concrete unit-scale member of the family, in a canonical pose.
+
+    Raises DomainError naming the parameter where a vertex or the perimeter
+    overflows the float range, as ``fundamental_measure`` does where the
+    measure overflows (its closed form can overflow in a square first).
+    """
+    if type(p) not in FAMILIES:
+        raise DomainError(f"unsupported family parameter: {p!r}")
+    try:
+        shape = p._unit_shape()
+        if 2.0 * shape.signed_area() == math.inf:  # a unit shape's perimeter is twice its area
+            raise DomainError(f"the unit {p.name} perimeter at {p!r} overflows the float range")
+    except (DomainError, OverflowError, ZeroDivisionError):
+        _finite_measure(p)  # raises the measure's overflow error where the measure overflows too
+        raise
+    return shape
 
 
 class ConciliationCheck(MutableRecord):

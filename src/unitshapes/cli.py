@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import catalog, optimize, solids, verify
-from .catalog import build_unit_shape, family_from_dict, family_to_dict, fundamental_measure
+from .catalog import build_unit_shape, family_named, family_to_dict, fundamental_measure
 from .curves import scaled, shape_from_json
 from .errors import UnitShapesError
 from .unitize import unitize
@@ -52,19 +52,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _family_param(family: str, theta, r, s, m, degrees: bool):
-    d: dict = {"family": family.replace("-", "_")}
-    if theta is not None:
-        d["theta"] = math.radians(theta) if degrees else theta
-    if r is not None:
-        d["r"] = r
-    if s is not None:
-        d["s"] = s
-    if m is not None:
-        d["m"] = m
-    try:
-        return family_from_dict(d)
-    except KeyError as exc:
-        raise UsageError(f"family {family!r} needs parameter --{exc.args[0]}")
+    cls = family_named(family)
+    if theta is not None and degrees:
+        theta = math.radians(theta)
+    given = {"theta": theta, "r": r, "s": s, "m": m}
+    for flag, value in given.items():
+        if value is None and flag in cls._fields:
+            raise UsageError(f"family {family!r} needs parameter --{flag}")
+        if value is not None and flag not in cls._fields:
+            raise UsageError(f"family {family!r} takes no --{flag}")
+    return cls(**{name: given[name] for name in cls._fields})
 
 
 def _tolerance(text: str) -> float:
@@ -166,17 +163,17 @@ def unitize_cmd(family, theta, r, s, m, degrees, scale, input_text, fmt):
 
 def minimize_cmd(family, lo, hi, tol, fmt):
     """Minimize a family's fundamental measure over its parameters."""
-    name = family.replace("-", "_")
     tol_arg = {} if tol is None else {"tol": tol}
     if (lo is None) != (hi is None):
         raise UsageError("--lo and --hi set the bracket together; give both or neither")
-    if name in optimize.FAMILIES_2D:
+    family = catalog.family_key(family)  # the optimizers' errors echo the name they are given
+    if hasattr(catalog.FAMILY_BY_NAME.get(family), "seeds"):
         if lo is not None:
             raise UsageError(f"--lo/--hi bracket one-parameter families; {family!r} has two")
-        result = optimize.minimize_2d(name, **tol_arg)
+        result = optimize.minimize_2d(family, **tol_arg)
     else:
         bracket = None if lo is None else (lo, hi)
-        result = optimize.minimize_1d(name, bracket, **tol_arg)
+        result = optimize.minimize_1d(family, bracket, **tol_arg)
     if fmt == "csv":
         print(
             _csv_text(

@@ -12,46 +12,20 @@ import math
 from collections.abc import Callable, Sequence
 
 from . import catalog
-from .catalog import (
-    Ellipse,
-    Parallelogram,
-    Rectangle,
-    Rhombus,
-    RightTriangle,
-    Triangle,
-    fundamental_measure,
-)
+from .catalog import FAMILIES, FAMILY_BY_NAME, Ellipse, Rhombus, family_key, fundamental_measure
 from .errors import DomainError, NotConverged
 from .records import MutableRecord, Record, setfield
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# name -> (constructor from the bare parameter(s), default search region)
-FAMILIES_1D: dict[str, tuple[Callable[[float], object], tuple[float, float]]] = {
-    "right_triangle": (RightTriangle, (1e-6, math.pi / 2.0 - 1e-6)),
-    "rectangle": (Rectangle, (0.01, 100.0)),
-    "rhombus": (Rhombus, (0.01, math.pi - 0.01)),
-    "ellipse": (Ellipse, (0.01, 0.99)),
-}
 
-FAMILIES_2D: dict[str, dict] = {
-    "triangle": {
-        "make": lambda x: Triangle(x[0], x[1]),
-        "seeds": [(1.0, 1.0), (0.9, 0.9), (0.75, 0.95), (0.95, 0.75), (0.8, 0.85)],
-        "step": 0.05,
-    },
-    "parallelogram": {
-        "make": lambda x: Parallelogram(x[0], x[1]),
-        "seeds": [
-            (math.pi / 2.0, 1.0),
-            (1.0, 0.5),
-            (2.0, 2.0),
-            (0.6, 1.5),
-            (2.4, 0.8),
-        ],
-        "step": 0.1,
-    },
-}
+def _searchable(family: str, data: str, kind: str):
+    """The family class named ``family`` if it carries the search ``data`` ("bracket", "seeds")."""
+    cls = FAMILY_BY_NAME.get(family_key(family))
+    if not hasattr(cls, data):
+        names = sorted(other.name for other in FAMILIES if hasattr(other, data))
+        raise DomainError(f"no {kind}-parameter family named {family!r}; choose from {names}")
+    return cls
 
 
 class MinimizationResult(Record):
@@ -194,7 +168,7 @@ def nelder_mead(
 def _penalized(make: Callable) -> Callable[[Sequence[float]], float]:
     def objective(x: Sequence[float]) -> float:
         try:
-            return fundamental_measure(make(x))
+            return fundamental_measure(make(*x))
         except DomainError:
             return math.inf
 
@@ -208,13 +182,8 @@ def minimize_1d(
     max_iter: int = 200,
 ) -> MinimizationResult:
     """Golden-section minimum of a one-parameter family's measure."""
-    name = family.replace("-", "_")
-    if name not in FAMILIES_1D:
-        raise DomainError(
-            f"no one-parameter family named {family!r}; choose from {sorted(FAMILIES_1D)}"
-        )
-    make, default_bracket = FAMILIES_1D[name]
-    lo, hi = bracket if bracket is not None else default_bracket
+    make = _searchable(family, "bracket", "one")
+    lo, hi = bracket if bracket is not None else make.bracket
     if not lo < hi:
         raise DomainError(f"empty bracket ({lo}, {hi})")
 
@@ -224,7 +193,7 @@ def minimize_1d(
     edge = 10.0 * max(tol, 1e-12 * (hi - lo))
     interior = (x - lo > edge) and (hi - x > edge)
     boundary_inf = None
-    if not interior and name == "ellipse" and hi - x <= edge:
+    if not interior and make is Ellipse and hi - x <= edge:
         # The measure decreases toward the circle limit; there is no interior
         # minimizer, only the infimum pi on the boundary.
         boundary_inf = math.pi
@@ -237,19 +206,14 @@ def minimize_2d(
     max_iter: int = 1000,
 ) -> MinimizationResult:
     """Best Nelder-Mead result over the family's fixed restart seeds."""
-    name = family.replace("-", "_")
-    if name not in FAMILIES_2D:
-        raise DomainError(
-            f"no two-parameter family named {family!r}; choose from {sorted(FAMILIES_2D)}"
-        )
-    config = FAMILIES_2D[name]
-    objective = _penalized(config["make"])
+    make = _searchable(family, "seeds", "two")
+    objective = _penalized(make)
 
     best: tuple[tuple[float, ...], float, int, bool] | None = None
     total_iterations = 0
-    for seed in config["seeds"]:
+    for seed in make.seeds:
         x, fx, iters, converged = nelder_mead(
-            objective, seed, step=config["step"], tol=tol, max_iter=max_iter
+            objective, seed, step=make.step, tol=tol, max_iter=max_iter
         )
         total_iterations += iters
         if best is None or fx < best[1]:
@@ -298,22 +262,17 @@ def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult
         raise DomainError(f"scan needs at least two grid points, got {n}")
     if quantity not in SCAN_QUANTITIES:
         raise DomainError(f"unknown scan quantity {quantity!r}; choose from {SCAN_QUANTITIES}")
-    name = family.replace("-", "_")
-
+    make = FAMILY_BY_NAME.get(family_key(family))
     if quantity == "a":
-        if name != "ellipse":
+        if make is not Ellipse:
             raise DomainError("quantity 'a' is defined for the ellipse family only")
         evaluate = catalog.ellipse_semi_minor
     elif quantity == "h":
-        if name != "rhombus":
+        if make is not Rhombus:
             raise DomainError("quantity 'h' is defined for the rhombus family only")
         evaluate = catalog.rhombus_short_diagonal
     else:
-        if name in FAMILIES_1D:
-            make = FAMILIES_1D[name][0]
-        elif name in catalog.FAMILY_BY_NAME and name not in ("triangle", "parallelogram"):
-            make = catalog.FAMILY_BY_NAME[name]
-        else:
+        if not hasattr(make, "bracket"):
             raise DomainError(f"scan needs a one-parameter family, got {family!r}")
         evaluate = lambda t: fundamental_measure(make(t))
 
@@ -321,7 +280,7 @@ def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult
     params[-1] = hi
     values = [evaluate(t) for t in params]
 
-    result = ScanResult(name, quantity, params, values)
+    result = ScanResult(make.name, quantity, params, values)
     run_start = 0
     direction = ""
     for i in range(1, n):

@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitshapes.catalog import (
+    FAMILIES,
+    FAMILY_BY_NAME,
     Ellipse,
+    EllipseMeanRadius,
     Parallelogram,
     Rectangle,
     RegularPolygon,
@@ -16,6 +19,7 @@ from unitshapes.catalog import (
     conciliation_checks,
     ellipse_semi_minor,
     family_from_dict,
+    family_named,
     family_to_dict,
     fundamental_measure,
     rhombus_short_diagonal,
@@ -120,22 +124,47 @@ def test_out_of_domain_rejected(bad):
         bad()
 
 
-@pytest.mark.parametrize(
-    "param",
-    [
-        Rectangle(1e-320),
-        Rectangle(1e308),  # (1 + r) ** 2 raises OverflowError
-        Rhombus(1e-320),
-        RightTriangle(1e-320),
-        Parallelogram(1.0, 1e-320),
-        Parallelogram(1e-200, 1e-200),  # r sin(theta) underflows to 0.0
-        Ellipse(5e-324),
-    ],
-    ids=repr,
-)
+OVERFLOWING = [
+    Rectangle(1e-320),
+    Rectangle(1e308),  # (1 + r) ** 2 raises OverflowError
+    Rhombus(1e-320),
+    RightTriangle(1e-320),
+    Parallelogram(1.0, 1e-320),
+    Parallelogram(1e-200, 1e-200),  # r sin(theta) underflows to 0.0
+    Ellipse(5e-324),
+]
+
+
+@pytest.mark.parametrize("param", OVERFLOWING, ids=repr)
 def test_measure_overflow_is_a_domain_error(param):
     with pytest.raises(DomainError, match="overflows the float range"):
         fundamental_measure(param)
+
+
+@pytest.mark.parametrize("param", OVERFLOWING, ids=repr)
+def test_builder_overflow_names_the_parameter(param):
+    message = f"the {param.name} measure at {param!r} overflows the float range"
+    with pytest.raises(DomainError) as info:
+        build_unit_shape(param)
+    assert str(info.value) == message
+
+
+def test_builder_names_the_parameter_where_only_the_perimeter_overflows():
+    p = RightTriangle(1.5e-308)  # measure about 2/theta, perimeter about 4/theta
+    assert fundamental_measure(p) < math.inf
+    with pytest.raises(DomainError) as info:
+        build_unit_shape(p)
+    assert str(info.value) == (
+        "the unit right_triangle perimeter at RightTriangle(theta=1.5e-308) overflows the float range"
+    )
+
+
+def test_builder_keeps_member_whose_closed_form_overflows_in_a_square():
+    p = Rectangle(1e200)  # (1 + r) ** 2 overflows; the 1-by-r unit rectangle does not
+    with pytest.raises(DomainError, match="overflows the float range"):
+        fundamental_measure(p)
+    shape = build_unit_shape(p)
+    assert shape.area() == shape.semiperimeter() == 1e200
 
 
 # --- builders vs formulas ---------------------------------------------------
@@ -341,3 +370,43 @@ def test_family_json_layout():
 def test_family_from_dict_unknown():
     with pytest.raises(DomainError):
         family_from_dict({"family": "heptagram"})
+
+
+# --- the family registry ----------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", FAMILIES, ids=lambda cls: cls.name)
+def test_registry_entry(cls):
+    assert [other.name for other in FAMILIES].count(cls.name) == 1
+    assert FAMILY_BY_NAME[cls.name] is cls
+    assert family_named(cls.name.replace("_", "-")) is cls
+    # Search data: a bracket for one parameter, seeds and a step for two, or none.
+    members = [RegularPolygon(5)] if cls is RegularPolygon else []
+    if hasattr(cls, "bracket"):
+        assert len(cls._fields) == 1 and not hasattr(cls, "seeds")
+        lo, hi = cls.bracket
+        assert lo < hi
+        members += [cls(lo), cls(hi)]
+    if hasattr(cls, "seeds"):
+        assert len(cls._fields) == 2 and cls.step > 0.0
+        members += [cls(*seed) for seed in cls.seeds]
+    assert members
+    for p in members:
+        assert family_from_dict(family_to_dict(p)) == p
+        assert math.isfinite(fundamental_measure(p))
+        assert build_unit_shape(p).area() == pytest.approx(fundamental_measure(p), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "p", [EllipseMeanRadius(0.5, 0.8), "ellipse", None, Ellipse, (0.5,)], ids=repr
+)
+def test_non_family_argument_rejected(p):
+    with pytest.raises(DomainError, match="unsupported family parameter"):
+        fundamental_measure(p)
+    with pytest.raises(DomainError, match="unsupported family parameter"):
+        build_unit_shape(p)
+
+
+def test_family_named_unknown():
+    with pytest.raises(DomainError, match="unknown family: 'hepta_gram'"):
+        family_named("hepta-gram")

@@ -167,6 +167,64 @@ def test_catalog_infinite_or_overflowing_measure_exit_two(capsys, params, messag
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "params, shown",
+    [
+        (["rectangle", "--r", "1e308"], "rectangle measure at Rectangle(r=1e+308)"),
+        (["rectangle", "--r", "1e-320"], "rectangle measure at Rectangle(r=1e-320)"),
+        (["rhombus", "--theta", "1e-320"], "rhombus measure at Rhombus(theta=1e-320)"),
+        (["right_triangle", "--theta", "1e-320"],
+         "right_triangle measure at RightTriangle(theta=1e-320)"),
+        (["parallelogram", "--theta", "1", "--r", "1e-320"],
+         "parallelogram measure at Parallelogram(theta=1.0, r=1e-320)"),
+    ],
+)
+def test_unitize_overflowing_family_names_the_parameter(capsys, params, shown):
+    code, out, err = invoke(capsys, "unitize", "--family", *params)
+    assert (code, out) == (2, "")
+    assert err == f"error: the {shown} overflows the float range\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("csv", "tong_inradius_reciprocal,fundamental_measure\n1.0,1e+200\n"),
+        ("json", '{"tong_inradius_reciprocal": 1.0, "fundamental_measure": 1e+200, "unit_shape": '
+                 '{"pieces": [{"kind": "polyline", "vertices": [[0.0, 0.0], [1.0, 0.0], '
+                 '[1.0, 1e+200], [0.0, 1e+200], [0.0, 0.0]]}]}}\n'),
+    ],
+    ids=["csv", "json"],
+)
+def test_unitize_builds_member_whose_closed_form_overflows_in_a_square(capsys, fmt, expected):
+    # (1 + r)**2 / r overflows in the square past r ~ 1.34e154, so catalog reports an
+    # overflow there; the unit rectangle itself (1 by r, perimeter ~2r) is representable.
+    code, out, err = invoke(capsys, "unitize", "--family", "rectangle", "--r", "1e200",
+                            "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["catalog", "--family", "rectangle", "--r", "2", "--theta", "5", "--m", "9"], "theta"),
+        (["unitize", "--family", "ellipse", "--r", "0.5", "--s", "3"], "s"),
+        (["catalog", "--family", "regular-polygon", "--m", "5", "--r", "1"], "r"),
+        (["unitize", "--family", "triangle", "--r", "0.8", "--s", "0.9", "--theta", "1"], "theta"),
+    ],
+)
+def test_parameter_flag_the_family_does_not_take_exit_two(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: family {argv[2]!r} takes no --{flag}\n"
+
+
+def test_scan_rejects_regular_polygon_up_front(capsys):
+    code, out, err = invoke(capsys, "scan", "--family", "regular_polygon", "--lo", "3", "--hi", "8",
+                            "--n", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: scan needs a one-parameter family, got 'regular_polygon'\n"
+
+
 def test_missing_param_exit_two(capsys):
     code, _, err = invoke(capsys, "catalog", "--family", "rectangle")
     assert code == 2

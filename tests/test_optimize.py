@@ -132,22 +132,17 @@ def test_stationary_seed_stays_put():
 
 
 def test_min_value_is_objective_at_argmin():
-    from unitshapes.optimize import FAMILIES_1D, FAMILIES_2D
+    from unitshapes.catalog import FAMILIES, fundamental_measure
 
-    for family in FAMILIES_1D:
-        result = minimize_1d(family)
-        make = FAMILIES_1D[family][0]
-        from unitshapes.catalog import fundamental_measure
-
+    searched = [cls for cls in FAMILIES if hasattr(cls, "bracket") or hasattr(cls, "seeds")]
+    assert {cls.name for cls in searched} == {
+        "right_triangle", "rectangle", "rhombus", "ellipse", "triangle", "parallelogram"
+    }
+    for cls in searched:
+        minimize = minimize_1d if hasattr(cls, "bracket") else minimize_2d
+        result = minimize(cls.name)
         assert result.min_value == pytest.approx(
-            fundamental_measure(make(result.argmin[0])), rel=1e-10
-        )
-    for family in FAMILIES_2D:
-        result = minimize_2d(family)
-        from unitshapes.catalog import fundamental_measure
-
-        assert result.min_value == pytest.approx(
-            fundamental_measure(FAMILIES_2D[family]["make"](result.argmin)), rel=1e-10
+            fundamental_measure(cls(*result.argmin)), rel=1e-10
         )
 
 
@@ -200,3 +195,6 @@ def test_scan_validation():
         scan("rectangle", "a", 0.1, 0.9, 10)
     with pytest.raises(DomainError):
         scan("triangle", "Pi", 0.1, 0.9, 10)
+    # The grid is floats, so an integer-parameter family is refused by name, not at its first point.
+    with pytest.raises(DomainError, match="scan needs a one-parameter family, got 'regular-polygon'"):
+        scan("regular-polygon", "Pi", 3.0, 8.0, 6)
