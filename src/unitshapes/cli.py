@@ -64,6 +64,16 @@ def _family_param(family: str, theta, r, s, m, degrees: bool):
     return cls(**{name: given[name] for name in cls._fields})
 
 
+def _reject_family_params(theta, r, s, m, degrees: bool) -> None:
+    """Family parameter flags mean nothing without --family; name any that were given."""
+    given = [f"--{flag}" for flag, value in (("theta", theta), ("r", r), ("s", s), ("m", m))
+             if value is not None]
+    if degrees:
+        given.append("--degrees")
+    if given:
+        raise UsageError(f"family parameters need --family, got {', '.join(given)}")
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -106,6 +116,7 @@ _TABLE_ENTRIES = [
 def catalog_cmd(family, theta, r, s, m, degrees, fmt):
     """Fundamental measures of catalog families."""
     if family is None:
+        _reject_family_params(theta, r, s, m, degrees)
         entries = _TABLE_ENTRIES
     else:
         entries = [_family_param(family, theta, r, s, m, degrees)]
@@ -132,20 +143,24 @@ def catalog_cmd(family, theta, r, s, m, degrees, fmt):
 
 def unitize_cmd(family, theta, r, s, m, degrees, scale, input_text, fmt):
     """Canonicalize a shape so its area equals its semiperimeter."""
-    if input_text is not None:
-        shape = shape_from_json(input_text)
-    elif family is not None:
+    if family is not None:
+        if input_text is not None:
+            raise UsageError("give --family or --input, not both")
         shape = build_unit_shape(_family_param(family, theta, r, s, m, degrees))
-        if scale != 1.0:
+        if scale not in (None, 1.0):
             shape = scaled(shape, scale)
     else:
-        try:
-            text = sys.stdin.read() if not sys.stdin.isatty() else ""
-        except OSError:
-            text = ""
-        if not text.strip():
-            raise UsageError("provide --family, --input, or a shape JSON document on stdin")
-        shape = shape_from_json(text)
+        _reject_family_params(theta, r, s, m, degrees)
+        if scale is not None:
+            raise UsageError("--scale applies only to a shape built with --family")
+        if input_text is None:
+            try:
+                input_text = sys.stdin.read() if not sys.stdin.isatty() else ""
+            except OSError:
+                input_text = ""
+            if not input_text.strip():
+                raise UsageError("provide --family, --input, or a shape JSON document on stdin")
+        shape = shape_from_json(input_text)
     result = unitize(shape)
     if fmt == "csv":
         print(
@@ -275,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("unitize", unitize_cmd)
     cmd.add_argument("--family", help="Build the family's unit shape, then unitize.")
     _param_options(cmd)
-    cmd.add_argument("--scale", type=float, default=1.0, help="Pre-scale applied to the built shape.")
+    cmd.add_argument("--scale", type=float, help="Pre-scale applied to the built shape.")
     cmd.add_argument("--input", dest="input_text", type=_existing_file, metavar="PATH",
                      help="Read a shape JSON document instead of building one.")
     cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="json")

@@ -33,6 +33,7 @@ from .curves import (
     Similarity,
     make_circle,
     make_rational_circle,
+    polygon_measures,
     scaled,
 )
 from .records import MutableRecord
@@ -127,11 +128,17 @@ def check_mgon_bound(
     m: int, samples: Sequence[Shape], rel_tol: float = ISOPERIMETRIC_REL_TOL
 ) -> VerificationReport:
     """m tan(pi/m) * A <= S^2 for simple m-gons, tight exactly at regular ones."""
+    return _mgon_report(m, [(poly.area(), poly.semiperimeter()) for poly in samples], rel_tol)
+
+
+def _mgon_report(
+    m: int, measures: Sequence[tuple[float, float]], rel_tol: float
+) -> VerificationReport:
+    """The m-gon bound's report over the (area, semiperimeter) of each sample."""
     rho = regular_mgon_measure(m)
-    report = VerificationReport(f"{m}-gon_bound", len(samples), math.inf)
+    report = VerificationReport(f"{m}-gon_bound", len(measures), math.inf)
     equalities = []
-    for i, poly in enumerate(samples):
-        a, s = poly.area(), poly.semiperimeter()
+    for i, (a, s) in enumerate(measures):
         slack = s * s - rho * a
         report.worst_slack = min(report.worst_slack, slack / (s * s))
         if slack < -rel_tol * s * s:
@@ -189,6 +196,11 @@ def random_simple_mgon(m: int, rng: random.Random) -> Shape:
     the center lies outside and the loop can cross itself. Such draws are not
     rejected yet, since that changes the seeded stream (ROADMAP item 5).
     """
+    return Shape((Polyline(tuple(_mgon_sample(m, rng)[0])),))
+
+
+def _mgon_sample(m: int, rng: random.Random) -> tuple[list[Point], float, float]:
+    """``random_simple_mgon``'s draw as its closed vertex loop, area and semiperimeter."""
     # Each draw is rng.uniform(a, b) written out as its documented a + (b - a) * rng.random()
     # (with a = 0 for the angles), which saves a method call per draw and keeps every value.
     draw = rng.random
@@ -206,9 +218,9 @@ def random_simple_mgon(m: int, rng: random.Random) -> Shape:
             Point(cx + (r := 0.2 + (3.0 - 0.2) * draw()) * cos(t), cy + r * sin(t)) for t in angles
         ]
         loop.append(loop[0])
-        poly = Shape((Polyline(tuple(loop)),))
-        if poly.area() >= 1e-6:
-            return poly
+        area, semiperimeter = polygon_measures(loop)
+        if area >= 1e-6:
+            return loop, area, semiperimeter
 
 
 def random_family_param(rng: random.Random) -> FamilyParam:
@@ -299,8 +311,8 @@ def suite_mgon(
     rng = random.Random(seed)
     reports = []
     for m in ms:
-        polys = [random_simple_mgon(m, rng) for _ in range(samples)]
-        reports.append(check_mgon_bound(m, polys, rel_tol))
+        measures = [_mgon_sample(m, rng)[1:] for _ in range(samples)]
+        reports.append(_mgon_report(m, measures, rel_tol))
         regular = build_unit_shape(RegularPolygon(m))
         tight = check_mgon_bound(m, [regular], rel_tol)
         tight.claim = f"{m}-gon_bound_regular_equality"

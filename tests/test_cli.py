@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -216,6 +217,62 @@ def test_parameter_flag_the_family_does_not_take_exit_two(capsys, argv, flag):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: family {argv[2]!r} takes no --{flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["catalog", "--r", "2", "--theta", "1"], "--theta, --r"),
+        (["catalog", "--m", "5", "--degrees", "--format", "json"], "--m, --degrees"),
+        (["unitize", "--input", "SHAPE", "--r", "2"], "--r"),
+        (["unitize", "--s", "0.5"], "--s"),  # the shape comes on stdin
+    ],
+    ids=["catalog", "catalog_degrees", "unitize_input", "unitize_stdin"],
+)
+def test_family_parameter_flags_without_family_exit_two(capsys, tmp_path, monkeypatch, argv, flags):
+    argv = _with_square_input(tmp_path, monkeypatch, argv)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: family parameters need --family, got {flags}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["unitize", "--input", "SHAPE", "--scale", "5"], ["unitize", "--scale", "5"]],
+    ids=["input", "stdin"],
+)
+def test_unitize_scale_without_family_exit_two(capsys, tmp_path, monkeypatch, argv):
+    argv = _with_square_input(tmp_path, monkeypatch, argv)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --scale applies only to a shape built with --family\n")
+
+
+def test_unitize_family_with_input_exit_two(capsys, tmp_path, monkeypatch):
+    argv = _with_square_input(tmp_path, monkeypatch, ["unitize", "--input", "SHAPE", "--family",
+                                                      "rectangle", "--r", "2"])
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: give --family or --input, not both\n")
+
+
+def _with_square_input(tmp_path, monkeypatch, argv):
+    """argv with SHAPE naming a unit-square JSON file; the same document also waits on stdin."""
+    from unitshapes.curves import make_polygon
+
+    document = make_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]).to_json()
+    path = tmp_path / "square.json"
+    path.write_text(document)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    return [str(path) if arg == "SHAPE" else arg for arg in argv]
+
+
+def test_unitize_scale_one_is_no_scale(capsys):
+    family = ["unitize", "--family", "ellipse", "--r", "0.3", "--format", "csv"]
+    assert invoke(capsys, *family, "--scale", "1") == invoke(capsys, *family)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_verify_mgon_json_is_the_golden_output(capsys, seed):
+    golden = pathlib.Path(__file__).parent / "golden" / f"verify_mgon_seed{seed}.jsonl"
+    code, out, err = invoke(capsys, "verify", "--suite", "mgon", "--seed", str(seed), "--format", "json")
+    assert (code, out, err) == (0, golden.read_text(), "")
 
 
 def test_scan_rejects_regular_polygon_up_front(capsys):

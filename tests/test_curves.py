@@ -23,6 +23,7 @@ from unitshapes.curves import (
     make_circle,
     make_polygon,
     make_rational_circle,
+    polygon_measures,
     scaled,
     shape_from_dict,
     shape_from_json,
@@ -336,6 +337,128 @@ def test_polygon_exact_vs_quadrature():
     poly = make_polygon([(0, 0), (3, 0.5), (2.5, 2.0), (0.5, 1.5)])
     assert poly.signed_area() == pytest.approx(poly.signed_area(force_quadrature=True), rel=1e-10)
     assert poly.perimeter() == pytest.approx(poly.perimeter(force_quadrature=True), rel=1e-10)
+
+
+def _crosses_itself(loop):
+    """Whether two non-adjacent edges of the closed loop cross properly."""
+    def side(p, q, r):
+        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+    edges = list(zip(loop, loop[1:]))
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 2, len(edges) - (i == 0)):
+            c, d = edges[j]
+            if side(a, b, c) * side(a, b, d) < 0.0 and side(c, d, a) * side(c, d, b) < 0.0:
+                return True
+    return False
+
+
+def test_polygon_measures_equal_the_one_polyline_shape_bit_for_bit():
+    rng = random.Random(31)
+    seen = set()
+    for i in range(900):
+        scale = 10.0 ** rng.uniform(-9.0, 9.0)
+        shift = [scale * rng.uniform(-1e3, 1e3) for _ in range(2)]
+        n = rng.randrange(3, 13)
+        if i % 2:  # star-shaped about the shift: simple, then run either way round
+            angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+            radii = [scale * rng.uniform(0.2, 1.0) for _ in range(n)]
+            ring = [Point(shift[0] + r * math.cos(t), shift[1] + r * math.sin(t))
+                    for r, t in zip(radii, angles)]
+            if rng.random() < 0.5:
+                ring.reverse()
+        else:  # uniform in a box: mostly self-intersecting
+            ring = [Point(shift[0] + scale * rng.uniform(-1.0, 1.0),
+                          shift[1] + scale * rng.uniform(-1.0, 1.0)) for _ in range(n)]
+        loop = ring + ring[:1]
+        shape = Shape((Polyline(tuple(loop)),))
+        assert polygon_measures(loop) == (shape.area(), shape.semiperimeter())
+        clockwise = shape.pieces[0].vertices != tuple(loop)
+        seen.add("self-intersecting" if _crosses_itself(loop) else
+                 "clockwise" if clockwise else "counterclockwise")
+    assert seen == {"self-intersecting", "clockwise", "counterclockwise"}
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],  # a repeated vertex
+        [(0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (0.0, 0.0)],  # collinear: zero area
+    ],
+    ids=["repeated_vertex", "zero_area"],
+)
+def test_polygon_measures_raise_the_shape_error(loop):
+    points = [Point(x, y) for x, y in loop]
+    with pytest.raises(DomainError) as from_shape:
+        Shape((Polyline(tuple(points)),))
+    with pytest.raises(DomainError) as from_loop:
+        polygon_measures(points)
+    assert str(from_loop.value) == str(from_shape.value)
+
+
+def test_polygon_measures_need_a_closed_loop():
+    with pytest.raises(DomainError, match="must end at its first point"):
+        polygon_measures([Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)])
+
+
+def _ellipse_area_term_by_simpson(center, semi_axes, rotation, t0, t1):
+    """(1/2) int (x y' - y x') dt over the arc, written out from its definition."""
+    a, b = semi_axes
+    c, s = math.cos(rotation), math.sin(rotation)
+
+    def integrand(t):
+        lx, ly, lvx, lvy = a * math.cos(t), b * math.sin(t), -a * math.sin(t), b * math.cos(t)
+        x, y = center[0] + c * lx - s * ly, center[1] + s * lx + c * ly
+        return 0.5 * (x * (s * lvx + c * lvy) - y * (c * lvx - s * lvy))
+
+    return dense_simpson(integrand, t0, t1)
+
+
+ELLIPTICAL_ARCS = [  # (center, semi-axes, rotation, t_start, t_end)
+    ((1.0, 2.0), (2.0, 0.75), 0.4, -0.5, 1.8),
+    ((1.0, 2.0), (2.0, 0.75), 0.4, 1.8, -0.5),
+    ((-3.0, 0.5), (0.4, 1.7), 2.9, 2.0, 5.5),
+    ((30.0, -45.0), (1.2, 0.3), -1.3, 0.3, -4.0),
+    ((0.0, 0.0), (5.0, 0.05), 0.0, 1.0, 1.001),
+    ((0.2, -0.1), (1.0, 0.5), 0.7, -7.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("arc", ELLIPTICAL_ARCS, ids=lambda arc: f"{arc[3]}..{arc[4]}")
+@pytest.mark.parametrize("mirror", [False, True], ids=["direct", "mirrored"])
+def test_elliptical_area_term_against_quadrature_and_simpson(arc, mirror):
+    center, semi_axes, rotation, t0, t1 = arc
+    piece = EllipticalArc(Point(*center), semi_axes, rotation, t0, t1)
+    if mirror:
+        piece = piece.transformed(Similarity(RigidMotion(0.9, True, (4.0, -2.5)), 1.7))
+        # The mirror image, written out: reflect in the x-axis after rotating, then scale.
+        sim_c, sim_s = math.cos(0.9), math.sin(0.9)
+        x = sim_c * center[0] - sim_s * center[1] + 4.0
+        y = -(sim_s * center[0] + sim_c * center[1]) - 2.5
+        center = (1.7 * x, 1.7 * y)
+        semi_axes = (1.7 * semi_axes[0], 1.7 * semi_axes[1])
+        rotation, t0, t1 = -(rotation + 0.9), -t0, -t1
+    # The terms cancel for an arc far from the origin, so compare on the size of its parts.
+    size = (abs(center[0]) + abs(center[1]) + max(semi_axes)) * max(semi_axes) * abs(t1 - t0)
+    exact = piece.signed_area_term()
+    assert exact == pytest.approx(piece.signed_area_term(force_quadrature=True), abs=1e-10 * size)
+    assert exact == pytest.approx(
+        _ellipse_area_term_by_simpson(center, semi_axes, rotation, t0, t1), abs=1e-12 * size
+    )
+
+
+def test_full_ellipse_area_is_pi_a_b_at_every_scale_and_shift():
+    rng = random.Random(17)
+    for _ in range(2000):
+        b = rng.uniform(0.05, 1.0)
+        size = 10.0 ** rng.uniform(-12.0, 12.0)
+        shift = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+        motion = RigidMotion(rng.uniform(-math.pi, math.pi), rng.random() < 0.5, shift)
+        unit = EllipticalArc(Point(0.0, 0.0), (1.0, b), 0.0, 0.0, 2.0 * math.pi)
+        ellipse = unit.transformed(Similarity(motion, size))
+        a_scaled, b_scaled = ellipse.semi_axes
+        expected = math.pi * a_scaled * b_scaled
+        assert abs(ellipse.signed_area_term()) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_parabolic_area_closed_form():

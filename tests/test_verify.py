@@ -25,6 +25,7 @@ from unitshapes.verify import (
     random_simple_mgon,
     regular_mgon_measure,
     run_suite,
+    suite_mgon,
 )
 
 
@@ -271,6 +272,28 @@ def test_random_mgon_stream_is_unchanged(m):
             assert got.pieces[0].vertices == expected.pieces[0].vertices
             assert (got.area(), got.perimeter()) == (expected.area(), expected.perimeter())
         assert rng.getstate() == ref_rng.getstate()
+
+
+def _suite_mgon_by_shapes(seed, samples, ms):
+    """suite_mgon as it ran before it measured vertex loops: a Shape per sample, through check_mgon_bound."""
+    rng = random.Random(seed)
+    reports = []
+    for m in ms:
+        reports.append(check_mgon_bound(m, [_mgon_via_make_polygon(m, rng) for _ in range(samples)]))
+        tight = check_mgon_bound(m, [build_unit_shape(RegularPolygon(m))])
+        tight.claim = f"{m}-gon_bound_regular_equality"
+        if not tight.details["equality_indices"]:
+            tight.counterexamples.append({"expected": "equality for the regular m-gon"})
+        reports.append(tight)
+    return reports
+
+
+def test_suite_mgon_equals_the_shape_path_float_for_float():
+    ms = range(3, 9)
+    for seed in range(40):
+        # The dicts hold floats, and == on floats is bit equality (no NaN arises here).
+        got = [r.to_dict() for r in suite_mgon(seed, samples=60, ms=ms)]
+        assert got == [r.to_dict() for r in _suite_mgon_by_shapes(seed, 60, ms)]
 
 
 def test_random_mgon_deterministic_for_seed():
