@@ -61,6 +61,8 @@ def _family_param(family: str, theta, r, s, m, degrees: bool):
             raise UsageError(f"family {family!r} needs parameter --{flag}")
         if value is not None and flag not in cls._fields:
             raise UsageError(f"family {family!r} takes no --{flag}")
+    if degrees and "theta" not in cls._fields:
+        raise UsageError(f"family {family!r} takes no --degrees")
     return cls(**{name: given[name] for name in cls._fields})
 
 

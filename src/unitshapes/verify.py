@@ -196,11 +196,12 @@ def random_simple_mgon(m: int, rng: random.Random) -> Shape:
     the center lies outside and the loop can cross itself. Such draws are not
     rejected yet, since that changes the seeded stream (ROADMAP item 5).
     """
-    return Shape((Polyline(tuple(_mgon_sample(m, rng)[0])),))
+    xs, ys, _, _ = _mgon_sample(m, rng)
+    return Shape((Polyline(tuple(map(Point, xs, ys))),))
 
 
-def _mgon_sample(m: int, rng: random.Random) -> tuple[list[Point], float, float]:
-    """``random_simple_mgon``'s draw as its closed vertex loop, area and semiperimeter."""
+def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], float, float]:
+    """``random_simple_mgon``'s draw as its closed loop's x and y lists, area and semiperimeter."""
     # Each draw is rng.uniform(a, b) written out as its documented a + (b - a) * rng.random()
     # (with a = 0 for the angles), which saves a method call per draw and keeps every value.
     draw = rng.random
@@ -213,14 +214,18 @@ def _mgon_sample(m: int, rng: random.Random) -> tuple[list[Point], float, float]
         angles.sort()
         if min(map(sub, angles[1:], angles)) < 1e-3 or two_pi - (angles[-1] - angles[0]) < 1e-3:
             continue
-        # Vertex i takes the i-th radius draw, drawn after every angle, as a list of radii would.
-        loop = [
-            Point(cx + (r := 0.2 + (3.0 - 0.2) * draw()) * cos(t), cy + r * sin(t)) for t in angles
-        ]
-        loop.append(loop[0])
-        area, semiperimeter = polygon_measures(loop)
+        # Vertex i takes the i-th radius draw; the radii are drawn after every angle.
+        xs = []
+        ys = []
+        for t in angles:
+            r = 0.2 + (3.0 - 0.2) * draw()
+            xs.append(cx + r * cos(t))
+            ys.append(cy + r * sin(t))
+        xs.append(xs[0])
+        ys.append(ys[0])
+        area, semiperimeter = polygon_measures(xs, ys)
         if area >= 1e-6:
-            return loop, area, semiperimeter
+            return xs, ys, area, semiperimeter
 
 
 def random_family_param(rng: random.Random) -> FamilyParam:
@@ -311,7 +316,7 @@ def suite_mgon(
     rng = random.Random(seed)
     reports = []
     for m in ms:
-        measures = [_mgon_sample(m, rng)[1:] for _ in range(samples)]
+        measures = [_mgon_sample(m, rng)[2:] for _ in range(samples)]
         reports.append(_mgon_report(m, measures, rel_tol))
         regular = build_unit_shape(RegularPolygon(m))
         tight = check_mgon_bound(m, [regular], rel_tol)

@@ -220,6 +220,20 @@ def test_parameter_flag_the_family_does_not_take_exit_two(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "--family", "rectangle", "--r", "2", "--degrees"],
+        ["catalog", "--family", "regular_polygon", "--m", "5", "--degrees", "--format", "json"],
+        ["unitize", "--family", "ellipse", "--r", "0.5", "--degrees"],
+        ["unitize", "--family", "triangle", "--r", "0.8", "--s", "0.9", "--degrees"],
+    ],
+)
+def test_degrees_with_a_family_that_takes_no_theta_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: family {argv[2]!r} takes no --degrees\n")
+
+
+@pytest.mark.parametrize(
     "argv, flags",
     [
         (["catalog", "--r", "2", "--theta", "1"], "--theta, --r"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitshapes.catalog import Ellipse, fundamental_measure
 from unitshapes.curves import (
     CircularArc,
     EllipticalArc,
@@ -20,6 +21,7 @@ from unitshapes.curves import (
     Shape,
     Similarity,
     apply_similarity,
+    ellipse_half_perimeter,
     make_circle,
     make_polygon,
     make_rational_circle,
@@ -372,7 +374,8 @@ def test_polygon_measures_equal_the_one_polyline_shape_bit_for_bit():
                           shift[1] + scale * rng.uniform(-1.0, 1.0)) for _ in range(n)]
         loop = ring + ring[:1]
         shape = Shape((Polyline(tuple(loop)),))
-        assert polygon_measures(loop) == (shape.area(), shape.semiperimeter())
+        xs, ys = [p.x for p in loop], [p.y for p in loop]
+        assert polygon_measures(xs, ys) == (shape.area(), shape.semiperimeter())
         clockwise = shape.pieces[0].vertices != tuple(loop)
         seen.add("self-intersecting" if _crosses_itself(loop) else
                  "clockwise" if clockwise else "counterclockwise")
@@ -392,13 +395,13 @@ def test_polygon_measures_raise_the_shape_error(loop):
     with pytest.raises(DomainError) as from_shape:
         Shape((Polyline(tuple(points)),))
     with pytest.raises(DomainError) as from_loop:
-        polygon_measures(points)
+        polygon_measures([x for x, _ in loop], [y for _, y in loop])
     assert str(from_loop.value) == str(from_shape.value)
 
 
 def test_polygon_measures_need_a_closed_loop():
     with pytest.raises(DomainError, match="must end at its first point"):
-        polygon_measures([Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)])
+        polygon_measures([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def _ellipse_area_term_by_simpson(center, semi_axes, rotation, t0, t1):
@@ -459,6 +462,82 @@ def test_full_ellipse_area_is_pi_a_b_at_every_scale_and_shift():
         a_scaled, b_scaled = ellipse.semi_axes
         expected = math.pi * a_scaled * b_scaled
         assert abs(ellipse.signed_area_term()) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("pose", ["plain", "rotated", "mirrored"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_whole_turn_length_is_closed_and_matches_quadrature_and_simpson(k, pose, reverse):
+    t0, t1 = 0.7, 0.7 + k * 2.0 * math.pi
+    arc = EllipticalArc(Point(1.5, -2.0), (2.0, 0.6), 1.1 if pose == "rotated" else 0.0, t0, t1)
+    scale = 1.0
+    if pose == "mirrored":
+        scale = 1.7
+        arc = arc.transformed(Similarity(RigidMotion(0.9, True, (4.0, -2.5)), scale))
+    if reverse:
+        arc = arc.reversed_()
+    a, b = 2.0 * scale, 0.6 * scale
+    # A mirror and a reversal each turn the ellipse clockwise; the area term carries the sign.
+    area = (-1.0) ** ((pose == "mirrored") + reverse) * k * math.pi * a * b
+    assert arc.signed_area_term() == pytest.approx(area, rel=1e-14, abs=0.0)
+    assert arc.signed_area_term(force_quadrature=True) == pytest.approx(area, rel=1e-10, abs=0.0)
+    exact = arc._exact_length()
+    assert exact is not None
+    assert arc.length() == exact
+    assert exact == pytest.approx(arc.length(force_quadrature=True), rel=1e-10, abs=0.0)
+    # The speed |d/dt (a cos t, b sin t)|, integrated over the arc's sweep before it was posed.
+    speed = lambda t: math.hypot(a * math.sin(t), b * math.cos(t))
+    assert exact == pytest.approx(dense_simpson(speed, t0, t1), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sweep", [math.pi, 1.5 * math.pi, 2.0 * math.pi * (1.0 - 1e-9)],
+                         ids=["half_turn", "three_quarter_turn", "nearly_a_turn"])
+def test_part_turn_length_takes_quadrature(sweep):
+    arc = EllipticalArc(Point(1.5, -2.0), (2.0, 0.6), 0.4, 0.7, 0.7 + sweep)
+    assert arc._exact_length() is None
+    assert arc.reversed_()._exact_length() is None
+    assert arc.length() == arc.length(force_quadrature=True)
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-200, 1e200, 1e300])
+def test_whole_turn_length_at_the_ends_of_the_float_range(size):
+    # The AGM's squares of semi-axes this size would overflow or underflow unscaled.
+    arc = EllipticalArc(Point(0.0, 0.0), (size, 0.4 * size), 0.3, 1.0, 1.0 - 2.0 * math.pi)
+    assert arc.length() == pytest.approx(2.0 * size * ellipse_half_perimeter(1.0, 0.4), rel=1e-15)
+
+
+def test_ellipse_half_perimeter_scales_by_powers_of_two_exactly():
+    half = ellipse_half_perimeter(1.0, 0.4)
+    for k in (-1000, -900, -1, 1, 900, 1000):
+        assert ellipse_half_perimeter(2.0**k, 0.4 * 2.0**k) == 2.0**k * half
+    # A minor axis below the least float share of the major one: a segment there and back.
+    flat = EllipticalArc(Point(0.0, 0.0), (1e300, 1e-30), 0.0, 0.0, 2.0 * math.pi)
+    assert flat.length() == 4e300
+    # Past the float range a length is inf, as quadrature's is.
+    assert ellipse_half_perimeter(1.7e308, 1.7e308) == math.inf
+    assert EllipticalArc(Point(0.0, 0.0), (5e307, 4e307), 0.0, 0.0, 2.0 * math.pi).length() == math.inf
+
+
+def test_posed_full_ellipse_measure_is_scale_free():
+    # S^2 / A of a k-turn ellipse is k times the one-turn value, its fundamental measure.
+    rng = random.Random(23)
+    worst = 0.0
+    for _ in range(2000):
+        r = rng.uniform(0.05, 0.95)
+        k = rng.choice((1, 2))
+        t0 = rng.uniform(-10.0, 10.0)
+        size = 10.0 ** rng.uniform(-12.0, 12.0)
+        shift = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+        motion = RigidMotion(rng.uniform(-math.pi, math.pi), rng.random() < 0.5, shift)
+        unit = EllipticalArc(Point(0.0, 0.0), (1.0, r), 0.0, t0, t0 + k * 2.0 * math.pi)
+        arc = unit.transformed(Similarity(motion, size))
+        if rng.random() < 0.5:
+            arc = arc.reversed_()
+        s = 0.5 * arc.length()
+        a = abs(arc.signed_area_term())
+        measure = s * s / (k * a)
+        worst = max(worst, abs(measure / fundamental_measure(Ellipse(r)) - 1.0))
+    assert worst <= 1e-11
 
 
 def test_parabolic_area_closed_form():
