@@ -9,8 +9,8 @@ length too when the sweep is whole turns: the complete elliptic integral,
 ``ellipse_half_perimeter``, by the arithmetic-geometric mean. The remaining
 lengths and area terms come from adaptive quadrature, which
 ``force_quadrature=True`` also selects for every piece as an independent
-cross-check. ``polygon_measures`` measures a closed loop given as coordinate
-lists without building a Point or a Shape.
+cross-check. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop over
+its edges; ``polygon_measures`` runs it on a closed loop's coordinates without a Shape.
 
 All types are immutable values; every operation here is pure.
 """
@@ -21,7 +21,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, starmap
+from itertools import chain
 
 from .errors import DomainError
 from .quadrature import adaptive_quadrature
@@ -96,9 +96,16 @@ class Similarity(Record):
         setfield(self, "scale", scale)
 
     def apply(self, p: Point) -> Point:
-        x, y = self.motion.apply_vector(p.x, p.y)
-        tx, ty = self.motion.translation
-        return Point(self.scale * (x + tx), self.scale * (y + ty))
+        (x,), (y,) = self.apply_coordinates((p.x,), (p.y,))
+        return Point(x, y)
+
+    def apply_coordinates(self, xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple, tuple]:
+        """The images' x and y tuples: x' = k ((c x - s y) + tx), y' = k (+-(s x + c y) + ty)."""
+        m = self.motion
+        c, s, k, (tx, ty) = m._cos, m._sin, self.scale, m.translation
+        mirror = -1.0 if m.reflect else 1.0  # negates before the shift; times -1.0 is exact
+        return (tuple([k * ((c * x - s * y) + tx) for x, y in zip(xs, ys)]),
+                tuple([k * (mirror * (s * x + c * y) + ty) for x, y in zip(xs, ys)]))
 
 
 def _motion_from_columns(
@@ -237,19 +244,18 @@ class LineSegment(CurvePiece):
         }
 
 
-def _edge_terms(vertices: Sequence[Point]) -> tuple[list[float], list[float]]:
+def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[list[float], list[float]]:
     """Each edge's length and its Green's-theorem term ax by - bx ay, in edge order.
 
-    Raises DomainError on a zero-length edge. One explicit loop: map- and zip-based
-    versions of it measured 25-60 % slower on 40-vertex polylines (CPython 3.11).
-    ``polygon_measures`` runs the same loop over coordinate lists.
+    Raises DomainError on a zero-length edge. One explicit loop: map-based versions
+    measured 40-110 % slower at 256 to 4 vertices (CPython 3.11).
     """
     hypot = math.hypot
     edges = []
     area_terms = []
-    ax, ay = vertices[0].x, vertices[0].y
-    for b in vertices[1:]:
-        bx, by = b.x, b.y
+    coordinates = zip(xs, ys)
+    ax, ay = next(coordinates)
+    for bx, by in coordinates:
         edges.append(hypot(ax - bx, ay - by))
         area_terms.append(ax * by - bx * ay)
         ax, ay = bx, by
@@ -261,59 +267,62 @@ def _edge_terms(vertices: Sequence[Point]) -> tuple[list[float], list[float]]:
 
 
 class Polyline(CurvePiece):
-    _fields = ("vertices",)
+    _fields = ("xs", "ys")
     # The length and the area term sit outside the fields, so ==, hash and repr see only the fields.
     __slots__ = _fields + ("_length", "_area_term")
 
     kind = "polyline"
+    t_start = 0.0
 
-    def __init__(self, vertices: tuple[Point, ...]) -> None:
-        if len(vertices) < 2:
-            raise DomainError("polyline needs at least two vertices")
-        edges, area_terms = _edge_terms(vertices)
-        setfield(self, "vertices", vertices)
+    def __init__(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        xs, ys = tuple(xs), tuple(ys)
+        if len(xs) != len(ys) or len(xs) < 2:
+            raise DomainError(f"polyline needs 2+ (x, y) vertices, got {len(xs)} x and {len(ys)} y")
+        if not all(map(math.isfinite, chain(xs, ys))):
+            raise DomainError("non-finite number in a polyline")
+        edges, area_terms = _edge_terms(xs, ys)
+        setfield(self, "xs", xs)
+        setfield(self, "ys", ys)
         # sum() adds the terms in edge order; a += loop would round differently on Python 3.12+.
         setfield(self, "_length", sum(edges))
         setfield(self, "_area_term", 0.5 * sum(area_terms))
 
     @property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.xs, self.ys))
+
+    @property
     def start(self) -> Point:
-        return self.vertices[0]
+        return Point(self.xs[0], self.ys[0])
 
     @property
     def end(self) -> Point:
-        return self.vertices[-1]
-
-    @property
-    def t_start(self) -> float:  # type: ignore[override]
-        return 0.0
+        return Point(self.xs[-1], self.ys[-1])
 
     @property
     def t_end(self) -> float:  # type: ignore[override]
-        return float(len(self.vertices) - 1)
+        return float(len(self.xs) - 1)
 
     def _edge(self, t: float) -> int:
-        return min(max(int(math.floor(t)), 0), len(self.vertices) - 2)
+        return min(max(int(math.floor(t)), 0), len(self.xs) - 2)
 
     def point(self, t: float) -> Point:
         i = self._edge(t)
-        a, b = self.vertices[i], self.vertices[i + 1]
-        f = t - i
-        return Point(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+        xs, ys, f = self.xs, self.ys, t - i
+        return Point(xs[i] + f * (xs[i + 1] - xs[i]), ys[i] + f * (ys[i + 1] - ys[i]))
 
     def velocity(self, t: float) -> tuple[float, float]:
         i = self._edge(t)
-        a, b = self.vertices[i], self.vertices[i + 1]
-        return (b.x - a.x, b.y - a.y)
+        return (self.xs[i + 1] - self.xs[i], self.ys[i + 1] - self.ys[i])
 
     def reversed_(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.vertices)))
+        return Polyline(self.xs[::-1], self.ys[::-1])
 
     def transformed(self, sim: Similarity) -> "Polyline":
-        return Polyline(tuple(map(sim.apply, self.vertices)))
+        return Polyline(*sim.apply_coordinates(self.xs, self.ys))
 
     def _smooth_spans(self) -> list[tuple[float, float]]:
-        return [(float(i), float(i + 1)) for i in range(len(self.vertices) - 1)]
+        return [(float(i), float(i + 1)) for i in range(len(self.xs) - 1)]
 
     def _exact_length(self) -> float:
         return self._length
@@ -322,7 +331,7 @@ class Polyline(CurvePiece):
         return self._area_term
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "vertices": [[v.x, v.y] for v in self.vertices]}
+        return {"kind": self.kind, "vertices": [[x, y] for x, y in zip(self.xs, self.ys)]}
 
 
 class CircularArc(CurvePiece):
@@ -487,6 +496,11 @@ class EllipticalArc(CurvePiece):
         turns = round(sweep / TURN)
         slack = 4.0 * math.ulp(abs(t0) + abs(t1))
         return turns if turns and abs(sweep - turns * TURN) <= slack < 0.25 else 0
+
+    @property
+    def end(self) -> Point:
+        # Whole turns end at the start, which point(t_start + 2 pi k) misses by rounding.
+        return self.point(self.t_start if self._whole_turns() else self.t_end)
 
     def _exact_length(self) -> float | None:
         # A closed ellipse's length is the complete elliptic integral, which the AGM gives;
@@ -750,28 +764,12 @@ def _signed_area_of(pieces: Sequence[CurvePiece], *, force_quadrature: bool = Fa
 def polygon_measures(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Area and semiperimeter of the closed polygon through the points (xs[i], ys[i]).
 
-    The last point must be the first. Bit for bit the measures of
-    ``Shape((Polyline(tuple(map(Point, xs, ys))),))``, without building a Point, the
-    Polyline or the Shape: each edge takes ``_edge_terms``' float operations in the same
-    order, under the same orientation rule, so a clockwise loop sums its edge lengths in
-    reverse, as the reversed Polyline does. The loop is ``_edge_terms``' own, written over
-    coordinates. It is not shared: feeding a Polyline's Points through coordinate lists
-    made its edge pass 15 % slower at 256 vertices and 2.3x slower at 4 (CPython 3.11),
-    so the two loops stay separate and the tests hold them equal bit for bit.
+    The last point must be the first. Bit for bit the measures of ``Shape((Polyline(xs, ys),))``,
+    from the same edge loop under the same orientation rule, without building either.
     """
     if xs[0] != xs[-1] or ys[0] != ys[-1]:
         raise DomainError("a polygon loop must end at its first point")
-    hypot = math.hypot
-    edges = []
-    area_terms = []
-    coordinates = zip(xs, ys)
-    ax, ay = next(coordinates)
-    for bx, by in coordinates:
-        edges.append(hypot(ax - bx, ay - by))
-        area_terms.append(ax * by - bx * ay)
-        ax, ay = bx, by
-    if 0.0 in edges:
-        raise DomainError("degenerate polyline edge (zero length)")
+    edges, area_terms = _edge_terms(xs, ys)
     area, edges = _counterclockwise(0.5 * sum(area_terms), edges, lambda e: e[::-1])
     return area, 0.5 * sum(edges)
 
@@ -810,8 +808,8 @@ def make_circle(radius: float, center: tuple[float, float] = (0.0, 0.0)) -> Shap
 
 def make_polygon(vertices: Sequence[tuple[float, float]]) -> Shape:
     """Closed polygon from a vertex loop (first vertex not repeated)."""
-    pts = tuple(starmap(Point, vertices))
-    return Shape([Polyline(pts + pts[:1])])
+    xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
+    return Shape([Polyline(xs + xs[:1], ys + ys[:1])])
 
 
 def make_rational_circle() -> Shape:
@@ -879,9 +877,9 @@ def _parse_piece(d: dict) -> CurvePiece:
     if kind == "polyline":
         vertices = d["vertices"]
         _check_numbers(chain.from_iterable(vertices))
-        xy = [(float(x), float(y)) for x, y in vertices]
-        _check_finite(chain.from_iterable(xy))
-        return Polyline(tuple(starmap(Point, xy)))
+        xs, ys = [float(x) for x, _ in vertices], [float(y) for _, y in vertices]
+        _check_finite(chain(xs, ys))
+        return Polyline(xs, ys)
     if kind == "circular_arc":
         radius, t0, t1 = _floats([d["radius"], d["angle_start"], d["angle_end"]])
         return CircularArc(_point_from_list(d["center"]), radius, t0, t1)

@@ -26,7 +26,6 @@ from .catalog import (
     fundamental_measure,
 )
 from .curves import (
-    Point,
     Polyline,
     RigidMotion,
     Shape,
@@ -194,10 +193,10 @@ def random_simple_mgon(m: int, rng: random.Random) -> Shape:
     minimum area of 1e-6. The polygon is star-shaped about the center, and so
     simple, only when every angular gap is below pi; when one gap exceeds pi
     the center lies outside and the loop can cross itself. Such draws are not
-    rejected yet, since that changes the seeded stream (ROADMAP item 5).
+    rejected yet, since that changes the seeded stream (ROADMAP item 4).
     """
     xs, ys, _, _ = _mgon_sample(m, rng)
-    return Shape((Polyline(tuple(map(Point, xs, ys))),))
+    return Shape((Polyline(xs, ys),))
 
 
 def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], float, float]:

@@ -282,11 +282,25 @@ def test_unitize_scale_one_is_no_scale(capsys):
     assert invoke(capsys, *family, "--scale", "1") == invoke(capsys, *family)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 42])
-def test_verify_mgon_json_is_the_golden_output(capsys, seed):
-    golden = pathlib.Path(__file__).parent / "golden" / f"verify_mgon_seed{seed}.jsonl"
-    code, out, err = invoke(capsys, "verify", "--suite", "mgon", "--seed", str(seed), "--format", "json")
-    assert (code, out, err) == (0, golden.read_text(), "")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Each golden file holds the stdout of its argv; "GOLDEN/" names an input file kept beside it.
+GOLDEN_RUNS = {
+    **{f"verify_mgon_seed{seed}.jsonl": ["verify", "--suite", "mgon", "--seed", str(seed),
+                                         "--format", "json"] for seed in (0, 7, 42)},
+    "catalog.json": ["catalog", "--format", "json"],
+    "unitize_regular_polygon_m7.json": ["unitize", "--family", "regular_polygon", "--m", "7",
+                                        "--format", "json"],
+    "unitize_polyline_cw.json": ["unitize", "--input", "GOLDEN/polyline_cw.json", "--format", "json"],
+    "unitize_polyline_ccw.json": ["unitize", "--input", "GOLDEN/polyline_ccw.json", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS, ids=lambda name: name.split(".")[0])
+def test_stdout_is_the_golden_output(capsys, name):
+    argv = [arg.replace("GOLDEN/", f"{GOLDEN}/") for arg in GOLDEN_RUNS[name]]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (0, (GOLDEN / name).read_text(), "")
 
 
 def test_scan_rejects_regular_polygon_up_front(capsys):

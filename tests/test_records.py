@@ -69,10 +69,10 @@ CASES = {
         "LineSegment(start_point=Point(x=0.5, y=-1.0), end_point=Point(x=2.0, y=3.0))",
     ),
     Polyline: (
-        dict(vertices=(Point(0.0, 0.0), Point(1.0, 0.5), Point(2.0, -0.25))),
-        ("vertices", (Point(0.0, 0.0), Point(1.0, 0.5))),
+        dict(xs=(0.0, 1.0, 2.0), ys=(0.0, 0.5, -0.25)),
+        ("ys", (0.0, 0.5, -0.5)),
         {},
-        "Polyline(vertices=(Point(x=0.0, y=0.0), Point(x=1.0, y=0.5), Point(x=2.0, y=-0.25)))",
+        "Polyline(xs=(0.0, 1.0, 2.0), ys=(0.0, 0.5, -0.25))",
     ),
     CircularArc: (
         dict(center=Point(0.5, -0.5), radius=1.25, angle_start=0.3, angle_end=2.4),

@@ -172,12 +172,13 @@ class _LengthSkewedPolyline(Polyline):
         return super()._exact_area_term() + 1e-9 * self._exact_length()
 
     def transformed(self, sim):
-        return _LengthSkewedPolyline(super().transformed(sim).vertices)
+        moved = super().transformed(sim)
+        return _LengthSkewedPolyline(moved.xs, moved.ys)
 
 
 def test_calculus_friendly_identity_measures_the_kernel():
     square = make_polygon([(0, 0), (2, 0), (2, 2), (0, 2)]).pieces[0]
-    skewed = Shape([_LengthSkewedPolyline(square.vertices)])
+    skewed = Shape([_LengthSkewedPolyline(square.xs, square.ys)])
     report = check_calculus_friendly(IndexedFamilyProbe(skewed, (0.5, 1.0, 2.0)))
     assert not report.passed
     for entry in report.entries:
