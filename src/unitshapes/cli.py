@@ -2,7 +2,10 @@
 verification suites and the solids table, with pretty/json/csv output.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage or domain errors, reported as one ``error: ...`` line on stderr.
+2 on usage or domain errors, reported as one ``error: ...`` line on stderr,
+and 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
+the reader of stdout has closed it before the output is written, as in
+``unit-shapes catalog | true``; then no traceback is printed.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import catalog, optimize, solids, verify
@@ -337,7 +341,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's exit flush would fail on the closed pipe again, so stdout goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 A Shape is an ordered chain of parametric pieces forming a closed curve,
 normalized to counterclockwise orientation at construction. Area comes from
 the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter from the
-speed integral. Line segments, polylines and circular arcs take both measures
-in closed form. Elliptical arcs take their area term in closed form, and their
-length too when the sweep is whole turns: the complete elliptic integral,
-``ellipse_half_perimeter``, by the arithmetic-geometric mean. The remaining
-lengths and area terms come from adaptive quadrature, which
+speed integral. Line segments, polylines, circular, elliptical and parabolic
+arcs take both measures in closed form. An elliptical arc's length is the
+complete elliptic integral, ``ellipse_half_perimeter`` by the arithmetic-geometric
+mean, for each whole quarter of its sweep, and the incomplete one, by Carlson's
+R_F and R_D, for the rest; a parabolic arc's is an ``asinh`` form. Only the
+trig-free rational arcs take their measures from adaptive quadrature, which
 ``force_quadrature=True`` also selects for every piece as an independent
 cross-check. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop over
 its edges; ``polygon_measures`` runs it on a closed loop's coordinates without a Shape.
@@ -30,7 +31,20 @@ from .records import Record, setfield
 JOIN_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 AGM_MAX_STEPS = 64  # the AGM converges quadratically; about 10 steps reach 1e-15
+# Carlson's stop rule for a relative error r = 1e-16: the arguments lie within (3r)^(1/6) of
+# R_F's mean and (r/4)^(1/6) of R_D's. Disparate arguments draw together quadratically, then
+# fourfold a step, so about 10 to 20 steps suffice.
+CARLSON_RF_SHARE = (3.0e-16) ** (1.0 / 6.0)
+CARLSON_RD_SHARE = (0.25e-16) ** (1.0 / 6.0)
+CARLSON_MAX_STEPS = 64
+MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
 TURN = 2.0 * math.pi
+QUARTER_TURN = 0.5 * math.pi
+# pi/2 as a 33-bit head and its tail (fdlibm's pio2_1, pio2_1t): k times the head is exact
+# for |k| < 2^20, so a parameter's distance to a quarter end keeps every bit there.
+QUARTER_TURN_HEAD = 1.57079632673412561417e+00
+QUARTER_TURN_TAIL = 6.07710050650619224932e-11
+EIGHTH_TURN = 0.25 * math.pi
 
 
 class Point(Record):
@@ -436,13 +450,145 @@ def ellipse_half_perimeter(a: float, b: float) -> float:
     raise ArithmeticError(f"AGM for semi-axes ({a}, {b}) did not converge in {AGM_MAX_STEPS} steps")
 
 
+def carlson_rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
+    """Carlson's symmetric integrals R_F(x, y, z) and R_D(x, y, z), for x, y >= 0 not both 0, z > 0.
+
+    Duplication (Carlson 1995, arXiv:math/9409227): each step maps every argument v to
+    (v + lam) / 4, with lam = sqrt(x y) + sqrt(x z) + sqrt(y z), which keeps R_F and
+    moves R_D by a known term; the two integrals share the sequence. Once the
+    arguments lie within the paper's share of their means, a fifth-order series
+    about each mean is exact to rounding.
+    """
+    x0, y0, z0 = x, y, z
+    mean_f, mean_d = (x + y + z) / 3.0, (x + y + 3.0 * z) / 5.0
+    spread_f = max(abs(mean_f - x), abs(mean_f - y), abs(mean_f - z)) / CARLSON_RF_SHARE
+    spread_d = max(abs(mean_d - x), abs(mean_d - y), abs(mean_d - z)) / CARLSON_RD_SHARE
+    af, ad = mean_f, mean_d
+    shrink = 1.0  # 4^-n after n steps
+    tail = 0.0  # R_D's sum of the terms the steps moved it by
+    for _ in range(CARLSON_MAX_STEPS):
+        if shrink * spread_f < af and shrink * spread_d < ad:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        tail += shrink / (sz * (z + lam))
+        shrink *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        af, ad = 0.25 * (af + lam), 0.25 * (ad + lam)
+    else:
+        raise ArithmeticError(f"R_F, R_D at ({x0}, {y0}, {z0}) did not converge")
+    # The arguments' relative offsets from each mean: (mean_0 - v_0) 4^-n / mean_n.
+    dx, dy = (mean_f - x0) * shrink / af, (mean_f - y0) * shrink / af
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(af)
+    dx, dy = (mean_d - x0) * shrink / ad, (mean_d - y0) * shrink / ad
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz, 3.0 * (xy - zz) * zz, xy * zz * dz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, shrink * series / (ad * math.sqrt(ad)) + 3.0 * tail
+
+
+def _eighth_arc(theta0: float, theta1: float, sweep: float, p: float, q: float) -> float:
+    """int sqrt(p^2 cos^2 t + q^2 sin^2 t) dt over [theta0, theta1], 0 <= theta0 < theta1 <= pi/4.
+
+    That is p (E(theta1 | m) - E(theta0 | m)) with m = 1 - (q/p)^2. Legendre's addition
+    theorem writes the difference as E(sigma) - m sin(theta0) sin(theta1) sin(sigma), with
+    F(sigma) = F(theta1) - F(theta0). sin(sigma) is formed from sin(sweep), sweep = theta1 -
+    theta0 as the caller has it, and sums of positive terms, so a short sweep keeps its
+    relative accuracy, and on [0, pi/4] the last subtraction loses at most a factor 2.
+    E(sigma) comes from R_F and R_D.
+    """
+    r2 = (q / p) ** 2
+    m = (1.0 - q / p) * (1.0 + q / p)
+    s0, c0, s1, c1 = math.sin(theta0), math.cos(theta0), math.sin(theta1), math.cos(theta1)
+    delta0, delta1 = math.sqrt(c0 * c0 + r2 * s0 * s0), math.sqrt(c1 * c1 + r2 * s1 * s1)
+    s01 = s0 * s1
+    s_sum = math.sin(theta0 + theta1)
+    # s1 c0 delta0 - s0 c1 delta1, times its conjugate sum, is sin(sweep) times this numerator.
+    numerator = ((c0 + s0 * c1 * s_sum / (c0 + c1)) * (s1 * c0 * c0 + s0 * c1 * c1)
+                 + r2 * s01 * s01 * s_sum)
+    den = 1.0 - m * s01 * s01
+    sin_sigma = math.sin(sweep) * (numerator / (s1 * c0 * delta0 + s0 * c1 * delta1)) / den
+    cos_sigma = (c0 * c1 + s01 * delta0 * delta1) / den
+    cos2 = cos_sigma * cos_sigma
+    rf, rd = carlson_rf_rd(cos2, cos2 + r2 * sin_sigma * sin_sigma, 1.0)
+    return p * sin_sigma * (rf - m * (sin_sigma * sin_sigma * rd / 3.0 + s01))
+
+
+def _quarter_offsets(t: float, k: int) -> tuple[float, float]:
+    """The distances from k pi/2 up to t and from t up to (k + 1) pi/2.
+
+    pi/2 is taken in two parts, so each distance is exact where it is short: there the
+    speed, and so the length, changes fastest against an error in where the quarter ends.
+    """
+    return ((t - k * QUARTER_TURN_HEAD) - k * QUARTER_TURN_TAIL,
+            ((k + 1) * QUARTER_TURN_HEAD - t) + (k + 1) * QUARTER_TURN_TAIL)
+
+
+def _part_quarter_arc(p: float, q: float, start: tuple[float, float], end: tuple[float, float],
+                      sweep: float) -> float:
+    """int sqrt(p^2 cos^2 u + q^2 sin^2 u) du from start to end, a part of [0, pi/2] sweep wide.
+
+    The speed is p at u = 0 and q at pi/2, and symmetric about each end, so each half of
+    the quarter is measured from its own end by ``_eighth_arc``. Each end comes as its
+    ``_quarter_offsets``, both distances, so neither is formed from the other: a short
+    distance keeps every bit. A part split at pi/4 passes on widths that add up to sweep.
+    """
+    (u0, v0), (u1, v1) = start, end
+    # An end past the quarter's end by less than an ulp is taken at it; the speed is
+    # stationary there. The other end lies at least an ulp further on, inside the quarter.
+    u0, v1 = max(u0, 0.0), max(v1, 0.0)
+    if u1 <= EIGHTH_TURN:
+        return _eighth_arc(u0, u1, sweep, p, q)
+    if v0 <= EIGHTH_TURN:
+        return _eighth_arc(v1, v0, sweep, q, p)
+    near = EIGHTH_TURN - u0
+    return (_eighth_arc(u0, EIGHTH_TURN, near, p, q)
+            + _eighth_arc(v1, EIGHTH_TURN, sweep - near, q, p))
+
+
+def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | None:
+    """Length of (a cos t, b sin t) for t from t0 to t1, for semi-axes a, b > 0.
+
+    The sweep is split at multiples of pi/2: each whole quarter is half of
+    ``ellipse_half_perimeter(a, b)``, and each part quarter an incomplete elliptic
+    integral by ``_part_quarter_arc``. The semi-axes are first scaled as for the AGM.
+    None when the minor axis is below MIN_AXIS_RATIO of the major one.
+    """
+    lo, hi = min(t0, t1), max(t0, t1)
+    exponent = math.frexp(max(a, b))[1] - 1
+    a, b = math.ldexp(a, -exponent), math.ldexp(b, -exponent)
+    if min(a, b) < MIN_AXIS_RATIO:
+        return None
+    # The speed at k pi/2 is b for even k and a for odd k.
+    speeds = [(b, a), (a, b)]
+    first, last = math.ceil(lo / QUARTER_TURN), math.floor(hi / QUARTER_TURN)
+    if first > last:  # no quarter end inside the sweep
+        length = _part_quarter_arc(*speeds[last % 2], _quarter_offsets(lo, last),
+                                   _quarter_offsets(hi, last), hi - lo)
+        return length * 2.0**exponent
+    head, tail = _quarter_offsets(lo, first - 1), _quarter_offsets(hi, last)
+    # lo or hi may lie past its quarter end by rounding, which makes that part's width negative.
+    # The speed is stationary at a quarter end, so the part is then its width times the speed there.
+    length = (_part_quarter_arc(*speeds[(first - 1) % 2], head, (QUARTER_TURN, 0.0), head[1])
+              if head[1] > 0.0 else head[1] * speeds[first % 2][0])
+    length += (_part_quarter_arc(*speeds[last % 2], (0.0, QUARTER_TURN), tail, tail[0])
+               if tail[0] > 0.0 else tail[0] * speeds[last % 2][0])
+    if last > first:
+        length += (last - first) * (0.5 * ellipse_half_perimeter(a, b))
+    return length * 2.0**exponent
+
+
 class EllipticalArc(CurvePiece):
     """Arc of an axis pair (a, b) ellipse: center + R(rotation) @ (a cos t, b sin t).
 
     A sweep of k whole turns is k closed ellipses: its length is 2k times
-    ``ellipse_half_perimeter(a, b)``, by the AGM. Any other sweep's length is an
-    incomplete elliptic integral, taken by quadrature. The area term is closed for
-    every sweep.
+    ``ellipse_half_perimeter(a, b)``, by the AGM. Any other sweep's length is
+    ``elliptic_arc_length``: whole quarters from the AGM, the rest an incomplete
+    elliptic integral by Carlson's R_F and R_D. The area term is closed for every sweep.
     """
 
     _fields = ("center", "semi_axes", "rotation", "t_start", "t_end")
@@ -504,12 +650,12 @@ class EllipticalArc(CurvePiece):
 
     def _exact_length(self) -> float | None:
         # A closed ellipse's length is the complete elliptic integral, which the AGM gives;
-        # every other sweep is an incomplete one, left to quadrature.
-        turns = self._whole_turns()
-        if not turns:
-            return None
+        # every other sweep is an incomplete one.
         a, b = self.semi_axes
-        return 2.0 * turns * ellipse_half_perimeter(a, b)
+        turns = self._whole_turns()
+        if turns:
+            return 2.0 * turns * ellipse_half_perimeter(a, b)
+        return elliptic_arc_length(a, b, self.t_start, self.t_end)
 
     def _exact_area_term(self) -> float:
         # (1/2) int (x y' - y x') dt = (1/2) [a b (t1 - t0) + cx (Y1 - Y0) - cy (X1 - X0)], with
@@ -562,7 +708,12 @@ class EllipticalArc(CurvePiece):
 
 
 class ParabolicArc(CurvePiece):
-    """Graph y = alpha x^2 + beta x + gamma in a local frame, placed rigidly."""
+    """Graph y = alpha x^2 + beta x + gamma in a local frame, placed rigidly.
+
+    Both measures are closed: the length an ``asinh`` form, kept accurate as alpha (x1 - x0)
+    -> 0 and exact for alpha = 0, a straight segment, and the area term a cubic. Where a
+    slope beyond about 1e154 overflows the length's form, quadrature takes over.
+    """
 
     __slots__ = _fields = ("coefficients", "x_start", "x_end", "frame")
 
@@ -596,6 +747,44 @@ class ParabolicArc(CurvePiece):
     def velocity(self, t: float) -> tuple[float, float]:
         alpha, beta, _ = self.coefficients
         return self.frame.apply_vector(1.0, 2.0 * alpha * t + beta)
+
+    def _exact_length(self) -> float | None:
+        # The speed is sqrt(1 + u^2) with u = 2 alpha x + beta, so the length is |x1 - x0| times
+        # the divided difference [g(u1) - g(u0)] / (u1 - u0) of g(u) = (u sqrt(1 + u^2) + asinh u)
+        # / 2: the mean speed, which the rounding of a small u barely moves. Dividing by 2 alpha
+        # instead would magnify that rounding as alpha (x1 - x0) -> 0.
+        alpha, beta, _ = self.coefficients
+        x0, x1 = self.x_start, self.x_end
+        u0, u1 = 2.0 * alpha * x0 + beta, 2.0 * alpha * x1 + beta
+        r0, r1 = math.hypot(1.0, u0), math.hypot(1.0, u1)
+        if u0 > 0.0 < u1 or u0 < 0.0 > u1:
+            # g(u1) - g(u0) would cancel. u1 r1 - u0 r0 and the argument of the asinh
+            # difference, asinh(u1 r0 - u0 r1), each equal u1 - u0 times a ratio of sums of
+            # like-signed terms, and u1 - u0 cancels against the divisor.
+            ratio = (u0 + u1) / (u1 * r0 + u0 * r1)
+            z = (u1 - u0) * ratio
+            asinh_over_z = math.asinh(z) / z if z else 1.0
+            mean_speed = 0.5 * ((u0 + u1) * (1.0 + u0 * u0 + u1 * u1) / (u1 * r1 + u0 * r0)
+                                + ratio * asinh_over_z)
+        elif u0 == u1:  # a straight graph, or one whose slope changes below rounding
+            mean_speed = r0
+        else:  # u0 and u1 straddle 0, where g(u1) - g(u0) and u1 - u0 add like-signed terms
+            mean_speed = (u1 * r1 + math.asinh(u1) - u0 * r0 - math.asinh(u0)) / (2.0 * (u1 - u0))
+        length = abs(x1 - x0) * mean_speed
+        # Slopes near the float range overflow u^2, where quadrature still measures the arc.
+        return length if math.isfinite(length) else None
+
+    def _exact_area_term(self) -> float:
+        # With p(x) = T + R (x, y(x)), p x p' = T x (R l)' + det(R) (x y' - y), and
+        # x y' - y = alpha x^2 - gamma: the term is (1/2) [T x (P1 - P0) + det (alpha (x1^3 - x0^3)
+        # / 3 - gamma (x1 - x0))], with P the rotated local points.
+        alpha, beta, gamma = self.coefficients
+        x0, x1 = self.x_start, self.x_end
+        dx = x1 - x0
+        vx, vy = self.frame.apply_vector(dx, dx * (alpha * (x0 + x1) + beta))
+        tx, ty = self.frame.translation
+        local = dx * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma)
+        return 0.5 * (tx * vy - ty * vx + (-local if self.frame.reflect else local))
 
     def reversed_(self) -> "ParabolicArc":
         return ParabolicArc(self.coefficients, self.x_end, self.x_start, self.frame)

@@ -41,7 +41,11 @@ def tong_inradius(shape: Shape) -> float:
 
 
 def unitize(shape: Shape) -> UnitizationResult:
-    upsilon = shape.semiperimeter() / shape.area()
+    area, semiperimeter = shape.area(), shape.semiperimeter()
+    if not (math.isfinite(area) and math.isfinite(semiperimeter)):
+        raise DomainError(f"the shape's area or semiperimeter overflows the float range:"
+                          f" A={area!r}, S={semiperimeter!r}")
+    upsilon = semiperimeter / area
     unit = scaled(shape, upsilon)
     measure = 0.5 * (unit.area() + unit.semiperimeter())
     return UnitizationResult(upsilon, unit, measure)

@@ -293,6 +293,10 @@ GOLDEN_RUNS = {
                                         "--format", "json"],
     "unitize_polyline_cw.json": ["unitize", "--input", "GOLDEN/polyline_cw.json", "--format", "json"],
     "unitize_polyline_ccw.json": ["unitize", "--input", "GOLDEN/polyline_ccw.json", "--format", "json"],
+    # A half-ellipse and a parabolic cap closed by their chords, and a quarter-ellipse closed by
+    # its semi-axes: partial arcs, whose lengths are closed forms.
+    **{f"unitize_{name}.json": ["unitize", "--input", f"GOLDEN/{name}.json", "--format", "json"]
+       for name in ("half_ellipse", "quarter_ellipse", "parabolic_cap")},
 }
 
 
@@ -387,6 +391,35 @@ def test_unitize_nan_vertex_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "piece 0" in err
+
+
+def test_unitize_overflowing_shape_json_names_the_overflow(tmp_path, capsys):
+    # Area and perimeter are both inf, so S/A would be NaN.
+    path = tmp_path / "shape.json"
+    path.write_text('{"pieces": [{"kind": "polyline",'
+                    ' "vertices": [[-1e308, 0], [1e308, 0], [0, 1e308], [-1e308, 0]]}]}')
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "overflows the float range" in err
+    assert "nan" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    # The reader is gone before the command writes, as in `unit-shapes catalog | true`. Buffered,
+    # the write fails at the flush before exit; unbuffered, in the first print.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "unitshapes.cli", "catalog"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize(

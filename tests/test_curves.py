@@ -21,6 +21,7 @@ from unitshapes.curves import (
     Shape,
     Similarity,
     apply_similarity,
+    carlson_rf_rd,
     ellipse_half_perimeter,
     make_circle,
     make_polygon,
@@ -499,11 +500,84 @@ def test_whole_turn_length_is_closed_and_matches_quadrature_and_simpson(k, pose,
 
 @pytest.mark.parametrize("sweep", [math.pi, 1.5 * math.pi, 2.0 * math.pi * (1.0 - 1e-9)],
                          ids=["half_turn", "three_quarter_turn", "nearly_a_turn"])
-def test_part_turn_length_takes_quadrature(sweep):
+def test_part_turn_length_is_closed_and_matches_quadrature_and_simpson(sweep):
     arc = EllipticalArc(Point(1.5, -2.0), (2.0, 0.6), 0.4, 0.7, 0.7 + sweep)
-    assert arc._exact_length() is None
-    assert arc.reversed_()._exact_length() is None
-    assert arc.length() == arc.length(force_quadrature=True)
+    exact = arc._exact_length()
+    assert exact is not None
+    assert arc.length() == exact
+    assert arc.reversed_()._exact_length() == exact
+    assert exact == pytest.approx(arc.length(force_quadrature=True), rel=1e-13, abs=0.0)
+    speed = lambda t: math.hypot(2.0 * math.sin(t), 0.6 * math.cos(t))
+    assert exact == pytest.approx(dense_simpson(speed, 0.7, 0.7 + sweep), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("args, rf, rd", [
+    ((0.0, 2.0, 1.0), 1.3110287771461, 1.7972103521034),
+    ((2.0, 3.0, 4.0), 0.58408284167715, 0.16510527294261),
+])
+def test_carlson_integrals_match_the_published_values(args, rf, rd):
+    # Test values of Carlson 1995 (arXiv:math/9409227), given to 14 digits.
+    assert carlson_rf_rd(*args) == pytest.approx((rf, rd), rel=1e-13, abs=0.0)
+
+
+def _random_partial_arc(rng):
+    """A unit-major arc of axis ratio 1e-3..1 and sweep 1e-6..4 pi, either way, rotated and
+    sometimes mirrored; a third start within a few ulps of a quarter end."""
+    ratio = 10.0 ** rng.uniform(-3.0, 0.0)
+    sweep = 10.0 ** rng.uniform(-6.0, math.log10(4.0 * math.pi))
+    t0 = rng.uniform(-7.0, 7.0)
+    if rng.random() < 1.0 / 3.0:
+        t0 = rng.randrange(-4, 5) * 0.5 * math.pi + rng.choice((0.0, 1.0, -1.0)) * math.ulp(4.0)
+    axes = (1.0, ratio) if rng.random() < 0.5 else (ratio, 1.0)
+    arc = EllipticalArc(Point(0.3, -0.2), axes, rng.uniform(-3.0, 3.0), t0,
+                        t0 + rng.choice((-1.0, 1.0)) * sweep)
+    if rng.random() < 0.5:
+        arc = arc.transformed(Similarity(RigidMotion(rng.uniform(-3.0, 3.0), True, (1.0, 2.0))))
+    return arc, sweep
+
+
+def test_partial_arc_length_matches_quadrature_over_sweeps_ratios_and_poses():
+    rng = random.Random(31)
+    worst = {"short": 0.0, "long": 0.0}
+    for _ in range(300):
+        arc, sweep = _random_partial_arc(rng)
+        if arc._whole_turns():
+            continue
+        exact = arc._exact_length()
+        assert exact is not None
+        err = abs(exact - arc.length(force_quadrature=True)) / exact
+        key = "long" if sweep >= 0.1 else "short"
+        worst[key] = max(worst[key], err)
+    assert worst["short"] <= 1e-10
+    assert worst["long"] <= 1e-13
+
+
+def test_partial_arc_length_scales_at_every_scale():
+    # Quadrature's absolute floor blurs it far from unit scale; the closed form is scale-free.
+    rng = random.Random(37)
+    for _ in range(300):
+        arc, _ = _random_partial_arc(rng)
+        size = 10.0 ** rng.uniform(-12.0, 12.0)
+        motion = RigidMotion(rng.uniform(-math.pi, math.pi), rng.random() < 0.5, (5.0, -3.0))
+        posed = arc.transformed(Similarity(motion, size))
+        assert posed.length() == pytest.approx(size * arc.length(), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [-9, -3, -1, 0, 1, 2, 4, 9])
+@pytest.mark.parametrize("ratio", [1e-3, 0.3])
+def test_short_arc_keeps_its_relative_accuracy(k, ratio):
+    # Sweeps of 1e-9..1e-3 on either side of k pi/2, whose float is off the true quarter end,
+    # inside the quarter, where the distances to its ends are rounded, and across its middle,
+    # where the sweep is split.
+    end = k * 0.5 * math.pi
+    for axes in ((1.0, ratio), (ratio, 1.0)):
+        speed = lambda t: math.hypot(axes[0] * math.sin(t), axes[1] * math.cos(t))
+        for sweep, n in ((1e-9, 2), (1e-6, 20), (1e-3, 4000)):
+            for t0 in (end, end - sweep, end + 0.3, end + 0.25 * math.pi - 0.5 * sweep):
+                arc = EllipticalArc(Point(0.0, 0.0), axes, 0.0, t0, t0 + sweep)
+                expected = dense_simpson(speed, t0, t0 + sweep, n=n)
+                assert arc.length() == pytest.approx(expected, rel=1e-14, abs=0.0)
+                assert arc.reversed_().length() == arc.length()
 
 
 @pytest.mark.parametrize("size", [1e-300, 1e-200, 1e200, 1e300])
@@ -575,6 +649,98 @@ def test_parabolic_area_closed_form():
     speed = lambda x: math.hypot(1.0, -2.0 * x)
     expected_perimeter = dense_simpson(speed, -1.0, 1.0, n=40_000) + 2.0
     assert blob.perimeter() == pytest.approx(expected_perimeter, rel=1e-8)
+
+
+def _parabola_terms_by_simpson(arc):
+    """Length and (1/2) int (x y' - y x') dx of a parabolic arc, written out from its definition."""
+    alpha, beta, gamma = arc.coefficients
+    frame = arc.frame
+    c, s = math.cos(frame.rotation_angle), math.sin(frame.rotation_angle)
+    mirror = -1.0 if frame.reflect else 1.0
+    (tx, ty), x0, x1 = frame.translation, arc.x_start, arc.x_end
+
+    def area_integrand(x):
+        y, slope = (alpha * x + beta) * x + gamma, 2.0 * alpha * x + beta
+        px, py = c * x - s * y + tx, mirror * (s * x + c * y) + ty
+        vx, vy = c - s * slope, mirror * (s + c * slope)
+        return 0.5 * (px * vy - py * vx)
+
+    speed = lambda x: math.hypot(1.0, 2.0 * alpha * x + beta)
+    return abs(dense_simpson(speed, x0, x1)), dense_simpson(area_integrand, x0, x1)
+
+
+PARABOLIC_ARCS = {  # (coefficients, x_start, x_end, frame)
+    "cap": ((-1.0, 0.0, 1.0), -1.0, 1.0, RigidMotion()),
+    "symmetric_cap": ((0.7, 0.3, -0.2), -0.3 / 1.4 - 1.1, -0.3 / 1.4 + 1.1, RigidMotion(0.4)),
+    "one_sided": ((0.8, -0.3, 1.1), 0.6, 1.9, RigidMotion(0.7, False, (0.2, -0.4))),
+    "one_sided_falling": ((0.8, 0.3, 1.1), -2.2, -0.9, RigidMotion(-2.1, False, (3.0, 1.0))),
+    "mirrored": ((-0.8, 0.3, 1.1), -0.6, 1.2, RigidMotion(0.7, True, (0.2, -0.4))),
+    "steep": ((40.0, -3.0, 0.5), -0.5, 0.6, RigidMotion(1.3, True, (-2.0, 0.5))),
+    "straight": ((0.0, 0.6, -0.3), -1.5, 2.0, RigidMotion(0.9, False, (1.0, 1.0))),
+    "alpha_1e-4": ((1e-4, 0.2, 0.1), 0.5, 1.5, RigidMotion(-0.3, True, (0.0, 2.0))),
+    "alpha_span_1e-12": ((5e-13, -0.4, 0.3), -1.0, 1.0, RigidMotion(2.5, False, (-1.0, 0.0))),
+    "alpha_span_1e-13_about_its_vertex": ((1e-13, 0.0, 0.0), -0.5, 0.5, RigidMotion(0.2)),
+}
+
+
+@pytest.mark.parametrize("name", PARABOLIC_ARCS)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_parabolic_length_and_area_term_are_closed_and_match_quadrature_and_simpson(name, reverse):
+    coefficients, x0, x1, frame = PARABOLIC_ARCS[name]
+    arc = ParabolicArc(coefficients, x0, x1, frame)
+    if reverse:
+        arc = arc.reversed_()
+    length, area_term = arc._exact_length(), arc._exact_area_term()
+    assert length is not None and area_term is not None
+    assert (arc.length(), arc.signed_area_term()) == (length, area_term)
+    simpson_length, simpson_area_term = _parabola_terms_by_simpson(arc)
+    assert length == pytest.approx(arc.length(force_quadrature=True), rel=1e-12, abs=0.0)
+    assert length == pytest.approx(simpson_length, rel=1e-12, abs=0.0)
+    # The area terms cancel about the frame's offset, so compare on the size of their parts.
+    (tx, ty), reach = frame.translation, abs(x0) + abs(x1) + 1.0
+    size = (abs(tx) + abs(ty) + reach) * length
+    assert area_term == pytest.approx(arc.signed_area_term(force_quadrature=True), abs=1e-12 * size)
+    assert area_term == pytest.approx(simpson_area_term, abs=1e-12 * size)
+
+
+def test_parabolic_terms_reverse_and_mirror():
+    arc = ParabolicArc((0.8, -0.3, 1.1), 0.6, 1.9, RigidMotion(0.7, False, (0.2, -0.4)))
+    back = arc.reversed_()
+    assert back.length() == pytest.approx(arc.length(), rel=1e-15, abs=0.0)
+    assert back.signed_area_term() == pytest.approx(-arc.signed_area_term(), rel=1e-15, abs=0.0)
+    sim = Similarity(RigidMotion(0.9, True, (4.0, -2.5)), 1.7)
+    image = arc.transformed(sim)
+    assert image.frame.reflect
+    assert image.length() == pytest.approx(1.7 * arc.length(), rel=1e-15, abs=0.0)
+    # A mirror turns the area term's sign and a similarity scales it by 1.7^2, about the image's
+    # origin; the forced quadrature measures the same image independently.
+    assert image.signed_area_term() == pytest.approx(
+        image.signed_area_term(force_quadrature=True), rel=1e-12, abs=0.0)
+
+
+def test_closed_lengths_leave_the_float_range_to_quadrature():
+    # (b/a)^2 and u^2 = (2 alpha x)^2 would overflow; quadrature measures these arcs instead.
+    flat = EllipticalArc(Point(0.0, 0.0), (1.0, 1e-200), 0.0, 0.3, 2.4)
+    assert flat._exact_length() is None
+    assert flat.length() == pytest.approx(math.cos(0.3) - math.cos(2.4), rel=1e-12)
+    steep = ParabolicArc((1e300, 0.0, 0.0), 1e-140, 2e-140)
+    assert steep._exact_length() is None
+    assert steep.length() == pytest.approx(3e20, rel=1e-12)
+
+
+def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
+    # A graph whose slope changes by 2e-13 over its span: its length is the chord's to rounding,
+    # also where the vertex lies 1.4e14 away and u = 2 alpha x + beta cancels.
+    for coefficients, x0, x1 in (((0.0, 0.6, -0.3), -1.5, 2.0),
+                                 ((1e-13, 0.6, -0.3), -1.5, 2.0),
+                                 ((-1e-14, 2.827359203770369, 0.0), 141367960188517.12,
+                                  141367960188519.75)):
+        alpha, beta, gamma = coefficients
+        arc = ParabolicArc(coefficients, x0, x1)
+        slope = 2.0 * alpha * 0.5 * (x0 + x1) + beta
+        assert arc.length() == pytest.approx(abs(x1 - x0) * math.hypot(1.0, slope), rel=1e-14)
+    straight = ParabolicArc((0.0, 0.6, -0.3), -1.5, 2.0)
+    assert straight.length() == 3.5 * math.hypot(1.0, 0.6)
 
 
 # --- similarity transforms --------------------------------------------------
