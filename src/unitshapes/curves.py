@@ -892,6 +892,10 @@ class Shape:
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )
+        self._closed(pieces, join_tol)
+
+    def _closed(self, pieces: tuple[CurvePiece, ...], join_tol: float) -> None:
+        """Take a closed chain: its area, and its pieces run counterclockwise."""
         area, self.pieces = _counterclockwise(
             _signed_area_of(pieces), pieces, lambda ps: tuple(p.reversed_() for p in reversed(ps))
         )
@@ -918,7 +922,11 @@ class Shape:
         return 0.5 * self.perimeter(force_quadrature=force_quadrature)
 
     def transformed(self, sim: Similarity) -> "Shape":
-        return Shape((p.transformed(sim) for p in self.pieces), join_tol=self.join_tol)
+        """The image under ``sim``: a similarity keeps the chain closed, so its joins are not
+        checked again; a mirror reverses the chain, so the orientation rule still applies."""
+        image = Shape.__new__(Shape)
+        image._closed(tuple(p.transformed(sim) for p in self.pieces), self.join_tol)
+        return image
 
     def to_dict(self) -> dict:
         return {"pieces": [p.to_dict() for p in self.pieces]}

@@ -17,15 +17,26 @@ from .records import MutableRecord, Record, setfield
 
 
 class UnitizationResult(Record):
-    """S/A of the input shape (units 1/length), the unit shape, and its common value A = S."""
+    """S/A of the input shape (units 1/length), the unit shape, and its common value A = S.
 
-    __slots__ = _fields = ("tong_inradius_reciprocal", "unit_shape", "fundamental_measure")
+    ``unitize`` leaves the unit shape, ``scaled(input, S/A)``, to be built when first read.
+    """
+
+    __slots__ = ("tong_inradius_reciprocal", "fundamental_measure", "_unit_shape", "_input")
+    _fields = ("tong_inradius_reciprocal", "unit_shape", "fundamental_measure")
 
     def __init__(self, tong_inradius_reciprocal: float, unit_shape: Shape,
                  fundamental_measure: float) -> None:
         setfield(self, "tong_inradius_reciprocal", tong_inradius_reciprocal)
-        setfield(self, "unit_shape", unit_shape)
+        setfield(self, "_unit_shape", unit_shape)
+        setfield(self, "_input", None)
         setfield(self, "fundamental_measure", fundamental_measure)
+
+    @property
+    def unit_shape(self) -> Shape:
+        if self._unit_shape is None:
+            setfield(self, "_unit_shape", scaled(self._input, self.tong_inradius_reciprocal))
+        return self._unit_shape
 
     def to_dict(self) -> dict:
         return {
@@ -41,14 +52,16 @@ def tong_inradius(shape: Shape) -> float:
 
 
 def unitize(shape: Shape) -> UnitizationResult:
+    """The member scaled by u = S/A has A' = u^2 A = u S = S', so the measure is u S."""
     area, semiperimeter = shape.area(), shape.semiperimeter()
-    if not (math.isfinite(area) and math.isfinite(semiperimeter)):
-        raise DomainError(f"the shape's area or semiperimeter overflows the float range:"
-                          f" A={area!r}, S={semiperimeter!r}")
-    upsilon = semiperimeter / area
-    unit = scaled(shape, upsilon)
-    measure = 0.5 * (unit.area() + unit.semiperimeter())
-    return UnitizationResult(upsilon, unit, measure)
+    upsilon = semiperimeter / area  # inf / inf is nan, caught below
+    measure = upsilon * semiperimeter
+    if not (math.isfinite(area) and math.isfinite(upsilon) and math.isfinite(measure)):
+        raise DomainError(f"the shape's area, its scale S/A to the unit shape or the measure"
+                          f" (S/A)*S overflows the float range: A={area!r}, S={semiperimeter!r}")
+    result = UnitizationResult(upsilon, None, measure)
+    setfield(result, "_input", shape)
+    return result
 
 
 def idempotence_check(shape: Shape, tol: float = 1e-9) -> bool:

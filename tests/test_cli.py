@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -305,6 +306,56 @@ def test_stdout_is_the_golden_output(capsys, name):
     argv = [arg.replace("GOLDEN/", f"{GOLDEN}/") for arg in GOLDEN_RUNS[name]]
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (0, (GOLDEN / name).read_text(), "")
+
+
+# S^2/A of each golden input to 40 digits, every piece's length and area term evaluated at 60
+# digits (mpmath) from the input's own floats, with the allowed error of the printed measure.
+# The clockwise polyline lies about 1e3 sizes from the origin, where the shoelace cancels.
+GOLDEN_MEASURES = {
+    "polyline_cw": ("3.993292589989998755890254350685523741974", "rel", 1e-11),
+    "polyline_ccw": ("3.763808433938221686061252606964970971187", "ulp", 2),
+    "half_ellipse": ("6.224573706537775678913492935667109306086", "ulp", 2),
+    "quarter_ellipse": ("5.279305406079840731878605786493664009681", "ulp", 2),
+    "parabolic_cap": ("4.608868268228530714764766464913463415243", "ulp", 2),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_MEASURES)
+def test_golden_unitize_measure_is_near_its_reference(name):
+    reference, unit, bound = GOLDEN_MEASURES[name]
+    measure = json.loads((GOLDEN / f"unitize_{name}.json").read_text())["fundamental_measure"]
+    error = abs(Decimal(measure) - Decimal(reference))
+    allowed = bound * math.ulp(measure) if unit == "ulp" else bound * measure
+    assert error <= Decimal(allowed)
+
+
+def test_unitize_does_not_recheck_the_joins_of_the_unit_shape(tmp_path, capsys):
+    # A posed half-ellipse whose joins pass at its own scale; scaled by S/A, the arc's end lies
+    # 1.017e-12 from the chord's start, one ulp of the coordinates there.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [
+        {"kind": "elliptical_arc", "center": [449631.72834503104, -582473.1592047474],
+         "semi_axes": [846.7535845159815, 160.40676771950282], "rotation": 3.6973146781661277,
+         "t_start": -3.141592653589793, "t_end": -6.283185307179586},
+        {"kind": "line_segment", "start": [448912.39444926864, -582919.8698261769],
+         "end": [450351.0622407934, -582026.4485833179]}]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fundamental_measure"] == pytest.approx(14.071090462411929, rel=1e-9)
+
+
+def test_unitize_unit_shape_overflow_exits_two_only_where_it_is_printed(tmp_path, capsys):
+    # A 1e-10 by 1e290 sliver 1e300 up the y axis: S/A = 1e10 and the measure 1e300 are finite,
+    # but the unit shape's y coordinates are about 1e310.
+    path = tmp_path / "shape.json"
+    path.write_text('{"pieces": [{"kind": "polyline", "vertices": [[0, 1e300], [1e-10, 1e300],'
+                    ' [1e-10, 1.0000000001e300], [0, 1.0000000001e300], [0, 1e300]]}]}')
+    code, out, err = invoke(capsys, "unitize", "--input", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.startswith("tong_inradius_reciprocal,fundamental_measure\n")
+    code, out, err = invoke(capsys, "unitize", "--input", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_scan_rejects_regular_polygon_up_front(capsys):

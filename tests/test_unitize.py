@@ -1,4 +1,6 @@
+import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,12 @@ from unitshapes.catalog import (
     RightTriangle,
     Triangle,
     build_unit_shape,
+    fundamental_measure,
 )
 from unitshapes.curves import (
+    EllipticalArc,
+    LineSegment,
+    Point,
     Polyline,
     RigidMotion,
     Shape,
@@ -30,6 +36,7 @@ from unitshapes.unitize import (
     tong_inradius,
     unitize,
 )
+from unitshapes.verify import random_family_param, random_similarity
 
 
 def test_tong_inradius_unit_circle():
@@ -76,6 +83,80 @@ def test_unit_property_holds():
         a = result.unit_shape.area()
         s = result.unit_shape.semiperimeter()
         assert abs(a - s) / s <= 1e-8
+
+
+def test_unitize_builds_the_unit_shape_only_when_read(monkeypatch):
+    unitize_module = importlib.import_module("unitshapes.unitize")  # the package exports the function
+    calls = []
+    monkeypatch.setattr(unitize_module, "scaled", lambda *args: calls.append(args) or scaled(*args))
+    triangle = make_polygon([(0, 0), (6, 0), (6, 8)])
+    result = unitize(triangle)
+    assert result.fundamental_measure == 6.0 and calls == []
+    unit = result.unit_shape
+    assert calls == [(triangle, 0.5)]
+    assert result.unit_shape is unit and len(calls) == 1
+    assert unit.to_dict() == scaled(triangle, 0.5).to_dict()
+
+
+@pytest.mark.parametrize(
+    "width, height",
+    [(1.0, 1e-310), (1e200, 1e-190)],
+    ids=["scale", "measure"],  # S/A = 1e310; S/A = 1e190 but (S/A) S = 1e390
+)
+def test_unitize_rejects_an_overflowing_scale_or_measure(width, height):
+    sliver = make_polygon([(0, 0), (width, 0), (width, height), (0, height)])
+    assert math.isfinite(sliver.area()) and math.isfinite(sliver.semiperimeter())
+    with pytest.raises(DomainError, match="overflows the float range"):
+        unitize(sliver)
+
+
+def test_unitize_matches_the_family_measure_over_posed_members():
+    rng = random.Random(123)
+    worst = 0.0
+    for _ in range(3000):
+        param = random_family_param(rng)
+        shape = build_unit_shape(param).transformed(random_similarity(rng))
+        expected = fundamental_measure(param)
+        gap = abs(unitize(shape).fundamental_measure - expected) / math.ulp(expected)
+        worst = max(worst, gap)
+    assert worst <= 60.0
+
+
+_coordinate = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _polylines(draw):
+    # A star about a centre inside it (every angular gap below a half-turn), so the loop is
+    # simple and counterclockwise: a clockwise input is measured in its own vertex order and
+    # its image in the reversed order, which rounds differently.
+    n = draw(st.integers(4, 9))
+    offset = draw(st.floats(0.0, 2.0 * math.pi))
+    jitters = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    cx, cy = draw(_coordinate), draw(_coordinate)
+    angles = [offset + 2.0 * math.pi * (i + u) / n for i, u in enumerate(jitters)]
+    return make_polygon([(cx + r * math.cos(t), cy + r * math.sin(t)) for r, t in zip(radii, angles)])
+
+
+@st.composite
+def _elliptical_caps(draw):
+    # An elliptical arc closed by its chord. The image's rotation is atan2 of the rotation's
+    # sine and cosine, so the rotation is one that atan2 gives back: then every parameter of
+    # the image is exactly 2^k times the input's.
+    rotation = draw(st.floats(-math.pi, math.pi).filter(
+        lambda r: math.atan2(math.sin(r), math.cos(r)) == r))
+    t0 = draw(st.floats(-4.0, 4.0))
+    arc = EllipticalArc(Point(draw(_coordinate), draw(_coordinate)),
+                        (draw(st.floats(0.5, 3.0)), draw(st.floats(0.05, 3.0))), rotation,
+                        t0, t0 + draw(st.floats(0.5, 2.0 * math.pi - 0.5)))
+    return Shape([arc, LineSegment(arc.end, arc.start)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.one_of(_polylines(), _elliptical_caps()), k=st.integers(-40, 40))
+def test_measure_is_bit_identical_under_power_of_two_scaling(shape, k):
+    assert unitize(scaled(shape, 2.0**k)).fundamental_measure == unitize(shape).fundamental_measure
 
 
 def test_idempotence_circle():
