@@ -12,6 +12,9 @@ trig-free rational arcs take their measures from adaptive quadrature, which
 ``force_quadrature=True`` also selects for every piece as an independent
 cross-check. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop over
 its edges; ``polygon_measures`` runs it on a closed loop's coordinates without a Shape.
+Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
+of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
+are the same on every Python version.
 
 All types are immutable values; every operation here is pure.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from .errors import DomainError
@@ -40,8 +43,8 @@ CARLSON_MAX_STEPS = 64
 MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
 TURN = 2.0 * math.pi
 QUARTER_TURN = 0.5 * math.pi
-# pi/2 as a 33-bit head and its tail (fdlibm's pio2_1, pio2_1t): k times the head is exact
-# for |k| < 2^20, so a parameter's distance to a quarter end keeps every bit there.
+# pi/2 as a 33-bit head and its tail (fdlibm's pio2_1, pio2_1t): the head times an integer
+# below 2^20 is exact, so a parameter's distance to a quarter end keeps every bit there.
 QUARTER_TURN_HEAD = 1.57079632673412561417e+00
 QUARTER_TURN_TAIL = 6.07710050650619224932e-11
 EIGHTH_TURN = 0.25 * math.pi
@@ -280,6 +283,18 @@ def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[list[float], 
     return edges, area_terms
 
 
+def _total(terms: list[float]) -> float:
+    """The correctly rounded sum of the terms, or where fsum raises, sum()'s: inf where finite
+    terms overflow and NaN where they hold +inf and -inf, both of which unitize rejects.
+
+    The per-polygon paths call fsum inline, saving a call, and come here only if it raised.
+    """
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
+
+
 class Polyline(CurvePiece):
     _fields = ("xs", "ys")
     # The length and the area term sit outside the fields, so ==, hash and repr see only the fields.
@@ -297,9 +312,14 @@ class Polyline(CurvePiece):
         edges, area_terms = _edge_terms(xs, ys)
         setfield(self, "xs", xs)
         setfield(self, "ys", ys)
-        # sum() adds the terms in edge order; a += loop would round differently on Python 3.12+.
-        setfield(self, "_length", sum(edges))
-        setfield(self, "_area_term", 0.5 * sum(area_terms))
+        # fsum is correctly rounded, so neither sum depends on the edge order (sum() does, and
+        # rounds differently on Python 3.12+): reversed_ keeps them. _total is the rare fallback.
+        try:
+            length, area_term = math.fsum(edges), 0.5 * math.fsum(area_terms)
+        except (OverflowError, ValueError):
+            length, area_term = _total(edges), 0.5 * _total(area_terms)
+        setfield(self, "_length", length)
+        setfield(self, "_area_term", area_term)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -330,7 +350,14 @@ class Polyline(CurvePiece):
         return (self.xs[i + 1] - self.xs[i], self.ys[i + 1] - self.ys[i])
 
     def reversed_(self) -> "Polyline":
-        return Polyline(self.xs[::-1], self.ys[::-1])
+        # Each edge keeps its length and negates its area term exactly, and the sums are
+        # order-free, so the reversal takes them over instead of walking the edges again.
+        line = Polyline.__new__(Polyline)
+        setfield(line, "xs", self.xs[::-1])
+        setfield(line, "ys", self.ys[::-1])
+        setfield(line, "_length", self._length)
+        setfield(line, "_area_term", -self._area_term)
+        return line
 
     def transformed(self, sim: Similarity) -> "Polyline":
         return Polyline(*sim.apply_coordinates(self.xs, self.ys))
@@ -518,14 +545,25 @@ def _eighth_arc(theta0: float, theta1: float, sweep: float, p: float, q: float) 
     return p * sin_sigma * (rf - m * (sin_sigma * sin_sigma * rd / 3.0 + s01))
 
 
+def _past_quarter(t: float, k: int) -> float:
+    """t - k pi/2, for a quarter index |k| < 2^40 (|t| up to about 1.7e12).
+
+    k is split into a multiple of 2^20 and a remainder below 2^20, each of which times the
+    head is exact. t less the first product is exact too, as both are multiples of 2^-32 and
+    the difference is below 2^21, and so is the next difference. Only k times the tail, by at
+    most 2^-47, and the last difference round. For |k| < 2^20 the first product is 0.
+    """
+    rest = math.fmod(k, 2.0**20)
+    return ((t - (k - rest) * QUARTER_TURN_HEAD) - rest * QUARTER_TURN_HEAD) - k * QUARTER_TURN_TAIL
+
+
 def _quarter_offsets(t: float, k: int) -> tuple[float, float]:
     """The distances from k pi/2 up to t and from t up to (k + 1) pi/2.
 
     pi/2 is taken in two parts, so each distance is exact where it is short: there the
     speed, and so the length, changes fastest against an error in where the quarter ends.
     """
-    return ((t - k * QUARTER_TURN_HEAD) - k * QUARTER_TURN_TAIL,
-            ((k + 1) * QUARTER_TURN_HEAD - t) + (k + 1) * QUARTER_TURN_TAIL)
+    return _past_quarter(t, k), -_past_quarter(t, k + 1)
 
 
 def _part_quarter_arc(p: float, q: float, start: tuple[float, float], end: tuple[float, float],
@@ -687,7 +725,10 @@ class EllipticalArc(CurvePiece):
         e1 = sim.motion.apply_vector(c, s)
         e2 = sim.motion.apply_vector(-s, c)
         det = e1[0] * e2[1] - e1[1] * e2[0]
-        rot = math.atan2(e1[1], e1[0])
+        if sim.motion.rotation_angle == 0.0 and not sim.motion.reflect:
+            rot = self.rotation  # atan2 would wrap it into (-pi, pi] and may round it by an ulp
+        else:
+            rot = math.atan2(e1[1], e1[0])
         if det > 0.0:
             t0, t1 = self.t_start, self.t_end
         else:
@@ -896,9 +937,11 @@ class Shape:
 
     def _closed(self, pieces: tuple[CurvePiece, ...], join_tol: float) -> None:
         """Take a closed chain: its area, and its pieces run counterclockwise."""
-        area, self.pieces = _counterclockwise(
-            _signed_area_of(pieces), pieces, lambda ps: tuple(p.reversed_() for p in reversed(ps))
-        )
+        signed_area = _signed_area_of(pieces)
+        area = _enclosed_area(signed_area)
+        if signed_area < 0.0:  # a clockwise chain
+            pieces = tuple(p.reversed_() for p in reversed(pieces))
+        self.pieces = pieces
         self.join_tol = join_tol
         self._cache: dict[str, float] = {"signed_area": area}
 
@@ -912,10 +955,10 @@ class Shape:
 
     def perimeter(self, *, force_quadrature: bool = False) -> float:
         if force_quadrature:
-            return sum(p.length(force_quadrature=True) for p in self.pieces)
+            return _total([p.length(force_quadrature=True) for p in self.pieces])
         cache = self._cache
         if "perimeter" not in cache:
-            cache["perimeter"] = sum(p.length() for p in self.pieces)
+            cache["perimeter"] = _total([p.length() for p in self.pieces])
         return cache["perimeter"]
 
     def semiperimeter(self, *, force_quadrature: bool = False) -> float:
@@ -939,36 +982,35 @@ class Shape:
         return f"Shape({kinds})"
 
 
-def _counterclockwise(
-    signed_area: float, parts: Sequence, reverse: Callable[[Sequence], Sequence]
-) -> tuple[float, Sequence]:
-    """The orientation rule of every measured chain: its area and its parts, run counterclockwise.
+def _enclosed_area(signed_area: float) -> float:
+    """The orientation rule of every measured chain: its area is |signed area|.
 
-    A chain of negative signed area runs clockwise: its area is -(signed area) and its
-    parts are reversed. A chain of zero signed area encloses nothing and is rejected.
+    A chain of negative signed area runs clockwise, and Shape reverses its pieces. A chain
+    of zero signed area encloses nothing and is rejected.
     """
     if signed_area == 0.0:
         raise DomainError("degenerate shape (zero enclosed area)")
-    if signed_area < 0.0:
-        return -signed_area, reverse(parts)
-    return signed_area, parts
+    return abs(signed_area)
 
 
 def _signed_area_of(pieces: Sequence[CurvePiece], *, force_quadrature: bool = False) -> float:
-    return sum(p.signed_area_term(force_quadrature=force_quadrature) for p in pieces)
+    return _total([p.signed_area_term(force_quadrature=force_quadrature) for p in pieces])
 
 
 def polygon_measures(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Area and semiperimeter of the closed polygon through the points (xs[i], ys[i]).
 
     The last point must be the first. Bit for bit the measures of ``Shape((Polyline(xs, ys),))``,
-    from the same edge loop under the same orientation rule, without building either.
+    from the same edge loop, sums and orientation rule, without building either.
     """
     if xs[0] != xs[-1] or ys[0] != ys[-1]:
         raise DomainError("a polygon loop must end at its first point")
     edges, area_terms = _edge_terms(xs, ys)
-    area, edges = _counterclockwise(0.5 * sum(area_terms), edges, lambda e: e[::-1])
-    return area, 0.5 * sum(edges)
+    try:
+        signed_area, length = 0.5 * math.fsum(area_terms), math.fsum(edges)
+    except (OverflowError, ValueError):
+        signed_area, length = 0.5 * _total(area_terms), _total(edges)
+    return _enclosed_area(signed_area), 0.5 * length
 
 
 def signed_area(shape: Shape, *, force_quadrature: bool = False) -> float:
@@ -1074,9 +1116,8 @@ def _parse_piece(d: dict) -> CurvePiece:
     if kind == "polyline":
         vertices = d["vertices"]
         _check_numbers(chain.from_iterable(vertices))
-        xs, ys = [float(x) for x, _ in vertices], [float(y) for _, y in vertices]
-        _check_finite(chain(xs, ys))
-        return Polyline(xs, ys)
+        # Polyline rejects a NaN or an infinity itself.
+        return Polyline([float(x) for x, _ in vertices], [float(y) for _, y in vertices])
     if kind == "circular_arc":
         radius, t0, t1 = _floats([d["radius"], d["angle_start"], d["angle_end"]])
         return CircularArc(_point_from_list(d["center"]), radius, t0, t1)

@@ -455,6 +455,29 @@ def test_unitize_overflowing_shape_json_names_the_overflow(tmp_path, capsys):
     assert "nan" not in err
 
 
+@pytest.mark.parametrize(
+    "vertices, raised",
+    [
+        # Finite edges of 1.6e308 and 0.5 whose sum passes the float range; the area is 8e307.
+        ([[0, 0], [1.6e308, 0], [1.6e308, 0.5], [0, 0.5], [0, 0]], OverflowError),
+        # Area terms +inf, +inf and -inf: products of 1e200 coordinates overflow either way.
+        ([[1e200, 0], [1e200, 1e200], [0, 1e200], [1e200, 0]], ValueError),
+    ],
+    ids=["edges_sum_past_the_range", "area_terms_hold_both_infinities"],
+)
+def test_unitize_exits_two_where_the_correctly_rounded_sum_raises(tmp_path, capsys, vertices, raised):
+    pairs = list(zip(vertices, vertices[1:]))
+    edges = [math.hypot(ax - bx, ay - by) for (ax, ay), (bx, by) in pairs]
+    area_terms = [ax * by - bx * ay for (ax, ay), (bx, by) in pairs]
+    with pytest.raises(raised):
+        math.fsum(edges if raised is OverflowError else area_terms)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [{"kind": "polyline", "vertices": vertices}]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "overflows the float range" in err
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
     # The reader is gone before the command writes, as in `unit-shapes catalog | true`. Buffered,

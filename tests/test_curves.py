@@ -1,11 +1,13 @@
 import copy
+import importlib
 import json
 import math
 import pickle
 import random
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unitshapes.catalog import Ellipse, fundamental_measure
@@ -222,7 +224,7 @@ def test_polyline_end_is_its_last_vertex_exactly():
 
 def test_polyline_stores_the_per_edge_sums_exactly():
     # Length and area term are computed once, at construction; they must equal the
-    # per-edge sums the methods evaluated on each call before, bit for bit.
+    # correctly rounded per-edge sums, bit for bit.
     rng = random.Random(23)
     repeated = 0
     for _ in range(300):
@@ -239,8 +241,8 @@ def test_polyline_stores_the_per_edge_sums_exactly():
             with pytest.raises(DomainError, match="zero length"):
                 Polyline(xs, ys)
             continue
-        length = sum(math.hypot(ax - bx, ay - by) for (ax, ay), (bx, by) in pairs)
-        area_term = 0.5 * sum(ax * by - bx * ay for (ax, ay), (bx, by) in pairs)
+        length = math.fsum(math.hypot(ax - bx, ay - by) for (ax, ay), (bx, by) in pairs)
+        area_term = 0.5 * math.fsum(ax * by - bx * ay for (ax, ay), (bx, by) in pairs)
         line = Polyline(xs, ys)
         assert line.length() == length
         assert line.signed_area_term() == area_term
@@ -249,6 +251,68 @@ def test_polyline_stores_the_per_edge_sums_exactly():
             assert (copied.length(), copied.signed_area_term()) == (length, area_term)
         assert line == Polyline(xs, ys) and repr(line) == f"Polyline(xs={xs!r}, ys={ys!r})"
     assert 0 < repeated < 100
+
+
+@st.composite
+def _posed_polylines(draw):
+    """A polyline of 2..12 vertices at a scale of 1e-12..1e12, shifted by up to 1e6 sizes."""
+    scale = 10.0 ** draw(st.floats(-12.0, 12.0))
+    shift = [scale * draw(st.floats(-1e6, 1e6)) for _ in range(2)]
+    unit = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    vertices = [(scale * u + shift[0], scale * v + shift[1])
+                for u, v in draw(st.lists(unit, min_size=2, max_size=12, unique=True))]
+    if draw(st.booleans()):
+        vertices.reverse()
+    xs, ys = zip(*vertices)
+    try:
+        return Polyline(xs, ys)
+    except DomainError:  # a large shift rounds neighbouring vertices together
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_posed_polylines())
+def test_polyline_reversal_keeps_its_sums_exactly(line):
+    rebuilt = Polyline(line.xs[::-1], line.ys[::-1])
+    reversed_ = line.reversed_()
+    assert reversed_ == rebuilt
+    assert reversed_.length() == rebuilt.length() == line.length()
+    assert reversed_.signed_area_term() == rebuilt.signed_area_term() == -line.signed_area_term()
+    twice = reversed_.reversed_()
+    assert (twice.xs, twice.ys) == (line.xs, line.ys)
+    assert twice.length().hex() == line.length().hex()
+    assert twice.signed_area_term().hex() == line.signed_area_term().hex()
+
+
+def test_clockwise_json_polyline_walks_its_edges_once(monkeypatch):
+    curves_module = importlib.import_module("unitshapes.curves")
+    walks = []
+    edge_terms = curves_module._edge_terms
+    monkeypatch.setattr(curves_module, "_edge_terms", lambda xs, ys: walks.append(1) or edge_terms(xs, ys))
+    vertices = [[0.0, 0.0], [0.0, 2.0], [3.0, 2.5], [3.5, -1.0], [0.0, 0.0]]
+    shape = shape_from_json(json.dumps({"pieces": [{"kind": "polyline", "vertices": vertices}]}))
+    measure = unitize(shape).fundamental_measure
+    assert shape.pieces[0].xs == (0.0, 3.5, 3.0, 0.0, 0.0)  # reversed to run counterclockwise
+    assert measure == shape.semiperimeter() / shape.area() * shape.semiperimeter()
+    assert len(walks) == 1
+
+
+def test_polyline_sums_are_correctly_rounded():
+    # The area terms are 1e16, 1 and -1e16: added left to right, the 1 is lost to rounding and
+    # the triangle's area comes out 0 (Python 3.12+ compensates sum(), but not a += loop).
+    xs, ys = (1e8, 0.0, -1e-8, 1e8), (0.0, 1e8, 1e8, 0.0)
+    terms = [ax * by - bx * ay for ax, ay, bx, by in zip(xs, ys, xs[1:], ys[1:])]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert left_to_right == 0.0 != math.fsum(terms)
+    line = Polyline(xs, ys)
+    assert line.signed_area_term() == 0.5 * math.fsum(terms)
+    edges = [math.hypot(ax - bx, ay - by) for ax, ay, bx, by in zip(xs, ys, xs[1:], ys[1:])]
+    assert line.length() == math.fsum(edges)
+    area, semiperimeter = polygon_measures(xs, ys)
+    assert area == 0.5 * math.fsum(terms) and semiperimeter == 0.5 * math.fsum(edges)
+    assert unitize(Shape((line,))).fundamental_measure == semiperimeter / area * semiperimeter
 
 
 @pytest.mark.parametrize("x", [1.0, 1e6, 1e-300, 0.0])
@@ -578,6 +642,27 @@ def test_short_arc_keeps_its_relative_accuracy(k, ratio):
                 expected = dense_simpson(speed, t0, t0 + sweep, n=n)
                 assert arc.length() == pytest.approx(expected, rel=1e-14, abs=0.0)
                 assert arc.reversed_().length() == arc.length()
+
+
+@pytest.mark.parametrize(
+    "t0, t1, reference",
+    [
+        # The length of (cos t, 0.3 sin t) between the two floats, to 40 digits (mpmath, 60 digits).
+        (1e9, 1000000000.001, "0.0006013153091534277417055101037696289660452"),
+        (1e9, 1000000002.0, "1.716695396425505487041407107182817514262"),
+        (1e12, 1000000000000.001, "0.000640045450850497969445637964417137982345"),
+        (1e12, 1000000000002.0, "1.162345837428364553389040295194435185085"),
+        (-1e12, -999999999999.999, "0.0006406856951578651470032288717343901409396"),
+        (-1e12, -999999999998.0, "1.711505637828803355866942387494143717502"),
+    ],
+)
+def test_arc_length_at_large_parameters(t0, t1, reference):
+    # The quarter index k reaches 6.4e11 here; k times the head of pi/2 in one product rounds
+    # for |k| >= 2^20, which put these lengths 4e-9 to 3e-6 off.
+    arc = EllipticalArc(Point(0.0, 0.0), (1.0, 0.3), 0.0, t0, t1)
+    length = arc.length()
+    assert abs(Decimal(length) - Decimal(reference)) <= 16 * Decimal(math.ulp(length))
+    assert arc.reversed_().length() == length
 
 
 @pytest.mark.parametrize("size", [1e-300, 1e-200, 1e200, 1e300])
