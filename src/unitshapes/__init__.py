@@ -40,17 +40,12 @@ from .curves import (
     RigidMotion,
     Shape,
     Similarity,
-    apply_similarity,
-    area,
     make_circle,
     make_polygon,
     make_rational_circle,
-    perimeter,
     scaled,
-    semiperimeter,
     shape_from_dict,
     shape_from_json,
-    signed_area,
 )
 from .errors import DomainError, NotConverged, QuadratureFailure, UnitShapesError
 from .optimize import MinimizationResult, minimize_1d, minimize_2d, scan

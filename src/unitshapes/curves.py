@@ -8,10 +8,11 @@ arcs take both measures in closed form. An elliptical arc's length is the
 complete elliptic integral, ``ellipse_half_perimeter`` by the arithmetic-geometric
 mean, for each whole quarter of its sweep, and the incomplete one, by Carlson's
 R_F and R_D, for the rest; a parabolic arc's is an ``asinh`` form. Only the
-trig-free rational arcs take their measures from adaptive quadrature, which
-``force_quadrature=True`` also selects for every piece as an independent
-cross-check. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop over
-its edges; ``polygon_measures`` runs it on a closed loop's coordinates without a Shape.
+trig-free rational arcs take their measures from adaptive quadrature. That quadrature is
+one named reference, ``quadrature_length``, ``quadrature_area_term`` and
+``quadrature_measures``, which measures any piece or shape as an independent cross-check
+of the closed forms. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop
+over its edges; ``polygon_measures`` runs it on a closed loop's coordinates without a Shape.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
@@ -125,22 +126,21 @@ class Similarity(Record):
                 tuple([k * (mirror * (s * x + c * y) + ty) for x, y in zip(xs, ys)]))
 
 
-def _motion_from_columns(
-    e1: tuple[float, float], e2: tuple[float, float], translation: tuple[float, float]
-) -> RigidMotion:
-    """Recover (angle, reflect) from the orthonormal columns of a linear map."""
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    if det > 0.0:
-        return RigidMotion(math.atan2(e1[1], e1[0]), False, translation)
+def _frame_image(sim: Similarity, frame: RigidMotion) -> RigidMotion:
+    """A placed piece's frame carried by ``sim``: its origin maps to ``sim.apply`` of it, and
+    (angle, reflect) come from the orthonormal columns of the composed linear part.
+
+    The scale is left to the piece. At scale 1, ``sim.apply`` is ``sim.motion.apply`` bit for
+    bit: times 1.0 and the -1.0 mirror are exact.
+    """
+    outer = sim.motion
+    e1 = outer.apply_vector(*frame.apply_vector(1.0, 0.0))
+    e2 = outer.apply_vector(*frame.apply_vector(0.0, 1.0))
+    t = sim.apply(Point(*frame.translation))
+    if e1[0] * e2[1] - e1[1] * e2[0] > 0.0:
+        return RigidMotion(math.atan2(e1[1], e1[0]), False, (t.x, t.y))
     # det < 0: the map is S_x o R(theta), whose first column is (cos, -sin).
-    return RigidMotion(math.atan2(-e1[1], e1[0]), True, translation)
-
-
-def _compose_motion(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:
-    e1 = outer.apply_vector(*inner.apply_vector(1.0, 0.0))
-    e2 = outer.apply_vector(*inner.apply_vector(0.0, 1.0))
-    t = outer.apply(Point(*inner.translation))
-    return _motion_from_columns(e1, e2, (t.x, t.y))
+    return RigidMotion(math.atan2(-e1[1], e1[0]), True, (t.x, t.y))
 
 
 class CurvePiece(Record, ABC):
@@ -190,33 +190,54 @@ class CurvePiece(Record, ABC):
     def _exact_area_term(self) -> float | None:
         return None
 
-    def length(self, *, force_quadrature: bool = False) -> float:
-        if not force_quadrature:
-            exact = self._exact_length()
-            if exact is not None:
-                return exact
-        total = 0.0
-        for lo, hi in self._smooth_spans():
-            speed = lambda t: math.hypot(*self.velocity(t))
-            total += abs(adaptive_quadrature(speed, lo, hi, rel_tol=QUAD_REL_TOL))
-        return total
+    def length(self) -> float:
+        """The closed form, or the quadrature reference where the piece has none."""
+        exact = self._exact_length()
+        return quadrature_length(self) if exact is None else exact
 
-    def signed_area_term(self, *, force_quadrature: bool = False) -> float:
-        """Contribution of this piece to (1/2) oint (x dy - y dx)."""
-        if not force_quadrature:
-            exact = self._exact_area_term()
-            if exact is not None:
-                return exact
-        total = 0.0
-        for lo, hi in self._smooth_spans():
+    def signed_area_term(self) -> float:
+        """Contribution of this piece to (1/2) oint (x dy - y dx): the closed form, or the
+        quadrature reference where the piece has none."""
+        exact = self._exact_area_term()
+        return quadrature_area_term(self) if exact is None else exact
 
-            def integrand(t: float) -> float:
-                p = self.point(t)
-                vx, vy = self.velocity(t)
-                return 0.5 * (p.x * vy - p.y * vx)
 
-            total += adaptive_quadrature(integrand, lo, hi, rel_tol=QUAD_REL_TOL)
-        return total
+def quadrature_length(piece: CurvePiece) -> float:
+    """The piece's length by adaptive quadrature of its speed, span by span.
+
+    The reference for every closed form. A length is positive, so no absolute floor is
+    needed: the quadrature stops on its relative tolerance at any scale.
+    """
+    total = 0.0
+    for lo, hi in piece._smooth_spans():
+        speed = lambda t: math.hypot(*piece.velocity(t))
+        total += abs(adaptive_quadrature(speed, lo, hi, rel_tol=QUAD_REL_TOL, abs_tol=0.0))
+    return total
+
+
+def quadrature_area_term(piece: CurvePiece) -> float:
+    """The piece's ``signed_area_term`` by adaptive quadrature of (1/2)(x y' - y x').
+
+    The term can be 0 or cancel, so it keeps quadrature's absolute floor of 1e-12, which is
+    not scale-free: below unit size the floor, not the relative tolerance, stops it. A
+    scale-free floor needs a size for each piece (ROADMAP item 2).
+    """
+    total = 0.0
+    for lo, hi in piece._smooth_spans():
+
+        def integrand(t: float) -> float:
+            p = piece.point(t)
+            vx, vy = piece.velocity(t)
+            return 0.5 * (p.x * vy - p.y * vx)
+
+        total += adaptive_quadrature(integrand, lo, hi, rel_tol=QUAD_REL_TOL)
+    return total
+
+
+def quadrature_measures(shape: "Shape") -> tuple[float, float]:
+    """The shape's area and semiperimeter from the quadrature reference alone."""
+    area = abs(_total([quadrature_area_term(p) for p in shape.pieces]))
+    return area, 0.5 * _total([quadrature_length(p) for p in shape.pieces])
 
 
 class LineSegment(CurvePiece):
@@ -261,11 +282,13 @@ class LineSegment(CurvePiece):
         }
 
 
-def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Each edge's length and its Green's-theorem term ax by - bx ay, in edge order.
+def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """The polyline's length and its Green's-theorem area term (1/2) sum (ax by - bx ay).
 
     Raises DomainError on a zero-length edge. One explicit loop: map-based versions
-    measured 40-110 % slower at 256 to 4 vertices (CPython 3.11).
+    measured 40-110 % slower at 256 to 4 vertices (CPython 3.11). Both sums are fsum,
+    correctly rounded, so neither depends on the edge order (sum() does, and rounds
+    differently on Python 3.12+); ``_total`` is the rare fallback.
     """
     hypot = math.hypot
     edges = []
@@ -280,14 +303,17 @@ def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[list[float], 
     # rounds to at least the larger of them, and a subnormal difference is not 0.0.
     if 0.0 in edges:
         raise DomainError("degenerate polyline edge (zero length)")
-    return edges, area_terms
+    try:
+        return math.fsum(edges), 0.5 * math.fsum(area_terms)
+    except (OverflowError, ValueError):
+        return _total(edges), 0.5 * _total(area_terms)
 
 
 def _total(terms: list[float]) -> float:
     """The correctly rounded sum of the terms, or where fsum raises, sum()'s: inf where finite
     terms overflow and NaN where they hold +inf and -inf, both of which unitize rejects.
 
-    The per-polygon paths call fsum inline, saving a call, and come here only if it raised.
+    ``_edge_terms`` calls fsum inline, saving a call, and comes here only if it raised.
     """
     try:
         return math.fsum(terms)
@@ -309,15 +335,9 @@ class Polyline(CurvePiece):
             raise DomainError(f"polyline needs 2+ (x, y) vertices, got {len(xs)} x and {len(ys)} y")
         if not all(map(math.isfinite, chain(xs, ys))):
             raise DomainError("non-finite number in a polyline")
-        edges, area_terms = _edge_terms(xs, ys)
+        length, area_term = _edge_terms(xs, ys)
         setfield(self, "xs", xs)
         setfield(self, "ys", ys)
-        # fsum is correctly rounded, so neither sum depends on the edge order (sum() does, and
-        # rounds differently on Python 3.12+): reversed_ keeps them. _total is the rare fallback.
-        try:
-            length, area_term = math.fsum(edges), 0.5 * math.fsum(area_terms)
-        except (OverflowError, ValueError):
-            length, area_term = _total(edges), 0.5 * _total(area_terms)
         setfield(self, "_length", length)
         setfield(self, "_area_term", area_term)
 
@@ -835,13 +855,8 @@ class ParabolicArc(CurvePiece):
         # coefficients (a/lambda, b, lambda c) in the stretched abscissa.
         lam = sim.scale
         alpha, beta, gamma = self.coefficients
-        t = sim.apply(Point(*self.frame.translation))
-        e1 = sim.motion.apply_vector(*self.frame.apply_vector(1.0, 0.0))
-        e2 = sim.motion.apply_vector(*self.frame.apply_vector(0.0, 1.0))
-        frame = _motion_from_columns(e1, e2, (t.x, t.y))
-        return ParabolicArc(
-            (alpha / lam, beta, lam * gamma), lam * self.x_start, lam * self.x_end, frame
-        )
+        return ParabolicArc((alpha / lam, beta, lam * gamma), lam * self.x_start, lam * self.x_end,
+                            _frame_image(sim, self.frame))
 
     def to_dict(self) -> dict:
         return {
@@ -886,7 +901,7 @@ class RationalPoint(CurvePiece):
 
     def transformed(self, sim: Similarity) -> CurvePiece:
         if sim.scale == 1.0:
-            return RationalPoint(self.t_start, self.t_end, _compose_motion(sim.motion, self.frame))
+            return RationalPoint(self.t_start, self.t_end, _frame_image(sim, self.frame))
         # A non-unit scale leaves the unit circle, so the image is returned as
         # the circular arc it is. On the unit circle the parameter t sits at
         # polar angle pi/2 - 2 atan(t), which gives the swept angle exactly.
@@ -910,16 +925,16 @@ class RationalPoint(CurvePiece):
 class Shape:
     """A closed counterclockwise chain of curve pieces.
 
-    Consecutive pieces must join within ``join_tol`` (absolute distance) and
+    Consecutive pieces must join within ``JOIN_TOL`` (absolute distance) and
     the chain must return to its starting point. Orientation is normalized at
     construction: a clockwise chain is reversed so the signed area is positive.
     Simplicity (no self-intersection) is the caller's responsibility; the
     family builders in this package guarantee it by construction.
     """
 
-    __slots__ = ("pieces", "join_tol", "_cache")
+    __slots__ = ("pieces", "_area", "_perimeter")
 
-    def __init__(self, pieces: Iterable[CurvePiece], join_tol: float = JOIN_TOL):
+    def __init__(self, pieces: Iterable[CurvePiece]):
         pieces = tuple(pieces)
         if not pieces:
             raise DomainError("a shape needs at least one piece")
@@ -929,46 +944,41 @@ class Shape:
             end = piece.end
             start = pieces[i + 1].start if i < last else chain_start
             gap = math.hypot(end.x - start.x, end.y - start.y)
-            if gap > join_tol:
+            if gap > JOIN_TOL:
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )
-        self._closed(pieces, join_tol)
+        self._closed(pieces)
 
-    def _closed(self, pieces: tuple[CurvePiece, ...], join_tol: float) -> None:
+    def _closed(self, pieces: tuple[CurvePiece, ...]) -> None:
         """Take a closed chain: its area, and its pieces run counterclockwise."""
-        signed_area = _signed_area_of(pieces)
-        area = _enclosed_area(signed_area)
+        signed_area = _total([p.signed_area_term() for p in pieces])
+        self._area = _enclosed_area(signed_area)
         if signed_area < 0.0:  # a clockwise chain
             pieces = tuple(p.reversed_() for p in reversed(pieces))
         self.pieces = pieces
-        self.join_tol = join_tol
-        self._cache: dict[str, float] = {"signed_area": area}
+        self._perimeter: float | None = None
 
-    def signed_area(self, *, force_quadrature: bool = False) -> float:
-        if force_quadrature:
-            return _signed_area_of(self.pieces, force_quadrature=True)
-        return self._cache["signed_area"]
+    def signed_area(self) -> float:
+        """Positive: the pieces run counterclockwise."""
+        return self._area
 
-    def area(self, *, force_quadrature: bool = False) -> float:
-        return abs(self.signed_area(force_quadrature=force_quadrature))
+    def area(self) -> float:
+        return self._area
 
-    def perimeter(self, *, force_quadrature: bool = False) -> float:
-        if force_quadrature:
-            return _total([p.length(force_quadrature=True) for p in self.pieces])
-        cache = self._cache
-        if "perimeter" not in cache:
-            cache["perimeter"] = _total([p.length() for p in self.pieces])
-        return cache["perimeter"]
+    def perimeter(self) -> float:
+        if self._perimeter is None:
+            self._perimeter = _total([p.length() for p in self.pieces])
+        return self._perimeter
 
-    def semiperimeter(self, *, force_quadrature: bool = False) -> float:
-        return 0.5 * self.perimeter(force_quadrature=force_quadrature)
+    def semiperimeter(self) -> float:
+        return 0.5 * self.perimeter()
 
     def transformed(self, sim: Similarity) -> "Shape":
         """The image under ``sim``: a similarity keeps the chain closed, so its joins are not
         checked again; a mirror reverses the chain, so the orientation rule still applies."""
         image = Shape.__new__(Shape)
-        image._closed(tuple(p.transformed(sim) for p in self.pieces), self.join_tol)
+        image._closed(tuple(p.transformed(sim) for p in self.pieces))
         return image
 
     def to_dict(self) -> dict:
@@ -993,10 +1003,6 @@ def _enclosed_area(signed_area: float) -> float:
     return abs(signed_area)
 
 
-def _signed_area_of(pieces: Sequence[CurvePiece], *, force_quadrature: bool = False) -> float:
-    return _total([p.signed_area_term(force_quadrature=force_quadrature) for p in pieces])
-
-
 def polygon_measures(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Area and semiperimeter of the closed polygon through the points (xs[i], ys[i]).
 
@@ -1005,33 +1011,8 @@ def polygon_measures(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, f
     """
     if xs[0] != xs[-1] or ys[0] != ys[-1]:
         raise DomainError("a polygon loop must end at its first point")
-    edges, area_terms = _edge_terms(xs, ys)
-    try:
-        signed_area, length = 0.5 * math.fsum(area_terms), math.fsum(edges)
-    except (OverflowError, ValueError):
-        signed_area, length = 0.5 * _total(area_terms), _total(edges)
+    length, signed_area = _edge_terms(xs, ys)
     return _enclosed_area(signed_area), 0.5 * length
-
-
-def signed_area(shape: Shape, *, force_quadrature: bool = False) -> float:
-    return shape.signed_area(force_quadrature=force_quadrature)
-
-
-def area(shape: Shape, *, force_quadrature: bool = False) -> float:
-    return shape.area(force_quadrature=force_quadrature)
-
-
-def perimeter(shape: Shape, *, force_quadrature: bool = False) -> float:
-    return shape.perimeter(force_quadrature=force_quadrature)
-
-
-def semiperimeter(shape: Shape, *, force_quadrature: bool = False) -> float:
-    return shape.semiperimeter(force_quadrature=force_quadrature)
-
-
-def apply_similarity(sim: Similarity, shape: Shape) -> Shape:
-    """Map every point p of the shape to scale * motion(p)."""
-    return shape.transformed(sim)
 
 
 def scaled(shape: Shape, factor: float) -> Shape:

@@ -33,6 +33,7 @@ from .curves import (
     make_circle,
     make_rational_circle,
     polygon_measures,
+    quadrature_measures,
     scaled,
 )
 from .records import MutableRecord
@@ -176,9 +177,7 @@ def check_blob_pythagoras(
 
 def check_rational_circle(tol: float = 1e-9) -> VerificationReport:
     """The trig-free rational circle measures A = S = pi by quadrature alone."""
-    circle = make_rational_circle()
-    a = circle.area(force_quadrature=True)
-    s = circle.semiperimeter(force_quadrature=True)
+    a, s = quadrature_measures(make_rational_circle())
     report = VerificationReport("rational_circle", 1, max(abs(a - math.pi), abs(s - math.pi)))
     report.details.update({"area": a, "semiperimeter": s})
     if abs(a - math.pi) > tol or abs(s - math.pi) > tol:

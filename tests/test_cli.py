@@ -287,8 +287,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # Each golden file holds the stdout of its argv; "GOLDEN/" names an input file kept beside it.
 GOLDEN_RUNS = {
-    **{f"verify_mgon_seed{seed}.jsonl": ["verify", "--suite", "mgon", "--seed", str(seed),
-                                         "--format", "json"] for seed in (0, 7, 42)},
+    # Every suite's report, the rational circle's quadrature digits among them.
+    **{f"verify_{suite}_seed{seed}.jsonl": ["verify", "--suite", suite, "--seed", str(seed),
+                                            "--format", "json"]
+       for suite in ("mgon", "all") for seed in (0, 7, 42)},
     "catalog.json": ["catalog", "--format", "json"],
     "unitize_regular_polygon_m7.json": ["unitize", "--family", "regular_polygon", "--m", "7",
                                         "--format", "json"],

@@ -22,13 +22,15 @@ from unitshapes.curves import (
     RigidMotion,
     Shape,
     Similarity,
-    apply_similarity,
     carlson_rf_rd,
     ellipse_half_perimeter,
     make_circle,
     make_polygon,
     make_rational_circle,
     polygon_measures,
+    quadrature_area_term,
+    quadrature_length,
+    quadrature_measures,
     scaled,
     shape_from_dict,
     shape_from_json,
@@ -399,18 +401,16 @@ def test_exact_vs_quadrature_for_circular_arcs():
             ),
         ]
     )
-    assert shape.signed_area() == pytest.approx(
-        shape.signed_area(force_quadrature=True), rel=1e-10
-    )
-    assert shape.perimeter() == pytest.approx(
-        shape.perimeter(force_quadrature=True), rel=1e-10
-    )
+    area, semiperimeter = quadrature_measures(shape)
+    assert shape.signed_area() == pytest.approx(area, rel=1e-10)
+    assert shape.perimeter() == pytest.approx(2.0 * semiperimeter, rel=1e-10)
 
 
 def test_polygon_exact_vs_quadrature():
     poly = make_polygon([(0, 0), (3, 0.5), (2.5, 2.0), (0.5, 1.5)])
-    assert poly.signed_area() == pytest.approx(poly.signed_area(force_quadrature=True), rel=1e-10)
-    assert poly.perimeter() == pytest.approx(poly.perimeter(force_quadrature=True), rel=1e-10)
+    area, semiperimeter = quadrature_measures(poly)
+    assert poly.signed_area() == pytest.approx(area, rel=1e-10)
+    assert poly.perimeter() == pytest.approx(2.0 * semiperimeter, rel=1e-10)
 
 
 def _crosses_itself(loop):
@@ -516,7 +516,7 @@ def test_elliptical_area_term_against_quadrature_and_simpson(arc, mirror):
     # The terms cancel for an arc far from the origin, so compare on the size of its parts.
     size = (abs(center[0]) + abs(center[1]) + max(semi_axes)) * max(semi_axes) * abs(t1 - t0)
     exact = piece.signed_area_term()
-    assert exact == pytest.approx(piece.signed_area_term(force_quadrature=True), abs=1e-10 * size)
+    assert exact == pytest.approx(quadrature_area_term(piece), abs=1e-10 * size)
     assert exact == pytest.approx(
         _ellipse_area_term_by_simpson(center, semi_axes, rotation, t0, t1), abs=1e-12 * size
     )
@@ -552,11 +552,11 @@ def test_whole_turn_length_is_closed_and_matches_quadrature_and_simpson(k, pose,
     # A mirror and a reversal each turn the ellipse clockwise; the area term carries the sign.
     area = (-1.0) ** ((pose == "mirrored") + reverse) * k * math.pi * a * b
     assert arc.signed_area_term() == pytest.approx(area, rel=1e-14, abs=0.0)
-    assert arc.signed_area_term(force_quadrature=True) == pytest.approx(area, rel=1e-10, abs=0.0)
+    assert quadrature_area_term(arc) == pytest.approx(area, rel=1e-10, abs=0.0)
     exact = arc._exact_length()
     assert exact is not None
     assert arc.length() == exact
-    assert exact == pytest.approx(arc.length(force_quadrature=True), rel=1e-10, abs=0.0)
+    assert exact == pytest.approx(quadrature_length(arc), rel=1e-10, abs=0.0)
     # The speed |d/dt (a cos t, b sin t)|, integrated over the arc's sweep before it was posed.
     speed = lambda t: math.hypot(a * math.sin(t), b * math.cos(t))
     assert exact == pytest.approx(dense_simpson(speed, t0, t1), rel=1e-12, abs=0.0)
@@ -570,7 +570,7 @@ def test_part_turn_length_is_closed_and_matches_quadrature_and_simpson(sweep):
     assert exact is not None
     assert arc.length() == exact
     assert arc.reversed_()._exact_length() == exact
-    assert exact == pytest.approx(arc.length(force_quadrature=True), rel=1e-13, abs=0.0)
+    assert exact == pytest.approx(quadrature_length(arc), rel=1e-13, abs=0.0)
     speed = lambda t: math.hypot(2.0 * math.sin(t), 0.6 * math.cos(t))
     assert exact == pytest.approx(dense_simpson(speed, 0.7, 0.7 + sweep), rel=1e-12, abs=0.0)
 
@@ -609,15 +609,22 @@ def test_partial_arc_length_matches_quadrature_over_sweeps_ratios_and_poses():
             continue
         exact = arc._exact_length()
         assert exact is not None
-        err = abs(exact - arc.length(force_quadrature=True)) / exact
+        err = abs(exact - quadrature_length(arc)) / exact
         key = "long" if sweep >= 0.1 else "short"
         worst[key] = max(worst[key], err)
     assert worst["short"] <= 1e-10
     assert worst["long"] <= 1e-13
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_reference_length_is_scale_free(s):
+    # A length is positive, so the reference stops on its relative tolerance at every scale.
+    arc = EllipticalArc(Point(0.0, 0.0), (s, 0.03 * s), 0.0, 0.3, 9.4)
+    assert quadrature_length(arc) == pytest.approx(arc.length(), rel=1e-12, abs=0.0)
+
+
 def test_partial_arc_length_scales_at_every_scale():
-    # Quadrature's absolute floor blurs it far from unit scale; the closed form is scale-free.
+    # The closed form is scale-free: a posed copy's length is its size times the unit one's.
     rng = random.Random(37)
     for _ in range(300):
         arc, _ = _random_partial_arc(rng)
@@ -779,12 +786,12 @@ def test_parabolic_length_and_area_term_are_closed_and_match_quadrature_and_simp
     assert length is not None and area_term is not None
     assert (arc.length(), arc.signed_area_term()) == (length, area_term)
     simpson_length, simpson_area_term = _parabola_terms_by_simpson(arc)
-    assert length == pytest.approx(arc.length(force_quadrature=True), rel=1e-12, abs=0.0)
+    assert length == pytest.approx(quadrature_length(arc), rel=1e-12, abs=0.0)
     assert length == pytest.approx(simpson_length, rel=1e-12, abs=0.0)
     # The area terms cancel about the frame's offset, so compare on the size of their parts.
     (tx, ty), reach = frame.translation, abs(x0) + abs(x1) + 1.0
     size = (abs(tx) + abs(ty) + reach) * length
-    assert area_term == pytest.approx(arc.signed_area_term(force_quadrature=True), abs=1e-12 * size)
+    assert area_term == pytest.approx(quadrature_area_term(arc), abs=1e-12 * size)
     assert area_term == pytest.approx(simpson_area_term, abs=1e-12 * size)
 
 
@@ -798,9 +805,9 @@ def test_parabolic_terms_reverse_and_mirror():
     assert image.frame.reflect
     assert image.length() == pytest.approx(1.7 * arc.length(), rel=1e-15, abs=0.0)
     # A mirror turns the area term's sign and a similarity scales it by 1.7^2, about the image's
-    # origin; the forced quadrature measures the same image independently.
+    # origin; the quadrature reference measures the same image independently.
     assert image.signed_area_term() == pytest.approx(
-        image.signed_area_term(force_quadrature=True), rel=1e-12, abs=0.0)
+        quadrature_area_term(image), rel=1e-12, abs=0.0)
 
 
 def test_closed_lengths_leave_the_float_range_to_quadrature():
@@ -833,7 +840,7 @@ def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
 
 def test_identity_similarity_is_pointwise_identity():
     for shape in sample_shapes().values():
-        same = apply_similarity(Similarity(), shape)
+        same = shape.transformed(Similarity())
         for p, q in zip(shape.pieces, same.pieces):
             for frac in (0.0, 0.3, 1.0):
                 t_p = p.t_start + frac * (p.t_end - p.t_start)
@@ -870,7 +877,7 @@ _shape_keys = sorted(sample_shapes())
 def test_scaling_laws_under_random_similarity(key, lam, angle, reflect, tx, ty):
     shape = sample_shapes()[key]
     sim = Similarity(RigidMotion(angle, reflect, (tx, ty)), lam)
-    image = apply_similarity(sim, shape)
+    image = shape.transformed(sim)
     assert image.area() == pytest.approx(lam * lam * shape.area(), rel=1e-8)
     assert image.semiperimeter() == pytest.approx(lam * shape.semiperimeter(), rel=1e-8)
 
@@ -885,15 +892,13 @@ def test_scaling_laws_under_random_similarity(key, lam, angle, reflect, tx, ty):
 )
 def test_rigid_motion_invariance(key, angle, reflect, tx, ty):
     shape = sample_shapes()[key]
-    moved = apply_similarity(Similarity(RigidMotion(angle, reflect, (tx, ty))), shape)
+    moved = shape.transformed(Similarity(RigidMotion(angle, reflect, (tx, ty))))
     assert moved.area() == pytest.approx(shape.area(), rel=1e-9)
     assert moved.semiperimeter() == pytest.approx(shape.semiperimeter(), rel=1e-9)
 
 
 def test_reflection_keeps_ccw_orientation():
-    mirrored = apply_similarity(
-        Similarity(RigidMotion(reflect=True)), make_polygon(UNIT_SQUARE)
-    )
+    mirrored = make_polygon(UNIT_SQUARE).transformed(Similarity(RigidMotion(reflect=True)))
     assert mirrored.signed_area() == pytest.approx(1.0)
 
 
@@ -901,6 +906,26 @@ def test_rational_piece_scales_to_circular_arc():
     image = scaled(make_rational_circle(), 2.5)
     assert all(p.kind == "circular_arc" for p in image.pieces)
     assert image.area() == pytest.approx(math.pi * 2.5**2, rel=1e-9)
+
+
+def test_scale_one_rational_frame_is_the_rigid_composition_bit_for_bit():
+    rng = random.Random(41)
+    for _ in range(200):
+        inner = RigidMotion(rng.uniform(-4.0, 4.0), rng.random() < 0.5,
+                            (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)))
+        outer = RigidMotion(rng.uniform(-4.0, 4.0), rng.random() < 0.5,
+                            (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)))
+        image = RationalPoint(-0.9, 0.8, inner).transformed(Similarity(outer))
+        # outer o inner, written out: the columns of the linear part, the inner origin
+        # through the rigid motion, then (angle, reflect) read from the columns.
+        e1 = outer.apply_vector(*inner.apply_vector(1.0, 0.0))
+        e2 = outer.apply_vector(*inner.apply_vector(0.0, 1.0))
+        origin = outer.apply(Point(*inner.translation))
+        if e1[0] * e2[1] - e1[1] * e2[0] > 0.0:
+            expected = RigidMotion(math.atan2(e1[1], e1[0]), False, (origin.x, origin.y))
+        else:
+            expected = RigidMotion(math.atan2(-e1[1], e1[0]), True, (origin.x, origin.y))
+        assert image.frame == expected
 
 
 # --- serialization ----------------------------------------------------------

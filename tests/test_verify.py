@@ -13,7 +13,14 @@ from unitshapes.catalog import (
     Triangle,
     build_unit_shape,
 )
-from unitshapes.curves import RationalPoint, make_circle, make_polygon, make_rational_circle, scaled
+from unitshapes.curves import (
+    RationalPoint,
+    make_circle,
+    make_polygon,
+    make_rational_circle,
+    quadrature_measures,
+    scaled,
+)
 from unitshapes.unitize import unitize
 from unitshapes.verify import (
     check_blob_pythagoras,
@@ -191,9 +198,7 @@ def test_rational_circle_is_unit_shape():
 
 
 def test_rational_circle_measured_by_quadrature(monkeypatch):
-    forced = make_rational_circle()
-    area = forced.area(force_quadrature=True)
-    semiperimeter = forced.semiperimeter(force_quadrature=True)
+    area, semiperimeter = quadrature_measures(make_rational_circle())
     # A closed form for the rational piece, right or wrong, must not reach the fixture.
     monkeypatch.setattr(RationalPoint, "_exact_length", lambda self: 1.0, raising=False)
     monkeypatch.setattr(RationalPoint, "_exact_area_term", lambda self: 1.0, raising=False)
