@@ -97,10 +97,6 @@ class RigidMotion(Record):
             y = -y
         return x, y
 
-    def apply(self, p: Point) -> Point:
-        x, y = self.apply_vector(p.x, p.y)
-        return Point(x + self.translation[0], y + self.translation[1])
-
 
 class Similarity(Record):
     """A rigid motion followed by a uniform scale lambda > 0."""
@@ -130,8 +126,8 @@ def _frame_image(sim: Similarity, frame: RigidMotion) -> RigidMotion:
     """A placed piece's frame carried by ``sim``: its origin maps to ``sim.apply`` of it, and
     (angle, reflect) come from the orthonormal columns of the composed linear part.
 
-    The scale is left to the piece. At scale 1, ``sim.apply`` is ``sim.motion.apply`` bit for
-    bit: times 1.0 and the -1.0 mirror are exact.
+    The scale is left to the piece. At scale 1, ``sim.apply`` is the rigid motion's rotation,
+    mirror and shift bit for bit: times 1.0 and the -1.0 mirror are exact.
     """
     outer = sim.motion
     e1 = outer.apply_vector(*frame.apply_vector(1.0, 0.0))
@@ -158,7 +154,11 @@ class CurvePiece(Record, ABC):
     t_end: float
 
     @abstractmethod
-    def point(self, t: float) -> Point: ...
+    def _xy(self, t: float) -> tuple[float, float]:
+        """The point at t as plain floats, which the quadrature reference integrates."""
+
+    def point(self, t: float) -> Point:
+        return Point(*self._xy(t))
 
     @abstractmethod
     def velocity(self, t: float) -> tuple[float, float]: ...
@@ -208,9 +208,10 @@ def quadrature_length(piece: CurvePiece) -> float:
     The reference for every closed form. A length is positive, so no absolute floor is
     needed: the quadrature stops on its relative tolerance at any scale.
     """
+    hypot, velocity = math.hypot, piece.velocity
+    speed = lambda t: hypot(*velocity(t))
     total = 0.0
     for lo, hi in piece._smooth_spans():
-        speed = lambda t: math.hypot(*piece.velocity(t))
         total += abs(adaptive_quadrature(speed, lo, hi, rel_tol=QUAD_REL_TOL, abs_tol=0.0))
     return total
 
@@ -222,14 +223,15 @@ def quadrature_area_term(piece: CurvePiece) -> float:
     not scale-free: below unit size the floor, not the relative tolerance, stops it. A
     scale-free floor needs a size for each piece (ROADMAP item 2).
     """
+    xy, velocity = piece._xy, piece.velocity
+
+    def integrand(t: float) -> float:
+        x, y = xy(t)
+        vx, vy = velocity(t)
+        return 0.5 * (x * vy - y * vx)
+
     total = 0.0
     for lo, hi in piece._smooth_spans():
-
-        def integrand(t: float) -> float:
-            p = piece.point(t)
-            vx, vy = piece.velocity(t)
-            return 0.5 * (p.x * vy - p.y * vx)
-
         total += adaptive_quadrature(integrand, lo, hi, rel_tol=QUAD_REL_TOL)
     return total
 
@@ -253,11 +255,9 @@ class LineSegment(CurvePiece):
         setfield(self, "start_point", start_point)
         setfield(self, "end_point", end_point)
 
-    def point(self, t: float) -> Point:
-        return Point(
-            self.start_point.x + t * (self.end_point.x - self.start_point.x),
-            self.start_point.y + t * (self.end_point.y - self.start_point.y),
-        )
+    def _xy(self, t: float) -> tuple[float, float]:
+        return (self.start_point.x + t * (self.end_point.x - self.start_point.x),
+                self.start_point.y + t * (self.end_point.y - self.start_point.y))
 
     def velocity(self, t: float) -> tuple[float, float]:
         return (self.end_point.x - self.start_point.x, self.end_point.y - self.start_point.y)
@@ -360,10 +360,10 @@ class Polyline(CurvePiece):
     def _edge(self, t: float) -> int:
         return min(max(int(math.floor(t)), 0), len(self.xs) - 2)
 
-    def point(self, t: float) -> Point:
+    def _xy(self, t: float) -> tuple[float, float]:
         i = self._edge(t)
         xs, ys, f = self.xs, self.ys, t - i
-        return Point(xs[i] + f * (xs[i + 1] - xs[i]), ys[i] + f * (ys[i + 1] - ys[i]))
+        return (xs[i] + f * (xs[i + 1] - xs[i]), ys[i] + f * (ys[i + 1] - ys[i]))
 
     def velocity(self, t: float) -> tuple[float, float]:
         i = self._edge(t)
@@ -421,11 +421,9 @@ class CircularArc(CurvePiece):
     def t_end(self) -> float:  # type: ignore[override]
         return self.angle_end
 
-    def point(self, t: float) -> Point:
-        return Point(
-            self.center.x + self.radius * math.cos(t),
-            self.center.y + self.radius * math.sin(t),
-        )
+    def _xy(self, t: float) -> tuple[float, float]:
+        return (self.center.x + self.radius * math.cos(t),
+                self.center.y + self.radius * math.sin(t))
 
     def velocity(self, t: float) -> tuple[float, float]:
         return (-self.radius * math.sin(t), self.radius * math.cos(t))
@@ -608,6 +606,23 @@ def _part_quarter_arc(p: float, q: float, start: tuple[float, float], end: tuple
             + _eighth_arc(v1, EIGHTH_TURN, sweep - near, q, p))
 
 
+def _from_quarter_end(speeds: list[tuple[float, float]], k: int, t: float) -> float:
+    """int of the speed from k pi/2 to t, negative where t lies below k pi/2, for t within a
+    quarter of k pi/2. ``speeds[k % 2]`` is (speed at k pi/2, speed at (k + 1) pi/2).
+
+    The sign of t's two-part offset from k pi/2 tells which quarter t lies in, and the part
+    is measured in that quarter.
+    """
+    past = _past_quarter(t, k)
+    if past > 0.0:
+        end = (past, -_past_quarter(t, k + 1))
+        return _part_quarter_arc(*speeds[k % 2], (0.0, QUARTER_TURN), end, past)
+    if past < 0.0:
+        return -_part_quarter_arc(*speeds[(k - 1) % 2], (_past_quarter(t, k - 1), -past),
+                                  (QUARTER_TURN, 0.0), -past)
+    return 0.0
+
+
 def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | None:
     """Length of (a cos t, b sin t) for t from t0 to t1, for semi-axes a, b > 0.
 
@@ -628,13 +643,9 @@ def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | Non
         length = _part_quarter_arc(*speeds[last % 2], _quarter_offsets(lo, last),
                                    _quarter_offsets(hi, last), hi - lo)
         return length * 2.0**exponent
-    head, tail = _quarter_offsets(lo, first - 1), _quarter_offsets(hi, last)
-    # lo or hi may lie past its quarter end by rounding, which makes that part's width negative.
-    # The speed is stationary at a quarter end, so the part is then its width times the speed there.
-    length = (_part_quarter_arc(*speeds[(first - 1) % 2], head, (QUARTER_TURN, 0.0), head[1])
-              if head[1] > 0.0 else head[1] * speeds[first % 2][0])
-    length += (_part_quarter_arc(*speeds[last % 2], (0.0, QUARTER_TURN), tail, tail[0])
-               if tail[0] > 0.0 else tail[0] * speeds[last % 2][0])
+    # The quotients round: within about 1.5e-16 |t| of a quarter end they can put lo past
+    # first * pi/2 or hi below last * pi/2, and the signed parts then measure that stray width.
+    length = _from_quarter_end(speeds, last, hi) - _from_quarter_end(speeds, first, lo)
     if last > first:
         length += (last - first) * (0.5 * ellipse_half_perimeter(a, b))
     return length * 2.0**exponent
@@ -673,14 +684,11 @@ class EllipticalArc(CurvePiece):
         setfield(self, "_cos", math.cos(rotation))
         setfield(self, "_sin", math.sin(rotation))
 
-    def _local(self, t: float) -> tuple[float, float]:
+    def _xy(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
-        return (a * math.cos(t), b * math.sin(t))
-
-    def point(self, t: float) -> Point:
-        x, y = self._local(t)
+        x, y = a * math.cos(t), b * math.sin(t)
         c, s = self._cos, self._sin
-        return Point(self.center.x + c * x - s * y, self.center.y + s * x + c * y)
+        return (self.center.x + c * x - s * y, self.center.y + s * x + c * y)
 
     def velocity(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
@@ -801,9 +809,11 @@ class ParabolicArc(CurvePiece):
     def t_end(self) -> float:  # type: ignore[override]
         return self.x_end
 
-    def point(self, t: float) -> Point:
+    def _xy(self, t: float) -> tuple[float, float]:
         alpha, beta, gamma = self.coefficients
-        return self.frame.apply(Point(t, (alpha * t + beta) * t + gamma))
+        x, y = self.frame.apply_vector(t, (alpha * t + beta) * t + gamma)
+        tx, ty = self.frame.translation
+        return (x + tx, y + ty)
 
     def velocity(self, t: float) -> tuple[float, float]:
         alpha, beta, _ = self.coefficients
@@ -888,9 +898,11 @@ class RationalPoint(CurvePiece):
         setfield(self, "t_end", t_end)
         setfield(self, "frame", frame)
 
-    def point(self, t: float) -> Point:
+    def _xy(self, t: float) -> tuple[float, float]:
         d = 1.0 + t * t
-        return self.frame.apply(Point(2.0 * t / d, (1.0 - t * t) / d))
+        x, y = self.frame.apply_vector(2.0 * t / d, (1.0 - t * t) / d)
+        tx, ty = self.frame.translation
+        return (x + tx, y + ty)
 
     def velocity(self, t: float) -> tuple[float, float]:
         d = (1.0 + t * t) ** 2

@@ -6,7 +6,8 @@ class UnitShapesError(Exception):
 
 
 class QuadratureFailure(UnitShapesError):
-    """Adaptive quadrature exhausted its subdivision budget before meeting tolerance."""
+    """Adaptive quadrature exhausted its subdivision budget before meeting tolerance, or its
+    estimate turned NaN."""
 
 
 class DomainError(UnitShapesError, ValueError):

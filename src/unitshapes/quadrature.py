@@ -11,37 +11,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections.abc import Callable
 
 from .errors import QuadratureFailure
 
-# Kronrod-15 abscissae on [-1, 1] (symmetric; only the non-negative half listed).
-_XK = (
-    0.0,
-    0.2077849550078985,
-    0.4058451513773972,
-    0.5860872354676911,
-    0.7415311855993944,
-    0.8648644233597691,
-    0.9491079123427585,
-    0.9914553711208126,
-)
-_WK = (
-    0.2094821410847278,
-    0.2044329400752989,
-    0.1903505780647854,
-    0.1690047266392679,
-    0.1406532597155259,
-    0.1047900103222502,
-    0.0630920926299786,
-    0.0229353220105292,
-)
-# Gauss-7 weights for the embedded rule (abscissae are _XK[0], _XK[2], _XK[4], _XK[6]).
-_WG = (
-    0.4179591836734694,
-    0.3818300505051189,
-    0.2797053914892767,
-    0.1294849661688697,
+# The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule: the weights of the
+# centre node, then (abscissa, Kronrod weight, Gauss weight) of each symmetric node pair,
+# outward. The Gauss weight is 0.0 at the Kronrod-only nodes; adding 0.0 times a finite sum
+# leaves the Gauss estimate as it is, so both estimates accumulate in node order.
+_CENTER_WK = 0.2094821410847278
+_CENTER_WG = 0.4179591836734694
+_NODE_PAIRS = (
+    (0.2077849550078985, 0.2044329400752989, 0.0),
+    (0.4058451513773972, 0.1903505780647854, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993944, 0.1406532597155259, 0.2797053914892767),
+    (0.8648644233597691, 0.1047900103222502, 0.0),
+    (0.9491079123427585, 0.0630920926299786, 0.1294849661688697),
+    (0.9914553711208126, 0.0229353220105292, 0.0),
 )
 
 
@@ -50,14 +38,13 @@ def _gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = f(mid)
-    kron = _WK[0] * fc
-    gauss = _WG[0] * fc
-    for i in range(1, 8):
-        x = half * _XK[i]
+    kron = _CENTER_WK * fc
+    gauss = _CENTER_WG * fc
+    for xk, wk, wg in _NODE_PAIRS:
+        x = half * xk
         fsum = f(mid - x) + f(mid + x)
-        kron += _WK[i] * fsum
-        if i % 2 == 0:
-            gauss += _WG[i // 2] * fsum
+        kron += wk * fsum
+        gauss += wg * fsum
     kron *= half
     gauss *= half
     return kron, abs(kron - gauss)
@@ -75,7 +62,8 @@ def adaptive_quadrature(
 
     Convergence requires the summed per-interval error estimate to fall below
     max(abs_tol, rel_tol * |integral|). Raises QuadratureFailure if the worst
-    remaining interval has already been bisected max_depth times.
+    remaining interval has already been bisected max_depth times, or if the
+    estimate or its error is NaN, as where the integrand overflows.
     """
     if a == b:
         return 0.0
@@ -105,4 +93,7 @@ def adaptive_quadrature(
         heapq.heappush(heap, (-left_err, next(counter), lo, mid, left_val, left_err, depth + 1))
         heapq.heappush(heap, (-right_err, next(counter), mid, hi, right_val, right_err, depth + 1))
 
+    # The loop's test is false for a NaN error, so it can stop with a NaN estimate.
+    if math.isnan(total) or math.isnan(total_err):
+        raise QuadratureFailure(f"the integrand is NaN or overflows on [{a}, {b}]")
     return sign * total

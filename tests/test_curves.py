@@ -2,6 +2,7 @@ import copy
 import importlib
 import json
 import math
+import pathlib
 import pickle
 import random
 from decimal import Decimal
@@ -35,7 +36,7 @@ from unitshapes.curves import (
     shape_from_dict,
     shape_from_json,
 )
-from unitshapes.errors import DomainError
+from unitshapes.errors import DomainError, UnitShapesError
 from unitshapes.unitize import unitize
 
 from oracles import dense_simpson
@@ -391,6 +392,56 @@ def test_ellipse_semiperimeter_against_simpson_oracle():
     assert ellipse.semiperimeter() == pytest.approx(expected, rel=1e-8)
 
 
+REFERENCE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "quadrature_reference.json"
+
+
+def reference_pieces():
+    """Every piece kind posed plain, mirrored, shifted and scaled by 1e12 and 1e-12, plus the two
+    closed-form fallbacks, by name. A rational arc scaled off the unit circle is a circular arc,
+    so rational arcs take no scaled poses."""
+    poses = {
+        "plain": Similarity(),
+        "mirrored": Similarity(RigidMotion(0.7, True, (3.0, -2.0))),
+        "shifted": Similarity(RigidMotion(-1.2, False, (1e3, -2e3))),
+        "large": Similarity(RigidMotion(2.1, False, (5.0, 1.0)), 1e12),
+        "small": Similarity(RigidMotion(-0.4, True, (5.0, 1.0)), 1e-12),
+    }
+    pieces = {f"{piece.kind}/{pose}": piece.transformed(sim)
+              for piece in sample_pieces() for pose, sim in poses.items()
+              if piece.kind != "rational_point" or sim.scale == 1.0}
+    pieces["elliptical_arc/flat"] = EllipticalArc(Point(0.5, 0.0), (1.0, 1e-200), 0.4, 0.3, 2.4)
+    pieces["parabolic_arc/steep"] = ParabolicArc((1e300, 0.0, 0.0), 1e-140, 2e-140,
+                                                 RigidMotion(0.0, True, (1.0, 2.0)))
+    return pieces
+
+
+def quadrature_reference_reprs(monkeypatch) -> dict:
+    """The reference's length and area term of each reference piece, and the integrand
+    evaluations of the rational circle's measures, as the golden file holds them."""
+    curves_module = importlib.import_module("unitshapes.curves")
+    quadrature = curves_module.adaptive_quadrature
+    evals = 0
+
+    def counted(f, *args, **kwargs):
+        def integrand(t):
+            nonlocal evals
+            evals += 1
+            return f(t)
+
+        return quadrature(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(curves_module, "adaptive_quadrature", counted)
+    area, semiperimeter = quadrature_measures(make_rational_circle())
+    circle = {"area": repr(area), "semiperimeter": repr(semiperimeter), "evals": evals}
+    return {"pieces": {name: [repr(quadrature_length(p)), repr(quadrature_area_term(p))]
+                       for name, p in reference_pieces().items()},
+            "rational_circle": circle}
+
+
+def test_quadrature_reference_is_the_golden_bit_for_bit(monkeypatch):
+    assert quadrature_reference_reprs(monkeypatch) == json.loads(REFERENCE_GOLDEN.read_text())
+
+
 def test_exact_vs_quadrature_for_circular_arcs():
     shape = Shape(
         [
@@ -672,6 +723,17 @@ def test_arc_length_at_large_parameters(t0, t1, reference):
     assert arc.reversed_().length() == length
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_arc_length_where_the_quotient_rounds_onto_a_quarter_end(sign):
+    # t0 lies 0.26 ulp (3.2e-5) below 636619772368 pi/2, but t0 / QUARTER_TURN rounds to that
+    # integer; taken as its width times the speed at the quarter end, the part below it put the
+    # length 5.6e-11 off. The length of (cos t, 0.3 sin t) to 40 digits (mpmath, 60 digits).
+    reference = 0.0002929692686140162322162543817849151798379
+    arc = EllipticalArc(Point(0.0, 0.0), (1.0, 0.3), 0.0,
+                        sign * 1000000000000.6576, sign * 1000000000000.6566)
+    assert arc.length() == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("size", [1e-300, 1e-200, 1e200, 1e300])
 def test_whole_turn_length_at_the_ends_of_the_float_range(size):
     # The AGM's squares of semi-axes this size would overflow or underflow unscaled.
@@ -820,6 +882,15 @@ def test_closed_lengths_leave_the_float_range_to_quadrature():
     assert steep.length() == pytest.approx(3e20, rel=1e-12)
 
 
+def test_reference_raises_where_an_interior_point_overflows():
+    # y = 1e200 x^2 passes the float range inside the span; the integrands' NaN and inf must
+    # raise, as Point's finiteness check did when the reference built points.
+    arc = ParabolicArc((1e200, 0.0, 0.0), -1e110, 1e110)
+    for reference in (quadrature_area_term, quadrature_length):
+        with pytest.raises(UnitShapesError):
+            reference(arc)
+
+
 def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
     # A graph whose slope changes by 2e-13 over its span: its length is the chord's to rounding,
     # also where the vertex lies 1.4e14 away and u = 2 alpha x + beta cancels.
@@ -920,11 +991,12 @@ def test_scale_one_rational_frame_is_the_rigid_composition_bit_for_bit():
         # through the rigid motion, then (angle, reflect) read from the columns.
         e1 = outer.apply_vector(*inner.apply_vector(1.0, 0.0))
         e2 = outer.apply_vector(*inner.apply_vector(0.0, 1.0))
-        origin = outer.apply(Point(*inner.translation))
+        x, y = outer.apply_vector(*inner.translation)
+        origin = (x + outer.translation[0], y + outer.translation[1])
         if e1[0] * e2[1] - e1[1] * e2[0] > 0.0:
-            expected = RigidMotion(math.atan2(e1[1], e1[0]), False, (origin.x, origin.y))
+            expected = RigidMotion(math.atan2(e1[1], e1[0]), False, origin)
         else:
-            expected = RigidMotion(math.atan2(-e1[1], e1[0]), True, (origin.x, origin.y))
+            expected = RigidMotion(math.atan2(-e1[1], e1[0]), True, origin)
         assert image.frame == expected
 
 

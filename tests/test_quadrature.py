@@ -54,3 +54,19 @@ def test_harsh_singularity_exhausts_budget():
     # depth cap must trip rather than return a low-confidence value.
     with pytest.raises(QuadratureFailure):
         adaptive_quadrature(lambda t: 1.0 / abs(t) ** 0.99, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: math.nan,
+        lambda t: math.nan if t == 0.5 else 1.0,
+        lambda t: math.inf,
+        lambda t: math.inf if t > 0.5 else -math.inf,
+    ],
+    ids=["nan", "nan_at_one_node", "inf", "both_infinities"],
+)
+def test_nan_estimate_raises_instead_of_returning(f):
+    # The convergence test is false for a NaN error, so without a check the NaN came back.
+    with pytest.raises(QuadratureFailure):
+        adaptive_quadrature(f, 0.0, 1.0)
