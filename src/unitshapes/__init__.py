@@ -50,17 +50,13 @@ from .curves import (
 from .errors import DomainError, NotConverged, QuadratureFailure, UnitShapesError
 from .optimize import MinimizationResult, minimize_1d, minimize_2d, scan
 from .solids import PlatonicSolid, SolidMeasures, measures, table_check, unitize_solid
-from .unitize import (
-    IndexedFamilyProbe,
-    UnitizationResult,
-    check_calculus_friendly,
-    idempotence_check,
-    tong_inradius,
-    unitize,
-)
+from .unitize import UnitizationResult, tong_inradius, unitize
 from .verify import (
     VerificationReport,
     check_blob_pythagoras,
+    check_calculus,
+    check_conciliation,
+    check_idempotence,
     check_isoperimetric,
     check_mgon_bound,
     check_rational_circle,

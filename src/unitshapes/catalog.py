@@ -5,7 +5,8 @@ Each family is one parameter record class, listed once in ``FAMILIES``;
 perimeter by the arithmetic-geometric mean) and ``build_unit_shape``
 constructs its concrete unit-scale member so the curve kernel can
 cross-check the formulas. Adaptive quadrature of the ellipse's speed
-integral is kept only as the cross-check in ``conciliation_checks``.
+integral is kept only as the reference that the ``conciliation`` suite of
+``verify`` holds the AGM to.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from .curves import EllipticalArc, Point, Shape, ellipse_half_perimeter, make_polygon
 from .errors import DomainError
 from .quadrature import adaptive_quadrature
-from .records import MutableRecord, Record, setfield
+from .records import Record, setfield
 
 
 class RightTriangle(Record):
@@ -297,87 +298,3 @@ def build_unit_shape(p: FamilyParam) -> Shape:
         _finite_measure(p)  # raises the measure's overflow error where the measure overflows too
         raise
     return shape
-
-
-class ConciliationCheck(MutableRecord):
-    __slots__ = _fields = ("name", "points_tested", "worst_rel_err", "failures")
-
-    def __init__(self, name: str, points_tested: int, worst_rel_err: float,
-                 failures: list[tuple] | None = None) -> None:
-        self.name = name
-        self.points_tested = points_tested
-        self.worst_rel_err = worst_rel_err
-        self.failures = [] if failures is None else failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-class ConciliationReport(MutableRecord):
-    __slots__ = _fields = ("checks",)
-
-    def __init__(self, checks: list[ConciliationCheck] | None = None) -> None:
-        self.checks = [] if checks is None else checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def conciliation_checks(grid_size: int = 400, rel_tol: float = 1e-10) -> ConciliationReport:
-    """Cross-check overlapping family formulas on dense parameter grids.
-
-    * a right triangle with acute angle theta is the general triangle with
-      side ratios (sin theta, cos theta) against its hypotenuse;
-    * a right-angle parallelogram is a rectangle;
-    * an equal-sides parallelogram is a rhombus;
-    * the ellipse's half perimeter by the AGM is its speed integral by
-      adaptive quadrature.
-    """
-    report = ConciliationReport()
-
-    def run(name: str, params, lhs, rhs) -> None:
-        check = ConciliationCheck(name, len(params), 0.0)
-        for q in params:
-            a, b = lhs(q), rhs(q)
-            err = abs(a - b) / max(abs(a), abs(b))
-            check.worst_rel_err = max(check.worst_rel_err, err)
-            if err > rel_tol:
-                check.failures.append((q, a, b))
-        report.checks.append(check)
-
-    thetas = [
-        math.pi / 2.0 * (i + 0.5) / grid_size for i in range(grid_size)
-    ]
-    run(
-        "right_triangle_vs_triangle",
-        thetas,
-        lambda t: fundamental_measure(RightTriangle(t)),
-        lambda t: fundamental_measure(Triangle(math.sin(t), math.cos(t))),
-    )
-
-    ratios = [10.0 ** (-2.0 + 4.0 * i / (grid_size - 1)) for i in range(grid_size)]
-    run(
-        "right_parallelogram_vs_rectangle",
-        ratios,
-        lambda r: fundamental_measure(Parallelogram(math.pi / 2.0, r)),
-        lambda r: fundamental_measure(Rectangle(r)),
-    )
-
-    angles = [math.pi * (i + 0.5) / grid_size for i in range(grid_size)]
-    run(
-        "equilateral_parallelogram_vs_rhombus",
-        angles,
-        lambda t: fundamental_measure(Parallelogram(t, 1.0)),
-        lambda t: fundamental_measure(Rhombus(t)),
-    )
-
-    axis_ratios = [(i + 0.5) / grid_size for i in range(grid_size)]
-    run(
-        "ellipse_agm_vs_quadrature",
-        axis_ratios,
-        lambda r: ellipse_half_perimeter(1.0, r),
-        _ellipse_speed_integral_by_quadrature,
-    )
-    return report

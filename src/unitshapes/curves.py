@@ -899,8 +899,11 @@ class RationalPoint(CurvePiece):
         setfield(self, "frame", frame)
 
     def _xy(self, t: float) -> tuple[float, float]:
+        flip = 1.0
+        if t * t == math.inf:  # divided through by t^2, x(t) = x(1/t) and y(t) = -y(1/t)
+            t, flip = 1.0 / t, -1.0
         d = 1.0 + t * t
-        x, y = self.frame.apply_vector(2.0 * t / d, (1.0 - t * t) / d)
+        x, y = self.frame.apply_vector(2.0 * t / d, flip * (1.0 - t * t) / d)
         tx, ty = self.frame.translation
         return (x + tx, y + ty)
 

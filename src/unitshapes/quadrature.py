@@ -3,8 +3,8 @@
 A 7-point Gauss / 15-point Kronrod pair is applied per interval; the worst
 interval (largest error estimate) is bisected until the summed error estimate
 meets tolerance. Intervals are never split beyond ``max_depth`` halvings of
-the original interval, at which point QuadratureFailure signals a pathological
-integrand.
+the original interval, nor more than ``MAX_BISECTIONS`` times in all; either
+limit raises QuadratureFailure, which signals a pathological integrand.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import math
 from collections.abc import Callable
 
 from .errors import QuadratureFailure
+
+# Bisections per call: the package's integrands need at most about 60, and an
+# integrand whose error estimate is rounding noise would bisect without end.
+MAX_BISECTIONS = 2000
 
 # The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule: the weights of the
 # centre node, then (abscissa, Kronrod weight, Gauss weight) of each symmetric node pair,
@@ -62,8 +66,9 @@ def adaptive_quadrature(
 
     Convergence requires the summed per-interval error estimate to fall below
     max(abs_tol, rel_tol * |integral|). Raises QuadratureFailure if the worst
-    remaining interval has already been bisected max_depth times, or if the
-    estimate or its error is NaN, as where the integrand overflows.
+    remaining interval has already been bisected max_depth times, after
+    MAX_BISECTIONS bisections, or if the estimate or its error is NaN, as where
+    the integrand overflows.
     """
     if a == b:
         return 0.0
@@ -80,6 +85,9 @@ def adaptive_quadrature(
     total_err = err
 
     while total_err > max(abs_tol, rel_tol * abs(total)):
+        if len(heap) > MAX_BISECTIONS:  # each bisection adds one interval to the heap
+            raise QuadratureFailure(f"no convergence on [{a}, {b}] after {MAX_BISECTIONS}"
+                                    f" bisections: error estimate {total_err:.3e}")
         neg_err, _, lo, hi, val, err, depth = heapq.heappop(heap)
         if depth >= max_depth:
             raise QuadratureFailure(

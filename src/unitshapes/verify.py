@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from operator import sub
 
 from .catalog import (
@@ -22,6 +22,7 @@ from .catalog import (
     Rhombus,
     RightTriangle,
     Triangle,
+    _ellipse_speed_integral_by_quadrature,
     build_unit_shape,
     fundamental_measure,
 )
@@ -30,6 +31,7 @@ from .curves import (
     RigidMotion,
     Shape,
     Similarity,
+    ellipse_half_perimeter,
     make_circle,
     make_rational_circle,
     polygon_measures,
@@ -40,6 +42,9 @@ from .records import MutableRecord
 from .unitize import UnitizationResult, unitize
 
 ISOPERIMETRIC_REL_TOL = 1e-9
+UNIT_ROUNDOFF = 2.0**-53
+CALCULUS_STEP = 1e-5  # the finite-difference step h of check_calculus, relative to lambda
+CALCULUS_ROUNDING = 8.0  # K of its bound K u lambda / h
 
 
 class VerificationReport(MutableRecord):
@@ -185,6 +190,82 @@ def check_rational_circle(tol: float = 1e-9) -> VerificationReport:
     return report
 
 
+def check_calculus(
+    shape: Shape, lambdas: Sequence[float], identity_rel_tol: float = 1e-12
+) -> VerificationReport:
+    """dA/dlambda = P(lambda) along the family lambda * shape, which holds iff A = S for the shape.
+
+    At each lambda, with h = CALCULUS_STEP * lambda, the kernel's (A(lambda + h) -
+    A(lambda - h)) / step must match the perimeter 2 S(lambda) to K u lambda / h, u = 2^-53.
+    A is exactly quadratic in the scale, so there is no truncation term, and the step,
+    (lambda + h) - (lambda - h) of the two floats, is exact by Sterbenz's lemma (2h would
+    add about u lambda / (4h)). What is left is the rounding of the two areas over the
+    step. A scaled copy rounds each coordinate and each product of two, and fsum rounds
+    once, so an area whose terms do not cancel (as in the catalog's and make_circle's
+    poses) is within about 4u, and two over 2h give 2u lambda / h. K = CALCULUS_ROUNDING
+    = 8 allows four times that, 8.9e-11; the calculus suite's worst over seeds 0-1999 is
+    2.05 u lambda / h, on a parallelogram whose terms partly cancel. A shape posed far
+    from the origin may fail by rounding alone. Each lambda also checks A(lambda + d) -
+    A(lambda) = (2 lambda + d) d Pi, d = lambda / 4 and Pi = (A + S) / 2 of the base, to
+    identity_rel_tol. Slack is each bound minus its error; the report keeps the worst.
+    """
+    measure = 0.5 * (shape.area() + shape.semiperimeter())
+    details = {"measure": measure, "worst_derivative_rel_err": 0.0}
+    report = VerificationReport("calculus_friendly_indexing", len(lambdas), math.inf, [], details)
+    for lam in lambdas:
+        h = CALCULUS_STEP * lam
+        above, below = lam + h, lam - h
+        derivative = (scaled(shape, above).area() - scaled(shape, below).area()) / (above - below)
+        member = scaled(shape, lam)
+        perimeter = 2.0 * member.semiperimeter()
+        derivative_err = abs(derivative - perimeter) / perimeter
+        bound = CALCULUS_ROUNDING * UNIT_ROUNDOFF * lam / h
+
+        d = 0.25 * lam
+        strip = (2.0 * lam + d) * d * measure
+        identity_err = abs(scaled(shape, lam + d).area() - member.area() - strip) / strip
+
+        details["worst_derivative_rel_err"] = max(details["worst_derivative_rel_err"], derivative_err)
+        report.worst_slack = min(report.worst_slack, bound - derivative_err,
+                                 identity_rel_tol - identity_err)
+        if not (derivative_err <= bound and identity_err <= identity_rel_tol):
+            report.counterexamples.append({"lambda": lam, "derivative_rel_err": derivative_err,
+                                           "bound": bound, "identity_rel_err": identity_err})
+    return report
+
+
+def check_idempotence(shape: Shape, tol: float = 1e-9) -> VerificationReport:
+    """unitize gives a shape with A = S, measured by the kernel, and unitizing it again moves
+    neither scale nor measure."""
+    first = unitize(shape)
+    unit = first.unit_shape
+    area, semiperimeter = unit.area(), unit.semiperimeter()
+    second, measure = unitize(unit), first.fundamental_measure
+    errors = {
+        "unit_gap": abs(area - semiperimeter) / semiperimeter,
+        "scale_drift": abs(second.tong_inradius_reciprocal - 1.0),
+        "measure_drift": abs(second.fundamental_measure - measure) / measure,
+    }
+    worst = max(errors.values())
+    report = VerificationReport("idempotence", 1, tol - worst, details=errors)
+    if not worst <= tol:
+        report.counterexamples.append(dict(errors))
+    return report
+
+
+def check_conciliation(name: str, params: Sequence[float], lhs: Callable[[float], float],
+                       rhs: Callable[[float], float], rel_tol: float = 1e-10) -> VerificationReport:
+    """Two formulas for one quantity agree to rel_tol at every parameter; NaN never agrees."""
+    report = VerificationReport(name, len(params), rel_tol)
+    for q in params:
+        a, b = lhs(q), rhs(q)
+        err = abs(a - b) / max(abs(a), abs(b))
+        report.worst_slack = min(report.worst_slack, rel_tol - err)
+        if not err <= rel_tol:
+            report.counterexamples.append({"param": q, "lhs": a, "rhs": b})
+    return report
+
+
 def random_simple_mgon(m: int, rng: random.Random) -> Shape:
     """Random m-gon: vertices sorted by angle about a center, joined in that order.
 
@@ -226,26 +307,29 @@ def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], 
             return xs, ys, area, semiperimeter
 
 
+def _random_triangle(rng: random.Random) -> Triangle:
+    while True:
+        r = rng.uniform(0.3, 1.0)
+        s = rng.uniform(0.3, 1.0)
+        if r + s > 1.1:
+            return Triangle(r, s)
+
+
+# One seeded draw per catalog family, away from blow-up boundaries, in FAMILIES order.
+FAMILY_DRAWS = (
+    lambda rng: RightTriangle(rng.uniform(0.15, math.pi / 2.0 - 0.15)),
+    _random_triangle,
+    lambda rng: Rectangle(rng.uniform(0.1, 10.0)),
+    lambda rng: Rhombus(rng.uniform(0.2, math.pi - 0.2)),
+    lambda rng: Parallelogram(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.2, 5.0)),
+    lambda rng: Ellipse(rng.uniform(0.05, 0.95)),
+    lambda rng: RegularPolygon(rng.randrange(3, 13)),
+)
+
+
 def random_family_param(rng: random.Random) -> FamilyParam:
     """A random member of a random catalog family, away from blow-up boundaries."""
-    kind = rng.randrange(7)
-    if kind == 0:
-        return RightTriangle(rng.uniform(0.15, math.pi / 2.0 - 0.15))
-    if kind == 1:
-        while True:
-            r = rng.uniform(0.3, 1.0)
-            s = rng.uniform(0.3, 1.0)
-            if r + s > 1.1:
-                return Triangle(r, s)
-    if kind == 2:
-        return Rectangle(rng.uniform(0.1, 10.0))
-    if kind == 3:
-        return Rhombus(rng.uniform(0.2, math.pi - 0.2))
-    if kind == 4:
-        return Parallelogram(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.2, 5.0))
-    if kind == 5:
-        return Ellipse(rng.uniform(0.05, 0.95))
-    return RegularPolygon(rng.randrange(3, 13))
+    return FAMILY_DRAWS[rng.randrange(len(FAMILY_DRAWS))](rng)
 
 
 def random_similarity(rng: random.Random) -> Similarity:
@@ -347,6 +431,54 @@ def suite_rational_circle(seed: int = 0, tol: float | None = None) -> list[Verif
     return [check_rational_circle(1e-9 if tol is None else tol)]
 
 
+def suite_calculus(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
+    """The unit circle and a seeded unit member of each family, each at a seeded index. The
+    rational circle, scaled by anything but 1, becomes CircularArcs, so it is left out."""
+    identity_tol = 1e-12 if tol is None else tol
+    rng = random.Random(seed)
+    bases = [make_circle(1.0)] + [build_unit_shape(draw(rng)) for draw in FAMILY_DRAWS]
+    return [check_calculus(b, [math.exp(rng.uniform(-2.0, 2.0))], identity_tol) for b in bases]
+
+
+def suite_idempotence(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
+    """A seeded circle and one seeded member of each family, each under a seeded similarity."""
+    idempotence_tol = 1e-9 if tol is None else tol
+    rng = random.Random(seed)
+    shapes = [make_circle(rng.uniform(0.5, 3.0))] + [
+        build_unit_shape(draw(rng)).transformed(random_similarity(rng)) for draw in FAMILY_DRAWS]
+    return [check_idempotence(shape, idempotence_tol) for shape in shapes]
+
+
+# Each overlap of two formulas: its claim, the parameter at fraction f of its domain, and the
+# formulas. f is a midpoint of a CONCILIATION_GRID-point grid, which the tests check in full.
+CONCILIATIONS = (
+    ("right_triangle_vs_triangle", lambda f: math.pi / 2.0 * f,
+     lambda t: fundamental_measure(RightTriangle(t)),
+     lambda t: fundamental_measure(Triangle(math.sin(t), math.cos(t)))),
+    ("right_parallelogram_vs_rectangle", lambda f: 10.0 ** (-2.0 + 4.0 * f),
+     lambda r: fundamental_measure(Parallelogram(math.pi / 2.0, r)),
+     lambda r: fundamental_measure(Rectangle(r))),
+    ("equilateral_parallelogram_vs_rhombus", lambda f: math.pi * f,
+     lambda t: fundamental_measure(Parallelogram(t, 1.0)),
+     lambda t: fundamental_measure(Rhombus(t))),
+    ("ellipse_agm_vs_quadrature", lambda f: f,
+     lambda r: ellipse_half_perimeter(1.0, r), _ellipse_speed_integral_by_quadrature),
+)
+CONCILIATION_GRID = 400
+CONCILIATION_SAMPLES = 3
+
+
+def suite_conciliation(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
+    rel_tol = 1e-10 if tol is None else tol
+    rng = random.Random(seed)
+    reports = []
+    for name, at, lhs, rhs in CONCILIATIONS:
+        fractions = [(rng.randrange(CONCILIATION_GRID) + 0.5) / CONCILIATION_GRID
+                     for _ in range(CONCILIATION_SAMPLES)]
+        reports.append(check_conciliation(name, [at(f) for f in fractions], lhs, rhs, rel_tol))
+    return reports
+
+
 SUITES = {
     "isoperimetric": suite_isoperimetric,
     "unit-floor": suite_unit_floor,
@@ -354,6 +486,9 @@ SUITES = {
     "mgon": suite_mgon,
     "blob-pythagoras": suite_blob_pythagoras,
     "rational-circle": suite_rational_circle,
+    "calculus": suite_calculus,
+    "idempotence": suite_idempotence,
+    "conciliation": suite_conciliation,
 }
 
 

@@ -110,3 +110,22 @@ def grid_min_2d(
     values = f(xs[:, None], ys[None, :])
     i, j = np.unravel_index(np.argmin(values), values.shape)
     return float(xs[i]), float(ys[j]), float(values[i, j])
+
+
+def measure_multiset_match(a, b, rel_tol: float = 1e-8) -> bool:
+    """Congruence surrogate: equal area, semiperimeter and piece-length multiset."""
+    if abs(a.area() - b.area()) > rel_tol * max(a.area(), b.area()):
+        return False
+    if abs(a.semiperimeter() - b.semiperimeter()) > rel_tol * max(
+        a.semiperimeter(), b.semiperimeter()
+    ):
+        return False
+    lengths_a = sorted(p.length() for p in a.pieces)
+    lengths_b = sorted(p.length() for p in b.pieces)
+    if len(lengths_a) != len(lengths_b):
+        return False
+    scale = max(lengths_a[-1], lengths_b[-1])
+    return all(
+        math.isclose(x, y, rel_tol=0.0, abs_tol=rel_tol * scale)
+        for x, y in zip(lengths_a, lengths_b)
+    )

@@ -23,9 +23,11 @@ from unitshapes.catalog import (
 from unitshapes.curves import make_circle, make_rational_circle
 from unitshapes.optimize import minimize_1d, minimize_2d
 from unitshapes.solids import KINDS, PlatonicSolid, expected_unit_measures, measures, unitize_solid
-from unitshapes.unitize import IndexedFamilyProbe, check_calculus_friendly, unitize
+from unitshapes.unitize import unitize
 from unitshapes.verify import (
     check_blob_pythagoras,
+    check_calculus,
+    check_idempotence,
     check_mgon_bound,
     random_family_param,
     random_simple_mgon,
@@ -90,19 +92,14 @@ def _random_sample_shapes(count: int, seed: int = 20240811):
 
 def test_02_unit_property_and_idempotence():
     shapes = _random_sample_shapes(110)
-    worst_gap = 0.0
-    worst_scale = 0.0
-    for shape in shapes:
-        result = unitize(shape)
-        a = result.unit_shape.area()
-        s = result.unit_shape.semiperimeter()
-        worst_gap = max(worst_gap, abs(a - s) / s)
-        again = unitize(result.unit_shape)
-        worst_scale = max(worst_scale, abs(again.tong_inradius_reciprocal - 1.0))
+    reports = [check_idempotence(shape) for shape in shapes]
+    worst_gap = max(r.details["unit_gap"] for r in reports)
+    worst_scale = max(r.details["scale_drift"] for r in reports)
     conclude(
         2,
         "unit property on randomized shapes",
-        len(shapes) >= 100 and worst_gap <= 1e-8 and worst_scale <= 1e-9,
+        len(shapes) >= 100 and all(r.passed for r in reports)
+        and worst_gap <= 1e-8 and worst_scale <= 1e-9,
         f"n={len(shapes)}, worst |A-S|/S {worst_gap:.2e}, worst |scale-1| {worst_scale:.2e}",
     )
 
@@ -118,15 +115,12 @@ def test_03_calculus_friendly_indexing():
         RegularPolygon(5),
     ]
     bases = [build_unit_shape(p) for p in params] + [make_circle(1.0)]
-    worst = 0.0
-    for base in bases:
-        report = check_calculus_friendly(IndexedFamilyProbe(base, (0.5, 1.0, 2.0)))
-        worst = max(worst, max(e.derivative_rel_err for e in report.entries))
-        assert report.passed
+    reports = [check_calculus(base, (0.5, 1.0, 2.0)) for base in bases]
+    worst = max(r.details["worst_derivative_rel_err"] for r in reports)
     conclude(
         3,
         "area derivative is perimeter at lambda in {0.5, 1, 2}",
-        worst <= 1e-5,
+        all(r.passed for r in reports) and worst <= 1e-10,
         f"worst finite-difference rel err {worst:.2e}",
     )
 

@@ -16,7 +16,6 @@ from unitshapes.catalog import (
     RightTriangle,
     Triangle,
     build_unit_shape,
-    conciliation_checks,
     ellipse_semi_minor,
     family_from_dict,
     family_named,
@@ -26,6 +25,7 @@ from unitshapes.catalog import (
 )
 from unitshapes.curves import ellipse_half_perimeter, quadrature_measures
 from unitshapes.errors import DomainError
+from unitshapes.verify import CONCILIATION_GRID, CONCILIATIONS, check_conciliation
 
 from oracles import dense_simpson
 
@@ -332,10 +332,12 @@ def test_rhombus_diagonal_matches_built_shape():
 
 
 def test_conciliation_checks_pass():
-    report = conciliation_checks()
-    assert report.passed
-    for check in report.checks:
-        assert check.worst_rel_err <= 1e-10
+    # Every point the conciliation suite can draw.
+    for name, at, lhs, rhs in CONCILIATIONS:
+        grid = [at((i + 0.5) / CONCILIATION_GRID) for i in range(CONCILIATION_GRID)]
+        report = check_conciliation(name, grid, lhs, rhs, rel_tol=1e-10)
+        assert report.passed and report.instances_tested == 400, report.counterexamples
+        assert report.worst_slack >= 0.0  # every relative error is at most 1e-10
 
 
 def test_conciliation_spot_values():

@@ -378,6 +378,22 @@ def test_rational_half_disk_area():
     assert half.area() == pytest.approx(circular.area(), rel=1e-10)
 
 
+@pytest.mark.parametrize("t", [1.3e154, 1.4e154, 1e200, -1e200, 1.7e308])
+def test_rational_arc_point_tends_to_the_bottom_of_the_circle(t):
+    # t*t overflows past |t| ~ 1.34e154, where the point is (2/t, -1) to the last bit.
+    start = RationalPoint(t, -1.0).start
+    x, y = start.x, start.y
+    assert (x, y) == (pytest.approx(2.0 / t, rel=1e-15), -1.0)
+    assert (x, y) == pytest.approx((0.0, -1.0), abs=1e-150)
+
+
+def test_rational_arc_point_keeps_its_bits_where_t_squared_is_finite():
+    for t in (0.3, -0.9, 7.0, 1e10, 1.3e154):
+        d = 1.0 + t * t
+        start = RationalPoint(t, -1.0).start
+        assert (start.x, start.y) == (2.0 * t / d, (1.0 - t * t) / d)
+
+
 def test_rational_circle_matches_circular_arc_circle():
     rational = make_rational_circle()
     arc = make_circle(1.0)

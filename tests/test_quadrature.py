@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from unitshapes.curves import ParabolicArc, RigidMotion, quadrature_area_term
 from unitshapes.errors import QuadratureFailure
-from unitshapes.quadrature import adaptive_quadrature
+from unitshapes.quadrature import MAX_BISECTIONS, adaptive_quadrature
 
 from oracles import dense_simpson
 
@@ -54,6 +55,14 @@ def test_harsh_singularity_exhausts_budget():
     # depth cap must trip rather than return a low-confidence value.
     with pytest.raises(QuadratureFailure):
         adaptive_quadrature(lambda t: 1.0 / abs(t) ** 0.99, 0.0, 1.0)
+
+
+def test_rounding_noise_exhausts_the_bisection_budget():
+    # x*y' - y*x' cancels between terms near 1e180, so every interval's error estimate is
+    # rounding noise that bisection never shrinks; without a breadth budget this ran for minutes.
+    arc = ParabolicArc((1e300, 0.0, 0.0), 1e-140, 2e-140, RigidMotion(0.3, True, (1.0, 2.0)))
+    with pytest.raises(QuadratureFailure, match=f"after {MAX_BISECTIONS} bisections"):
+        quadrature_area_term(arc)
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,6 @@ import pickle
 import pytest
 
 from unitshapes.catalog import (
-    ConciliationCheck,
-    ConciliationReport,
     Ellipse,
     EllipseMeanRadius,
     Parallelogram,
@@ -39,12 +37,11 @@ from unitshapes.curves import (
 from unitshapes.optimize import MinimizationResult, ScanResult
 from unitshapes.records import MutableRecord, Record
 from unitshapes.solids import PlatonicSolid, SolidMeasures
-from unitshapes.unitize import IndexedFamilyProbe, IndexingEntry, IndexingReport, UnitizationResult
+from unitshapes.unitize import UnitizationResult
 from unitshapes.verify import VerificationReport
 
 UNIT_SQUARE = build_unit_shape(Rectangle(1.0))
 MOTION = RigidMotion(0.7, True, (1.5, -2.0))
-ENTRY = IndexingEntry(1.0, 8.0, 8.0, 1e-9, 0.0, True)
 
 # class -> (field values by name, one field changed, defaults of the omitted fields, repr)
 CASES = {
@@ -109,20 +106,6 @@ CASES = {
     Ellipse: (dict(r=0.5), ("r", 0.25), {}, "Ellipse(r=0.5)"),
     RegularPolygon: (dict(m=7), ("m", 8), {}, "RegularPolygon(m=7)"),
     EllipseMeanRadius: (dict(r=0.5, R=0.75), ("R", 0.8), {}, "EllipseMeanRadius(r=0.5, R=0.75)"),
-    ConciliationCheck: (
-        dict(name="c", points_tested=3, worst_rel_err=1e-12, failures=[(0.1, 1.0, 1.0)]),
-        ("worst_rel_err", 2e-12),
-        dict(failures=[]),
-        "ConciliationCheck(name='c', points_tested=3, worst_rel_err=1e-12,"
-        " failures=[(0.1, 1.0, 1.0)])",
-    ),
-    ConciliationReport: (
-        dict(checks=[ConciliationCheck("c", 3, 0.0)]),
-        ("checks", []),
-        dict(checks=[]),
-        "ConciliationReport(checks=[ConciliationCheck(name='c', points_tested=3,"
-        " worst_rel_err=0.0, failures=[])])",
-    ),
     MinimizationResult: (
         dict(argmin=(0.5,), min_value=4.0, iterations=12, converged=False, boundary_infimum=3.5),
         ("iterations", 13),
@@ -157,28 +140,6 @@ CASES = {
         "UnitizationResult(tong_inradius_reciprocal=1.5, unit_shape=Shape(polyline),"
         " fundamental_measure=4.0)",
     ),
-    IndexedFamilyProbe: (
-        dict(base_unit_shape=UNIT_SQUARE, lambdas=(0.5, 2.0)),
-        ("lambdas", (0.5,)),
-        {},
-        "IndexedFamilyProbe(base_unit_shape=Shape(polyline), lambdas=(0.5, 2.0))",
-    ),
-    IndexingEntry: (
-        dict(lam=1.0, area_derivative=8.0, twice_semiperimeter=8.0, derivative_rel_err=1e-9,
-             identity_rel_err=0.0, ok=True),
-        ("ok", False),
-        {},
-        "IndexingEntry(lam=1.0, area_derivative=8.0, twice_semiperimeter=8.0,"
-        " derivative_rel_err=1e-09, identity_rel_err=0.0, ok=True)",
-    ),
-    IndexingReport: (
-        dict(entries=[ENTRY], failures=[2.0]),
-        ("failures", []),
-        dict(entries=[], failures=[]),
-        "IndexingReport(entries=[IndexingEntry(lam=1.0, area_derivative=8.0,"
-        " twice_semiperimeter=8.0, derivative_rel_err=1e-09, identity_rel_err=0.0, ok=True)],"
-        " failures=[2.0])",
-    ),
     VerificationReport: (
         dict(claim="c", instances_tested=2, worst_slack=0.5, counterexamples=[{"a": 1}],
              details={"k": 1}),
@@ -188,7 +149,7 @@ CASES = {
         " counterexamples=[{'a': 1}], details={'k': 1})",
     ),
 }
-MUTABLE = {ConciliationCheck, ConciliationReport, ScanResult, IndexingReport, VerificationReport}
+MUTABLE = {ScanResult, VerificationReport}
 
 
 def _comparable(record):
@@ -207,7 +168,7 @@ def test_the_table_covers_every_record_class():
             and value not in (Record, MutableRecord, CurvePiece)
         }
     assert found == set(CASES)
-    assert len(found) == 28
+    assert len(found) == 23
 
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)

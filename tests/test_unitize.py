@@ -28,15 +28,18 @@ from unitshapes.curves import (
     scaled,
 )
 from unitshapes.errors import DomainError
-from unitshapes.unitize import (
-    IndexedFamilyProbe,
-    check_calculus_friendly,
-    idempotence_check,
-    measure_multiset_match,
-    tong_inradius,
-    unitize,
+from unitshapes.unitize import tong_inradius, unitize
+from unitshapes.verify import (
+    CALCULUS_ROUNDING,
+    CALCULUS_STEP,
+    UNIT_ROUNDOFF,
+    check_calculus,
+    check_idempotence,
+    random_family_param,
+    random_similarity,
 )
-from unitshapes.verify import random_family_param, random_similarity
+
+from oracles import measure_multiset_match
 
 
 def test_tong_inradius_unit_circle():
@@ -158,13 +161,13 @@ def test_measure_is_bit_identical_under_power_of_two_scaling(shape, k):
 
 
 def test_idempotence_circle():
-    assert idempotence_check(make_circle(1.0))
+    assert check_idempotence(make_circle(1.0)).passed
 
 
 @settings(max_examples=50, deadline=None)
 @given(w=st.floats(0.2, 8.0), h=st.floats(0.2, 8.0))
 def test_idempotence_random_rectangle(w, h):
-    assert idempotence_check(make_polygon([(0, 0), (w, 0), (w, h), (0, h)]))
+    assert check_idempotence(make_polygon([(0, 0), (w, 0), (w, h), (0, h)])).passed
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,7 +182,7 @@ def test_idempotence_random_rectangle(w, h):
 def test_idempotence_and_measure_after_rigid_motion(x, y, angle, reflect, tx, ty):
     triangle = make_polygon([(0, 0), (x, 0), (0.3, y)])
     moved = triangle.transformed(Similarity(RigidMotion(angle, reflect, (tx, ty))))
-    assert idempotence_check(moved)
+    assert check_idempotence(moved).passed
     assert unitize(moved).fundamental_measure == pytest.approx(
         unitize(triangle).fundamental_measure, rel=1e-8
     )
@@ -201,30 +204,29 @@ def test_fundamental_measure_is_similarity_invariant(lam, angle, reflect, tx, ty
     )
 
 
-def test_probe_rejects_non_unit_base():
-    with pytest.raises(DomainError):
-        IndexedFamilyProbe(make_circle(3.0), (1.0,))
+def test_calculus_reports_a_non_unit_base_as_failing():
+    # A circle of radius 3 has A = 9 pi and S = 3 pi: dA/dlambda = 18 pi lambda, P = 6 pi lambda.
+    report = check_calculus(make_circle(3.0), (1.0,))
+    assert not report.passed
+    assert report.counterexamples[0]["derivative_rel_err"] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_calculus_friendly_circle():
-    probe = IndexedFamilyProbe(make_circle(1.0), (0.5, 1.0, 2.0))
-    report = check_calculus_friendly(probe)
-    assert report.passed
-    for entry in report.entries:
-        # A(lambda) = pi lambda^2 so A' = 2 pi lambda = 2 S(lambda).
-        assert entry.area_derivative == pytest.approx(
-            2.0 * math.pi * entry.lam, rel=1e-5
-        )
+    report = check_calculus(make_circle(1.0), (0.5, 1.0, 2.0))
+    assert report.passed and report.instances_tested == 3
+    assert report.details["measure"] == pytest.approx(math.pi, rel=1e-15)
+    # A(lambda) = pi lambda^2, so A' = 2 pi lambda = 2 S(lambda): the bound holds with room.
+    bound = CALCULUS_ROUNDING * UNIT_ROUNDOFF / CALCULUS_STEP
+    assert bound == pytest.approx(8.88e-11, rel=1e-3)
+    assert report.worst_slack > 0.0
 
 
 def test_calculus_friendly_unit_square():
     unit_square = make_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-    report = check_calculus_friendly(IndexedFamilyProbe(unit_square, (1.0,)))
+    report = check_calculus(unit_square, (1.0,))
     assert report.passed
-    entry = report.entries[0]
-    # A(lambda) = 4 lambda^2 gives A'(1) = 8 = 2 * S(1).
-    assert entry.area_derivative == pytest.approx(8.0, rel=1e-5)
-    assert entry.twice_semiperimeter == pytest.approx(8.0, rel=1e-12)
+    # A(lambda) = 4 lambda^2 gives A'(1) = 8 = 2 * S(1): a pass puts the difference within 8.9e-11.
+    assert report.details["measure"] == 4.0
 
 
 def test_unit_measure_at_index_one():
@@ -237,11 +239,8 @@ def test_unit_measure_at_index_one():
 
 
 def test_calculus_friendly_identity_is_exact():
-    probe = IndexedFamilyProbe(build_unit_shape(Rectangle(3.0)), (0.5, 1.0, 2.0))
-    report = check_calculus_friendly(probe)
+    report = check_calculus(build_unit_shape(Rectangle(3.0)), (0.5, 1.0, 2.0), identity_rel_tol=1e-14)
     assert report.passed
-    for entry in report.entries:
-        assert entry.identity_rel_err <= 1e-12
 
 
 class _LengthSkewedPolyline(Polyline):
@@ -258,12 +257,14 @@ class _LengthSkewedPolyline(Polyline):
 def test_calculus_friendly_identity_measures_the_kernel():
     square = make_polygon([(0, 0), (2, 0), (2, 2), (0, 2)]).pieces[0]
     skewed = Shape([_LengthSkewedPolyline(square.xs, square.ys)])
-    report = check_calculus_friendly(IndexedFamilyProbe(skewed, (0.5, 1.0, 2.0)))
+    report = check_calculus(skewed, (0.5, 1.0, 2.0))
     assert not report.passed
-    for entry in report.entries:
-        # Too small for the finite difference to see, far above roundoff.
-        assert entry.derivative_rel_err <= 1e-5
-        assert entry.identity_rel_err > 1e-11
+    assert len(report.counterexamples) == 3
+    for entry in report.counterexamples:
+        # Far above roundoff for both checks; the finite difference, once held to 1e-5,
+        # now sees it too.
+        assert entry["derivative_rel_err"] > entry["bound"]
+        assert entry["identity_rel_err"] > 1e-11
 
 
 def test_measure_multiset_match():

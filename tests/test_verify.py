@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from unitshapes import verify
 from unitshapes.catalog import (
     Ellipse,
     Rectangle,
@@ -12,6 +13,7 @@ from unitshapes.catalog import (
     RightTriangle,
     Triangle,
     build_unit_shape,
+    fundamental_measure,
 )
 from unitshapes.curves import (
     RationalPoint,
@@ -21,9 +23,11 @@ from unitshapes.curves import (
     quadrature_measures,
     scaled,
 )
-from unitshapes.unitize import unitize
+from unitshapes.unitize import UnitizationResult, unitize
 from unitshapes.verify import (
     check_blob_pythagoras,
+    check_calculus,
+    check_conciliation,
     check_isoperimetric,
     check_mgon_bound,
     check_rational_circle,
@@ -208,6 +212,55 @@ def test_rational_circle_measured_by_quadrature(monkeypatch):
     assert report.details["semiperimeter"] == semiperimeter
 
 
+# --- calculus, idempotence and conciliation: each can fail -------------------------
+
+
+def test_calculus_fails_a_square_off_unit_by_1e_8():
+    # A = 4 (1 + 1e-8)^2 against S = 4 (1 + 1e-8): the derivative is off P by 1e-8 relative.
+    off_unit = scaled(build_unit_shape(Rectangle(1.0)), 1.0 + 1e-8)
+    report = check_calculus(off_unit, (0.5, 1.0, 2.0))
+    assert not report.passed
+    assert len(report.counterexamples) == 3
+    for entry in report.counterexamples:
+        assert entry["derivative_rel_err"] == pytest.approx(1e-8, rel=1e-3)
+    assert check_calculus(build_unit_shape(Rectangle(1.0)), (0.5, 1.0, 2.0)).passed
+
+
+def test_conciliation_fails_formulas_that_differ():
+    # Rectangle(r) against Rhombus(theta) at the same number: (1 + r)^2 / r is not 4 / sin r.
+    report = check_conciliation(
+        "rectangle_vs_rhombus", [0.5, 1.0, 1.5],
+        lambda r: fundamental_measure(Rectangle(r)), lambda t: fundamental_measure(Rhombus(t)),
+    )
+    assert not report.passed
+    assert len(report.counterexamples) == 3 and report.worst_slack < 0.0
+
+
+def test_conciliation_fails_a_nan():
+    report = check_conciliation("nan", [1.0], lambda q: math.nan, lambda q: 1.0)
+    assert not report.passed
+
+
+def test_idempotence_suite_fails_a_unitize_off_by_1e_6(monkeypatch):
+    def off_scale(shape):
+        scale = unitize(shape).tong_inradius_reciprocal * (1.0 + 1e-6)
+        return UnitizationResult(scale, scaled(shape, scale), unitize(shape).fundamental_measure)
+
+    monkeypatch.setattr(verify, "unitize", off_scale)
+    reports = run_suite("idempotence", seed=0)
+    assert reports and not any(r.passed for r in reports)
+    for r in reports:
+        assert r.details["unit_gap"] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_new_suites_pass_at_200_seeds():
+    # search runs suites at random seeds, so one failing seed would count as a wrong answer.
+    for seed in range(200):
+        for suite in ("calculus", "idempotence", "conciliation"):
+            for report in run_suite(suite, seed=seed):
+                assert report.passed, (suite, seed, report.to_dict())
+
+
 # --- sampler and suites -----------------------------------------------------------
 
 
@@ -308,7 +361,8 @@ def test_random_mgon_deterministic_for_seed():
 
 
 @pytest.mark.parametrize("suite", ["isoperimetric", "unit-floor", "scale-equivalence",
-                                   "blob-pythagoras", "rational-circle"])
+                                   "blob-pythagoras", "rational-circle", "calculus",
+                                   "idempotence", "conciliation"])
 def test_suites_pass(suite):
     for report in run_suite(suite, seed=42):
         assert report.passed, report.to_dict()
