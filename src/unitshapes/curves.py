@@ -172,6 +172,10 @@ class CurvePiece(Record, ABC):
     @abstractmethod
     def to_dict(self) -> dict: ...
 
+    @abstractmethod
+    def _size(self) -> float:
+        """A length scale the piece already holds, which scales its join tolerance."""
+
     @property
     def start(self) -> Point:
         return self.point(self.t_start)
@@ -243,17 +247,21 @@ def quadrature_measures(shape: "Shape") -> tuple[float, float]:
 
 
 class LineSegment(CurvePiece):
-    __slots__ = _fields = ("start_point", "end_point")
+    _fields = ("start_point", "end_point")
+    # The length sits outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("_length",)
 
     kind = "line_segment"
     t_start = 0.0
     t_end = 1.0
 
     def __init__(self, start_point: Point, end_point: Point) -> None:
-        if start_point.distance_to(end_point) == 0.0:
+        length = start_point.distance_to(end_point)
+        if length == 0.0:
             raise DomainError("degenerate line segment (zero length)")
         setfield(self, "start_point", start_point)
         setfield(self, "end_point", end_point)
+        setfield(self, "_length", length)
 
     def _xy(self, t: float) -> tuple[float, float]:
         return (self.start_point.x + t * (self.end_point.x - self.start_point.x),
@@ -269,7 +277,10 @@ class LineSegment(CurvePiece):
         return LineSegment(sim.apply(self.start_point), sim.apply(self.end_point))
 
     def _exact_length(self) -> float:
-        return self.start_point.distance_to(self.end_point)
+        return self._length
+
+    def _size(self) -> float:
+        return self._length
 
     def _exact_area_term(self) -> float:
         return 0.5 * (self.start_point.x * self.end_point.y - self.end_point.x * self.start_point.y)
@@ -388,6 +399,8 @@ class Polyline(CurvePiece):
     def _exact_length(self) -> float:
         return self._length
 
+    _size = _exact_length
+
     def _exact_area_term(self) -> float:
         return self._area_term
 
@@ -444,6 +457,9 @@ class CircularArc(CurvePiece):
 
     def _exact_length(self) -> float:
         return self.radius * abs(self.angle_end - self.angle_start)
+
+    def _size(self) -> float:
+        return self.radius
 
     def _exact_area_term(self) -> float:
         # (1/2) int (x y' - y x') over the sweep, with the center offset terms
@@ -743,6 +759,9 @@ class EllipticalArc(CurvePiece):
         cx, cy = self.center.x, self.center.y
         return 0.5 * (a * b * (t1 - t0) + cx * (y1 - y0) - cy * (x1 - x0))
 
+    def _size(self) -> float:
+        return max(self.semi_axes)
+
     def reversed_(self) -> "EllipticalArc":
         return EllipticalArc(self.center, self.semi_axes, self.rotation, self.t_end, self.t_start)
 
@@ -857,6 +876,11 @@ class ParabolicArc(CurvePiece):
         local = dx * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma)
         return 0.5 * (tx * vy - ty * vx + (-local if self.frame.reflect else local))
 
+    def _size(self) -> float:
+        # The chord: the local one, rotated, keeps its length.
+        alpha, beta, _ = self.coefficients
+        return abs(self.x_end - self.x_start) * math.hypot(1.0, alpha * (self.x_start + self.x_end) + beta)
+
     def reversed_(self) -> "ParabolicArc":
         return ParabolicArc(self.coefficients, self.x_end, self.x_start, self.frame)
 
@@ -911,6 +935,9 @@ class RationalPoint(CurvePiece):
         d = (1.0 + t * t) ** 2
         return self.frame.apply_vector(2.0 * (1.0 - t * t) / d, -4.0 * t / d)
 
+    def _size(self) -> float:
+        return 1.0  # the unit circle's radius
+
     def reversed_(self) -> "RationalPoint":
         return RationalPoint(self.t_end, self.t_start, self.frame)
 
@@ -940,9 +967,11 @@ class RationalPoint(CurvePiece):
 class Shape:
     """A closed counterclockwise chain of curve pieces.
 
-    Consecutive pieces must join within ``JOIN_TOL`` (absolute distance) and
-    the chain must return to its starting point. Orientation is normalized at
-    construction: a clockwise chain is reversed so the signed area is positive.
+    Consecutive pieces must join, and the chain must return to its starting point,
+    within ``JOIN_TOL`` times the two pieces' sizes (a radius, a larger semi-axis, a
+    chord or a length) plus 8 ulps of the largest coordinate at the join: a relative
+    distance, so a chain closes or not alike at every scale and shift. Orientation is
+    normalized at construction: a clockwise chain is reversed so the signed area is positive.
     Simplicity (no self-intersection) is the caller's responsibility; the
     family builders in this package guarantee it by construction.
     """
@@ -954,12 +983,14 @@ class Shape:
         if not pieces:
             raise DomainError("a shape needs at least one piece")
         chain_start = pieces[0].start
+        sizes = [p._size() for p in pieces]
         last = len(pieces) - 1
         for i, piece in enumerate(pieces):
             end = piece.end
-            start = pieces[i + 1].start if i < last else chain_start
+            start, size = (pieces[i + 1].start, sizes[i + 1]) if i < last else (chain_start, sizes[0])
             gap = math.hypot(end.x - start.x, end.y - start.y)
-            if gap > JOIN_TOL:
+            reach = max(abs(end.x), abs(end.y), abs(start.x), abs(start.y))
+            if gap > JOIN_TOL * (sizes[i] + size) + 8.0 * math.ulp(reach):
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )

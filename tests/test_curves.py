@@ -207,6 +207,18 @@ def test_open_chain_rejected():
         Shape([LineSegment(Point(0, 0), Point(1, 0)), LineSegment(Point(2, 0), Point(0, 0))])
 
 
+def test_join_tolerance_is_relative_to_the_pieces():
+    # cos(pi) and sin(pi) round, so a half-disk of radius 1e8 ends 1.2e-8 from its diameter:
+    # far above 1e-12, far below 1e-12 of its size.
+    r = 1e8
+    half = Shape([CircularArc(Point(0, 0), r, 0.0, math.pi), LineSegment(Point(-r, 0), Point(r, 0))])
+    assert half.pieces[0].end.distance_to(half.pieces[1].start) > 1e-8
+    assert half.area() == pytest.approx(0.5 * math.pi * r * r, rel=1e-15)
+    with pytest.raises(DomainError, match="open chain: piece 1 ends 1.000e-03 away"):
+        Shape([CircularArc(Point(0, 0), r, 0.0, math.pi),
+               LineSegment(Point(-r, 0), Point(r, 1e-3))])
+
+
 def test_polyline_end_is_its_last_vertex_exactly():
     rng = random.Random(5)
     rounded = 0
