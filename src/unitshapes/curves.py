@@ -1,9 +1,18 @@
 """Piecewise-smooth closed plane curves and their measures.
 
 A Shape is an ordered chain of parametric pieces forming a closed curve,
-normalized to counterclockwise orientation at construction. Area comes from
-the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter from the
-speed integral. Line segments, polylines, circular, elliptical and parabolic
+normalized to counterclockwise orientation at construction. Consecutive pieces join
+within ``JOIN_TOL`` times the two pieces' sizes plus 8 ulps of the coordinates there,
+so whether a chain closes does not depend on its scale or position.
+
+Each arc is a local curve placed by one frame, a RigidMotion: a radius, semi-axes, a
+parabola over an x-range, or a rational t-range. Its image under a similarity composes
+the frames and scales the local curve, and its area term is det(frame) times the local
+one plus (1/2) T x (p1 - p0), the frame's shift across the chord. Line segments and
+polylines hold absolute coordinates.
+
+Area comes from the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter
+from the speed integral. Line segments, polylines, circular, elliptical and parabolic
 arcs take both measures in closed form. An elliptical arc's length is the
 complete elliptic integral, ``ellipse_half_perimeter`` by the arithmetic-geometric
 mean, for each whole quarter of its sweep, and the incomplete one, by Carlson's
@@ -127,16 +136,17 @@ def _frame_image(sim: Similarity, frame: RigidMotion) -> RigidMotion:
     (angle, reflect) come from the orthonormal columns of the composed linear part.
 
     The scale is left to the piece. At scale 1, ``sim.apply`` is the rigid motion's rotation,
-    mirror and shift bit for bit: times 1.0 and the -1.0 mirror are exact.
+    mirror and shift bit for bit: times 1.0 and the -1.0 mirror are exact. A pure scaling and
+    shift keeps the frame's angle itself, which atan2 would wrap and may round by an ulp.
     """
     outer = sim.motion
-    e1 = outer.apply_vector(*frame.apply_vector(1.0, 0.0))
-    e2 = outer.apply_vector(*frame.apply_vector(0.0, 1.0))
     t = sim.apply(Point(*frame.translation))
-    if e1[0] * e2[1] - e1[1] * e2[0] > 0.0:
-        return RigidMotion(math.atan2(e1[1], e1[0]), False, (t.x, t.y))
-    # det < 0: the map is S_x o R(theta), whose first column is (cos, -sin).
-    return RigidMotion(math.atan2(-e1[1], e1[0]), True, (t.x, t.y))
+    if not (outer.rotation_angle or outer.reflect):
+        return RigidMotion(frame.rotation_angle, frame.reflect, (t.x, t.y))
+    cos, sin = outer.apply_vector(*frame.apply_vector(1.0, 0.0))
+    # One mirror makes the map S_x o R(theta), whose first column is (cos, -sin); two cancel.
+    reflect = outer.reflect != frame.reflect
+    return RigidMotion(math.atan2(-sin if reflect else sin, cos), reflect, (t.x, t.y))
 
 
 class CurvePiece(Record, ABC):
@@ -145,6 +155,12 @@ class CurvePiece(Record, ABC):
     Pieces are parameterized over (t_start, t_end); the bounds may appear in
     either order, and reversing a piece swaps them (or the vertex list, for
     polylines). Speed never vanishes on the open parameter interval.
+
+    An arc is a local curve placed by one ``frame``, a RigidMotion. Its kind gives the local
+    point and velocity (``_local_xy``, ``_local_velocity``), its length, its local area term
+    and ``_placed``, the piece of its size times a scale in another frame. This class gives
+    the rest once: the placed point and velocity, the image under a similarity, and the area
+    term. LineSegment and Polyline hold absolute coordinates and give their own.
     """
 
     __slots__ = ()
@@ -152,25 +168,30 @@ class CurvePiece(Record, ABC):
     kind: str
     t_start: float
     t_end: float
+    frame: RigidMotion
 
-    @abstractmethod
     def _xy(self, t: float) -> tuple[float, float]:
         """The point at t as plain floats, which the quadrature reference integrates."""
+        x, y = self.frame.apply_vector(*self._local_xy(t))
+        tx, ty = self.frame.translation
+        return (x + tx, y + ty)
 
     def point(self, t: float) -> Point:
         return Point(*self._xy(t))
 
-    @abstractmethod
-    def velocity(self, t: float) -> tuple[float, float]: ...
+    def velocity(self, t: float) -> tuple[float, float]:
+        return self.frame.apply_vector(*self._local_velocity(t))
+
+    def transformed(self, sim: Similarity) -> "CurvePiece":
+        """The image under ``sim``: the frames compose, and the local size scales."""
+        return self._placed(_frame_image(sim, self.frame), sim.scale)
 
     @abstractmethod
     def reversed_(self) -> "CurvePiece": ...
 
-    @abstractmethod
-    def transformed(self, sim: Similarity) -> "CurvePiece": ...
-
-    @abstractmethod
-    def to_dict(self) -> dict: ...
+    def to_dict(self) -> dict:
+        """The piece's shape JSON: its kind, then its fields."""
+        return {"kind": self.kind, **{name: _json_value(getattr(self, name)) for name in self._fields}}
 
     @abstractmethod
     def _size(self) -> float:
@@ -188,11 +209,28 @@ class CurvePiece(Record, ABC):
         """Parameter spans on which the integrands are smooth."""
         return [(self.t_start, self.t_end)]
 
+    def _local_chord(self) -> tuple[float, float]:
+        """The local end less the local start."""
+        (x0, y0), (x1, y1) = self._local_xy(self.t_start), self._local_xy(self.t_end)
+        return (x1 - x0, y1 - y0)
+
+    def _local_area_term(self) -> float | None:
+        """(1/2) int (x y' - y x') over the local curve, or None where there is no closed form."""
+        return None
+
     def _exact_length(self) -> float | None:
         return None
 
     def _exact_area_term(self) -> float | None:
-        return None
+        # With p = T + R l, (1/2) int p x p' = (1/2) T x (p1 - p0) + det(R) (1/2) int l x l'.
+        # p1 - p0 is the local chord through R, not a difference of placed points, which
+        # would cancel far from the origin.
+        local = self._local_area_term()
+        if local is None:
+            return None
+        vx, vy = self.frame.apply_vector(*self._local_chord())
+        tx, ty = self.frame.translation
+        return 0.5 * (tx * vy - ty * vx) + (-local if self.frame.reflect else local)
 
     def length(self) -> float:
         """The closed form, or the quadrature reference where the piece has none."""
@@ -279,8 +317,7 @@ class LineSegment(CurvePiece):
     def _exact_length(self) -> float:
         return self._length
 
-    def _size(self) -> float:
-        return self._length
+    _size = _exact_length
 
     def _exact_area_term(self) -> float:
         return 0.5 * (self.start_point.x * self.end_point.y - self.end_point.x * self.start_point.y)
@@ -409,7 +446,12 @@ class Polyline(CurvePiece):
 
 
 class CircularArc(CurvePiece):
-    __slots__ = _fields = ("center", "radius", "angle_start", "angle_end")
+    """Arc of radius r: the local curve r (cos t, sin t) over the angles, in a frame that
+    shifts it to the center."""
+
+    _fields = ("center", "radius", "angle_start", "angle_end")
+    # The frame sits outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("frame",)
 
     kind = "circular_arc"
 
@@ -425,6 +467,7 @@ class CircularArc(CurvePiece):
         setfield(self, "radius", radius)
         setfield(self, "angle_start", angle_start)
         setfield(self, "angle_end", angle_end)
+        setfield(self, "frame", RigidMotion(0.0, False, (center.x, center.y)))
 
     @property
     def t_start(self) -> float:  # type: ignore[override]
@@ -434,53 +477,31 @@ class CircularArc(CurvePiece):
     def t_end(self) -> float:  # type: ignore[override]
         return self.angle_end
 
-    def _xy(self, t: float) -> tuple[float, float]:
-        return (self.center.x + self.radius * math.cos(t),
-                self.center.y + self.radius * math.sin(t))
+    def _local_xy(self, t: float) -> tuple[float, float]:
+        return (self.radius * math.cos(t), self.radius * math.sin(t))
 
-    def velocity(self, t: float) -> tuple[float, float]:
+    def _local_velocity(self, t: float) -> tuple[float, float]:
         return (-self.radius * math.sin(t), self.radius * math.cos(t))
+
+    def _local_area_term(self) -> float:
+        return 0.5 * (self.radius * self.radius * (self.angle_end - self.angle_start))
+
+    def _placed(self, frame: RigidMotion, scale: float) -> "CircularArc":
+        # The frame's rotation and mirror fold into the angles: S R(rot) takes angle t to -(t + rot).
+        rot = frame.rotation_angle
+        a0, a1 = self.angle_start + rot, self.angle_end + rot
+        if frame.reflect:
+            a0, a1 = -a0, -a1
+        return CircularArc(Point(*frame.translation), scale * self.radius, a0, a1)
 
     def reversed_(self) -> "CircularArc":
         return CircularArc(self.center, self.radius, self.angle_end, self.angle_start)
-
-    def transformed(self, sim: Similarity) -> "CircularArc":
-        center = sim.apply(self.center)
-        rot = sim.motion.rotation_angle
-        if sim.motion.reflect:
-            a0 = -(self.angle_start + rot)
-            a1 = -(self.angle_end + rot)
-        else:
-            a0 = self.angle_start + rot
-            a1 = self.angle_end + rot
-        return CircularArc(center, sim.scale * self.radius, a0, a1)
 
     def _exact_length(self) -> float:
         return self.radius * abs(self.angle_end - self.angle_start)
 
     def _size(self) -> float:
         return self.radius
-
-    def _exact_area_term(self) -> float:
-        # (1/2) int (x y' - y x') over the sweep, with the center offset terms
-        # integrating the tangential component exactly.
-        sweep = self.angle_end - self.angle_start
-        cx, cy = self.center.x, self.center.y
-        r = self.radius
-        return 0.5 * (
-            r * r * sweep
-            + r * cx * (math.sin(self.angle_end) - math.sin(self.angle_start))
-            - r * cy * (math.cos(self.angle_end) - math.cos(self.angle_start))
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": [self.center.x, self.center.y],
-            "radius": self.radius,
-            "angle_start": self.angle_start,
-            "angle_end": self.angle_end,
-        }
 
 
 def ellipse_half_perimeter(a: float, b: float) -> float:
@@ -668,7 +689,8 @@ def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | Non
 
 
 class EllipticalArc(CurvePiece):
-    """Arc of an axis pair (a, b) ellipse: center + R(rotation) @ (a cos t, b sin t).
+    """Arc of an axis pair (a, b) ellipse: the local curve (a cos t, b sin t), in the frame
+    that rotates it by ``rotation`` and shifts it to the center.
 
     A sweep of k whole turns is k closed ellipses: its length is 2k times
     ``ellipse_half_perimeter(a, b)``, by the AGM. Any other sweep's length is
@@ -677,8 +699,8 @@ class EllipticalArc(CurvePiece):
     """
 
     _fields = ("center", "semi_axes", "rotation", "t_start", "t_end")
-    # The rotation's cos and sin sit outside the fields, so ==, hash and repr see only the fields.
-    __slots__ = _fields + ("_cos", "_sin")
+    # The frame sits outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("frame",)
 
     kind = "elliptical_arc"
 
@@ -697,20 +719,15 @@ class EllipticalArc(CurvePiece):
         setfield(self, "rotation", rotation)
         setfield(self, "t_start", t_start)
         setfield(self, "t_end", t_end)
-        setfield(self, "_cos", math.cos(rotation))
-        setfield(self, "_sin", math.sin(rotation))
+        setfield(self, "frame", RigidMotion(rotation, False, (center.x, center.y)))
 
-    def _xy(self, t: float) -> tuple[float, float]:
+    def _local_xy(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
-        x, y = a * math.cos(t), b * math.sin(t)
-        c, s = self._cos, self._sin
-        return (self.center.x + c * x - s * y, self.center.y + s * x + c * y)
+        return (a * math.cos(t), b * math.sin(t))
 
-    def velocity(self, t: float) -> tuple[float, float]:
+    def _local_velocity(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
-        vx, vy = (-a * math.sin(t), b * math.cos(t))
-        c, s = self._cos, self._sin
-        return (c * vx - s * vy, s * vx + c * vy)
+        return (-a * math.sin(t), b * math.cos(t))
 
     def _whole_turns(self) -> int:
         """k when the sweep is k >= 1 whole turns, else 0.
@@ -739,60 +756,33 @@ class EllipticalArc(CurvePiece):
             return 2.0 * turns * ellipse_half_perimeter(a, b)
         return elliptic_arc_length(a, b, self.t_start, self.t_end)
 
-    def _exact_area_term(self) -> float:
-        # (1/2) int (x y' - y x') dt = (1/2) [a b (t1 - t0) + cx (Y1 - Y0) - cy (X1 - X0)], with
-        # (X, Y) the rotated (a cos t, b sin t), as for CircularArc. A closed sweep ends where it
-        # starts, so it has no center term; at t0 + 2pi, sin(2pi) ~ -2.4e-16 times the offset
-        # would remain in it. Any other sweep's end point is taken without its whole turns,
-        # which do not move it.
-        a, b = self.semi_axes
-        t0, t1 = self.t_start, self.t_end
+    def _local_chord(self) -> tuple[float, float]:
+        # A closed sweep ends where it starts; at t0 + 2 pi, sin(2 pi) ~ -2.4e-16 would remain.
+        # Any other sweep's end is taken without its whole turns, which do not move it.
         if self._whole_turns():
-            return 0.5 * (a * b * (t1 - t0))
-        c, s = self._cos, self._sin
+            return (0.0, 0.0)
+        t0, t1 = self.t_start, self.t_end
         end = t1 - TURN * int((t1 - t0) / TURN)
-        cos0, sin0, cos1, sin1 = math.cos(t0), math.sin(t0), math.cos(end), math.sin(end)
-        x0 = c * a * cos0 - s * b * sin0
-        y0 = s * a * cos0 + c * b * sin0
-        x1 = c * a * cos1 - s * b * sin1
-        y1 = s * a * cos1 + c * b * sin1
-        cx, cy = self.center.x, self.center.y
-        return 0.5 * (a * b * (t1 - t0) + cx * (y1 - y0) - cy * (x1 - x0))
+        a, b = self.semi_axes
+        return (a * (math.cos(end) - math.cos(t0)), b * (math.sin(end) - math.sin(t0)))
+
+    def _local_area_term(self) -> float:
+        a, b = self.semi_axes
+        return 0.5 * (a * b * (self.t_end - self.t_start))
+
+    def _placed(self, frame: RigidMotion, scale: float) -> "EllipticalArc":
+        a, b = self.semi_axes
+        rotation, t0, t1 = frame.rotation_angle, self.t_start, self.t_end
+        if frame.reflect:
+            # S R(rot) = R(-rot) S, and S takes the local point at t to the one at -t.
+            rotation, t0, t1 = -rotation, -t0, -t1
+        return EllipticalArc(Point(*frame.translation), (scale * a, scale * b), rotation, t0, t1)
 
     def _size(self) -> float:
         return max(self.semi_axes)
 
     def reversed_(self) -> "EllipticalArc":
         return EllipticalArc(self.center, self.semi_axes, self.rotation, self.t_end, self.t_start)
-
-    def transformed(self, sim: Similarity) -> "EllipticalArc":
-        center = sim.apply(self.center)
-        a, b = self.semi_axes
-        c, s = self._cos, self._sin
-        e1 = sim.motion.apply_vector(c, s)
-        e2 = sim.motion.apply_vector(-s, c)
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        if sim.motion.rotation_angle == 0.0 and not sim.motion.reflect:
-            rot = self.rotation  # atan2 would wrap it into (-pi, pi] and may round it by an ulp
-        else:
-            rot = math.atan2(e1[1], e1[0])
-        if det > 0.0:
-            t0, t1 = self.t_start, self.t_end
-        else:
-            # The composed frame mirrors before rotating, which re-parameterizes
-            # the arc by t -> -t while keeping the same point set.
-            t0, t1 = -self.t_start, -self.t_end
-        return EllipticalArc(center, (sim.scale * a, sim.scale * b), rot, t0, t1)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": [self.center.x, self.center.y],
-            "semi_axes": [self.semi_axes[0], self.semi_axes[1]],
-            "rotation": self.rotation,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-        }
 
 
 class ParabolicArc(CurvePiece):
@@ -828,15 +818,13 @@ class ParabolicArc(CurvePiece):
     def t_end(self) -> float:  # type: ignore[override]
         return self.x_end
 
-    def _xy(self, t: float) -> tuple[float, float]:
+    def _local_xy(self, t: float) -> tuple[float, float]:
         alpha, beta, gamma = self.coefficients
-        x, y = self.frame.apply_vector(t, (alpha * t + beta) * t + gamma)
-        tx, ty = self.frame.translation
-        return (x + tx, y + ty)
+        return (t, (alpha * t + beta) * t + gamma)
 
-    def velocity(self, t: float) -> tuple[float, float]:
+    def _local_velocity(self, t: float) -> tuple[float, float]:
         alpha, beta, _ = self.coefficients
-        return self.frame.apply_vector(1.0, 2.0 * alpha * t + beta)
+        return (1.0, 2.0 * alpha * t + beta)
 
     def _exact_length(self) -> float | None:
         # The speed is sqrt(1 + u^2) with u = 2 alpha x + beta, so the length is |x1 - x0| times
@@ -864,42 +852,31 @@ class ParabolicArc(CurvePiece):
         # Slopes near the float range overflow u^2, where quadrature still measures the arc.
         return length if math.isfinite(length) else None
 
-    def _exact_area_term(self) -> float:
-        # With p(x) = T + R (x, y(x)), p x p' = T x (R l)' + det(R) (x y' - y), and
-        # x y' - y = alpha x^2 - gamma: the term is (1/2) [T x (P1 - P0) + det (alpha (x1^3 - x0^3)
-        # / 3 - gamma (x1 - x0))], with P the rotated local points.
-        alpha, beta, gamma = self.coefficients
+    def _local_chord(self) -> tuple[float, float]:
+        # The rise as a divided difference, which does not cancel against gamma.
+        alpha, beta, _ = self.coefficients
         x0, x1 = self.x_start, self.x_end
         dx = x1 - x0
-        vx, vy = self.frame.apply_vector(dx, dx * (alpha * (x0 + x1) + beta))
-        tx, ty = self.frame.translation
-        local = dx * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma)
-        return 0.5 * (tx * vy - ty * vx + (-local if self.frame.reflect else local))
+        return (dx, dx * (alpha * (x0 + x1) + beta))
+
+    def _local_area_term(self) -> float:
+        # x y' - y = alpha x^2 - gamma, so the term is (alpha (x1^3 - x0^3) / 3 - gamma (x1 - x0)) / 2.
+        alpha, _, gamma = self.coefficients
+        x0, x1 = self.x_start, self.x_end
+        return 0.5 * ((x1 - x0) * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma))
+
+    def _placed(self, frame: RigidMotion, scale: float) -> "ParabolicArc":
+        # Scaling a graph y = a x^2 + b x + c by lambda keeps it parabolic with
+        # coefficients (a/lambda, b, lambda c) in the stretched abscissa.
+        alpha, beta, gamma = self.coefficients
+        return ParabolicArc((alpha / scale, beta, scale * gamma), scale * self.x_start,
+                            scale * self.x_end, frame)
 
     def _size(self) -> float:
-        # The chord: the local one, rotated, keeps its length.
-        alpha, beta, _ = self.coefficients
-        return abs(self.x_end - self.x_start) * math.hypot(1.0, alpha * (self.x_start + self.x_end) + beta)
+        return math.hypot(*self._local_chord())
 
     def reversed_(self) -> "ParabolicArc":
         return ParabolicArc(self.coefficients, self.x_end, self.x_start, self.frame)
-
-    def transformed(self, sim: Similarity) -> "ParabolicArc":
-        # Scaling a graph y = a x^2 + b x + c by lambda keeps it parabolic with
-        # coefficients (a/lambda, b, lambda c) in the stretched abscissa.
-        lam = sim.scale
-        alpha, beta, gamma = self.coefficients
-        return ParabolicArc((alpha / lam, beta, lam * gamma), lam * self.x_start, lam * self.x_end,
-                            _frame_image(sim, self.frame))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coefficients": list(self.coefficients),
-            "x_start": self.x_start,
-            "x_end": self.x_end,
-            "frame": _motion_to_dict(self.frame),
-        }
 
 
 class RationalPoint(CurvePiece):
@@ -922,46 +899,38 @@ class RationalPoint(CurvePiece):
         setfield(self, "t_end", t_end)
         setfield(self, "frame", frame)
 
-    def _xy(self, t: float) -> tuple[float, float]:
+    def _local_xy(self, t: float) -> tuple[float, float]:
         flip = 1.0
         if t * t == math.inf:  # divided through by t^2, x(t) = x(1/t) and y(t) = -y(1/t)
             t, flip = 1.0 / t, -1.0
         d = 1.0 + t * t
-        x, y = self.frame.apply_vector(2.0 * t / d, flip * (1.0 - t * t) / d)
-        tx, ty = self.frame.translation
-        return (x + tx, y + ty)
+        return (2.0 * t / d, flip * (1.0 - t * t) / d)
 
-    def velocity(self, t: float) -> tuple[float, float]:
-        d = (1.0 + t * t) ** 2
-        return self.frame.apply_vector(2.0 * (1.0 - t * t) / d, -4.0 * t / d)
+    def _local_velocity(self, t: float) -> tuple[float, float]:
+        try:
+            d = (1.0 + t * t) ** 2
+        except OverflowError:  # a finite 1 + t^2 whose square overflows; an infinite one gives inf
+            d = math.inf
+        if d < math.inf:
+            return (2.0 * (1.0 - t * t) / d, -4.0 * t / d)
+        # Divided through by t^4, with u = 1/t: (2 u^2 (u^2 - 1), -4 u^3) / (1 + u^2)^2.
+        u = 1.0 / t
+        d = (1.0 + u * u) ** 2
+        return (2.0 * u * u * (u * u - 1.0) / d, -4.0 * u * u * u / d)
+
+    def _placed(self, frame: RigidMotion, scale: float) -> CurvePiece:
+        if scale == 1.0:
+            return RationalPoint(self.t_start, self.t_end, frame)
+        # A non-unit scale leaves the unit circle, so the image is the circular arc it is: on the
+        # unit circle the parameter t sits at polar angle pi/2 - 2 atan(t).
+        a0, a1 = (QUARTER_TURN - 2.0 * math.atan(t) for t in (self.t_start, self.t_end))
+        return CircularArc(Point(0.0, 0.0), 1.0, a0, a1)._placed(frame, scale)
 
     def _size(self) -> float:
         return 1.0  # the unit circle's radius
 
     def reversed_(self) -> "RationalPoint":
         return RationalPoint(self.t_end, self.t_start, self.frame)
-
-    def transformed(self, sim: Similarity) -> CurvePiece:
-        if sim.scale == 1.0:
-            return RationalPoint(self.t_start, self.t_end, _frame_image(sim, self.frame))
-        # A non-unit scale leaves the unit circle, so the image is returned as
-        # the circular arc it is. On the unit circle the parameter t sits at
-        # polar angle pi/2 - 2 atan(t), which gives the swept angle exactly.
-        center = sim.apply(Point(*self.frame.translation))
-        start = sim.apply(self.point(self.t_start))
-        angle_start = math.atan2(start.y - center.y, start.x - center.x)
-        sweep = 2.0 * (math.atan(self.t_start) - math.atan(self.t_end))
-        if self.frame.reflect != sim.motion.reflect:
-            sweep = -sweep
-        return CircularArc(center, sim.scale, angle_start, angle_start + sweep)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "frame": _motion_to_dict(self.frame),
-        }
 
 
 class Shape:
@@ -982,15 +951,13 @@ class Shape:
         pieces = tuple(pieces)
         if not pieces:
             raise DomainError("a shape needs at least one piece")
-        chain_start = pieces[0].start
-        sizes = [p._size() for p in pieces]
-        last = len(pieces) - 1
+        starts, sizes = [p.start for p in pieces], [p._size() for p in pieces]
         for i, piece in enumerate(pieces):
-            end = piece.end
-            start, size = (pieces[i + 1].start, sizes[i + 1]) if i < last else (chain_start, sizes[0])
+            end, following = piece.end, i + 1 - len(pieces)  # the next piece, or the first
+            start = starts[following]
             gap = math.hypot(end.x - start.x, end.y - start.y)
             reach = max(abs(end.x), abs(end.y), abs(start.x), abs(start.y))
-            if gap > JOIN_TOL * (sizes[i] + size) + 8.0 * math.ulp(reach):
+            if gap > JOIN_TOL * (sizes[i] + sizes[following]) + 8.0 * math.ulp(reach):
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )
@@ -1089,12 +1056,13 @@ def make_rational_circle() -> Shape:
     return Shape([upper, lower])
 
 
-def _motion_to_dict(m: RigidMotion) -> dict:
-    return {
-        "rotation_angle": m.rotation_angle,
-        "reflect": m.reflect,
-        "translation": [m.translation[0], m.translation[1]],
-    }
+def _json_value(value):
+    """A field as shape JSON: a point as [x, y], a tuple as a list, a frame as its fields."""
+    if isinstance(value, Point):
+        return [value.x, value.y]
+    if isinstance(value, RigidMotion):
+        return {name: _json_value(getattr(value, name)) for name in value._fields}
+    return list(value) if isinstance(value, tuple) else value
 
 
 class _Malformed(Exception):
