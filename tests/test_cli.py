@@ -83,6 +83,29 @@ def test_unitize_from_file(tmp_path, capsys):
     assert doc["tong_inradius_reciprocal"] == pytest.approx(0.2, rel=1e-12)
 
 
+def test_unitize_joins_a_half_disk_of_radius_1e8(tmp_path, capsys):
+    # The arc ends 1.2e-8 from the diameter's start, 1.2e-16 of its radius.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [
+        {"kind": "circular_arc", "center": [0, 0], "radius": 1e8, "angle_start": 0,
+         "angle_end": 3.141592653589793},
+        {"kind": "line_segment", "start": [-1e8, 0], "end": [1e8, 0]}]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fundamental_measure"] == 4.207416099162478  # (pi + 2)^2 / (2 pi)
+
+
+def test_unitize_of_a_rational_arc_from_t_1e100_exits_two(tmp_path, capsys):
+    # Its velocity at t = 1e100 once overflowed (1 + t^2)^2 and escaped as a traceback.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [
+        {"kind": "rational_point", "t_start": 1e100, "t_end": -1.0},
+        {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_scan_csv(capsys):
     code, out, _ = invoke(capsys, "scan", "--family", "ellipse", "--quantity", "a",
                           "--lo", "0.1", "--hi", "0.9", "--n", "5")

@@ -8,7 +8,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unitshapes.catalog import Ellipse, fundamental_measure
@@ -404,6 +404,24 @@ def test_rational_arc_point_keeps_its_bits_where_t_squared_is_finite():
         d = 1.0 + t * t
         start = RationalPoint(t, -1.0).start
         assert (start.x, start.y) == (2.0 * t / d, (1.0 - t * t) / d)
+
+
+@given(t=st.floats(allow_nan=False, allow_infinity=False))
+def test_rational_arc_velocity_is_finite_at_every_finite_t(t):
+    vx, vy = RationalPoint(-1.0, 1.0).velocity(t)
+    assert math.isfinite(vx) and math.isfinite(vy)
+
+
+@given(t=st.floats(-1.2e77, 1.2e77))
+@example(t=1.1579208923731618e77)  # the last t whose (1 + t^2)^2 is finite, and the next
+@example(t=1.157920892373162e77)
+def test_rational_arc_velocity_keeps_its_bits_where_its_denominator_is_finite(t):
+    try:
+        d = (1.0 + t * t) ** 2
+    except OverflowError:
+        assert RationalPoint(-1.0, 1.0).velocity(t) == pytest.approx((-2.0 / (t * t), -4.0 / t**3))
+        return
+    assert RationalPoint(-1.0, 1.0).velocity(t) == (2.0 * (1.0 - t * t) / d, -4.0 * t / d)
 
 
 def test_rational_circle_matches_circular_arc_circle():
@@ -935,6 +953,81 @@ def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
 
 
 # --- similarity transforms --------------------------------------------------
+
+# Poses for the arc kinds: any rotation, with and without a mirror, a power-of-two or a
+# decimal scale, and a shift of up to 500 sizes, so that two poses shift up to 1e3 sizes.
+_scales = st.one_of(st.integers(-40, 40).map(lambda k: 2.0**k),
+                    st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+_unit = st.floats(-1.0, 1.0)
+_frames = st.builds(lambda angle, reflect, x, y: RigidMotion(angle, reflect, (x, y)),
+                    st.floats(-7.0, 7.0), st.booleans(), _unit, _unit)
+
+
+@st.composite
+def _similarities(draw, size: float = 1.0):
+    """A pose of a piece of this size; the shift comes before the scale, in the piece's units."""
+    shift = (size * draw(st.floats(-500.0, 500.0)), size * draw(st.floats(-500.0, 500.0)))
+    return Similarity(RigidMotion(draw(st.floats(-7.0, 7.0)), draw(st.booleans()), shift), draw(_scales))
+
+
+@st.composite
+def _pose_pairs(draw):
+    first = draw(_similarities())
+    return first, draw(_similarities(first.scale))
+
+
+_unit_arcs = st.one_of(
+    st.builds(lambda x, y, r, t, w: CircularArc(Point(x, y), r, t, t + w),
+              _unit, _unit, st.floats(0.5, 2.0), st.floats(-4.0, 4.0), st.floats(0.3, 6.0)),
+    st.builds(lambda x, y, a, b, rot, t, w: EllipticalArc(Point(x, y), (a, b), rot, t, t + w),
+              _unit, _unit, st.floats(0.5, 2.0), st.floats(0.05, 2.0), st.floats(-4.0, 4.0),
+              st.floats(-4.0, 4.0), st.floats(0.3, 6.0)),
+    st.builds(lambda sign, alpha, beta, gamma, x0, x1, frame:
+              ParabolicArc((sign * alpha, beta, gamma), x0, x1, frame),
+              st.sampled_from((-1.0, 1.0)), st.floats(0.3, 3.0), _unit, _unit,
+              st.floats(-1.5, -0.3), st.floats(0.3, 1.5), _frames),
+    st.builds(RationalPoint, st.floats(-3.0, -0.2), st.floats(0.2, 3.0), _frames),
+)
+
+
+def _composed(outer: Similarity, inner: Similarity) -> Similarity:
+    """outer o inner as one similarity. The rotations add, or subtract under the inner mirror,
+    and the outer shift, taken before the inner scale, joins the rotated inner one."""
+    a, b = inner.motion, outer.motion
+    angle = a.rotation_angle + (-b.rotation_angle if a.reflect else b.rotation_angle)
+    x, y = b.apply_vector(*a.translation)
+    shift = (x + b.translation[0] / inner.scale, y + b.translation[1] / inner.scale)
+    return Similarity(RigidMotion(angle, a.reflect != b.reflect, shift), inner.scale * outer.scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc=_unit_arcs, poses=_pose_pairs())
+def test_posing_twice_is_posing_once_by_the_composition(arc, poses):
+    first, second = poses
+    twice = arc.transformed(first).transformed(second)
+    # A rational arc posed off the unit circle and back is a circular arc: compare the geometry.
+    once = arc.transformed(_composed(second, first))
+    size = once._size()
+    assert twice.start.distance_to(once.start) <= 1e-12 * size
+    assert twice.end.distance_to(once.end) <= 1e-12 * size
+    assert twice.length() == pytest.approx(once.length(), rel=1e-12, abs=0.0)
+    # The area term holds the frame's shift times the chord, so compare on the size of its parts.
+    reach = size + math.hypot(*once.frame.translation)
+    assert twice.signed_area_term() == pytest.approx(once.signed_area_term(), abs=1e-12 * size * reach)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc=_unit_arcs, pose=_similarities(), bearing=st.floats(0.0, 2.0 * math.pi))
+def test_posed_caps_close_round_trip_and_reject_a_gap_of_1e_9_of_their_size(arc, pose, bearing):
+    arc = arc.transformed(pose)
+    cap = Shape([arc, LineSegment(arc.end, arc.start)])
+    restored = shape_from_dict(cap.to_dict())
+    assert restored.pieces == cap.pieces
+    gap = 1e-9 * arc._size()
+    start = Point(arc.start.x + gap * math.cos(bearing), arc.start.y + gap * math.sin(bearing))
+    with pytest.raises(DomainError, match="open chain: piece 1 "):
+        Shape([arc, LineSegment(arc.end, start)])
+
 
 
 def test_identity_similarity_is_pointwise_identity():
