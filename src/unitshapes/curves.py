@@ -82,8 +82,8 @@ class RigidMotion(Record):
     """
 
     _fields = ("rotation_angle", "reflect", "translation")
-    # The rotation's cos and sin sit outside the fields, so ==, hash and repr see only the fields.
-    __slots__ = _fields + ("_cos", "_sin")
+    # The linear part sits outside the fields, so ==, hash and repr see only the fields.
+    __slots__ = _fields + ("_linear",)
 
     def __init__(self, rotation_angle: float = 0.0, reflect: bool = False,
                  translation: tuple[float, float] = (0.0, 0.0)) -> None:
@@ -93,18 +93,14 @@ class RigidMotion(Record):
         setfield(self, "rotation_angle", rotation_angle)
         setfield(self, "reflect", reflect)
         setfield(self, "translation", translation)
-        setfield(self, "_cos", math.cos(rotation_angle))
-        setfield(self, "_sin", math.sin(rotation_angle))
+        # The rows of S^eps R: times -1.0 is exact, so a mirrored row negates its sum exactly.
+        c, s, mirror = math.cos(rotation_angle), math.sin(rotation_angle), -1.0 if reflect else 1.0
+        setfield(self, "_linear", (c, -s, mirror * s, mirror * c))
 
     def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
         """Linear part only (no translation)."""
-        c = self._cos
-        s = self._sin
-        x = c * vx - s * vy
-        y = s * vx + c * vy
-        if self.reflect:
-            y = -y
-        return x, y
+        xx, xy, yx, yy = self._linear
+        return (xx * vx + xy * vy, yx * vx + yy * vy)
 
 
 class Similarity(Record):
@@ -124,11 +120,9 @@ class Similarity(Record):
 
     def apply_coordinates(self, xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple, tuple]:
         """The images' x and y tuples: x' = k ((c x - s y) + tx), y' = k (+-(s x + c y) + ty)."""
-        m = self.motion
-        c, s, k, (tx, ty) = m._cos, m._sin, self.scale, m.translation
-        mirror = -1.0 if m.reflect else 1.0  # negates before the shift; times -1.0 is exact
-        return (tuple([k * ((c * x - s * y) + tx) for x, y in zip(xs, ys)]),
-                tuple([k * (mirror * (s * x + c * y) + ty) for x, y in zip(xs, ys)]))
+        (xx, xy, yx, yy), k, (tx, ty) = self.motion._linear, self.scale, self.motion.translation
+        return (tuple([k * ((xx * x + xy * y) + tx) for x, y in zip(xs, ys)]),
+                tuple([k * ((yx * x + yy * y) + ty) for x, y in zip(xs, ys)]))
 
 
 def _frame_image(sim: Similarity, frame: RigidMotion) -> RigidMotion:
@@ -170,17 +164,21 @@ class CurvePiece(Record, ABC):
     t_end: float
     frame: RigidMotion
 
+    # _xy and velocity apply the frame inline, as apply_vector does: the quadrature reference
+    # calls them at every node.
     def _xy(self, t: float) -> tuple[float, float]:
         """The point at t as plain floats, which the quadrature reference integrates."""
-        x, y = self.frame.apply_vector(*self._local_xy(t))
-        tx, ty = self.frame.translation
-        return (x + tx, y + ty)
+        x, y = self._local_xy(t)
+        (xx, xy, yx, yy), (tx, ty) = self.frame._linear, self.frame.translation
+        return (xx * x + xy * y + tx, yx * x + yy * y + ty)
 
     def point(self, t: float) -> Point:
         return Point(*self._xy(t))
 
     def velocity(self, t: float) -> tuple[float, float]:
-        return self.frame.apply_vector(*self._local_velocity(t))
+        vx, vy = self._local_velocity(t)
+        xx, xy, yx, yy = self.frame._linear
+        return (xx * vx + xy * vy, yx * vx + yy * vy)
 
     def transformed(self, sim: Similarity) -> "CurvePiece":
         """The image under ``sim``: the frames compose, and the local size scales."""
@@ -956,8 +954,9 @@ class Shape:
             end, following = piece.end, i + 1 - len(pieces)  # the next piece, or the first
             start = starts[following]
             gap = math.hypot(end.x - start.x, end.y - start.y)
-            reach = max(abs(end.x), abs(end.y), abs(start.x), abs(start.y))
-            if gap > JOIN_TOL * (sizes[i] + sizes[following]) + 8.0 * math.ulp(reach):
+            tol = JOIN_TOL * (sizes[i] + sizes[following])
+            if gap > tol and gap > tol + 8.0 * math.ulp(max(abs(end.x), abs(end.y),
+                                                            abs(start.x), abs(start.y))):
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )

@@ -96,7 +96,8 @@ def test_unitize_joins_a_half_disk_of_radius_1e8(tmp_path, capsys):
 
 
 def test_unitize_of_a_rational_arc_from_t_1e100_exits_two(tmp_path, capsys):
-    # Its velocity at t = 1e100 once overflowed (1 + t^2)^2 and escaped as a traceback.
+    # (1 + t^2)^2 overflows at t = 1e100, where the velocity divides through by t^4 instead; the
+    # quadrature of the area term then cannot meet its tolerance, which is an input error.
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"pieces": [
         {"kind": "rational_point", "t_start": 1e100, "t_end": -1.0},

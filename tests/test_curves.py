@@ -1100,6 +1100,23 @@ def test_rational_piece_scales_to_circular_arc():
     assert image.area() == pytest.approx(math.pi * 2.5**2, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [2.0**-30, 0.3, 1.0, 7.1e9])
+def test_a_pure_scaling_keeps_every_frame_angle_bit_for_bit(scale):
+    # 4.0 lies outside atan2's (-pi, pi], so a frame re-derived from its columns would wrap it.
+    frame = RigidMotion(4.0, True, (0.2, -0.4))
+    arcs = [CircularArc(Point(0.5, -0.5), 1.25, 4.0, 5.5),
+            EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), 4.0, -0.5, 1.8),
+            ParabolicArc((-0.8, 0.3, 1.1), -0.6, 1.2, frame)]
+    arcs += [RationalPoint(-0.9, 0.8, frame)] if scale == 1.0 else []
+    for arc in arcs:
+        image = arc.transformed(Similarity(RigidMotion(0.0, False, (3.0, -1.5)), scale))
+        assert image.frame.rotation_angle == arc.frame.rotation_angle
+        assert image.frame.reflect == arc.frame.reflect
+        # A parabola's parameter is its local abscissa, which scales; the others are angles.
+        k = scale if arc.kind == "parabolic_arc" else 1.0
+        assert (image.t_start, image.t_end) == (k * arc.t_start, k * arc.t_end)
+
+
 def test_scale_one_rational_frame_is_the_rigid_composition_bit_for_bit():
     rng = random.Random(41)
     for _ in range(200):
