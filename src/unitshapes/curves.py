@@ -949,12 +949,15 @@ class Shape:
         pieces = tuple(pieces)
         if not pieces:
             raise DomainError("a shape needs at least one piece")
-        starts, sizes = [p.start for p in pieces], [p._size() for p in pieces]
+        chain_start = pieces[0].start
+        last = len(pieces) - 1
         for i, piece in enumerate(pieces):
-            end, following = piece.end, i + 1 - len(pieces)  # the next piece, or the first
-            start = starts[following]
+            end = piece.end
+            following = pieces[i + 1] if i < last else pieces[0]
+            start = following.start if i < last else chain_start
             gap = math.hypot(end.x - start.x, end.y - start.y)
-            tol = JOIN_TOL * (sizes[i] + sizes[following])
+            # Past the pieces' share, the rounding of coordinates far from the origin may remain.
+            tol = JOIN_TOL * (piece._size() + following._size())
             if gap > tol and gap > tol + 8.0 * math.ulp(max(abs(end.x), abs(end.y),
                                                             abs(start.x), abs(start.y))):
                 raise DomainError(
