@@ -126,8 +126,9 @@ class Similarity(Record):
 
 
 def _frame_image(sim: Similarity, frame: RigidMotion) -> RigidMotion:
-    """A placed piece's frame carried by ``sim``: its origin maps to ``sim.apply`` of it, and
-    (angle, reflect) come from the orthonormal columns of the composed linear part.
+    """A placed piece's frame carried by ``sim``: its origin maps to ``sim.apply`` of it, the
+    mirror is there when one of the two maps mirrors, and the angle comes from the first
+    column of the composed linear part.
 
     The scale is left to the piece. At scale 1, ``sim.apply`` is the rigid motion's rotation,
     mirror and shift bit for bit: times 1.0 and the -1.0 mirror are exact. A pure scaling and
