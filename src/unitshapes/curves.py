@@ -202,7 +202,11 @@ class CurvePiece(Record, ABC):
 
     @property
     def end(self) -> Point:
-        return self.point(self.t_end)
+        return self.point(self._end_parameter())
+
+    def _end_parameter(self) -> float:
+        """The parameter the end point is taken at: t_end, or one of the same point."""
+        return self.t_end
 
     def _smooth_spans(self) -> list[tuple[float, float]]:
         """Parameter spans on which the integrands are smooth."""
@@ -210,7 +214,7 @@ class CurvePiece(Record, ABC):
 
     def _local_chord(self) -> tuple[float, float]:
         """The local end less the local start."""
-        (x0, y0), (x1, y1) = self._local_xy(self.t_start), self._local_xy(self.t_end)
+        (x0, y0), (x1, y1) = self._local_xy(self.t_start), self._local_xy(self._end_parameter())
         return (x1 - x0, y1 - y0)
 
     def _local_area_term(self) -> float | None:
@@ -741,10 +745,11 @@ class EllipticalArc(CurvePiece):
         slack = 4.0 * math.ulp(abs(t0) + abs(t1))
         return turns if turns and abs(sweep - turns * TURN) <= slack < 0.25 else 0
 
-    @property
-    def end(self) -> Point:
-        # Whole turns end at the start, which point(t_start + 2 pi k) misses by rounding.
-        return self.point(self.t_start if self._whole_turns() else self.t_end)
+    def _end_parameter(self) -> float:
+        # Whole turns end at the start, which t_start + 2 pi k misses by rounding (sin(2 pi) is
+        # -2.4e-16). Any other sweep ends where its end less its whole turns does.
+        t0, t1 = self.t_start, self.t_end
+        return t0 if self._whole_turns() else t1 - TURN * int((t1 - t0) / TURN)
 
     def _exact_length(self) -> float | None:
         # A closed ellipse's length is the complete elliptic integral, which the AGM gives;
@@ -754,16 +759,6 @@ class EllipticalArc(CurvePiece):
         if turns:
             return 2.0 * turns * ellipse_half_perimeter(a, b)
         return elliptic_arc_length(a, b, self.t_start, self.t_end)
-
-    def _local_chord(self) -> tuple[float, float]:
-        # A closed sweep ends where it starts; at t0 + 2 pi, sin(2 pi) ~ -2.4e-16 would remain.
-        # Any other sweep's end is taken without its whole turns, which do not move it.
-        if self._whole_turns():
-            return (0.0, 0.0)
-        t0, t1 = self.t_start, self.t_end
-        end = t1 - TURN * int((t1 - t0) / TURN)
-        a, b = self.semi_axes
-        return (a * (math.cos(end) - math.cos(t0)), b * (math.sin(end) - math.sin(t0)))
 
     def _local_area_term(self) -> float:
         a, b = self.semi_axes
