@@ -190,7 +190,7 @@ class CurvePiece(Record, ABC):
 
     def to_dict(self) -> dict:
         """The piece's shape JSON: its kind, then its fields."""
-        return {"kind": self.kind, **{name: _json_value(getattr(self, name)) for name in self._fields}}
+        return {"kind": self.kind, **{f: _json_value(getattr(self, f)) for f in self._fields}}
 
     @abstractmethod
     def _size(self) -> float:
@@ -490,7 +490,7 @@ class CircularArc(CurvePiece):
         return 0.5 * (self.radius * self.radius * (self.angle_end - self.angle_start))
 
     def _placed(self, frame: RigidMotion, scale: float) -> "CircularArc":
-        # The frame's rotation and mirror fold into the angles: S R(rot) takes angle t to -(t + rot).
+        # The frame's rotation and mirror fold into the angles: S R(rot) takes t to -(t + rot).
         rot = frame.rotation_angle
         a0, a1 = self.angle_start + rot, self.angle_end + rot
         if frame.reflect:
@@ -854,7 +854,7 @@ class ParabolicArc(CurvePiece):
         return (dx, dx * (alpha * (x0 + x1) + beta))
 
     def _local_area_term(self) -> float:
-        # x y' - y = alpha x^2 - gamma, so the term is (alpha (x1^3 - x0^3) / 3 - gamma (x1 - x0)) / 2.
+        # x y' - y = alpha x^2 - gamma: the term is (alpha (x1^3 - x0^3) / 3 - gamma (x1 - x0)) / 2
         alpha, _, gamma = self.coefficients
         x0, x1 = self.x_start, self.x_end
         return 0.5 * ((x1 - x0) * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma))
