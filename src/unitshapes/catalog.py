@@ -1,10 +1,11 @@
 """Shape families with closed-form fundamental measures and unit-shape builders.
 
-Each family is one parameter record class, listed once in ``FAMILIES``;
-``fundamental_measure`` evaluates its closed form (the ellipse's half
-perimeter by the arithmetic-geometric mean) and ``build_unit_shape``
-constructs its concrete unit-scale member so the curve kernel can
-cross-check the formulas. Adaptive quadrature of the ellipse's speed
+Each family is one parameter record class, listed once in ``FAMILIES``,
+which also carries its rows of the standard ``catalog`` table and its
+seeded draw for the verify suites; ``fundamental_measure`` evaluates its
+closed form (the ellipse's half perimeter by the arithmetic-geometric mean)
+and ``build_unit_shape`` constructs its concrete unit-scale member so the
+curve kernel can cross-check the formulas. Adaptive quadrature of the ellipse's speed
 integral is kept only as the reference that the ``conciliation`` suite of
 ``verify`` holds the AGM to.
 """
@@ -19,12 +20,22 @@ from .quadrature import adaptive_quadrature
 from .records import Record, setfield
 
 
+def _square_over(s: float, d: float) -> float:
+    """s^2 / d, or s (s / d) where the square overflows but the quotient may not."""
+    try:
+        return s**2 / d
+    except OverflowError:
+        return s * (s / d)
+
+
 class RightTriangle(Record):
     """Right triangles indexed by an acute angle."""
 
     __slots__ = _fields = ("theta",)
     name = "right_triangle"
     bracket = (1e-6, math.pi / 2.0 - 1e-6)
+    table = ((math.pi / 4.0,),)
+    draw = classmethod(lambda cls, rng: cls(rng.uniform(0.15, math.pi / 2.0 - 0.15)))
 
     def __init__(self, theta: float) -> None:
         if not 0.0 < theta < math.pi / 2.0:
@@ -50,6 +61,14 @@ class Triangle(Record):
     name = "triangle"
     seeds = ((1.0, 1.0), (0.9, 0.9), (0.75, 0.95), (0.95, 0.75), (0.8, 0.85))
     step = 0.05
+    table = ((1.0, 1.0),)
+
+    @classmethod
+    def draw(cls, rng):
+        while True:
+            r, s = rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
+            if r + s > 1.1:
+                return cls(r, s)
 
     def __init__(self, r: float, s: float) -> None:
         if not (0.0 < r <= 1.0 and 0.0 < s <= 1.0 and r + s > 1.0):
@@ -80,6 +99,8 @@ class Rectangle(Record):
     __slots__ = _fields = ("r",)
     name = "rectangle"
     bracket = (0.01, 100.0)
+    table = ((1.0,),)
+    draw = classmethod(lambda cls, rng: cls(rng.uniform(0.1, 10.0)))
 
     def __init__(self, r: float) -> None:
         if not 0.0 < r < math.inf:
@@ -87,7 +108,7 @@ class Rectangle(Record):
         setfield(self, "r", r)
 
     def _measure(self) -> float:
-        return (1.0 + self.r) ** 2 / self.r
+        return _square_over(1.0 + self.r, self.r)
 
     def _unit_shape(self) -> Shape:
         length = (1.0 + self.r) / self.r
@@ -101,6 +122,8 @@ class Rhombus(Record):
     __slots__ = _fields = ("theta",)
     name = "rhombus"
     bracket = (0.01, math.pi - 0.01)
+    table = ((math.pi / 2.0,),)
+    draw = classmethod(lambda cls, rng: cls(rng.uniform(0.2, math.pi - 0.2)))
 
     def __init__(self, theta: float) -> None:
         if not 0.0 < theta < math.pi:
@@ -121,6 +144,9 @@ class Parallelogram(Record):
     name = "parallelogram"
     seeds = ((math.pi / 2.0, 1.0), (1.0, 0.5), (2.0, 2.0), (0.6, 1.5), (2.4, 0.8))
     step = 0.1
+    table = ((math.pi / 2.0, 1.0),)
+    draw = classmethod(
+        lambda cls, rng: cls(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.2, 5.0)))
 
     def __init__(self, theta: float, r: float) -> None:
         if not 0.0 < theta < math.pi:
@@ -131,7 +157,7 @@ class Parallelogram(Record):
         setfield(self, "r", r)
 
     def _measure(self) -> float:
-        return (1.0 + self.r) ** 2 / (self.r * math.sin(self.theta))
+        return _square_over(1.0 + self.r, self.r * math.sin(self.theta))
 
     def _unit_shape(self) -> Shape:
         base = (1.0 + self.r) / (self.r * math.sin(self.theta))
@@ -146,6 +172,8 @@ class Ellipse(Record):
     __slots__ = _fields = ("r",)
     name = "ellipse"
     bracket = (0.01, 0.99)
+    table = ((0.5,),)
+    draw = classmethod(lambda cls, rng: cls(rng.uniform(0.05, 0.95)))
 
     def __init__(self, r: float) -> None:
         if not 0.0 < r < 1.0:
@@ -166,6 +194,8 @@ class Ellipse(Record):
 class RegularPolygon(Record):
     __slots__ = _fields = ("m",)
     name = "regular_polygon"
+    table = tuple((m,) for m in range(3, 13))
+    draw = classmethod(lambda cls, rng: cls(rng.randrange(3, 13)))
 
     def __init__(self, m: int) -> None:
         if not (isinstance(m, int) and m >= 3):
@@ -188,8 +218,10 @@ FamilyParam = (
     RightTriangle | Triangle | Rectangle | Rhombus | Parallelogram | Ellipse | RegularPolygon
 )
 
-# The one list of families. Each class carries its ``name``, ``_measure``, ``_unit_shape``
-# and search data: a one-parameter ``bracket``, or two-parameter Nelder-Mead ``seeds`` and ``step``.
+# The one list of families. Each class carries its ``name``, ``_measure``, ``_unit_shape``, its
+# rows of the standard ``catalog`` table as parameter tuples (``table``), ``draw(rng)``, a seeded
+# member away from blow-up boundaries for the verify suites, and search data: a one-parameter
+# ``bracket``, or two-parameter Nelder-Mead ``seeds`` and ``step``.
 FAMILIES = (RightTriangle, Triangle, Rectangle, Rhombus, Parallelogram, Ellipse, RegularPolygon)
 FAMILY_BY_NAME = {cls.name: cls for cls in FAMILIES}
 

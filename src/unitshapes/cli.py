@@ -108,22 +108,11 @@ def _param_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--degrees", action="store_true", help="Interpret --theta in degrees.")
 
 
-# Canonical parameters for the no-argument catalog table.
-_TABLE_ENTRIES = [
-    catalog.RightTriangle(math.pi / 4.0),
-    catalog.Triangle(1.0, 1.0),
-    catalog.Rectangle(1.0),
-    catalog.Rhombus(math.pi / 2.0),
-    catalog.Parallelogram(math.pi / 2.0, 1.0),
-    catalog.Ellipse(0.5),
-] + [catalog.RegularPolygon(m) for m in range(3, 13)]
-
-
 def catalog_cmd(family, theta, r, s, m, degrees, fmt):
     """Fundamental measures of catalog families."""
     if family is None:
         _reject_family_params(theta, r, s, m, degrees)
-        entries = _TABLE_ENTRIES
+        entries = [cls(*row) for cls in catalog.FAMILIES for row in cls.table]
     else:
         entries = [_family_param(family, theta, r, s, m, degrees)]
     rows = []

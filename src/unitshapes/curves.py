@@ -26,6 +26,10 @@ Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on 
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
 
+A piece's shape JSON is its kind and its fields: ``_json_value`` writes each field and
+``_field_from_json`` reads it back. That layer checks only that numbers are numbers; each
+constructor rejects a NaN or an infinity, for JSON and every other caller alike.
+
 All types are immutable values; every operation here is pure.
 """
 
@@ -1067,13 +1071,11 @@ class _Malformed(Exception):
     """What is wrong with one piece's JSON; ``_piece_from_dict`` names the piece."""
 
 
-def _check_finite(values: Iterable[float]) -> None:
-    if not all(map(math.isfinite, values)):
-        raise _Malformed("holds a NaN or infinite number")
-
-
 # What JSON numbers decode to; bool is a subclass of int but not a number here.
 _NUMBER_TYPES = frozenset({int, float})
+# The fields that shape JSON writes as lists, and of those the points.
+_POINT_FIELDS = frozenset({"center", "start", "end"})
+_LIST_FIELDS = _POINT_FIELDS | {"semi_axes", "coefficients", "translation"}
 
 
 def _check_numbers(values: Iterable) -> None:
@@ -1081,51 +1083,52 @@ def _check_numbers(values: Iterable) -> None:
         raise _Malformed("holds a value that is not a number")
 
 
-def _floats(values: Sequence) -> list[float]:
-    _check_numbers(values)
-    out = [float(v) for v in values]
-    _check_finite(out)
-    return out
+def _field_from_json(name: str, value):
+    """The field ``name`` read back as ``_json_value`` writes it: a number as a float, a list
+    as a tuple of floats (a Point for a center, start or end), a frame as a RigidMotion.
+
+    Only the types are checked here; each constructor rejects a NaN or an infinity itself.
+    """
+    if name == "frame":
+        if type(value) is not dict:
+            raise _Malformed(f"has a frame that is not an object: {value!r}")
+        reflect = value.get("reflect", False)
+        if type(reflect) is not bool:
+            raise _Malformed(f"has a frame.reflect that is not true or false: {reflect!r}")
+        angle = _field_from_json("rotation_angle", value.get("rotation_angle", 0.0))
+        shift = _field_from_json("translation", value.get("translation", [0, 0]))
+        return RigidMotion(angle, reflect, shift)
+    if type(value) in _NUMBER_TYPES:
+        return float(value)
+    if type(value) is not list or name not in _LIST_FIELDS:
+        raise _Malformed("holds a value that is not a number")
+    _check_numbers(value)
+    floats = tuple(map(float, value))
+    return Point(*floats) if name in _POINT_FIELDS else floats
 
 
-def _point_from_list(v: Sequence) -> Point:
-    x, y = _floats(v)
-    return Point(x, y)
-
-
-def _motion_from_dict(d: dict) -> RigidMotion:
-    t = d.get("translation", (0.0, 0.0))
-    angle, tx, ty = _floats([d.get("rotation_angle", 0.0), t[0], t[1]])
-    reflect = d.get("reflect", False)
-    if not isinstance(reflect, bool):
-        raise _Malformed(f"has a frame.reflect that is not true or false: {reflect!r}")
-    return RigidMotion(angle, reflect, (tx, ty))
+# Each arc kind's class and the JSON names of its constructor's arguments, in order.
+_PIECE_KINDS = {cls.kind: (cls, names) for cls, names in (
+    (LineSegment, ("start", "end")),
+    (CircularArc, CircularArc._fields),
+    (EllipticalArc, EllipticalArc._fields),
+    (ParabolicArc, ParabolicArc._fields),
+    (RationalPoint, RationalPoint._fields),
+)}
 
 
 def _parse_piece(d: dict) -> CurvePiece:
     kind = d["kind"]
-    if kind == "line_segment":
-        return LineSegment(_point_from_list(d["start"]), _point_from_list(d["end"]))
     if kind == "polyline":
         vertices = d["vertices"]
         _check_numbers(chain.from_iterable(vertices))
         # Polyline rejects a NaN or an infinity itself.
         return Polyline([float(x) for x, _ in vertices], [float(y) for _, y in vertices])
-    if kind == "circular_arc":
-        radius, t0, t1 = _floats([d["radius"], d["angle_start"], d["angle_end"]])
-        return CircularArc(_point_from_list(d["center"]), radius, t0, t1)
-    if kind == "elliptical_arc":
-        a, b = d["semi_axes"]
-        a, b, rotation, t0, t1 = _floats([a, b, d["rotation"], d["t_start"], d["t_end"]])
-        return EllipticalArc(_point_from_list(d["center"]), (a, b), rotation, t0, t1)
-    if kind == "parabolic_arc":
-        alpha, beta, gamma = d["coefficients"]
-        alpha, beta, gamma, x0, x1 = _floats([alpha, beta, gamma, d["x_start"], d["x_end"]])
-        return ParabolicArc((alpha, beta, gamma), x0, x1, _motion_from_dict(d.get("frame", {})))
-    if kind == "rational_point":
-        t0, t1 = _floats([d["t_start"], d["t_end"]])
-        return RationalPoint(t0, t1, _motion_from_dict(d.get("frame", {})))
-    raise ValueError(f"unknown piece kind: {kind!r}")
+    if kind not in _PIECE_KINDS:
+        raise ValueError(f"unknown piece kind: {kind!r}")
+    cls, names = _PIECE_KINDS[kind]
+    # A frame, always the last argument, may be left out for the constructor's identity.
+    return cls(*[_field_from_json(name, d[name]) for name in names if name in d or name != "frame"])
 
 
 def _piece_from_dict(d: dict, piece: int) -> CurvePiece:

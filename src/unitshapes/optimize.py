@@ -179,7 +179,6 @@ def minimize_1d(
     family: str,
     bracket: tuple[float, float] | None = None,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> MinimizationResult:
     """Golden-section minimum of a one-parameter family's measure."""
     make = _searchable(family, "bracket", "one")
@@ -187,9 +186,7 @@ def minimize_1d(
     if not lo < hi:
         raise DomainError(f"empty bracket ({lo}, {hi})")
 
-    x, fx, iterations = golden_section(
-        lambda t: fundamental_measure(make(t)), lo, hi, tol=tol, max_iter=max_iter
-    )
+    x, fx, iterations = golden_section(lambda t: fundamental_measure(make(t)), lo, hi, tol=tol)
     edge = 10.0 * max(tol, 1e-12 * (hi - lo))
     interior = (x - lo > edge) and (hi - x > edge)
     boundary_inf = None
@@ -203,7 +200,6 @@ def minimize_1d(
 def minimize_2d(
     family: str,
     tol: float = 1e-8,
-    max_iter: int = 1000,
 ) -> MinimizationResult:
     """Best Nelder-Mead result over the family's fixed restart seeds."""
     make = _searchable(family, "seeds", "two")
@@ -212,9 +208,7 @@ def minimize_2d(
     best: tuple[tuple[float, ...], float, int, bool] | None = None
     total_iterations = 0
     for seed in make.seeds:
-        x, fx, iters, converged = nelder_mead(
-            objective, seed, step=make.step, tol=tol, max_iter=max_iter
-        )
+        x, fx, iters, converged = nelder_mead(objective, seed, step=make.step, tol=tol)
         total_iterations += iters
         if best is None or fx < best[1]:
             best = (x, fx, iters, converged)

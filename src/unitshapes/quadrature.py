@@ -2,7 +2,7 @@
 
 A 7-point Gauss / 15-point Kronrod pair is applied per interval; the worst
 interval (largest error estimate) is bisected until the summed error estimate
-meets tolerance. Intervals are never split beyond ``max_depth`` halvings of
+meets tolerance. Intervals are never split beyond ``MAX_DEPTH`` halvings of
 the original interval, nor more than ``MAX_BISECTIONS`` times in all; either
 limit raises QuadratureFailure, which signals a pathological integrand.
 """
@@ -19,6 +19,7 @@ from .errors import QuadratureFailure
 # Bisections per call: the package's integrands need at most about 60, and an
 # integrand whose error estimate is rounding noise would bisect without end.
 MAX_BISECTIONS = 2000
+MAX_DEPTH = 60  # halvings of the original interval, down to 2^-60 of it
 
 # The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule: the weights of the
 # centre node, then (abscissa, Kronrod weight, Gauss weight) of each symmetric node pair,
@@ -60,13 +61,12 @@ def adaptive_quadrature(
     b: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
-    max_depth: int = 60,
 ) -> float:
     """Integrate f from a to b (either order) to the requested tolerance.
 
     Convergence requires the summed per-interval error estimate to fall below
     max(abs_tol, rel_tol * |integral|). Raises QuadratureFailure if the worst
-    remaining interval has already been bisected max_depth times, after
+    remaining interval has already been bisected MAX_DEPTH times, after
     MAX_BISECTIONS bisections, or if the estimate or its error is NaN, as where
     the integrand overflows.
     """
@@ -89,7 +89,7 @@ def adaptive_quadrature(
             raise QuadratureFailure(f"no convergence on [{a}, {b}] after {MAX_BISECTIONS}"
                                     f" bisections: error estimate {total_err:.3e}")
         neg_err, _, lo, hi, val, err, depth = heapq.heappop(heap)
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureFailure(
                 f"interval [{lo}, {hi}] still contributes error {err:.3e} at depth {depth}"
             )

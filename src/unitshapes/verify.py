@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from operator import sub
 
 from .catalog import (
-    Ellipse,
+    FAMILIES,
     FamilyParam,
     Parallelogram,
     Rectangle,
@@ -45,6 +45,7 @@ ISOPERIMETRIC_REL_TOL = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
 CALCULUS_STEP = 1e-5  # the finite-difference step h of check_calculus, relative to lambda
 CALCULUS_ROUNDING = 8.0  # K of its bound K u lambda / h
+TRIPLE_REL_TOL = 1e-12  # how near to c^2 a^2 + b^2 makes a right triple in check_blob_pythagoras
 
 
 class VerificationReport(MutableRecord):
@@ -158,7 +159,6 @@ def check_blob_pythagoras(
     base: Shape,
     triple: tuple[float, float, float],
     area_rel_tol: float = 1e-9,
-    triple_rel_tol: float = 1e-12,
 ) -> VerificationReport:
     """Areas of the a-, b-, c-scaled copies add exactly when a^2 + b^2 = c^2."""
     a, b, c = triple
@@ -166,7 +166,7 @@ def check_blob_pythagoras(
     area_b = scaled(base, b).area()
     area_c = scaled(base, c).area()
     areas_add = abs(area_a + area_b - area_c) <= area_rel_tol * area_c
-    is_right_triple = abs(a * a + b * b - c * c) <= triple_rel_tol * c * c
+    is_right_triple = abs(a * a + b * b - c * c) <= TRIPLE_REL_TOL * c * c
     report = VerificationReport(
         "blob_pythagoras", 1, area_a + area_b - area_c
     )
@@ -307,29 +307,9 @@ def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], 
             return xs, ys, area, semiperimeter
 
 
-def _random_triangle(rng: random.Random) -> Triangle:
-    while True:
-        r = rng.uniform(0.3, 1.0)
-        s = rng.uniform(0.3, 1.0)
-        if r + s > 1.1:
-            return Triangle(r, s)
-
-
-# One seeded draw per catalog family, away from blow-up boundaries, in FAMILIES order.
-FAMILY_DRAWS = (
-    lambda rng: RightTriangle(rng.uniform(0.15, math.pi / 2.0 - 0.15)),
-    _random_triangle,
-    lambda rng: Rectangle(rng.uniform(0.1, 10.0)),
-    lambda rng: Rhombus(rng.uniform(0.2, math.pi - 0.2)),
-    lambda rng: Parallelogram(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.2, 5.0)),
-    lambda rng: Ellipse(rng.uniform(0.05, 0.95)),
-    lambda rng: RegularPolygon(rng.randrange(3, 13)),
-)
-
-
 def random_family_param(rng: random.Random) -> FamilyParam:
     """A random member of a random catalog family, away from blow-up boundaries."""
-    return FAMILY_DRAWS[rng.randrange(len(FAMILY_DRAWS))](rng)
+    return FAMILIES[rng.randrange(len(FAMILIES))].draw(rng)
 
 
 def random_similarity(rng: random.Random) -> Similarity:
@@ -436,7 +416,7 @@ def suite_calculus(seed: int = 0, tol: float | None = None) -> list[Verification
     rational circle, scaled by anything but 1, becomes CircularArcs, so it is left out."""
     identity_tol = 1e-12 if tol is None else tol
     rng = random.Random(seed)
-    bases = [make_circle(1.0)] + [build_unit_shape(draw(rng)) for draw in FAMILY_DRAWS]
+    bases = [make_circle(1.0)] + [build_unit_shape(cls.draw(rng)) for cls in FAMILIES]
     return [check_calculus(b, [math.exp(rng.uniform(-2.0, 2.0))], identity_tol) for b in bases]
 
 
@@ -445,7 +425,7 @@ def suite_idempotence(seed: int = 0, tol: float | None = None) -> list[Verificat
     idempotence_tol = 1e-9 if tol is None else tol
     rng = random.Random(seed)
     shapes = [make_circle(rng.uniform(0.5, 3.0))] + [
-        build_unit_shape(draw(rng)).transformed(random_similarity(rng)) for draw in FAMILY_DRAWS]
+        build_unit_shape(cls.draw(rng)).transformed(random_similarity(rng)) for cls in FAMILIES]
     return [check_idempotence(shape, idempotence_tol) for shape in shapes]
 
 

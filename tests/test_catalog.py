@@ -1,4 +1,7 @@
+import json
 import math
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from unitshapes.verify import CONCILIATION_GRID, CONCILIATIONS, check_conciliati
 from oracles import dense_simpson
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 # --- closed forms -----------------------------------------------------------
@@ -126,7 +130,7 @@ def test_out_of_domain_rejected(bad):
 
 OVERFLOWING = [
     Rectangle(1e-320),
-    Rectangle(1e308),  # (1 + r) ** 2 raises OverflowError
+    Parallelogram(1e-200, 1e200),  # about 1e400: (1 + r) ((1 + r) / (r sin(theta))) overflows too
     Rhombus(1e-320),
     RightTriangle(1e-320),
     Parallelogram(1.0, 1e-320),
@@ -160,11 +164,22 @@ def test_builder_names_the_parameter_where_only_the_perimeter_overflows():
 
 
 def test_builder_keeps_member_whose_closed_form_overflows_in_a_square():
-    p = Rectangle(1e200)  # (1 + r) ** 2 overflows; the 1-by-r unit rectangle does not
-    with pytest.raises(DomainError, match="overflows the float range"):
-        fundamental_measure(p)
+    p = Rectangle(1e200)  # (1 + r) ** 2 overflows; (1 + r) ((1 + r) / r) and the unit shape do not
     shape = build_unit_shape(p)
-    assert shape.area() == shape.semiperimeter() == 1e200
+    assert fundamental_measure(p) == shape.area() == shape.semiperimeter() == 1e200
+
+
+@pytest.mark.parametrize("p", [Rectangle(1e154), Rectangle(1e-300), Parallelogram(1.0, 1e154),
+                               Parallelogram(0.5, 3.0), Rectangle(2.0)], ids=repr)
+def test_measure_keeps_the_square_wherever_it_is_finite(p):
+    r, sine = p.r, math.sin(getattr(p, "theta", math.pi / 2.0))
+    expected = (1.0 + r) ** 2 / r if isinstance(p, Rectangle) else (1.0 + r) ** 2 / (r * sine)
+    assert fundamental_measure(p) == expected
+
+
+@pytest.mark.parametrize("p", [Rectangle(1e308), Parallelogram(math.pi / 2.0, 1e300)], ids=repr)
+def test_measure_past_the_square_overflow_is_finite(p):
+    assert fundamental_measure(p) == pytest.approx(p.r, rel=1e-12)
 
 
 # --- builders vs formulas ---------------------------------------------------
@@ -393,11 +408,24 @@ def test_registry_entry(cls):
     if hasattr(cls, "seeds"):
         assert len(cls._fields) == 2 and cls.step > 0.0
         members += [cls(*seed) for seed in cls.seeds]
-    assert members
-    for p in members:
+    # Rows of the standard table, and seeded draws away from the blow-up boundaries.
+    assert cls.table and all(len(row) == len(cls._fields) for row in cls.table)
+    members += [cls(*row) for row in cls.table]
+    rng = random.Random(cls.name)
+    draws = [cls.draw(rng) for _ in range(200)]
+    assert all(type(p) is cls for p in draws) and len(set(draws)) > 1
+    for p in members + draws:
         assert family_from_dict(family_to_dict(p)) == p
         assert math.isfinite(fundamental_measure(p))
         assert build_unit_shape(p).area() == pytest.approx(fundamental_measure(p), rel=1e-9)
+
+
+def test_family_tables_are_the_standard_catalog_rows():
+    rows = [json.loads(line) for line in (GOLDEN_DIR / "catalog.json").read_text().splitlines()]
+    table = [cls(*row) for cls in FAMILIES for row in cls.table]
+    assert len(rows) == len(table) == 16
+    assert [family_to_dict(p) for p in table] == [
+        {k: v for k, v in row.items() if k != "Pi"} for row in rows]
 
 
 @pytest.mark.parametrize(

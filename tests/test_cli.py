@@ -181,7 +181,7 @@ def test_domain_error_exit_two(capsys):
         (["rectangle", "--r", "inf"], "rectangle ratio must be positive and finite"),
         (["parallelogram", "--theta", "1", "--r", "inf"], "parallelogram ratio must be positive and finite"),
         (["rectangle", "--r", "1e-320"], "overflows the float range"),
-        (["rectangle", "--r", "1e308"], "overflows the float range"),
+        (["parallelogram", "--theta", "1e-200", "--r", "1e200"], "overflows the float range"),
         (["rhombus", "--theta", "1e-320"], "overflows the float range"),
         (["right_triangle", "--theta", "1e-320"], "overflows the float range"),
         (["parallelogram", "--theta", "1", "--r", "1e-320"], "overflows the float range"),
@@ -193,10 +193,19 @@ def test_catalog_infinite_or_overflowing_measure_exit_two(capsys, params, messag
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("r, line", [("1e200", '"Pi": 1e+200}'), ("1e308", '"Pi": 1e+308}')])
+def test_catalog_measure_past_the_square_overflow(capsys, r, line):
+    code, out, err = invoke(capsys, "catalog", "--family", "rectangle", "--r", r, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.endswith(line + "\n")
+
+
 @pytest.mark.parametrize(
     "params, shown",
     [
-        (["rectangle", "--r", "1e308"], "rectangle measure at Rectangle(r=1e+308)"),
+        (["parallelogram", "--theta", "1e-200", "--r", "1e200"],
+         "parallelogram measure at Parallelogram(theta=1e-200, r=1e+200)"),
+        (["rectangle", "--r", "1e308"], "unit rectangle perimeter at Rectangle(r=1e+308)"),
         (["rectangle", "--r", "1e-320"], "rectangle measure at Rectangle(r=1e-320)"),
         (["rhombus", "--theta", "1e-320"], "rhombus measure at Rhombus(theta=1e-320)"),
         (["right_triangle", "--theta", "1e-320"],
@@ -222,8 +231,8 @@ def test_unitize_overflowing_family_names_the_parameter(capsys, params, shown):
     ids=["csv", "json"],
 )
 def test_unitize_builds_member_whose_closed_form_overflows_in_a_square(capsys, fmt, expected):
-    # (1 + r)**2 / r overflows in the square past r ~ 1.34e154, so catalog reports an
-    # overflow there; the unit rectangle itself (1 by r, perimeter ~2r) is representable.
+    # (1 + r)**2 / r overflows in the square past r ~ 1.34e154, where the measure is taken as
+    # (1 + r) ((1 + r) / r); the unit rectangle itself (1 by r, perimeter ~2r) is representable.
     code, out, err = invoke(capsys, "unitize", "--family", "rectangle", "--r", "1e200",
                             "--format", fmt)
     assert (code, out, err) == (0, expected, "")

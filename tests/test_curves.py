@@ -35,6 +35,7 @@ from unitshapes.curves import (
     scaled,
     shape_from_dict,
     shape_from_json,
+    _piece_from_dict,
 )
 from unitshapes.errors import DomainError, UnitShapesError
 from unitshapes.unitize import unitize
@@ -1216,6 +1217,35 @@ def test_json_integers_are_numbers():
     shape = shape_from_json(text)
     assert shape.area() == 2.0
     assert all(type(c) is float for v in shape.pieces[0].vertices for c in (v.x, v.y))
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["as_built", "mirrored"])
+@pytest.mark.parametrize("piece", sample_pieces(), ids=lambda p: p.kind)
+def test_piece_json_reads_back_the_piece(piece, mirror):
+    if mirror:  # at scale 1 each kind stays its kind, and a framed arc's reflect flips
+        image = piece.transformed(Similarity(RigidMotion(0.9, True, (-2.0, 0.5))))
+        assert "frame" not in piece._fields or image.frame.reflect != piece.frame.reflect
+        piece = image
+    assert _piece_from_dict(piece.to_dict(), 0) == piece
+
+
+@pytest.mark.parametrize(
+    "kind, field, bad",
+    [
+        ("circular_arc", "radius", [1.0]),
+        ("circular_arc", "center", 1.0),
+        ("elliptical_arc", "semi_axes", 2.0),
+        ("parabolic_arc", "coefficients", 1.0),
+        ("parabolic_arc", "frame", 5),
+        ("rational_point", "frame", []),
+        ("line_segment", "start", 1.0),
+    ],
+)
+def test_a_field_of_the_wrong_shape_names_the_piece(kind, field, bad):
+    piece = next(p for p in sample_pieces() if p.kind == kind).to_dict()
+    piece[field] = bad
+    with pytest.raises(DomainError, match="^piece 3 of the shape JSON "):
+        _piece_from_dict(piece, 3)
 
 
 @pytest.mark.parametrize("kind", ["parabolic_arc", "rational_point"])
