@@ -49,7 +49,7 @@ from .curves import (
 )
 from .errors import DomainError, NotConverged, QuadratureFailure, UnitShapesError
 from .optimize import MinimizationResult, minimize_1d, minimize_2d, scan
-from .solids import PlatonicSolid, SolidMeasures, measures, table_check, unitize_solid
+from .solids import PlatonicSolid, SolidMeasures, measures, unitize_solid
 from .unitize import UnitizationResult, tong_inradius, unitize
 from .verify import (
     VerificationReport,
@@ -59,6 +59,7 @@ from .verify import (
     check_idempotence,
     check_isoperimetric,
     check_mgon_bound,
+    check_platonic_table,
     check_rational_circle,
     check_scale_equivalence,
     check_unit_floor,

@@ -291,8 +291,12 @@ def rhombus_short_diagonal(theta: float) -> float:
     return 2.0 * side * min(math.sin(theta / 2.0), math.cos(theta / 2.0))
 
 
-def _finite_measure(p: FamilyParam) -> float:
-    """The family's closed-form measure, or DomainError where it overflows."""
+def fundamental_measure(p: FamilyParam) -> float:
+    """Closed-form area (= semiperimeter) of the family's unit shape.
+
+    Raises DomainError where the measure overflows the float range, as it does
+    near the edges of the open domains (a ratio or angle near 0, say).
+    """
     if type(p) not in FAMILIES:
         raise DomainError(f"unsupported family parameter: {p!r}")
     try:
@@ -302,15 +306,6 @@ def _finite_measure(p: FamilyParam) -> float:
     if measure == math.inf:
         raise DomainError(f"the {p.name} measure at {p!r} overflows the float range")
     return measure
-
-
-def fundamental_measure(p: FamilyParam) -> float:
-    """Closed-form area (= semiperimeter) of the family's unit shape.
-
-    Raises DomainError where the measure overflows the float range, as it does
-    near the edges of the open domains (a ratio or angle near 0, say).
-    """
-    return _finite_measure(p)
 
 
 def build_unit_shape(p: FamilyParam) -> Shape:
@@ -327,6 +322,6 @@ def build_unit_shape(p: FamilyParam) -> Shape:
         if 2.0 * shape.signed_area() == math.inf:  # a unit shape's perimeter is twice its area
             raise DomainError(f"the unit {p.name} perimeter at {p!r} overflows the float range")
     except (DomainError, OverflowError, ZeroDivisionError):
-        _finite_measure(p)  # raises the measure's overflow error where the measure overflows too
+        fundamental_measure(p)  # raises the measure's overflow error where it overflows too
         raise
     return shape

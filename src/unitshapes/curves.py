@@ -27,8 +27,9 @@ of the terms, so a reversed polyline keeps its sums without a second walk, and t
 are the same on every Python version.
 
 A piece's shape JSON is its kind and its fields: ``_json_value`` writes each field and
-``_field_from_json`` reads it back. That layer checks only that numbers are numbers; each
-constructor rejects a NaN or an infinity, for JSON and every other caller alike.
+``_field_from_json`` reads it back. That layer checks only that numbers are numbers and
+lists have their lengths; each constructor rejects a NaN or an infinity, for JSON and
+every other caller alike.
 
 All types are immutable values; every operation here is pure.
 """
@@ -1073,9 +1074,10 @@ class _Malformed(Exception):
 
 # What JSON numbers decode to; bool is a subclass of int but not a number here.
 _NUMBER_TYPES = frozenset({int, float})
-# The fields that shape JSON writes as lists, and of those the points.
+# The fields that shape JSON writes as lists, each with its length, and of those the points.
 _POINT_FIELDS = frozenset({"center", "start", "end"})
-_LIST_FIELDS = _POINT_FIELDS | {"semi_axes", "coefficients", "translation"}
+_LIST_LENGTHS = {**dict.fromkeys(_POINT_FIELDS, 2), "semi_axes": 2, "coefficients": 3,
+                 "translation": 2}
 
 
 def _check_numbers(values: Iterable) -> None:
@@ -1087,7 +1089,8 @@ def _field_from_json(name: str, value):
     """The field ``name`` read back as ``_json_value`` writes it: a number as a float, a list
     as a tuple of floats (a Point for a center, start or end), a frame as a RigidMotion.
 
-    Only the types are checked here; each constructor rejects a NaN or an infinity itself.
+    Only the types and list lengths are checked here; each constructor rejects a NaN or an
+    infinity itself.
     """
     if name == "frame":
         if type(value) is not dict:
@@ -1098,10 +1101,13 @@ def _field_from_json(name: str, value):
         angle = _field_from_json("rotation_angle", value.get("rotation_angle", 0.0))
         shift = _field_from_json("translation", value.get("translation", [0, 0]))
         return RigidMotion(angle, reflect, shift)
-    if type(value) in _NUMBER_TYPES:
+    length = _LIST_LENGTHS.get(name)
+    if length is None:
+        if type(value) not in _NUMBER_TYPES:
+            raise _Malformed("holds a value that is not a number")
         return float(value)
-    if type(value) is not list or name not in _LIST_FIELDS:
-        raise _Malformed("holds a value that is not a number")
+    if type(value) is not list or len(value) != length:
+        raise _Malformed(f"has {name} {value!r} where a list of {length} numbers belongs")
     _check_numbers(value)
     floats = tuple(map(float, value))
     return Point(*floats) if name in _POINT_FIELDS else floats

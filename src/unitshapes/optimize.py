@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from . import catalog
 from .catalog import FAMILIES, FAMILY_BY_NAME, Ellipse, Rhombus, family_key, fundamental_measure
 from .errors import DomainError, NotConverged
-from .records import MutableRecord, Record, setfield
+from .records import Record, setfield
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -221,21 +221,20 @@ def minimize_2d(
 SCAN_QUANTITIES = ("Pi", "a", "h")
 
 
-class ScanResult(MutableRecord):
+class ScanResult(Record):
     __slots__ = _fields = ("family", "quantity", "params", "values", "monotone_runs", "minimum",
                            "maximum")
 
     def __init__(self, family: str, quantity: str, params: list[float], values: list[float],
-                 monotone_runs: list[tuple[float, float, str]] | None = None,
-                 minimum: tuple[float, float] | None = None,
-                 maximum: tuple[float, float] | None = None) -> None:
-        self.family = family
-        self.quantity = quantity
-        self.params = params
-        self.values = values
-        self.monotone_runs = [] if monotone_runs is None else monotone_runs
-        self.minimum = minimum
-        self.maximum = maximum
+                 monotone_runs: list[tuple[float, float, str]], minimum: tuple[float, float],
+                 maximum: tuple[float, float]) -> None:
+        setfield(self, "family", family)
+        setfield(self, "quantity", quantity)
+        setfield(self, "params", params)
+        setfield(self, "values", values)
+        setfield(self, "monotone_runs", monotone_runs)
+        setfield(self, "minimum", minimum)
+        setfield(self, "maximum", maximum)
 
     @property
     def endpoint_values(self) -> tuple[float, float]:
@@ -274,7 +273,7 @@ def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult
     params[-1] = hi
     values = [evaluate(t) for t in params]
 
-    result = ScanResult(make.name, quantity, params, values)
+    monotone_runs = []
     run_start = 0
     direction = ""
     for i in range(1, n):
@@ -284,13 +283,12 @@ def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult
         if direction == "":
             direction = step
         elif step != direction:
-            result.monotone_runs.append((params[run_start], params[i - 1], direction))
+            monotone_runs.append((params[run_start], params[i - 1], direction))
             run_start = i - 1
             direction = step
-    result.monotone_runs.append((params[run_start], params[-1], direction))
+    monotone_runs.append((params[run_start], params[-1], direction))
 
     i_min = min(range(n), key=values.__getitem__)
     i_max = max(range(n), key=values.__getitem__)
-    result.minimum = (params[i_min], values[i_min])
-    result.maximum = (params[i_max], values[i_max])
-    return result
+    return ScanResult(make.name, quantity, params, values, monotone_runs,
+                      (params[i_min], values[i_min]), (params[i_max], values[i_max]))

@@ -3,7 +3,8 @@
 A record class declares ``__slots__`` and ``_fields`` (its field names in
 ``__init__`` order) and writes an ``__init__`` that validates, then assigns
 each field through ``setfield``. The base gives ==, hash and repr over the
-field values, and copy, deepcopy and pickle that rebuild through ``__init__``,
+field values (a record holding a list or a dict is unhashable, as a tuple
+holding one is), and copy, deepcopy and pickle that rebuild through ``__init__``,
 so what an ``__init__`` caches outside the fields is computed afresh.
 """
 
@@ -40,11 +41,3 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-class MutableRecord(Record):
-    """A record whose fields may be reassigned; unhashable, since its value can change."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]

@@ -216,47 +216,15 @@ def unitize_solid(solid: PlatonicSolid) -> PlatonicSolid:
     return PlatonicSolid(solid.kind, solid.edge_length * factor)
 
 
-_TABLE_EXPRESSIONS = {
-    "tetrahedron": "8*sqrt(3)",
-    "cube": "8",
-    "octahedron": "4*sqrt(3)",
-    "dodecahedron": "20*xi/phi^3",
-    "icosahedron": "20*sqrt(3)/phi^4",
+# Each unit solid's volume in closed form, as its expression and value, with phi the golden
+# ratio 2 cos(pi/5) and xi = 2 sin(pi/5).
+UNIT_VOLUMES = {
+    "tetrahedron": ("8*sqrt(3)", 8.0 * math.sqrt(3.0)),
+    "cube": ("8", 8.0),
+    "octahedron": ("4*sqrt(3)", 4.0 * math.sqrt(3.0)),
+    "dodecahedron": ("20*xi/phi^3", 20.0 * (2.0 * math.sin(math.pi / 5.0)) / _PHI**3),
+    "icosahedron": ("20*sqrt(3)/phi^4", 20.0 * math.sqrt(3.0) / _PHI**4),
 }
-
-
-def expected_unit_measures() -> dict[str, float]:
-    """Golden-ratio closed forms for the unit-insphere volumes."""
-    phi = 2.0 * math.cos(math.pi / 5.0)
-    xi = 2.0 * math.sin(math.pi / 5.0)
-    return {
-        "tetrahedron": 8.0 * math.sqrt(3.0),
-        "cube": 8.0,
-        "octahedron": 4.0 * math.sqrt(3.0),
-        "dodecahedron": 20.0 * xi / phi**3,
-        "icosahedron": 20.0 * math.sqrt(3.0) / phi**4,
-    }
-
-
-def table_check(rel_tol: float = 1e-9):
-    """Vertex-model volumes of the five unit solids against the closed forms."""
-    from .verify import VerificationReport
-
-    expected = expected_unit_measures()
-    report = VerificationReport("platonic_unit_volumes", len(KINDS), 0.0)
-    residuals = {}
-    for kind in KINDS:
-        unit = unitize_solid(PlatonicSolid(kind))
-        got = measures(unit).volume
-        residual = abs(got - expected[kind]) / expected[kind]
-        residuals[kind] = residual
-        report.worst_slack = max(report.worst_slack, residual)
-        if residual > rel_tol:
-            report.counterexamples.append(
-                {"solid": kind, "measured": got, "expected": expected[kind]}
-            )
-    report.details["residuals"] = residuals
-    return report
 
 
 def solids_table() -> list[dict]:
@@ -269,7 +237,7 @@ def solids_table() -> list[dict]:
             {
                 "solid": kind,
                 "fundamental_measure": m.volume,
-                "expression": _TABLE_EXPRESSIONS[kind],
+                "expression": UNIT_VOLUMES[kind][0],
                 "surface_area": m.surface_area,
                 "inradius": m.inradius,
                 "edge_length": unit.edge_length,

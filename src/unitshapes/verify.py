@@ -2,7 +2,10 @@
 
 Each check measures concrete shapes through the curve kernel and returns a
 VerificationReport; a report passes exactly when it has no counterexamples.
-Sampled checks take a seeded RNG so runs are reproducible.
+Each check's tolerance is its ``tol``, whose default its signature holds. Each
+suite draws its inputs from a seed, at the sizes the module constants set, so
+runs are reproducible, and passes a ``tol`` on to its checks: ``run_suite``'s
+``tol`` (``unit-shapes verify --tol``) replaces every check's own tolerance.
 """
 
 from __future__ import annotations
@@ -38,26 +41,33 @@ from .curves import (
     quadrature_measures,
     scaled,
 )
-from .records import MutableRecord
+from .records import Record, setfield
+from .solids import UNIT_VOLUMES, solids_table
 from .unitize import UnitizationResult, unitize
 
-ISOPERIMETRIC_REL_TOL = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
 CALCULUS_STEP = 1e-5  # the finite-difference step h of check_calculus, relative to lambda
 CALCULUS_ROUNDING = 8.0  # K of its bound K u lambda / h
 TRIPLE_REL_TOL = 1e-12  # how near to c^2 a^2 + b^2 makes a right triple in check_blob_pythagoras
 
+# The sizes of the sampled suites: the m-gon orders and the random m-gons of each, the posed
+# catalog members of the isoperimetric and unit-floor suites, and the blob-Pythagoras cases.
+MGON_ORDERS = (3, 4, 5, 6)
+MGON_SAMPLES = 500
+POSED_SAMPLES = 25
+BLOB_CASES = 20
 
-class VerificationReport(MutableRecord):
+
+class VerificationReport(Record):
     __slots__ = _fields = ("claim", "instances_tested", "worst_slack", "counterexamples", "details")
 
     def __init__(self, claim: str, instances_tested: int, worst_slack: float,
-                 counterexamples: list | None = None, details: dict | None = None) -> None:
-        self.claim = claim
-        self.instances_tested = instances_tested
-        self.worst_slack = worst_slack
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.details = {} if details is None else details
+                 counterexamples: list, details: dict) -> None:
+        setfield(self, "claim", claim)
+        setfield(self, "instances_tested", instances_tested)
+        setfield(self, "worst_slack", worst_slack)
+        setfield(self, "counterexamples", counterexamples)
+        setfield(self, "details", details)
 
     @property
     def passed(self) -> bool:
@@ -77,121 +87,102 @@ class VerificationReport(MutableRecord):
         return json.dumps(self.to_dict())
 
 
-def check_isoperimetric(shape: Shape, rel_tol: float = ISOPERIMETRIC_REL_TOL) -> VerificationReport:
-    """pi * A <= S^2, with slack S^2 - pi A vanishing only for circles."""
+def check_isoperimetric(shape: Shape, tol: float = 1e-9) -> VerificationReport:
+    """pi * A <= S^2, with slack S^2 - pi A vanishing only for circles; tol is relative to S^2."""
     a = shape.area()
     s = shape.semiperimeter()
     slack = s * s - math.pi * a
-    report = VerificationReport("isoperimetric_inequality", 1, slack)
-    report.details["equality"] = abs(slack) <= rel_tol * s * s
-    if slack < -rel_tol * s * s:
-        report.counterexamples.append({"area": a, "semiperimeter": s, "slack": slack})
-    return report
+    failed = slack < -tol * s * s
+    return VerificationReport("isoperimetric_inequality", 1, slack,
+                              [{"area": a, "semiperimeter": s, "slack": slack}] if failed else [],
+                              {"equality": abs(slack) <= tol * s * s})
 
 
 def check_unit_floor(result: UnitizationResult, tol: float = 1e-9) -> VerificationReport:
     """The fundamental measure of any unit shape is at least pi."""
     measure = result.fundamental_measure
     slack = measure - math.pi
-    report = VerificationReport("unit_measure_floor", 1, slack)
-    report.details["equality"] = abs(slack) <= tol
-    if slack < -tol:
-        report.counterexamples.append({"fundamental_measure": measure, "slack": slack})
-    return report
+    failed = slack < -tol
+    return VerificationReport("unit_measure_floor", 1, slack,
+                              [{"fundamental_measure": measure, "slack": slack}] if failed else [],
+                              {"equality": abs(slack) <= tol})
 
 
 def check_scale_equivalence(
-    unit_shape: Shape,
-    rho: float,
-    kappas: Sequence[float],
-    rel_tol: float = ISOPERIMETRIC_REL_TOL,
+    unit_shape: Shape, rho: float, kappas: Sequence[float], tol: float = 1e-9
 ) -> VerificationReport:
     """rho <= Pi holds iff rho * A <= S^2 across every rescaling of a unit shape."""
     measure = 0.5 * (unit_shape.area() + unit_shape.semiperimeter())
-    lhs = rho <= measure * (1.0 + rel_tol)
-    report = VerificationReport("scale_equivalence", len(kappas), 0.0)
-    report.details["rho"] = rho
-    report.details["measure_bound_holds"] = lhs
+    lhs = rho <= measure * (1.0 + tol)
     worst = math.inf
+    counterexamples = []
     for kappa in kappas:
         member = scaled(unit_shape, kappa)
         a, s = member.area(), member.semiperimeter()
-        rhs = rho * a <= s * s * (1.0 + rel_tol)
         slack = s * s - rho * a
         worst = min(worst, slack)
-        if rhs != lhs:
-            report.counterexamples.append({"kappa": kappa, "slack": slack, "expected": lhs})
-    report.worst_slack = worst
-    return report
+        if (rho * a <= s * s * (1.0 + tol)) != lhs:
+            counterexamples.append({"kappa": kappa, "slack": slack, "expected": lhs})
+    return VerificationReport("scale_equivalence", len(kappas), worst, counterexamples,
+                              {"rho": rho, "measure_bound_holds": lhs})
 
 
-def regular_mgon_measure(m: int) -> float:
-    """Isoperimetric constant for m-gons: m tan(pi/m)."""
-    return fundamental_measure(RegularPolygon(m))
+def check_mgon_bound(m: int, samples: Sequence[Shape], **tol: float) -> VerificationReport:
+    """m tan(pi/m) * A <= S^2 for simple m-gons, tight exactly at regular ones. A ``tol``,
+    relative to S^2, goes to ``_mgon_report``, whose signature holds its default."""
+    measures = [(poly.area(), poly.semiperimeter()) for poly in samples]
+    return _mgon_report(f"{m}-gon_bound", m, measures, tight=False, **tol)
 
 
-def check_mgon_bound(
-    m: int, samples: Sequence[Shape], rel_tol: float = ISOPERIMETRIC_REL_TOL
-) -> VerificationReport:
-    """m tan(pi/m) * A <= S^2 for simple m-gons, tight exactly at regular ones."""
-    return _mgon_report(m, [(poly.area(), poly.semiperimeter()) for poly in samples], rel_tol)
-
-
-def _mgon_report(
-    m: int, measures: Sequence[tuple[float, float]], rel_tol: float
-) -> VerificationReport:
-    """The m-gon bound's report over the (area, semiperimeter) of each sample."""
-    rho = regular_mgon_measure(m)
-    report = VerificationReport(f"{m}-gon_bound", len(measures), math.inf)
+def _mgon_report(claim: str, m: int, measures: Sequence[tuple[float, float]], *, tight: bool,
+                 tol: float = 1e-9) -> VerificationReport:
+    """The m-gon bound's report over the (area, semiperimeter) of each sample, tol relative to
+    S^2; when ``tight``, the samples are regular m-gons and one must reach equality."""
+    rho = fundamental_measure(RegularPolygon(m))
+    worst = math.inf
+    counterexamples = []
     equalities = []
     for i, (a, s) in enumerate(measures):
         slack = s * s - rho * a
-        report.worst_slack = min(report.worst_slack, slack / (s * s))
-        if slack < -rel_tol * s * s:
-            report.counterexamples.append({"index": i, "slack": slack})
-        elif abs(slack) <= rel_tol * s * s:
+        worst = min(worst, slack / (s * s))
+        if slack < -tol * s * s:
+            counterexamples.append({"index": i, "slack": slack})
+        elif abs(slack) <= tol * s * s:
             equalities.append(i)
-    report.details["equality_indices"] = equalities
-    return report
+    if tight and not equalities:
+        counterexamples.append({"expected": "equality for the regular m-gon"})
+    return VerificationReport(claim, len(measures), worst, counterexamples,
+                              {"equality_indices": equalities})
 
 
 def check_blob_pythagoras(
-    base: Shape,
-    triple: tuple[float, float, float],
-    area_rel_tol: float = 1e-9,
+    base: Shape, triple: tuple[float, float, float], tol: float = 1e-9
 ) -> VerificationReport:
-    """Areas of the a-, b-, c-scaled copies add exactly when a^2 + b^2 = c^2."""
+    """Areas of the a-, b-, c-scaled copies add, to tol of the c-area, exactly when
+    a^2 + b^2 = c^2."""
     a, b, c = triple
-    area_a = scaled(base, a).area()
-    area_b = scaled(base, b).area()
     area_c = scaled(base, c).area()
-    areas_add = abs(area_a + area_b - area_c) <= area_rel_tol * area_c
+    mismatch = scaled(base, a).area() + scaled(base, b).area() - area_c
+    areas_add = abs(mismatch) <= tol * area_c
     is_right_triple = abs(a * a + b * b - c * c) <= TRIPLE_REL_TOL * c * c
-    report = VerificationReport(
-        "blob_pythagoras", 1, area_a + area_b - area_c
-    )
-    report.details.update(
-        {"triple": [a, b, c], "areas_add": areas_add, "right_triple": is_right_triple}
-    )
-    if areas_add != is_right_triple:
-        report.counterexamples.append(
-            {"triple": [a, b, c], "area_mismatch": area_a + area_b - area_c}
-        )
-    return report
+    counterexamples = [] if areas_add == is_right_triple else [
+        {"triple": [a, b, c], "area_mismatch": mismatch}]
+    return VerificationReport("blob_pythagoras", 1, mismatch, counterexamples,
+                              {"triple": [a, b, c], "areas_add": areas_add,
+                               "right_triple": is_right_triple})
 
 
 def check_rational_circle(tol: float = 1e-9) -> VerificationReport:
     """The trig-free rational circle measures A = S = pi by quadrature alone."""
     a, s = quadrature_measures(make_rational_circle())
-    report = VerificationReport("rational_circle", 1, max(abs(a - math.pi), abs(s - math.pi)))
-    report.details.update({"area": a, "semiperimeter": s})
-    if abs(a - math.pi) > tol or abs(s - math.pi) > tol:
-        report.counterexamples.append({"area": a, "semiperimeter": s})
-    return report
+    error = max(abs(a - math.pi), abs(s - math.pi))
+    counterexamples = [{"area": a, "semiperimeter": s}] if error > tol else []
+    return VerificationReport("rational_circle", 1, error, counterexamples,
+                              {"area": a, "semiperimeter": s})
 
 
 def check_calculus(
-    shape: Shape, lambdas: Sequence[float], identity_rel_tol: float = 1e-12
+    shape: Shape, lambdas: Sequence[float], tol: float = 1e-12
 ) -> VerificationReport:
     """dA/dlambda = P(lambda) along the family lambda * shape, which holds iff A = S for the shape.
 
@@ -207,11 +198,11 @@ def check_calculus(
     2.05 u lambda / h, on a parallelogram whose terms partly cancel. A shape posed far
     from the origin may fail by rounding alone. Each lambda also checks A(lambda + d) -
     A(lambda) = (2 lambda + d) d Pi, d = lambda / 4 and Pi = (A + S) / 2 of the base, to
-    identity_rel_tol. Slack is each bound minus its error; the report keeps the worst.
+    tol, relative. Slack is each bound minus its error; the report keeps the worst.
     """
     measure = 0.5 * (shape.area() + shape.semiperimeter())
-    details = {"measure": measure, "worst_derivative_rel_err": 0.0}
-    report = VerificationReport("calculus_friendly_indexing", len(lambdas), math.inf, [], details)
+    worst, worst_derivative_err = math.inf, 0.0
+    counterexamples = []
     for lam in lambdas:
         h = CALCULUS_STEP * lam
         above, below = lam + h, lam - h
@@ -225,13 +216,14 @@ def check_calculus(
         strip = (2.0 * lam + d) * d * measure
         identity_err = abs(scaled(shape, lam + d).area() - member.area() - strip) / strip
 
-        details["worst_derivative_rel_err"] = max(details["worst_derivative_rel_err"], derivative_err)
-        report.worst_slack = min(report.worst_slack, bound - derivative_err,
-                                 identity_rel_tol - identity_err)
-        if not (derivative_err <= bound and identity_err <= identity_rel_tol):
-            report.counterexamples.append({"lambda": lam, "derivative_rel_err": derivative_err,
-                                           "bound": bound, "identity_rel_err": identity_err})
-    return report
+        worst_derivative_err = max(worst_derivative_err, derivative_err)
+        worst = min(worst, bound - derivative_err, tol - identity_err)
+        if not (derivative_err <= bound and identity_err <= tol):
+            counterexamples.append({"lambda": lam, "derivative_rel_err": derivative_err,
+                                    "bound": bound, "identity_rel_err": identity_err})
+    details = {"measure": measure, "worst_derivative_rel_err": worst_derivative_err}
+    return VerificationReport("calculus_friendly_indexing", len(lambdas), worst, counterexamples,
+                              details)
 
 
 def check_idempotence(shape: Shape, tol: float = 1e-9) -> VerificationReport:
@@ -247,23 +239,38 @@ def check_idempotence(shape: Shape, tol: float = 1e-9) -> VerificationReport:
         "measure_drift": abs(second.fundamental_measure - measure) / measure,
     }
     worst = max(errors.values())
-    report = VerificationReport("idempotence", 1, tol - worst, details=errors)
-    if not worst <= tol:
-        report.counterexamples.append(dict(errors))
-    return report
+    counterexamples = [] if worst <= tol else [dict(errors)]
+    return VerificationReport("idempotence", 1, tol - worst, counterexamples, errors)
 
 
 def check_conciliation(name: str, params: Sequence[float], lhs: Callable[[float], float],
-                       rhs: Callable[[float], float], rel_tol: float = 1e-10) -> VerificationReport:
-    """Two formulas for one quantity agree to rel_tol at every parameter; NaN never agrees."""
-    report = VerificationReport(name, len(params), rel_tol)
+                       rhs: Callable[[float], float], tol: float = 1e-10) -> VerificationReport:
+    """Two formulas for one quantity agree to tol, relative, at every parameter; NaN never
+    agrees."""
+    worst = tol
+    counterexamples = []
     for q in params:
         a, b = lhs(q), rhs(q)
         err = abs(a - b) / max(abs(a), abs(b))
-        report.worst_slack = min(report.worst_slack, rel_tol - err)
-        if not err <= rel_tol:
-            report.counterexamples.append({"param": q, "lhs": a, "rhs": b})
-    return report
+        worst = min(worst, tol - err)
+        if not err <= tol:
+            counterexamples.append({"param": q, "lhs": a, "rhs": b})
+    return VerificationReport(name, len(params), worst, counterexamples, {})
+
+
+def check_platonic_table(tol: float = 1e-9) -> VerificationReport:
+    """The vertex-model volume of each unit solid in ``solids_table`` against its closed form,
+    to tol, relative."""
+    residuals = {}
+    counterexamples = []
+    for row in solids_table():
+        kind, measured = row["solid"], row["fundamental_measure"]
+        expected = UNIT_VOLUMES[kind][1]
+        residuals[kind] = abs(measured - expected) / expected
+        if residuals[kind] > tol:
+            counterexamples.append({"solid": kind, "measured": measured, "expected": expected})
+    return VerificationReport("platonic_unit_volumes", len(residuals), max(residuals.values()),
+                              counterexamples, {"residuals": residuals})
 
 
 def random_simple_mgon(m: int, rng: random.Random) -> Shape:
@@ -321,112 +328,86 @@ def random_similarity(rng: random.Random) -> Similarity:
     return Similarity(motion, rng.uniform(0.1, 10.0))
 
 
-def suite_isoperimetric(
-    seed: int = 0, samples: int = 25, tol: float | None = None
-) -> list[VerificationReport]:
-    rel_tol = ISOPERIMETRIC_REL_TOL if tol is None else tol
+def _posed_member(rng: random.Random) -> Shape:
+    """The unit shape of a random catalog member, under a random similarity."""
+    return build_unit_shape(random_family_param(rng)).transformed(random_similarity(rng))
+
+
+def _circle_and_posed_members(seed: int) -> list[Shape]:
+    """A seeded circle, then POSED_SAMPLES posed members."""
     rng = random.Random(seed)
-    reports = [check_isoperimetric(make_circle(rng.uniform(0.5, 3.0)), rel_tol)]
-    for _ in range(samples):
-        shape = build_unit_shape(random_family_param(rng)).transformed(random_similarity(rng))
-        reports.append(check_isoperimetric(shape, rel_tol))
-    return reports
+    return [make_circle(rng.uniform(0.5, 3.0))] + [_posed_member(rng) for _ in range(POSED_SAMPLES)]
 
 
-def suite_unit_floor(
-    seed: int = 0, samples: int = 25, tol: float | None = None
-) -> list[VerificationReport]:
-    floor_tol = 1e-9 if tol is None else tol
-    rng = random.Random(seed)
-    reports = [check_unit_floor(unitize(make_circle(rng.uniform(0.5, 3.0))), floor_tol)]
-    for _ in range(samples):
-        shape = build_unit_shape(random_family_param(rng)).transformed(random_similarity(rng))
-        reports.append(check_unit_floor(unitize(shape), floor_tol))
-    return reports
+def suite_isoperimetric(seed: int, **tol: float) -> list[VerificationReport]:
+    return [check_isoperimetric(shape, **tol) for shape in _circle_and_posed_members(seed)]
 
 
-def suite_scale_equivalence(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
-    rel_tol = ISOPERIMETRIC_REL_TOL if tol is None else tol
+def suite_unit_floor(seed: int, **tol: float) -> list[VerificationReport]:
+    return [check_unit_floor(unitize(shape), **tol) for shape in _circle_and_posed_members(seed)]
+
+
+def suite_scale_equivalence(seed: int, **tol: float) -> list[VerificationReport]:
     rng = random.Random(seed)
     square = build_unit_shape(Rectangle(1.0))
     circle = make_circle(1.0)
     kappas = [0.5, 1.0, 3.0]
     reports = [
-        check_scale_equivalence(square, 4.0, kappas, rel_tol),
-        check_scale_equivalence(circle, 3.0, kappas, rel_tol),
-        check_scale_equivalence(circle, 3.2, kappas, rel_tol),
+        check_scale_equivalence(square, 4.0, kappas, **tol),
+        check_scale_equivalence(circle, 3.0, kappas, **tol),
+        check_scale_equivalence(circle, 3.2, kappas, **tol),
     ]
     for _ in range(10):
         unit = unitize(build_unit_shape(random_family_param(rng))).unit_shape
         measure = 0.5 * (unit.area() + unit.semiperimeter())
         for rho in (0.8 * measure, measure, 1.2 * measure):
-            reports.append(
-                check_scale_equivalence(
-                    unit, rho, [rng.uniform(0.2, 4.0) for _ in range(3)], rel_tol
-                )
-            )
+            kappas = [rng.uniform(0.2, 4.0) for _ in range(3)]
+            reports.append(check_scale_equivalence(unit, rho, kappas, **tol))
     return reports
 
 
-def suite_mgon(
-    seed: int = 0,
-    samples: int = 500,
-    ms: Sequence[int] = (3, 4, 5, 6),
-    tol: float | None = None,
-) -> list[VerificationReport]:
-    rel_tol = ISOPERIMETRIC_REL_TOL if tol is None else tol
+def suite_mgon(seed: int, **tol: float) -> list[VerificationReport]:
     rng = random.Random(seed)
     reports = []
-    for m in ms:
-        measures = [_mgon_sample(m, rng)[2:] for _ in range(samples)]
-        reports.append(_mgon_report(m, measures, rel_tol))
+    for m in MGON_ORDERS:
+        measures = [_mgon_sample(m, rng)[2:] for _ in range(MGON_SAMPLES)]
+        reports.append(_mgon_report(f"{m}-gon_bound", m, measures, tight=False, **tol))
         regular = build_unit_shape(RegularPolygon(m))
-        tight = check_mgon_bound(m, [regular], rel_tol)
-        tight.claim = f"{m}-gon_bound_regular_equality"
-        if not tight.details["equality_indices"]:
-            tight.counterexamples.append({"expected": "equality for the regular m-gon"})
-        reports.append(tight)
+        reports.append(_mgon_report(f"{m}-gon_bound_regular_equality", m,
+                                    [(regular.area(), regular.semiperimeter())], tight=True, **tol))
     return reports
 
 
-def suite_blob_pythagoras(
-    seed: int = 0, cases: int = 20, tol: float | None = None
-) -> list[VerificationReport]:
-    area_tol = 1e-9 if tol is None else tol
+def suite_blob_pythagoras(seed: int, **tol: float) -> list[VerificationReport]:
     rng = random.Random(seed)
     reports = []
-    for i in range(cases):
-        base = build_unit_shape(random_family_param(rng)).transformed(random_similarity(rng))
+    for i in range(BLOB_CASES):
+        base = _posed_member(rng)
         a = rng.uniform(0.5, 3.0)
         b = rng.uniform(0.5, 3.0)
-        if i % 2 == 0:
-            c = math.hypot(a, b)
-        else:
-            c = math.hypot(a, b) * rng.uniform(1.05, 1.5)
-        reports.append(check_blob_pythagoras(base, (a, b, c), area_tol))
+        c = math.hypot(a, b) if i % 2 == 0 else math.hypot(a, b) * rng.uniform(1.05, 1.5)
+        reports.append(check_blob_pythagoras(base, (a, b, c), **tol))
     return reports
 
 
-def suite_rational_circle(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
-    return [check_rational_circle(1e-9 if tol is None else tol)]
+def suite_rational_circle(seed: int, **tol: float) -> list[VerificationReport]:
+    return [check_rational_circle(**tol)]
 
 
-def suite_calculus(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
+def suite_calculus(seed: int, **tol: float) -> list[VerificationReport]:
     """The unit circle and a seeded unit member of each family, each at a seeded index. The
     rational circle, scaled by anything but 1, becomes CircularArcs, so it is left out."""
-    identity_tol = 1e-12 if tol is None else tol
     rng = random.Random(seed)
     bases = [make_circle(1.0)] + [build_unit_shape(cls.draw(rng)) for cls in FAMILIES]
-    return [check_calculus(b, [math.exp(rng.uniform(-2.0, 2.0))], identity_tol) for b in bases]
+    return [check_calculus(b, [math.exp(rng.uniform(-2.0, 2.0))], **tol) for b in bases]
 
 
-def suite_idempotence(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
+def suite_idempotence(seed: int, **tol: float) -> list[VerificationReport]:
     """A seeded circle and one seeded member of each family, each under a seeded similarity."""
-    idempotence_tol = 1e-9 if tol is None else tol
     rng = random.Random(seed)
     shapes = [make_circle(rng.uniform(0.5, 3.0))] + [
         build_unit_shape(cls.draw(rng)).transformed(random_similarity(rng)) for cls in FAMILIES]
-    return [check_idempotence(shape, idempotence_tol) for shape in shapes]
+    return [check_idempotence(shape, **tol) for shape in shapes]
 
 
 # Each overlap of two formulas: its claim, the parameter at fraction f of its domain, and the
@@ -448,14 +429,13 @@ CONCILIATION_GRID = 400
 CONCILIATION_SAMPLES = 3
 
 
-def suite_conciliation(seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
-    rel_tol = 1e-10 if tol is None else tol
+def suite_conciliation(seed: int, **tol: float) -> list[VerificationReport]:
     rng = random.Random(seed)
     reports = []
     for name, at, lhs, rhs in CONCILIATIONS:
         fractions = [(rng.randrange(CONCILIATION_GRID) + 0.5) / CONCILIATION_GRID
                      for _ in range(CONCILIATION_SAMPLES)]
-        reports.append(check_conciliation(name, [at(f) for f in fractions], lhs, rhs, rel_tol))
+        reports.append(check_conciliation(name, [at(f) for f in fractions], lhs, rhs, **tol))
     return reports
 
 
@@ -473,11 +453,11 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
+    """The reports of suite ``name``, or of every suite for "all", drawn from ``seed``; with
+    ``tol`` None each check keeps its own tolerance."""
+    override = {} if tol is None else {"tol": tol}
     if name == "all":
-        reports = []
-        for suite in SUITES.values():
-            reports.extend(suite(seed=seed, tol=tol))
-        return reports
+        return [report for suite in SUITES.values() for report in suite(seed, **override)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed=seed, tol=tol)
+    return SUITES[name](seed, **override)

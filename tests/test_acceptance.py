@@ -22,7 +22,7 @@ from unitshapes.catalog import (
 )
 from unitshapes.curves import make_circle, make_rational_circle
 from unitshapes.optimize import minimize_1d, minimize_2d
-from unitshapes.solids import KINDS, PlatonicSolid, expected_unit_measures, measures, unitize_solid
+from unitshapes.solids import KINDS, UNIT_VOLUMES, PlatonicSolid, measures, unitize_solid
 from unitshapes.unitize import unitize
 from unitshapes.verify import (
     check_blob_pythagoras,
@@ -229,12 +229,12 @@ def test_08_ellipse_semi_minor_profile():
 
 
 def test_09_platonic_table():
-    expected = expected_unit_measures()
     worst = 0.0
     for kind in KINDS:
         unit = unitize_solid(PlatonicSolid(kind))
         got = measures(unit).volume
-        worst = max(worst, abs(got - expected[kind]) / expected[kind])
+        expected = UNIT_VOLUMES[kind][1]
+        worst = max(worst, abs(got - expected) / expected)
     conclude(9, "platonic unit-insphere volumes from vertex models", worst <= 1e-9,
              f"worst rel err {worst:.2e}")
 

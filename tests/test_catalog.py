@@ -350,7 +350,7 @@ def test_conciliation_checks_pass():
     # Every point the conciliation suite can draw.
     for name, at, lhs, rhs in CONCILIATIONS:
         grid = [at((i + 0.5) / CONCILIATION_GRID) for i in range(CONCILIATION_GRID)]
-        report = check_conciliation(name, grid, lhs, rhs, rel_tol=1e-10)
+        report = check_conciliation(name, grid, lhs, rhs, tol=1e-10)
         assert report.passed and report.instances_tested == 400, report.counterexamples
         assert report.worst_slack >= 0.0  # every relative error is at most 1e-10
 

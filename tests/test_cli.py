@@ -324,6 +324,11 @@ GOLDEN_RUNS = {
     **{f"verify_{suite}_seed{seed}.jsonl": ["verify", "--suite", suite, "--seed", str(seed),
                                             "--format", "json"]
        for suite in ("mgon", "all") for seed in (0, 7, 42)},
+    # --tol replaces every check's own tolerance: at 1e-6 all of seed 5 passes; at 1e-15 five
+    # claims of seed 9 fail on rounding alone (GOLDEN_EXIT).
+    **{f"verify_all_seed{seed}_tol{tol}.jsonl": ["verify", "--suite", "all", "--seed", str(seed),
+                                                  "--tol", tol, "--format", "json"]
+       for seed, tol in ((5, "1e-6"), (9, "1e-15"))},
     "catalog.json": ["catalog", "--format", "json"],
     "unitize_regular_polygon_m7.json": ["unitize", "--family", "regular_polygon", "--m", "7",
                                         "--format", "json"],
@@ -336,11 +341,15 @@ GOLDEN_RUNS = {
 }
 
 
+# The exit code of each golden run that does not exit 0: verify exits 1 when a claim fails.
+GOLDEN_EXIT = {"verify_all_seed9_tol1e-15.jsonl": 1}
+
+
 @pytest.mark.parametrize("name", GOLDEN_RUNS, ids=lambda name: name.split(".")[0])
 def test_stdout_is_the_golden_output(capsys, name):
     argv = [arg.replace("GOLDEN/", f"{GOLDEN}/") for arg in GOLDEN_RUNS[name]]
     code, out, err = invoke(capsys, *argv)
-    assert (code, out, err) == (0, (GOLDEN / name).read_text(), "")
+    assert (code, out, err) == (GOLDEN_EXIT.get(name, 0), (GOLDEN / name).read_text(), "")
 
 
 # S^2/A of each golden input to 40 digits, every piece's length and area term evaluated at 60

@@ -5,6 +5,7 @@ import math
 import pathlib
 import pickle
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -1239,13 +1240,29 @@ def test_piece_json_reads_back_the_piece(piece, mirror):
         ("parabolic_arc", "frame", 5),
         ("rational_point", "frame", []),
         ("line_segment", "start", 1.0),
+        ("circular_arc", "center", [1.0]),
+        ("elliptical_arc", "semi_axes", [1.0, 2.0, 3.0]),
+        ("parabolic_arc", "coefficients", [1.0, 2.0]),
     ],
 )
 def test_a_field_of_the_wrong_shape_names_the_piece(kind, field, bad):
     piece = next(p for p in sample_pieces() if p.kind == kind).to_dict()
     piece[field] = bad
-    with pytest.raises(DomainError, match="^piece 3 of the shape JSON "):
+    words = WRONG_SHAPE_WORDS[field].format(bad=repr(bad))
+    with pytest.raises(DomainError, match=f"^{re.escape(f'piece 3 of the shape JSON {words}')}$"):
         _piece_from_dict(piece, 3)
+
+
+# What the error says of each field above, after the piece: a number, or a list of the wrong
+# length, where a list belongs is named with the list's length.
+WRONG_SHAPE_WORDS = {
+    "radius": "holds a value that is not a number",
+    "center": "has center {bad} where a list of 2 numbers belongs",
+    "start": "has start {bad} where a list of 2 numbers belongs",
+    "semi_axes": "has semi_axes {bad} where a list of 2 numbers belongs",
+    "coefficients": "has coefficients {bad} where a list of 3 numbers belongs",
+    "frame": "has a frame that is not an object: {bad}",
+}
 
 
 @pytest.mark.parametrize("kind", ["parabolic_arc", "rational_point"])

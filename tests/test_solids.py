@@ -10,16 +10,16 @@ from unitshapes import solids as solids_module
 from unitshapes.errors import DomainError
 from unitshapes.solids import (
     KINDS,
+    UNIT_VOLUMES,
     PlatonicSolid,
     SolidMeasures,
-    expected_unit_measures,
     facets,
     measures,
     solids_table,
-    table_check,
     unitize_solid,
     vertices,
 )
+from unitshapes.verify import check_platonic_table
 
 PHI = 2.0 * math.cos(math.pi / 5.0)
 XI = 2.0 * math.sin(math.pi / 5.0)
@@ -113,13 +113,12 @@ def test_volume_derivative_equals_surface_area():
 
 
 def test_table_ordering():
-    expected = expected_unit_measures()
-    values = [expected[kind] for kind in KINDS]
+    values = [UNIT_VOLUMES[kind][1] for kind in KINDS]
     assert values == sorted(values, reverse=True)
 
 
 def test_table_check_passes():
-    report = table_check()
+    report = check_platonic_table()
     assert report.passed
     assert report.worst_slack <= 1e-9
 
@@ -127,9 +126,10 @@ def test_table_check_passes():
 def test_solids_table_rows():
     rows = solids_table()
     assert [row["solid"] for row in rows] == list(KINDS)
-    expected = expected_unit_measures()
     for row in rows:
-        assert row["fundamental_measure"] == pytest.approx(expected[row["solid"]], rel=1e-9)
+        expression, value = UNIT_VOLUMES[row["solid"]]
+        assert row["expression"] == expression
+        assert row["fundamental_measure"] == pytest.approx(value, rel=1e-9)
         assert row["inradius"] == pytest.approx(1.0, rel=1e-9)
 
 

@@ -239,7 +239,7 @@ def test_unit_measure_at_index_one():
 
 
 def test_calculus_friendly_identity_is_exact():
-    report = check_calculus(build_unit_shape(Rectangle(3.0)), (0.5, 1.0, 2.0), identity_rel_tol=1e-14)
+    report = check_calculus(build_unit_shape(Rectangle(3.0)), (0.5, 1.0, 2.0), tol=1e-14)
     assert report.passed
 
 

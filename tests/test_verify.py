@@ -33,8 +33,8 @@ from unitshapes.verify import (
     check_rational_circle,
     check_scale_equivalence,
     check_unit_floor,
+    VerificationReport,
     random_simple_mgon,
-    regular_mgon_measure,
     run_suite,
     suite_mgon,
 )
@@ -144,7 +144,7 @@ def test_mgon_equality_survives_scaling():
 
 
 def test_rho_4_is_square_constant():
-    assert regular_mgon_measure(4) == pytest.approx(4.0, rel=1e-12)
+    assert fundamental_measure(RegularPolygon(4)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_irregular_polygon_strict_slack():
@@ -181,7 +181,7 @@ def test_blob_negative_case_consistent():
 def test_blob_trips_on_inconsistency():
     # Force a absurdly loose area tolerance so areas "add" for a non-triple.
     square = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    report = check_blob_pythagoras(square, (1.0, 1.0, 2.0), area_rel_tol=10.0)
+    report = check_blob_pythagoras(square, (1.0, 1.0, 2.0), tol=10.0)
     assert not report.passed
 
 
@@ -339,18 +339,22 @@ def _suite_mgon_by_shapes(seed, samples, ms):
     for m in ms:
         reports.append(check_mgon_bound(m, [_mgon_via_make_polygon(m, rng) for _ in range(samples)]))
         tight = check_mgon_bound(m, [build_unit_shape(RegularPolygon(m))])
-        tight.claim = f"{m}-gon_bound_regular_equality"
-        if not tight.details["equality_indices"]:
-            tight.counterexamples.append({"expected": "equality for the regular m-gon"})
-        reports.append(tight)
+        missed = [] if tight.details["equality_indices"] else [
+            {"expected": "equality for the regular m-gon"}]
+        reports.append(VerificationReport(f"{m}-gon_bound_regular_equality", tight.instances_tested,
+                                          tight.worst_slack, tight.counterexamples + missed,
+                                          tight.details))
     return reports
 
 
-def test_suite_mgon_equals_the_shape_path_float_for_float():
+def test_suite_mgon_equals_the_shape_path_float_for_float(monkeypatch):
+    # The suite at 60 samples of each order 3-8, in place of its 500 of orders 3-6, over 40 seeds.
     ms = range(3, 9)
+    monkeypatch.setattr(verify, "MGON_ORDERS", ms)
+    monkeypatch.setattr(verify, "MGON_SAMPLES", 60)
     for seed in range(40):
         # The dicts hold floats, and == on floats is bit equality (no NaN arises here).
-        got = [r.to_dict() for r in suite_mgon(seed, samples=60, ms=ms)]
+        got = [r.to_dict() for r in suite_mgon(seed)]
         assert got == [r.to_dict() for r in _suite_mgon_by_shapes(seed, 60, ms)]
 
 
