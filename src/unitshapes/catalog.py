@@ -311,17 +311,19 @@ def fundamental_measure(p: FamilyParam) -> float:
 def build_unit_shape(p: FamilyParam) -> Shape:
     """Concrete unit-scale member of the family, in a canonical pose.
 
-    Raises DomainError naming the parameter where a vertex or the perimeter
-    overflows the float range, as ``fundamental_measure`` does where the
-    measure overflows (its closed form can overflow in a square first).
+    Every DomainError it raises names the family and the parameter: ``fundamental_measure``'s
+    where the measure overflows (its closed form can overflow in a square first), else the
+    perimeter's overflow or the builder's own error.
     """
     if type(p) not in FAMILIES:
         raise DomainError(f"unsupported family parameter: {p!r}")
     try:
         shape = p._unit_shape()
-        if 2.0 * shape.signed_area() == math.inf:  # a unit shape's perimeter is twice its area
-            raise DomainError(f"the unit {p.name} perimeter at {p!r} overflows the float range")
-    except (DomainError, OverflowError, ZeroDivisionError):
+        perimeter = 2.0 * shape.signed_area()  # a unit shape's perimeter is twice its area
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
         fundamental_measure(p)  # raises the measure's overflow error where it overflows too
-        raise
+        raise DomainError(f"the unit {p.name} at {p!r} cannot be built: {exc}") from None
+    if perimeter == math.inf:
+        fundamental_measure(p)
+        raise DomainError(f"the unit {p.name} perimeter at {p!r} overflows the float range")
     return shape

@@ -23,6 +23,10 @@ from .errors import UnitShapesError
 from .unitize import unitize
 
 FORMATS = ["pretty", "json", "csv"]
+# Ceilings of the flags that size an allocation: past them a call exits 2 before allocating.
+# ``catalog --m`` has none, since its measure is a closed form.
+MAX_SCAN_POINTS = 10**5  # scan --n
+MAX_POLYGON_ORDER = 10**5  # unitize --family regular_polygon --m
 
 
 class UsageError(Exception):
@@ -141,7 +145,10 @@ def unitize_cmd(family, theta, r, s, m, degrees, scale, input_text, fmt):
     if family is not None:
         if input_text is not None:
             raise UsageError("give --family or --input, not both")
-        shape = build_unit_shape(_family_param(family, theta, r, s, m, degrees))
+        param = _family_param(family, theta, r, s, m, degrees)
+        if m is not None and m > MAX_POLYGON_ORDER:
+            raise UsageError(f"--m is at most {MAX_POLYGON_ORDER} for unitize, got {m}")
+        shape = build_unit_shape(param)
         if scale not in (None, 1.0):
             shape = scaled(shape, scale)
     else:
@@ -204,6 +211,8 @@ def minimize_cmd(family, lo, hi, tol, fmt):
 
 def scan_cmd(family, quantity, lo, hi, n, fmt):
     """Grid-evaluate a family quantity; report monotone runs and extrema."""
+    if n > MAX_SCAN_POINTS:
+        raise UsageError(f"--n is at most {MAX_SCAN_POINTS}, got {n}")
     result = optimize.scan(family, quantity, lo, hi, n)
     if fmt == "csv":
         print(_csv_text(["param", "value"], [[repr(p), repr(v)] for p, v in result.rows()]))

@@ -63,6 +63,9 @@ QUARTER_TURN = 0.5 * math.pi
 QUARTER_TURN_HEAD = 1.57079632673412561417e+00
 QUARTER_TURN_TAIL = 6.07710050650619224932e-11
 EIGHTH_TURN = 0.25 * math.pi
+# RigidMotion(0.0)'s linear part, (cos 0, -sin 0, sin 0, cos 0), which a circle's frame takes
+# without a cos or sin.
+UNROTATED = (1.0, -0.0, 0.0, 1.0)
 
 
 class Point(Record):
@@ -95,12 +98,19 @@ class RigidMotion(Record):
         tx, ty = translation
         if (rotation_angle - rotation_angle) + (tx - tx) + (ty - ty):
             raise DomainError(f"non-finite number in a rigid motion: {rotation_angle}, {translation}")
+        # The rows of S^eps R: times -1.0 is exact, so a mirrored row negates its sum exactly.
+        c, s, mirror = math.cos(rotation_angle), math.sin(rotation_angle), -1.0 if reflect else 1.0
+        self._fill(rotation_angle, reflect, translation, (c, -s, mirror * s, mirror * c))
+
+    def _fill(self, rotation_angle: float, reflect: bool, translation: tuple[float, float],
+              linear: tuple[float, float, float, float]) -> "RigidMotion":
+        """Set the fields and the linear part from numbers the caller has checked; an arc
+        builds its frame this way, from its own checked center and rotation."""
         setfield(self, "rotation_angle", rotation_angle)
         setfield(self, "reflect", reflect)
         setfield(self, "translation", translation)
-        # The rows of S^eps R: times -1.0 is exact, so a mirrored row negates its sum exactly.
-        c, s, mirror = math.cos(rotation_angle), math.sin(rotation_angle), -1.0 if reflect else 1.0
-        setfield(self, "_linear", (c, -s, mirror * s, mirror * c))
+        setfield(self, "_linear", linear)
+        return self
 
     def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
         """Linear part only (no translation)."""
@@ -203,11 +213,15 @@ class CurvePiece(Record, ABC):
 
     @property
     def start(self) -> Point:
-        return self.point(self.t_start)
+        return Point(*self._ends()[0])
 
     @property
     def end(self) -> Point:
-        return self.point(self._end_parameter())
+        return Point(*self._ends()[1])
+
+    def _ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The start and end coordinates, which Shape joins without building points."""
+        return self._xy(self.t_start), self._xy(self._end_parameter())
 
     def _end_parameter(self) -> float:
         """The parameter the end point is taken at: t_end, or one of the same point."""
@@ -401,13 +415,8 @@ class Polyline(CurvePiece):
     def vertices(self) -> tuple[Point, ...]:
         return tuple(map(Point, self.xs, self.ys))
 
-    @property
-    def start(self) -> Point:
-        return Point(self.xs[0], self.ys[0])
-
-    @property
-    def end(self) -> Point:
-        return Point(self.xs[-1], self.ys[-1])
+    def _ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return (self.xs[0], self.ys[0]), (self.xs[-1], self.ys[-1])
 
     @property
     def t_end(self) -> float:  # type: ignore[override]
@@ -475,7 +484,9 @@ class CircularArc(CurvePiece):
         setfield(self, "radius", radius)
         setfield(self, "angle_start", angle_start)
         setfield(self, "angle_end", angle_end)
-        setfield(self, "frame", RigidMotion(0.0, False, (center.x, center.y)))
+        # The center is a Point and the rest is checked above, so the frame checks nothing again.
+        setfield(self, "frame", RigidMotion.__new__(RigidMotion)._fill(
+            0.0, False, (center.x, center.y), UNROTATED))
 
     @property
     def t_start(self) -> float:  # type: ignore[override]
@@ -503,7 +514,14 @@ class CircularArc(CurvePiece):
         return CircularArc(Point(*frame.translation), scale * self.radius, a0, a1)
 
     def reversed_(self) -> "CircularArc":
-        return CircularArc(self.center, self.radius, self.angle_end, self.angle_start)
+        # The same circle in the same frame, so nothing is checked or derived again.
+        arc = CircularArc.__new__(CircularArc)
+        setfield(arc, "center", self.center)
+        setfield(arc, "radius", self.radius)
+        setfield(arc, "angle_start", self.angle_end)
+        setfield(arc, "angle_end", self.angle_start)
+        setfield(arc, "frame", self.frame)
+        return arc
 
     def _exact_length(self) -> float:
         return self.radius * abs(self.angle_end - self.angle_start)
@@ -668,6 +686,19 @@ def _from_quarter_end(speeds: list[tuple[float, float]], k: int, t: float) -> fl
     return 0.0
 
 
+def _whole_turns(t0: float, t1: float) -> int:
+    """k when the sweep from t0 to t1 is k >= 1 whole turns, else 0.
+
+    Whole means |t1 - t0| is within a few ulps of |t0| + |t1| of 2 pi k: the rounding of
+    writing t0 + 2 pi k as a float. Where those ulps reach a quarter radian the parameter is
+    too coarse to tell, and no sweep is whole.
+    """
+    sweep = abs(t1 - t0)
+    turns = round(sweep / TURN)
+    slack = 4.0 * math.ulp(abs(t0) + abs(t1))
+    return turns if turns and abs(sweep - turns * TURN) <= slack < 0.25 else 0
+
+
 def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | None:
     """Length of (a cos t, b sin t) for t from t0 to t1, for semi-axes a, b > 0.
 
@@ -707,8 +738,9 @@ class EllipticalArc(CurvePiece):
     """
 
     _fields = ("center", "semi_axes", "rotation", "t_start", "t_end")
-    # The frame sits outside the fields, so ==, hash and repr see only the fields.
-    __slots__ = _fields + ("frame",)
+    # The whole-turn count and the frame sit outside the fields, so ==, hash and repr see only
+    # the fields.
+    __slots__ = _fields + ("_turns", "frame")
 
     kind = "elliptical_arc"
 
@@ -727,7 +759,11 @@ class EllipticalArc(CurvePiece):
         setfield(self, "rotation", rotation)
         setfield(self, "t_start", t_start)
         setfield(self, "t_end", t_end)
-        setfield(self, "frame", RigidMotion(rotation, False, (center.x, center.y)))
+        setfield(self, "_turns", _whole_turns(t_start, t_end))
+        # The center is a Point and the rest is checked above, so the frame checks nothing again.
+        c, s = math.cos(rotation), math.sin(rotation)
+        setfield(self, "frame", RigidMotion.__new__(RigidMotion)._fill(
+            rotation, False, (center.x, center.y), (c, -s, s, c)))
 
     def _local_xy(self, t: float) -> tuple[float, float]:
         a, b = self.semi_axes
@@ -737,32 +773,18 @@ class EllipticalArc(CurvePiece):
         a, b = self.semi_axes
         return (-a * math.sin(t), b * math.cos(t))
 
-    def _whole_turns(self) -> int:
-        """k when the sweep is k >= 1 whole turns, else 0.
-
-        Whole means |t_end - t_start| is within a few ulps of |t_start| + |t_end| of 2 pi k:
-        the rounding of writing t_start + 2 pi k as a float. Where those ulps reach a quarter
-        radian the parameter is too coarse to tell, and no sweep is whole.
-        """
-        t0, t1 = self.t_start, self.t_end
-        sweep = abs(t1 - t0)
-        turns = round(sweep / TURN)
-        slack = 4.0 * math.ulp(abs(t0) + abs(t1))
-        return turns if turns and abs(sweep - turns * TURN) <= slack < 0.25 else 0
-
     def _end_parameter(self) -> float:
         # Whole turns end at the start, which t_start + 2 pi k misses by rounding (sin(2 pi) is
         # -2.4e-16). Any other sweep ends where its end less its whole turns does.
         t0, t1 = self.t_start, self.t_end
-        return t0 if self._whole_turns() else t1 - TURN * int((t1 - t0) / TURN)
+        return t0 if self._turns else t1 - TURN * int((t1 - t0) / TURN)
 
     def _exact_length(self) -> float | None:
         # A closed ellipse's length is the complete elliptic integral, which the AGM gives;
         # every other sweep is an incomplete one.
         a, b = self.semi_axes
-        turns = self._whole_turns()
-        if turns:
-            return 2.0 * turns * ellipse_half_perimeter(a, b)
+        if self._turns:
+            return 2.0 * self._turns * ellipse_half_perimeter(a, b)
         return elliptic_arc_length(a, b, self.t_start, self.t_end)
 
     def _local_area_term(self) -> float:
@@ -781,7 +803,16 @@ class EllipticalArc(CurvePiece):
         return max(self.semi_axes)
 
     def reversed_(self) -> "EllipticalArc":
-        return EllipticalArc(self.center, self.semi_axes, self.rotation, self.t_end, self.t_start)
+        # The same ellipse in the same frame, and |t_end - t_start| holds the same whole turns.
+        arc = EllipticalArc.__new__(EllipticalArc)
+        setfield(arc, "center", self.center)
+        setfield(arc, "semi_axes", self.semi_axes)
+        setfield(arc, "rotation", self.rotation)
+        setfield(arc, "t_start", self.t_end)
+        setfield(arc, "t_end", self.t_start)
+        setfield(arc, "_turns", self._turns)
+        setfield(arc, "frame", self.frame)
+        return arc
 
 
 class ParabolicArc(CurvePiece):
@@ -950,17 +981,22 @@ class Shape:
         pieces = tuple(pieces)
         if not pieces:
             raise DomainError("a shape needs at least one piece")
-        chain_start = pieces[0].start
-        last = len(pieces) - 1
-        for i, piece in enumerate(pieces):
-            end = piece.end
-            following = pieces[i + 1] if i < last else pieces[0]
-            start = following.start if i < last else chain_start
-            gap = math.hypot(end.x - start.x, end.y - start.y)
+        joins = [(p._ends(), p._size()) for p in pieces]
+        # A non-finite coordinate raises the point's own DomainError, in the order the chain
+        # reads them: its start, then each piece's end and the next piece's start.
+        ((x0, y0), _), _ = joins[0]
+        if (x0 - x0) + (y0 - y0):
+            Point(x0, y0)
+        last = len(joins) - 1
+        for i, ((_, (ex, ey)), size) in enumerate(joins):
+            ((sx, sy), _), next_size = joins[i + 1] if i < last else joins[0]
+            if (ex - ex) + (ey - ey) + (sx - sx) + (sy - sy):
+                for x, y in ((ex, ey), (sx, sy)):
+                    Point(x, y)
+            gap = math.hypot(ex - sx, ey - sy)
             # Past the pieces' share, the rounding of coordinates far from the origin may remain.
-            tol = JOIN_TOL * (piece._size() + following._size())
-            if gap > tol and gap > tol + 8.0 * math.ulp(max(abs(end.x), abs(end.y),
-                                                            abs(start.x), abs(start.y))):
+            tol = JOIN_TOL * (size + next_size)
+            if gap > tol and gap > tol + 8.0 * math.ulp(max(abs(ex), abs(ey), abs(sx), abs(sy))):
                 raise DomainError(
                     f"open chain: piece {i} ends {gap:.3e} away from the next start"
                 )

@@ -163,6 +163,22 @@ def test_builder_names_the_parameter_where_only_the_perimeter_overflows():
     )
 
 
+@pytest.mark.parametrize(
+    "error",
+    [DomainError("degenerate polyline edge (zero length)"), OverflowError("math range error"),
+     ZeroDivisionError("float division by zero")],
+    ids=lambda error: type(error).__name__,
+)
+def test_builder_error_names_the_family_and_parameter(monkeypatch, error):
+    def fail(self):
+        raise error
+
+    monkeypatch.setattr(Rectangle, "_unit_shape", fail)
+    with pytest.raises(DomainError) as info:
+        build_unit_shape(Rectangle(2.0))
+    assert str(info.value) == f"the unit rectangle at Rectangle(r=2.0) cannot be built: {error}"
+
+
 def test_builder_keeps_member_whose_closed_form_overflows_in_a_square():
     p = Rectangle(1e200)  # (1 + r) ** 2 overflows; (1 + r) ((1 + r) / r) and the unit shape do not
     shape = build_unit_shape(p)

@@ -402,6 +402,66 @@ def test_unitize_unit_shape_overflow_exits_two_only_where_it_is_printed(tmp_path
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["scan", "--family", "rectangle", "--quantity", "Pi", "--lo", "0.1", "--hi", "2",
+          "--n", str(cli.MAX_SCAN_POINTS + 1)],
+         f"error: --n is at most {cli.MAX_SCAN_POINTS}, got {cli.MAX_SCAN_POINTS + 1}\n"),
+        (["unitize", "--family", "regular_polygon", "--m", str(cli.MAX_POLYGON_ORDER + 1)],
+         f"error: --m is at most {cli.MAX_POLYGON_ORDER} for unitize, "
+         f"got {cli.MAX_POLYGON_ORDER + 1}\n"),
+    ],
+    ids=["scan-n", "unitize-m"],
+)
+def test_a_size_flag_past_its_ceiling_exits_two_with_one_line(capsys, argv, line):
+    # Just past the ceiling, so a missing check costs one ceiling-sized call, not a huge one.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", line)
+
+
+def test_catalog_polygon_order_has_no_ceiling(capsys):
+    code, out, _ = invoke(capsys, "catalog", "--family", "regular_polygon", "--m", "10000000000000",
+                          "--format", "json")
+    assert (code, json.loads(out)["Pi"]) == (0, pytest.approx(math.pi, rel=1e-15))
+
+
+@pytest.mark.parametrize("r", ["1e17", "1e200"])
+def test_unitize_parallelogram_builder_error_names_the_family_and_parameter(capsys, r):
+    code, out, err = invoke(capsys, "unitize", "--family", "parallelogram", "--theta", "1",
+                            "--r", r)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the unit parallelogram at Parallelogram(theta=1.0, r={float(r)!r}) "
+                   "cannot be built: degenerate polyline edge (zero length)\n")
+
+
+@pytest.mark.parametrize(
+    "pieces, shown",
+    [
+        ([{"kind": "elliptical_arc", "center": [1.5e308, 0], "semi_axes": [1e308, 1e308],
+           "rotation": 0, "t_start": 0, "t_end": 2.0 * math.pi}], "inf, 0.0"),
+        ([{"kind": "circular_arc", "center": [1.7e308, 0], "radius": 1e308,
+           "angle_start": math.pi, "angle_end": 2.0 * math.pi},
+          {"kind": "line_segment", "start": [0.7e308, 0], "end": [1.7e308, 0]}],
+         "inf, -2.4492935982947064e+292"),
+        ([{"kind": "parabolic_arc", "coefficients": [1e300, 0, 0], "x_start": -1e10, "x_end": 1e10},
+          {"kind": "line_segment", "start": [1e10, 1e300], "end": [-1e10, 1e300]}], "nan, inf"),
+        # The chain's start is read first, before the open join after the arc.
+        ([{"kind": "circular_arc", "center": [1.7e308, 0], "radius": 1e308, "angle_start": 0,
+           "angle_end": math.pi},
+          {"kind": "line_segment", "start": [-1e308, 0], "end": [1e308, 0]}], "inf, 0.0"),
+    ],
+    ids=["ellipse-start", "circle-end", "parabola-start", "start-before-open-join"],
+)
+def test_unitize_non_finite_piece_end_is_the_point_error(tmp_path, capsys, pieces, shown):
+    # Each end overflows though the piece's own numbers are finite: the joins raise the error a
+    # Point of those coordinates raises, before any measure is taken.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": pieces}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: non-finite number in a point: {shown}\n")
+
+
 def test_scan_rejects_regular_polygon_up_front(capsys):
     code, out, err = invoke(capsys, "scan", "--family", "regular_polygon", "--lo", "3", "--hi", "8",
                             "--n", "6")

@@ -692,7 +692,7 @@ def test_partial_arc_length_matches_quadrature_over_sweeps_ratios_and_poses():
     worst = {"short": 0.0, "long": 0.0}
     for _ in range(300):
         arc, sweep = _random_partial_arc(rng)
-        if arc._whole_turns():
+        if arc._turns:
             continue
         exact = arc._exact_length()
         assert exact is not None
@@ -1127,6 +1127,53 @@ def test_scale_one_rational_frame_is_the_rigid_composition_bit_for_bit():
         else:
             expected = RigidMotion(math.atan2(-e1[1], e1[0]), True, origin)
         assert image.frame == expected
+
+
+def _arcs_built_every_way():
+    """Circular and elliptical arcs built directly, reversed, and placed with and without a
+    mirror at several scales, each with the rotation angle its frame must hold."""
+    arcs = [CircularArc(Point(0.5, -0.5), 1.25, 4.0, 5.5),
+            CircularArc(Point(-0.0, 3e5), 2e-9, -0.3, 2.0 * math.pi),
+            EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), 4.0, -0.5, 1.8),
+            EllipticalArc(Point(-7.0, 0.0), (0.3, 1.5), -0.0, 1.0, 1.0 + 4.0 * math.pi)]
+    arcs += [arc.reversed_() for arc in arcs]
+    frames = [RigidMotion(angle, reflect, (0.2, -0.4)) for angle in (0.0, 1.1, -2.9)
+              for reflect in (False, True)]
+    arcs += [arc._placed(frame, scale) for arc in arcs for frame in frames for scale in (1.0, 3e-7)]
+    return [(arc, 0.0 if arc.kind == "circular_arc" else arc.rotation) for arc in arcs]
+
+
+def test_an_arc_frame_is_the_checked_rigid_motion_bit_for_bit():
+    # The arcs build their frames from numbers they have checked already; each must hold what
+    # the checking constructor gives, the -0.0 of a circle's unrotated linear part included.
+    bits = lambda values: [float(v).hex() for v in values]
+    for arc, angle in _arcs_built_every_way():
+        expected = RigidMotion(angle, False, (arc.center.x, arc.center.y))
+        frame = arc.frame
+        assert (frame.rotation_angle, frame.reflect, frame.translation) == (
+            expected.rotation_angle, expected.reflect, expected.translation)
+        assert bits([frame.rotation_angle, *frame.translation]) == bits(
+            [expected.rotation_angle, *expected.translation])
+        assert bits(frame._linear) == bits(expected._linear)
+    assert bits(CircularArc(Point(0.0, 0.0), 1.0, 0.0, 1.0).frame._linear) == bits(
+        (1.0, -0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("turns", [0, 1, 2, 3])
+def test_whole_turns_are_counted_alike_however_the_arc_is_built(turns):
+    # A sweep of k whole turns starting far out, where t_start + 2 pi k rounds, or a part turn.
+    t0 = 1e3 + 0.1
+    t1 = t0 + (turns * 2.0 * math.pi if turns else 2.5)
+    arc = EllipticalArc(Point(1.0, 2.0), (2.0, 0.75), 0.4, t0, t1)
+    assert arc._turns == turns
+    assert arc.reversed_()._turns == EllipticalArc(arc.center, arc.semi_axes, arc.rotation,
+                                                   t1, t0)._turns == turns
+    for frame in (RigidMotion(1.1, False, (0.2, -0.4)), RigidMotion(-2.9, True, (5.0, 1.0))):
+        placed = arc._placed(frame, 3.0)
+        fresh = EllipticalArc(placed.center, placed.semi_axes, placed.rotation, placed.t_start,
+                              placed.t_end)
+        assert placed._turns == fresh._turns == turns
+        assert placed.reversed_()._turns == turns
 
 
 # --- serialization ----------------------------------------------------------

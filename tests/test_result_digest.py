@@ -20,10 +20,12 @@ import json
 import pathlib
 import sys
 
+from unitshapes import cli, shape_from_json, unitize
+from unitshapes.cli import FORMATS
+
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 DIGEST = GOLDEN / "result_digest.json"
-FORMATS = ("pretty", "json", "csv")
 POOL_SIZES = {"curved": 4000, "polygon": 3000}  # the benchmark's pool sizes
 
 # Every subcommand in every format it takes, and the seeded ``verify --suite all`` runs.
@@ -49,8 +51,6 @@ CLI_CALLS = (
 
 
 def _measure_line(payload: str) -> str:
-    from unitshapes import shape_from_json, unitize
-
     try:
         return repr(unitize(shape_from_json(payload)).fundamental_measure)
     except Exception as exc:
@@ -58,8 +58,6 @@ def _measure_line(payload: str) -> str:
 
 
 def _cli_line(argv: tuple[str, ...]) -> str:
-    from unitshapes import cli
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run([arg.replace("GOLDEN/", f"{GOLDEN}/") for arg in argv])
@@ -94,7 +92,8 @@ def test_results_match_the_committed_digest():
             continue
         expected = committed[name]
         for (request, line), old in zip(pairs, expected):
-            assert line == old, f"first differing request: {request}\n  committed: {old}\n  now:       {line}"
+            assert line == old, (f"first differing request: {request}\n"
+                                 f"  committed: {old}\n  now:       {line}")
         raise AssertionError(f"{name}: {len(lines)} results against {len(expected)} committed, or "
                              f"a digest that is not the hash of the committed lines")
 
