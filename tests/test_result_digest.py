@@ -37,7 +37,8 @@ CLI_CALLS = (
     *(("unitize", "--input", f"GOLDEN/{name}.json", "--format", fmt)
       for name in ("half_ellipse", "quarter_ellipse", "parabolic_cap", "polyline_cw")
       for fmt in ("json", "csv")),
-    *(("minimize", "--family", "parallelogram", "--format", fmt) for fmt in FORMATS),
+    *(("minimize", "--family", family, "--format", fmt)
+      for family in ("parallelogram", "triangle") for fmt in FORMATS),
     ("minimize", "--family", "ellipse", "--format", "pretty"),
     ("minimize", "--family", "rhombus", "--lo", "0.5", "--hi", "2.5", "--format", "csv"),
     *(("scan", "--family", "rectangle", "--quantity", "Pi", "--lo", "0.1", "--hi", "2", "--n", "50",
