@@ -317,7 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("verify", verify_cmd)
     cmd.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], default="all")
     cmd.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks.")
-    cmd.add_argument("--tol", type=_tolerance, help="Tolerance override for every check.")
+    cmd.add_argument("--tol", type=_tolerance,
+                     help="Replace every check's own tolerance: relative to S^2 in the "
+                          "isoperimetric and m-gon checks, absolute in the unit floor and the "
+                          "rational circle, relative to the c-area in blob Pythagoras (so a "
+                          "larger value can add failures there) and relative elsewhere.")
     cmd.add_argument("--format", dest="fmt", choices=["pretty", "json"], default="json")
 
     cmd = command("solids", solids_cmd)

@@ -341,6 +341,10 @@ class LineSegment(CurvePiece):
 
     _size = _exact_length
 
+    def _ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        # The stored points: _xy(0.0) would make start + 0.0 * inf, which is NaN.
+        return ((self.start_point.x, self.start_point.y), (self.end_point.x, self.end_point.y))
+
     def _exact_area_term(self) -> float:
         return 0.5 * (self.start_point.x * self.end_point.y - self.end_point.x * self.start_point.y)
 

@@ -90,79 +90,59 @@ def golden_section(
     return x, fx, iterations
 
 
+def _sorted3(p, q, r):
+    """Three (value, point) pairs in ascending value, equal values kept in order, as sorted() does."""
+    if q[0] < p[0]:
+        p, q = q, p
+    if r[0] < q[0]:
+        return (r, p, q) if r[0] < p[0] else (p, r, q)
+    return p, q, r
+
+
 def nelder_mead(
     f: Callable[[Sequence[float]], float],
     start: Sequence[float],
     step: float = 0.1,
     tol: float = 1e-8,
     max_iter: int = 1000,
-) -> tuple[tuple[float, ...], float, int, bool]:
-    """Minimize f over R^n; f may return +inf as an out-of-domain penalty.
+) -> tuple[tuple[float, float], float, int, bool]:
+    """Minimize f over the plane; f may return +inf as an out-of-domain penalty, never NaN.
 
     Returns (argmin, value, iterations, converged) where convergence means
-    the simplex diameter dropped below tol.
+    the simplex diameter dropped below tol. The first vertex is ``start``;
+    the other two step from it along each axis, forwards unless only the
+    backward step lands in the domain.
     """
-    n = len(start)
-    simplex = [tuple(start)]
-    for i in range(n):
-        for direction in (1.0, -1.0):
-            cand = list(start)
-            cand[i] += direction * step
-            if math.isfinite(f(cand)):
-                simplex.append(tuple(cand))
-                break
-        else:
-            cand = list(start)
-            cand[i] += step
-            simplex.append(tuple(cand))
-    values = [f(x) for x in simplex]
-
-    alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
-    iterations = 0
-    while iterations < max_iter:
-        order = sorted(range(n + 1), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(
-            math.dist(simplex[0], simplex[i]) for i in range(1, n + 1)
-        )
-        if diameter <= tol:
-            return simplex[0], values[0], iterations, True
-        iterations += 1
-
-        centroid = tuple(
-            sum(simplex[i][k] for i in range(n)) / n for k in range(n)
-        )
-        worst = simplex[-1]
-        reflected = tuple(centroid[k] + alpha * (centroid[k] - worst[k]) for k in range(n))
+    x, y = start
+    vertices = [(x, y)]
+    for probe in (((x + step, y), (x - step, y)), ((x, y + step), (x, y - step))):
+        vertices.append(next((p for p in probe if math.isfinite(f(p))), probe[0]))
+    simplex = [(f(p), p) for p in vertices]
+    fb, b = simplex[0]  # with no step taken, the start is returned as it is
+    simplex = _sorted3(*simplex)
+    for iterations in range(max_iter):
+        (fb, b), (fm, m), (fw, w) = simplex
+        if max(math.dist(b, m), math.dist(b, w)) <= tol:
+            return b, fb, iterations, True
+        # The centroid of the best two, summed from 0 as sum() does, so -0.0 reads +0.0.
+        cx, cy = (0 + b[0] + m[0]) / 2, (0 + b[1] + m[1]) / 2
+        reflected = (cx + (cx - w[0]), cy + (cy - w[1]))
         fr = f(reflected)
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            expanded = tuple(centroid[k] + gamma * (centroid[k] - worst[k]) for k in range(n))
+        if fb <= fr < fm:
+            simplex = simplex[0], (fr, reflected), simplex[1]
+        elif fr < fb:
+            expanded = (cx + 2.0 * (cx - w[0]), cy + 2.0 * (cy - w[1]))
             fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
+            simplex = ((fe, expanded) if fe < fr else (fr, reflected)), simplex[0], simplex[1]
+        else:
+            contracted = (cx + 0.5 * (w[0] - cx), cy + 0.5 * (w[1] - cy))
+            fc = f(contracted)
+            if fc < fw:
+                simplex = _sorted3(simplex[0], simplex[1], (fc, contracted))
             else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        contracted = tuple(centroid[k] + beta * (worst[k] - centroid[k]) for k in range(n))
-        fc = f(contracted)
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        best = simplex[0]
-        simplex = [
-            best,
-            *(
-                tuple(best[k] + delta * (x[k] - best[k]) for k in range(n))
-                for x in simplex[1:]
-            ),
-        ]
-        values = [values[0], *(f(x) for x in simplex[1:])]
-
-    return simplex[0], values[0], iterations, False
+                shrunk = [(b[0] + 0.5 * (p[0] - b[0]), b[1] + 0.5 * (p[1] - b[1])) for p in (m, w)]
+                simplex = _sorted3(simplex[0], *((f(p), p) for p in shrunk))
+    return b, fb, max_iter, False  # the best vertex before the last step
 
 
 def _penalized(make: Callable) -> Callable[[Sequence[float]], float]:

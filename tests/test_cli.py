@@ -559,6 +559,18 @@ def test_unitize_overflowing_shape_json_names_the_overflow(tmp_path, capsys):
     assert "nan" not in err
 
 
+def test_unitize_line_segments_of_infinite_length_name_the_overflow(tmp_path, capsys):
+    # The second segment is inf long; its ends are its own finite points, not start + 0 * inf.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [
+        {"kind": "line_segment", "start": [-1e308, 0], "end": [1e308, 0]},
+        {"kind": "line_segment", "start": [1e308, 0], "end": [-1e308, 1]}]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: the shape's area, its scale S/A to the unit shape or the measure "
+                   "(S/A)*S overflows the float range: A=5e+307, S=inf\n")
+
+
 @pytest.mark.parametrize(
     "vertices, raised",
     [

@@ -1,10 +1,14 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from unitshapes.catalog import FAMILIES
 from unitshapes.errors import DomainError, NotConverged
 from unitshapes.optimize import (
+    _penalized,
     golden_section,
     minimize_1d,
     minimize_2d,
@@ -49,6 +53,161 @@ def test_nelder_mead_with_infinite_penalty():
     assert converged
     assert x[0] == pytest.approx(1.0, abs=1e-6)
     assert x[1] == pytest.approx(1.0, abs=1e-6)
+
+
+# --- the two-parameter simplex against the n-dimensional one ----------------
+
+
+def reference_nelder_mead(f, start, step=0.1, tol=1e-8, max_iter=1000, moves=None):
+    """The n-dimensional Nelder-Mead that ``nelder_mead`` replaced, kept as its oracle.
+
+    ``moves`` counts the step each iteration took and how the search ended.
+    """
+    moves = Counter() if moves is None else moves
+    n = len(start)
+    simplex = [tuple(start)]
+    for i in range(n):
+        for direction in (1.0, -1.0):
+            cand = list(start)
+            cand[i] += direction * step
+            if math.isfinite(f(cand)):
+                simplex.append(tuple(cand))
+                break
+        else:
+            cand = list(start)
+            cand[i] += step
+            simplex.append(tuple(cand))
+    values = [f(x) for x in simplex]
+
+    alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
+    iterations = 0
+    while iterations < max_iter:
+        order = sorted(range(n + 1), key=lambda i: values[i])
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        diameter = max(
+            math.dist(simplex[0], simplex[i]) for i in range(1, n + 1)
+        )
+        if diameter <= tol:
+            moves["converged"] += 1
+            return simplex[0], values[0], iterations, True
+        iterations += 1
+
+        centroid = tuple(
+            sum(simplex[i][k] for i in range(n)) / n for k in range(n)
+        )
+        worst = simplex[-1]
+        reflected = tuple(centroid[k] + alpha * (centroid[k] - worst[k]) for k in range(n))
+        fr = f(reflected)
+        if values[0] <= fr < values[-2]:
+            moves["reflect"] += 1
+            simplex[-1], values[-1] = reflected, fr
+            continue
+        if fr < values[0]:
+            moves["expand"] += 1
+            expanded = tuple(centroid[k] + gamma * (centroid[k] - worst[k]) for k in range(n))
+            fe = f(expanded)
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
+            else:
+                simplex[-1], values[-1] = reflected, fr
+            continue
+        contracted = tuple(centroid[k] + beta * (worst[k] - centroid[k]) for k in range(n))
+        fc = f(contracted)
+        if fc < values[-1]:
+            moves["contract"] += 1
+            simplex[-1], values[-1] = contracted, fc
+            continue
+        moves["shrink"] += 1
+        best = simplex[0]
+        simplex = [
+            best,
+            *(
+                tuple(best[k] + delta * (x[k] - best[k]) for k in range(n))
+                for x in simplex[1:]
+            ),
+        ]
+        values = [values[0], *(f(x) for x in simplex[1:])]
+
+    moves["max_iter"] += 1
+    return simplex[0], values[0], iterations, False
+
+
+def _seeded_objectives(seed):
+    """Objectives drawn from ``seed``, each with a start, step, tolerance and budget."""
+    rng = random.Random(seed)
+    a, b = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    k = rng.uniform(0.5, 20.0)
+    angle = rng.uniform(0.0, math.pi)
+    c, s = math.cos(angle), math.sin(angle)
+    wall = rng.uniform(-1.0, 1.0)
+
+    def bowl(p):
+        return (p[0] - a) ** 2 + k * (p[1] - b) ** 2
+
+    def valley(p):  # a long valley along a random direction, 1000 times steeper across it
+        u, v = c * (p[0] - a) + s * (p[1] - b), -s * (p[0] - a) + c * (p[1] - b)
+        return u * u + 1000.0 * v * v
+
+    def walled(p):  # the minimum lies past the wall x + y = wall, so the search ends on it
+        return math.inf if p[0] + p[1] > wall else (p[0] - 2.0) ** 2 + (p[1] - 2.0) ** 2
+
+    def terraced(p):  # values on a coarse grid, so vertices tie
+        return round(bowl(p), 1)
+
+    def rosenbrock(p):
+        return (1.0 - p[0]) ** 2 + 100.0 * (p[1] - p[0] * p[0]) ** 2
+
+    start = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    return [
+        (bowl, start, 0.1, 1e-8, 1000),
+        (valley, start, 0.3, 1e-9, 1000),
+        (walled, (wall - 1.0, 0.0), 0.2, 1e-8, 1000),
+        (walled, (wall - 0.05, -1.0), 0.1, 1e-8, 1000),  # the first probe lands past the wall
+        (walled, (wall, 0.0), 0.1, 1e-8, 1000),  # both probes along y land past the wall
+        (terraced, start, 0.5, 1e-6, 200),
+        (rosenbrock, start, 0.1, 1e-10, rng.randrange(1, 40)),  # stopped by max_iter
+        (rosenbrock, start, 0.1, 1e-10, 0),  # stopped before the first step
+        # A simplex of signed zeros, which a negative tolerance keeps from converging.
+        (rosenbrock, (-0.0, -0.0), 0.0, -1.0, 5),
+    ]
+
+
+def _traced(f):
+    calls = []
+
+    def objective(p):
+        calls.append(tuple(p))
+        return f(p)
+
+    return objective, calls
+
+
+def _assert_same_search(f, start, **kwargs):
+    objective, calls = _traced(f)
+    oracle_objective, oracle_calls = _traced(f)
+    moves = Counter()
+    result = nelder_mead(objective, start, **kwargs)
+    expected = reference_nelder_mead(oracle_objective, start, moves=moves, **kwargs)
+    assert repr(result) == repr(expected)
+    assert repr(calls) == repr(oracle_calls)
+    return moves
+
+
+def test_nelder_mead_matches_the_n_dimensional_oracle_on_seeded_objectives():
+    moves = Counter()
+    for seed in range(40):
+        for f, start, step, tol, max_iter in _seeded_objectives(seed):
+            moves += _assert_same_search(f, start, step=step, tol=tol, max_iter=max_iter)
+    assert set(moves) == {"reflect", "expand", "contract", "shrink", "converged", "max_iter"}, moves
+
+
+@pytest.mark.parametrize("tol", [1e-7, 3e-8, 1e-8])
+@pytest.mark.parametrize("family", [cls for cls in FAMILIES if hasattr(cls, "seeds")],
+                         ids=lambda cls: cls.name)
+def test_nelder_mead_matches_the_n_dimensional_oracle_on_families(family, tol):
+    for seed in family.seeds:
+        _assert_same_search(_penalized(family), seed, step=family.step, tol=tol)
 
 
 # --- family minimization against dense-grid oracles --------------------------
