@@ -160,9 +160,14 @@ class Parallelogram(Record):
         return _square_over(1.0 + self.r, self.r * math.sin(self.theta))
 
     def _unit_shape(self) -> Shape:
-        base = (1.0 + self.r) / (self.r * math.sin(self.theta))
-        ox = self.r * base * math.cos(self.theta)
-        oy = self.r * base * math.sin(self.theta)
+        # The longer side lies along x, so the far vertices differ from the near ones by the
+        # short side, which keeps its bits at any ratio. For r <= 1 the long side is 1 and the
+        # float operations are those of sides 1 and r.
+        long, short = max(1.0, self.r), min(1.0, self.r)
+        unit = (long + short) / (long * short * math.sin(self.theta))
+        base = long * unit
+        ox = short * unit * math.cos(self.theta)
+        oy = short * unit * math.sin(self.theta)
         return make_polygon([(0.0, 0.0), (base, 0.0), (base + ox, oy), (ox, oy)])
 
 

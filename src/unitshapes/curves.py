@@ -677,17 +677,23 @@ def _from_quarter_end(speeds: list[tuple[float, float]], k: int, t: float) -> fl
     """int of the speed from k pi/2 to t, negative where t lies below k pi/2, for t within a
     quarter of k pi/2. ``speeds[k % 2]`` is (speed at k pi/2, speed at (k + 1) pi/2).
 
-    The sign of t's two-part offset from k pi/2 tells which quarter t lies in, and the part
-    is measured in that quarter.
+    The speed is stationary at a quarter end: with s_k the speed there and s_o the other
+    axis's, s(k pi/2 + w) = s_k (1 + (s_o^2/s_k^2 - 1) w^2/2 + ...). So a part w wide with
+    |w| max(s_k, s_o) < 2^-27 s_k is s_k w to within 2^-56 of itself: its width times s_k,
+    correct to rounding. The bound scales with the axis ratio, as the w^2 term does. This
+    takes the rounding-width parts that a half or quarter sweep leaves at its quarter ends,
+    and t = k pi/2 itself. A wider part is measured in the quarter it lies in, which the
+    sign of t's two-part offset from k pi/2 tells.
     """
+    here, there = speeds[k % 2]
     past = _past_quarter(t, k)
+    if abs(past) * max(here, there) < 2.0**-27 * here:
+        return here * past
     if past > 0.0:
         end = (past, -_past_quarter(t, k + 1))
-        return _part_quarter_arc(*speeds[k % 2], (0.0, QUARTER_TURN), end, past)
-    if past < 0.0:
-        return -_part_quarter_arc(*speeds[(k - 1) % 2], (_past_quarter(t, k - 1), -past),
-                                  (QUARTER_TURN, 0.0), -past)
-    return 0.0
+        return _part_quarter_arc(here, there, (0.0, QUARTER_TURN), end, past)
+    return -_part_quarter_arc(there, here, (_past_quarter(t, k - 1), -past),
+                              (QUARTER_TURN, 0.0), -past)
 
 
 def _whole_turns(t0: float, t1: float) -> int:
@@ -708,8 +714,12 @@ def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | Non
 
     The sweep is split at multiples of pi/2: each whole quarter is half of
     ``ellipse_half_perimeter(a, b)``, and each part quarter an incomplete elliptic
-    integral by ``_part_quarter_arc``. The semi-axes are first scaled as for the AGM.
-    None when the minor axis is below MIN_AXIS_RATIO of the major one.
+    integral by ``_part_quarter_arc``. A part between a quarter end k pi/2 and an end of
+    the sweep that is w wide, with |w| max(a, b) < 2^-27 times the speed at k pi/2, is
+    that speed times w: the speed is stationary there (``_from_quarter_end``). So a half
+    or quarter sweep whose ends lie within rounding of quarter ends takes no R_F or R_D.
+    The semi-axes are first scaled as for the AGM. None when the minor axis is below
+    MIN_AXIS_RATIO of the major one.
     """
     lo, hi = min(t0, t1), max(t0, t1)
     exponent = math.frexp(max(a, b))[1] - 1
@@ -718,13 +728,16 @@ def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | Non
         return None
     # The speed at k pi/2 is b for even k and a for odd k.
     speeds = [(b, a), (a, b)]
-    first, last = math.ceil(lo / QUARTER_TURN), math.floor(hi / QUARTER_TURN)
+    # The quotient of an end within rounding of a quarter end can fall on either side of it
+    # (11 (pi/2) / (pi/2) is 11 less an ulp). Each end takes a quarter end within 4 ulps of its
+    # quotient into the sweep, so the part between them is a stray width on either side, which
+    # the signed parts measure as a stationary sliver, not as a quarter less that width.
+    q0, q1 = lo / QUARTER_TURN, hi / QUARTER_TURN
+    first, last = math.ceil(q0 - 4.0 * math.ulp(q0)), math.floor(q1 + 4.0 * math.ulp(q1))
     if first > last:  # no quarter end inside the sweep
         length = _part_quarter_arc(*speeds[last % 2], _quarter_offsets(lo, last),
                                    _quarter_offsets(hi, last), hi - lo)
         return length * 2.0**exponent
-    # The quotients round: within about 1.5e-16 |t| of a quarter end they can put lo past
-    # first * pi/2 or hi below last * pi/2, and the signed parts then measure that stray width.
     length = _from_quarter_end(speeds, last, hi) - _from_quarter_end(speeds, first, lo)
     if last > first:
         length += (last - first) * (0.5 * ellipse_half_perimeter(a, b))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitshapes import unitize
 from unitshapes.catalog import (
     FAMILIES,
     FAMILY_BY_NAME,
@@ -219,6 +220,27 @@ def test_built_shape_matches_formula(param):
     expected = fundamental_measure(param)
     assert shape.area() == pytest.approx(expected, rel=1e-8)
     assert shape.semiperimeter() == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1.0, 3.0])
+def test_unit_parallelogram_matches_its_measure_at_every_ratio(theta):
+    # The longer side lies along x. With the shorter one there, the far vertices sat about r
+    # away and the short side was the difference of two large coordinates: 1.3e-5 off at
+    # r = 1e12 (theta = 1), and a zero-length edge from r = 1e17.
+    for exponent in range(-12, 201):
+        p = Parallelogram(theta, 10.0**exponent)
+        measure = unitize(build_unit_shape(p)).fundamental_measure
+        assert measure == pytest.approx(fundamental_measure(p), rel=1e-13, abs=0.0), p
+
+
+@pytest.mark.parametrize("theta, r", [(1.0, 0.5), (2.2, 1e-12), (0.3, 1.0), (1.0, 2.0), (2.2, 1e17)])
+def test_unit_parallelogram_lays_its_longer_side_along_x(theta, r):
+    # Sides 1 and r, times (1 + r)/(r sin theta); for r <= 1 that is the pose it always had.
+    v = build_unit_shape(Parallelogram(theta, r)).pieces[0].vertices
+    unit = (1.0 + r) / (r * math.sin(theta))
+    long, short = max(1.0, r) * unit, min(1.0, r) * unit
+    assert (v[0].x, v[0].y, v[1].x, v[1].y) == (0.0, 0.0, long, 0.0)
+    assert (v[3].x, v[3].y) == (short * math.cos(theta), short * math.sin(theta))
 
 
 def test_right_triangle_base_length():

@@ -324,7 +324,7 @@ GOLDEN_RUNS = {
     **{f"verify_{suite}_seed{seed}.jsonl": ["verify", "--suite", suite, "--seed", str(seed),
                                             "--format", "json"]
        for suite in ("mgon", "all") for seed in (0, 7, 42)},
-    # --tol replaces every check's own tolerance: at 1e-6 all of seed 5 passes; at 1e-15 five
+    # --tol replaces every check's own tolerance: at 1e-6 all of seed 5 passes; at 1e-15 four
     # claims of seed 9 fail on rounding alone (GOLDEN_EXIT).
     **{f"verify_all_seed{seed}_tol{tol}.jsonl": ["verify", "--suite", "all", "--seed", str(seed),
                                                   "--tol", tol, "--format", "json"]
@@ -427,12 +427,15 @@ def test_catalog_polygon_order_has_no_ceiling(capsys):
 
 
 @pytest.mark.parametrize("r", ["1e17", "1e200"])
-def test_unitize_parallelogram_builder_error_names_the_family_and_parameter(capsys, r):
+def test_unitize_parallelogram_far_past_the_square_builds(capsys, r):
+    # The long side lies along x, so a ratio of 1e17 keeps the short side's bits.
     code, out, err = invoke(capsys, "unitize", "--family", "parallelogram", "--theta", "1",
-                            "--r", r)
-    assert (code, out) == (2, "")
-    assert err == (f"error: the unit parallelogram at Parallelogram(theta=1.0, r={float(r)!r}) "
-                   "cannot be built: degenerate polyline edge (zero length)\n")
+                            "--r", r, "--format", "json")
+    _, catalog_out, _ = invoke(capsys, "catalog", "--family", "parallelogram", "--theta", "1",
+                               "--r", r, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fundamental_measure"] == pytest.approx(
+        json.loads(catalog_out)["Pi"], rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(

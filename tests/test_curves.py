@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from unitshapes import curves
 from unitshapes.catalog import Ellipse, fundamental_measure
 from unitshapes.curves import (
     CircularArc,
@@ -726,16 +727,48 @@ def test_partial_arc_length_scales_at_every_scale():
 def test_short_arc_keeps_its_relative_accuracy(k, ratio):
     # Sweeps of 1e-9..1e-3 on either side of k pi/2, whose float is off the true quarter end,
     # inside the quarter, where the distances to its ends are rounded, and across its middle,
-    # where the sweep is split.
+    # where the sweep is split. A part from a quarter end up to 2^-27 (7.5e-9) wide, less at
+    # small ratios, is the speed there times its width; 5e-7 lies past that width, where the
+    # product would be up to 4e-14 off.
     end = k * 0.5 * math.pi
     for axes in ((1.0, ratio), (ratio, 1.0)):
         speed = lambda t: math.hypot(axes[0] * math.sin(t), axes[1] * math.cos(t))
-        for sweep, n in ((1e-9, 2), (1e-6, 20), (1e-3, 4000)):
+        for sweep, n in ((1e-9, 2), (5e-7, 10), (1e-6, 20), (1e-3, 4000)):
             for t0 in (end, end - sweep, end + 0.3, end + 0.25 * math.pi - 0.5 * sweep):
                 arc = EllipticalArc(Point(0.0, 0.0), axes, 0.0, t0, t0 + sweep)
                 expected = dense_simpson(speed, t0, t0 + sweep, n=n)
                 assert arc.length() == pytest.approx(expected, rel=1e-14, abs=0.0)
                 assert arc.reversed_().length() == arc.length()
+
+
+class CarlsonCalled(Exception):
+    pass
+
+
+def test_arcs_between_quarter_ends_take_no_carlson_integral(monkeypatch):
+    # Quarter, half and three-quarter sweeps from float k pi/2, k = -9..9, and sweeps between
+    # floats within 4e-16 of quarter ends near 1e9 and 1e12, at axis ratios 1e-3..1 in both
+    # orders and scales 1e-12..1e12, mirrored and reversed. The part between each end and its
+    # quarter end is its width times the speed there, so R_F and R_D never run. The lengths
+    # are 40-digit references from the floats (quarter_arc_references.py, mpmath). Each is
+    # within 4 ulps once the n whole quarters' own error is allowed: the AGM's quarter is up to
+    # 5.7 ulps off at ratio 1e-3, where its a^2 - sum 2^(n-1) c_n^2 cancels.
+    def fail(*args):
+        raise CarlsonCalled(args)
+
+    monkeypatch.setattr(curves, "carlson_rf_rd", fail)
+    with pytest.raises(CarlsonCalled):  # the patch is the one the kernel calls
+        EllipticalArc(Point(0.0, 0.0), (1.0, 0.5), 0.0, 0.0, 1.0).length()
+    refs = json.loads((pathlib.Path(__file__).parent / "golden" / "quarter_arcs.json").read_text())
+    for (a, b), quarter, lengths in zip(refs["axes"], refs["quarters"], refs["lengths"]):
+        quarter_error = abs(Decimal(0.5 * ellipse_half_perimeter(a, b)) - Decimal(quarter))
+        for (t0, t1), reference in zip(refs["sweeps"], lengths):
+            whole = round(abs(t1 - t0) / (0.5 * math.pi))
+            for s0, s1 in ((t0, t1), (t1, t0), (-t0, -t1), (-t1, -t0)):
+                length = EllipticalArc(Point(0.0, 0.0), (a, b), 0.0, s0, s1).length()
+                error = abs(Decimal(length) - Decimal(reference))
+                assert error <= 4 * Decimal(math.ulp(length)) + whole * quarter_error, (
+                    a, b, s0, s1, length, reference)
 
 
 @pytest.mark.parametrize(
