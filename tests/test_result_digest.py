@@ -1,9 +1,13 @@
-"""Every benchmark pool result and a fixed list of CLI outputs, against one committed digest.
+"""Every benchmark pool result, the search results and a fixed list of CLI outputs, against one
+committed digest.
 
 The ``curved`` (4,000) and ``polygon`` (3,000) pools come from ``perfbench/workloads.py``,
 which is read, never changed, here. Each request's line is the ``repr`` of its fundamental
 measure, or its exception's type and message. Each CLI call's line is its exit code and the
-SHA-256 of its stdout. ``golden/result_digest.json`` holds one SHA-256 per section and the
+SHA-256 of its stdout. The ``suites`` section holds every report line of ``run_suite("all",
+seed)`` for seeds 0-19 and the ``repr`` of ``minimize_2d`` for both two-parameter families at
+three tolerances. It calls them directly, not through the benchmark's ``search`` pool, so a
+change to that pool does not move it. ``golden/result_digest.json`` holds one SHA-256 per section and the
 lines themselves, so a change that claims the same results shows the same digests, and a
 change that moves results on purpose shows in the file's diff which requests moved and by how
 much. Regenerate it on purpose only, from the root of the repository:
@@ -22,11 +26,15 @@ import sys
 
 from unitshapes import cli, shape_from_json, unitize
 from unitshapes.cli import FORMATS
+from unitshapes.optimize import minimize_2d
+from unitshapes.verify import run_suite
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 DIGEST = GOLDEN / "result_digest.json"
 POOL_SIZES = {"curved": 4000, "polygon": 3000}  # the benchmark's pool sizes
+SUITE_SEEDS = range(20)
+MINIMIZE_TOLS = (1e-7, 3e-8, 1e-8)
 
 # Every subcommand in every format it takes, and the seeded ``verify --suite all`` runs.
 CLI_CALLS = (
@@ -66,7 +74,7 @@ def _cli_line(argv: tuple[str, ...]) -> str:
 
 
 def sections() -> dict[str, list[tuple[str, str]]]:
-    """Each section's (request, line) pairs: the pools' and the CLI calls'."""
+    """Each section's (request, line) pairs: the pools', the CLI calls' and the search results'."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     try:
         import workloads
@@ -78,6 +86,12 @@ def sections() -> dict[str, list[tuple[str, str]]]:
         out[name] = [(f"{name}[{i}] {req.kind}: {req.payload[:120]}", _measure_line(req.payload))
                      for i, req in enumerate(requests)]
     out["cli"] = [(" ".join(argv), _cli_line(argv)) for argv in CLI_CALLS]
+    out["suites"] = [
+        *((f"run_suite('all', {seed})[{i}] {report.claim}", report.to_json_line())
+          for seed in SUITE_SEEDS for i, report in enumerate(run_suite("all", seed))),
+        *((f"minimize_2d({family!r}, tol={tol})", repr(minimize_2d(family, tol=tol)))
+          for family in ("triangle", "parallelogram") for tol in MINIMIZE_TOLS),
+    ]
     return out
 
 
