@@ -70,8 +70,14 @@ class Triangle(Record):
             if r + s > 1.1:
                 return cls(r, s)
 
+    @staticmethod
+    def admits(r: float, s: float) -> bool:
+        """Whether (r, s) is a triangle-friendly ratio pair; the optimizer's objective asks
+        this first, so a probe outside costs no DomainError."""
+        return 0.0 < r <= 1.0 and 0.0 < s <= 1.0 and r + s > 1.0
+
     def __init__(self, r: float, s: float) -> None:
-        if not (0.0 < r <= 1.0 and 0.0 < s <= 1.0 and r + s > 1.0):
+        if not Triangle.admits(r, s):
             raise DomainError(f"({r}, {s}) is not a triangle-friendly ratio pair")
         setfield(self, "r", r)
         setfield(self, "s", s)

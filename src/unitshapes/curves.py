@@ -21,7 +21,7 @@ trig-free rational arcs take their measures from adaptive quadrature. That quadr
 one named reference, ``quadrature_length``, ``quadrature_area_term`` and
 ``quadrature_measures``, which measures any piece or shape as an independent cross-check
 of the closed forms. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop
-over its edges; ``polygon_measures`` runs it on a closed loop's coordinates without a Shape.
+over its edges.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
@@ -1070,18 +1070,6 @@ def _enclosed_area(signed_area: float) -> float:
     if signed_area == 0.0:
         raise DomainError("degenerate shape (zero enclosed area)")
     return abs(signed_area)
-
-
-def polygon_measures(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Area and semiperimeter of the closed polygon through the points (xs[i], ys[i]).
-
-    The last point must be the first. Bit for bit the measures of ``Shape((Polyline(xs, ys),))``,
-    from the same edge loop, sums and orientation rule, without building either.
-    """
-    if xs[0] != xs[-1] or ys[0] != ys[-1]:
-        raise DomainError("a polygon loop must end at its first point")
-    length, signed_area = _edge_terms(xs, ys)
-    return _enclosed_area(signed_area), 0.5 * length
 
 
 def scaled(shape: Shape, factor: float) -> Shape:

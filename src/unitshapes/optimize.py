@@ -111,13 +111,19 @@ def nelder_mead(
     Returns (argmin, value, iterations, converged) where convergence means
     the simplex diameter dropped below tol. The first vertex is ``start``;
     the other two step from it along each axis, forwards unless only the
-    backward step lands in the domain.
+    backward step lands in the domain. Each probe is evaluated once, and the
+    start after the probes.
     """
     x, y = start
-    vertices = [(x, y)]
-    for probe in (((x + step, y), (x - step, y)), ((x, y + step), (x, y - step))):
-        vertices.append(next((p for p in probe if math.isfinite(f(p))), probe[0]))
-    simplex = [(f(p), p) for p in vertices]
+    probes = []
+    for forward, backward in (((x + step, y), (x - step, y)), ((x, y + step), (x, y - step))):
+        value, point = f(forward), forward
+        if not math.isfinite(value):
+            back = f(backward)
+            if math.isfinite(back):
+                value, point = back, backward
+        probes.append((value, point))
+    simplex = [(f((x, y)), (x, y)), *probes]
     fb, b = simplex[0]  # with no step taken, the start is returned as it is
     simplex = _sorted3(*simplex)
     for iterations in range(max_iter):
@@ -146,7 +152,13 @@ def nelder_mead(
 
 
 def _penalized(make: Callable) -> Callable[[Sequence[float]], float]:
+    """The family's measure at a parameter pair, or +inf outside its domain. A family with an
+    ``admits`` test answers +inf there before building a member."""
+    admits = getattr(make, "admits", None)
+
     def objective(x: Sequence[float]) -> float:
+        if admits is not None and not admits(*x):
+            return math.inf
         try:
             return fundamental_measure(make(*x))
         except DomainError:

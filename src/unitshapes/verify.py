@@ -34,10 +34,10 @@ from .curves import (
     RigidMotion,
     Shape,
     Similarity,
+    _enclosed_area,
     ellipse_half_perimeter,
     make_circle,
     make_rational_circle,
-    polygon_measures,
     quadrature_measures,
     scaled,
 )
@@ -287,11 +287,19 @@ def random_simple_mgon(m: int, rng: random.Random) -> Shape:
 
 
 def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], float, float]:
-    """``random_simple_mgon``'s draw as its closed loop's x and y lists, area and semiperimeter."""
+    """``random_simple_mgon``'s draw as its closed loop's x and y lists, area and semiperimeter.
+
+    The loop that places each vertex also measures the edge that ends there: its
+    ``hypot(ax - bx, ay - by)`` length and its ``ax * by - bx * ay`` area term, the float
+    expressions of ``curves._edge_terms``, and the closing edge after the loop. fsum does not
+    depend on the order of its terms, and ``_enclosed_area`` is the orientation rule of
+    ``Shape``, so the measures are those of ``Shape((Polyline(xs, ys),))`` bit for bit. No
+    edge has zero length, since neighbouring angles differ by at least 1e-3.
+    """
     # Each draw is rng.uniform(a, b) written out as its documented a + (b - a) * rng.random()
     # (with a = 0 for the angles), which saves a method call per draw and keeps every value.
     draw = rng.random
-    cos, sin = math.cos, math.sin
+    cos, sin, hypot, fsum = math.cos, math.sin, math.hypot, math.fsum
     two_pi = 2.0 * math.pi
     while True:
         cx = -5.0 + (5.0 - -5.0) * draw()
@@ -301,17 +309,31 @@ def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], 
         if min(map(sub, angles[1:], angles)) < 1e-3 or two_pi - (angles[-1] - angles[0]) < 1e-3:
             continue
         # Vertex i takes the i-th radius draw; the radii are drawn after every angle.
-        xs = []
-        ys = []
-        for t in angles:
+        vertex_angles = iter(angles)
+        t = next(vertex_angles)
+        r = 0.2 + (3.0 - 0.2) * draw()
+        x0 = ax = cx + r * cos(t)
+        y0 = ay = cy + r * sin(t)
+        xs = [ax]
+        ys = [ay]
+        edges = []
+        area_terms = []
+        for t in vertex_angles:
             r = 0.2 + (3.0 - 0.2) * draw()
-            xs.append(cx + r * cos(t))
-            ys.append(cy + r * sin(t))
-        xs.append(xs[0])
-        ys.append(ys[0])
-        area, semiperimeter = polygon_measures(xs, ys)
+            bx = cx + r * cos(t)
+            by = cy + r * sin(t)
+            xs.append(bx)
+            ys.append(by)
+            edges.append(hypot(ax - bx, ay - by))
+            area_terms.append(ax * by - bx * ay)
+            ax, ay = bx, by
+        xs.append(x0)
+        ys.append(y0)
+        edges.append(hypot(ax - x0, ay - y0))
+        area_terms.append(ax * y0 - x0 * ay)
+        area = _enclosed_area(0.5 * fsum(area_terms))
         if area >= 1e-6:
-            return xs, ys, area, semiperimeter
+            return xs, ys, area, 0.5 * fsum(edges)
 
 
 def random_family_param(rng: random.Random) -> FamilyParam:

@@ -30,7 +30,6 @@ from unitshapes.curves import (
     make_circle,
     make_polygon,
     make_rational_circle,
-    polygon_measures,
     quadrature_area_term,
     quadrature_length,
     quadrature_measures,
@@ -316,9 +315,10 @@ def test_polyline_sums_are_correctly_rounded():
     assert line.signed_area_term() == 0.5 * math.fsum(terms)
     edges = [math.hypot(ax - bx, ay - by) for ax, ay, bx, by in zip(xs, ys, xs[1:], ys[1:])]
     assert line.length() == math.fsum(edges)
-    area, semiperimeter = polygon_measures(xs, ys)
+    shape = Shape((line,))
+    area, semiperimeter = shape.area(), shape.semiperimeter()
     assert area == 0.5 * math.fsum(terms) and semiperimeter == 0.5 * math.fsum(edges)
-    assert unitize(Shape((line,))).fundamental_measure == semiperimeter / area * semiperimeter
+    assert unitize(shape).fundamental_measure == semiperimeter / area * semiperimeter
 
 
 @pytest.mark.parametrize("x", [1.0, 1e6, 1e-300, 0.0])
@@ -499,69 +499,6 @@ def test_polygon_exact_vs_quadrature():
     area, semiperimeter = quadrature_measures(poly)
     assert poly.signed_area() == pytest.approx(area, rel=1e-10)
     assert poly.perimeter() == pytest.approx(2.0 * semiperimeter, rel=1e-10)
-
-
-def _crosses_itself(loop):
-    """Whether two non-adjacent edges of the closed loop cross properly."""
-    def side(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    edges = list(zip(loop, loop[1:]))
-    for i, (a, b) in enumerate(edges):
-        for j in range(i + 2, len(edges) - (i == 0)):
-            c, d = edges[j]
-            if side(a, b, c) * side(a, b, d) < 0.0 and side(c, d, a) * side(c, d, b) < 0.0:
-                return True
-    return False
-
-
-def test_polygon_measures_equal_the_one_polyline_shape_bit_for_bit():
-    rng = random.Random(31)
-    seen = set()
-    for i in range(900):
-        scale = 10.0 ** rng.uniform(-9.0, 9.0)
-        shift = [scale * rng.uniform(-1e3, 1e3) for _ in range(2)]
-        n = rng.randrange(3, 13)
-        if i % 2:  # star-shaped about the shift: simple, then run either way round
-            angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
-            radii = [scale * rng.uniform(0.2, 1.0) for _ in range(n)]
-            ring = [(shift[0] + r * math.cos(t), shift[1] + r * math.sin(t))
-                    for r, t in zip(radii, angles)]
-            if rng.random() < 0.5:
-                ring.reverse()
-        else:  # uniform in a box: mostly self-intersecting
-            ring = [(shift[0] + scale * rng.uniform(-1.0, 1.0),
-                     shift[1] + scale * rng.uniform(-1.0, 1.0)) for _ in range(n)]
-        loop = ring + ring[:1]
-        xs, ys = zip(*loop)
-        shape = Shape((Polyline(xs, ys),))
-        assert polygon_measures(xs, ys) == (shape.area(), shape.semiperimeter())
-        clockwise = shape.pieces[0].xs != xs
-        seen.add("self-intersecting" if _crosses_itself(loop) else
-                 "clockwise" if clockwise else "counterclockwise")
-    assert seen == {"self-intersecting", "clockwise", "counterclockwise"}
-
-
-@pytest.mark.parametrize(
-    "loop",
-    [
-        [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],  # a repeated vertex
-        [(0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (0.0, 0.0)],  # collinear: zero area
-    ],
-    ids=["repeated_vertex", "zero_area"],
-)
-def test_polygon_measures_raise_the_shape_error(loop):
-    xs, ys = zip(*loop)
-    with pytest.raises(DomainError) as from_shape:
-        Shape((Polyline(xs, ys),))
-    with pytest.raises(DomainError) as from_loop:
-        polygon_measures([x for x, _ in loop], [y for _, y in loop])
-    assert str(from_loop.value) == str(from_shape.value)
-
-
-def test_polygon_measures_need_a_closed_loop():
-    with pytest.raises(DomainError, match="must end at its first point"):
-        polygon_measures([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def _ellipse_area_term_by_simpson(center, semi_axes, rotation, t0, t1):
