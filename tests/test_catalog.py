@@ -129,6 +129,21 @@ def test_out_of_domain_rejected(bad):
         bad()
 
 
+@pytest.mark.parametrize(
+    "r, s",
+    [(0.5, 0.6), (1.0, 1.0), (1.0, 5e-324), (0.5, 0.5), (0.4, 0.5), (1.2, 0.9), (0.0, 1.0),
+     (-0.5, 1.0), (math.nan, 0.9), (0.9, math.inf)],
+)
+def test_triangle_admits_exactly_the_pairs_it_builds(r, s):
+    try:
+        Triangle(r, s)
+    except DomainError:
+        built = False
+    else:
+        built = True
+    assert Triangle.admits(r, s) is built
+
+
 OVERFLOWING = [
     Rectangle(1e-320),
     Parallelogram(1e-200, 1e200),  # about 1e400: (1 + r) ((1 + r) / (r sin(theta))) overflows too

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from unitshapes.catalog import FAMILIES
+from unitshapes.catalog import FAMILIES, Triangle, fundamental_measure
 from unitshapes.errors import DomainError, NotConverged
 from unitshapes.optimize import (
     _penalized,
@@ -53,6 +53,45 @@ def test_nelder_mead_with_infinite_penalty():
     assert converged
     assert x[0] == pytest.approx(1.0, abs=1e-6)
     assert x[1] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "start, expected",
+    [
+        ((0.5, 0.5), [(0.7, 0.5), (0.5, 0.7), (0.5, 0.5)]),
+        ((0.9, 0.5), [(0.9 + 0.2, 0.5), (0.9 - 0.2, 0.5), (0.9, 0.7), (0.9, 0.5)]),
+        ((0.9, 0.9), [(0.9 + 0.2, 0.9), (0.9 - 0.2, 0.9), (0.9, 0.9 + 0.2), (0.9, 0.9 - 0.2),
+                      (0.9, 0.9)]),
+    ],
+    ids=["both_forward", "x_backward", "both_backward"],
+)
+def test_nelder_mead_evaluates_each_start_probe_once(start, expected):
+    calls = []
+
+    def objective(p):
+        calls.append(tuple(p))
+        return math.inf if p[0] > 1.0 or p[1] > 1.0 else p[0] ** 2 + p[1] ** 2
+
+    nelder_mead(objective, start, step=0.2, max_iter=0)
+    assert calls == expected
+
+
+def test_triangle_objective_answers_outside_probes_without_building(monkeypatch):
+    objective = _penalized(Triangle)
+    equilateral = fundamental_measure(Triangle(1.0, 1.0))
+    built = []
+    init = Triangle.__init__
+
+    def counted(self, r, s):
+        built.append((r, s))
+        init(self, r, s)
+
+    monkeypatch.setattr(Triangle, "__init__", counted)
+    for outside in [(0.4, 0.5), (0.5, 0.5), (1.2, 0.9), (0.9, -0.1), (math.nan, 0.9)]:
+        assert objective(outside) == math.inf
+    assert built == []
+    assert objective((1.0, 1.0)) == equilateral
+    assert built == [(1.0, 1.0)]
 
 
 # --- the two-parameter simplex against the n-dimensional one ----------------

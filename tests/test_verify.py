@@ -16,7 +16,9 @@ from unitshapes.catalog import (
     fundamental_measure,
 )
 from unitshapes.curves import (
+    Polyline,
     RationalPoint,
+    Shape,
     make_circle,
     make_polygon,
     make_rational_circle,
@@ -356,6 +358,27 @@ def test_suite_mgon_equals_the_shape_path_float_for_float(monkeypatch):
         # The dicts hold floats, and == on floats is bit equality (no NaN arises here).
         got = [r.to_dict() for r in suite_mgon(seed)]
         assert got == [r.to_dict() for r in _suite_mgon_by_shapes(seed, 60, ms)]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 13])
+def test_mgon_sample_measures_its_closed_loop_as_shape_does(m):
+    # The sampler measures each edge as it draws it; the Shape of its own closed lists must agree
+    # bit for bit, for loops either way round and for the loop's closing edge.
+    seen = set()
+    for seed in (0, 5, 11, 2019):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            xs, ys, area, semiperimeter = verify._mgon_sample(m, rng)
+            assert len(xs) == len(ys) == m + 1
+            assert (xs[-1], ys[-1]) == (xs[0], ys[0])
+            shape = Shape((Polyline(xs, ys),))
+            assert (area, semiperimeter) == (shape.area(), shape.semiperimeter())
+            seen.add(tuple(shape.pieces[0].xs) == tuple(xs))
+            random_simple_mgon(m, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+    # A draw runs clockwise when its center falls outside it, which is common only at small m;
+    # Shape reverses such a loop, and the sampler's |area| must still agree.
+    assert True in seen and (m >= 5 or False in seen)
 
 
 def test_random_mgon_deterministic_for_seed():
