@@ -11,7 +11,6 @@ three-dimensional analogues.
 from .catalog import (
     FAMILIES,
     Ellipse,
-    EllipseMeanRadius,
     FamilyParam,
     Parallelogram,
     Rectangle,
@@ -20,7 +19,6 @@ from .catalog import (
     RightTriangle,
     Triangle,
     build_unit_shape,
-    ellipse_mean_radius,
     ellipse_semi_minor,
     family_from_dict,
     family_named,

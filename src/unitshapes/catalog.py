@@ -262,37 +262,17 @@ def family_from_dict(d: dict) -> FamilyParam:
 def _ellipse_speed_integral_by_quadrature(r: float) -> float:
     """int_0^pi sqrt(1 + (r^2 - 1) cos^2 t) dt, the unit-semi-major speed integral."""
     k = r * r - 1.0
-    return adaptive_quadrature(
-        lambda t: math.sqrt(1.0 + k * math.cos(t) ** 2), 0.0, math.pi, rel_tol=1e-10
-    )
+    return adaptive_quadrature(lambda t: math.sqrt(1.0 + k * math.cos(t) ** 2), 0.0, math.pi)
 
 
 def ellipse_semi_minor(r: float) -> float:
-    """Semi-minor axis of the unit ellipse with axis ratio r; lies in (2/pi, 1)."""
+    """Semi-minor axis of the unit ellipse with axis ratio r; lies in (2/pi, 1).
+
+    It is also the ellipse's mean radius: the radius of the circle whose semiperimeter
+    matches the ellipse with semi-major axis 1 and semi-minor axis r.
+    """
     Ellipse(r)
     return ellipse_half_perimeter(1.0, r) / math.pi
-
-
-class EllipseMeanRadius(Record):
-    """Axis ratio r paired with the ellipse's mean radius R.
-
-    R is the radius of the circle whose semiperimeter matches the ellipse
-    with semi-major axis 1 and semi-minor axis r; it coincides with the unit
-    ellipse's semi-minor axis and always lies strictly between 2/pi and 1.
-    """
-
-    __slots__ = _fields = ("r", "R")
-
-    def __init__(self, r: float, R: float) -> None:
-        Ellipse(r)
-        if not 2.0 / math.pi < R < 1.0:
-            raise DomainError(f"mean radius must lie in (2/pi, 1), got {R}")
-        setfield(self, "r", r)
-        setfield(self, "R", R)
-
-
-def ellipse_mean_radius(r: float) -> EllipseMeanRadius:
-    return EllipseMeanRadius(r, ellipse_semi_minor(r))
 
 
 def rhombus_short_diagonal(theta: float) -> float:
@@ -330,7 +310,7 @@ def build_unit_shape(p: FamilyParam) -> Shape:
         raise DomainError(f"unsupported family parameter: {p!r}")
     try:
         shape = p._unit_shape()
-        perimeter = 2.0 * shape.signed_area()  # a unit shape's perimeter is twice its area
+        perimeter = 2.0 * shape.area()  # a unit shape's perimeter is twice its area
     except (DomainError, OverflowError, ZeroDivisionError) as exc:
         fundamental_measure(p)  # raises the measure's overflow error where it overflows too
         raise DomainError(f"the unit {p.name} at {p!r} cannot be built: {exc}") from None

@@ -59,11 +59,20 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _family_param(family: str, theta, r, s, m, degrees: bool):
+def _family_param(family: str | None, theta, r, s, m, degrees: bool):
+    """The member of ``family`` the parameter flags give, or None without --family, where
+    those flags mean nothing: then any that were given are named."""
+    given = {"theta": theta, "r": r, "s": s, "m": m}
+    if family is None:
+        named = [f"--{flag}" for flag, value in given.items() if value is not None]
+        if degrees:
+            named.append("--degrees")
+        if named:
+            raise UsageError(f"family parameters need --family, got {', '.join(named)}")
+        return None
     cls = family_named(family)
     if theta is not None and degrees:
-        theta = math.radians(theta)
-    given = {"theta": theta, "r": r, "s": s, "m": m}
+        given["theta"] = math.radians(theta)
     for flag, value in given.items():
         if value is None and flag in cls._fields:
             raise UsageError(f"family {family!r} needs parameter --{flag}")
@@ -72,16 +81,6 @@ def _family_param(family: str, theta, r, s, m, degrees: bool):
     if degrees and "theta" not in cls._fields:
         raise UsageError(f"family {family!r} takes no --degrees")
     return cls(**{name: given[name] for name in cls._fields})
-
-
-def _reject_family_params(theta, r, s, m, degrees: bool) -> None:
-    """Family parameter flags mean nothing without --family; name any that were given."""
-    given = [f"--{flag}" for flag, value in (("theta", theta), ("r", r), ("s", s), ("m", m))
-             if value is not None]
-    if degrees:
-        given.append("--degrees")
-    if given:
-        raise UsageError(f"family parameters need --family, got {', '.join(given)}")
 
 
 def _tolerance(text: str) -> float:
@@ -114,11 +113,9 @@ def _param_options(cmd: argparse.ArgumentParser) -> None:
 
 def catalog_cmd(family, theta, r, s, m, degrees, fmt):
     """Fundamental measures of catalog families."""
-    if family is None:
-        _reject_family_params(theta, r, s, m, degrees)
-        entries = [cls(*row) for cls in catalog.FAMILIES for row in cls.table]
-    else:
-        entries = [_family_param(family, theta, r, s, m, degrees)]
+    param = _family_param(family, theta, r, s, m, degrees)
+    entries = [param] if param is not None else [
+        cls(*row) for cls in catalog.FAMILIES for row in cls.table]
     rows = []
     for p in entries:
         d = family_to_dict(p)
@@ -142,17 +139,16 @@ def catalog_cmd(family, theta, r, s, m, degrees, fmt):
 
 def unitize_cmd(family, theta, r, s, m, degrees, scale, input_text, fmt):
     """Canonicalize a shape so its area equals its semiperimeter."""
-    if family is not None:
-        if input_text is not None:
-            raise UsageError("give --family or --input, not both")
-        param = _family_param(family, theta, r, s, m, degrees)
+    if family is not None and input_text is not None:
+        raise UsageError("give --family or --input, not both")
+    param = _family_param(family, theta, r, s, m, degrees)
+    if param is not None:
         if m is not None and m > MAX_POLYGON_ORDER:
             raise UsageError(f"--m is at most {MAX_POLYGON_ORDER} for unitize, got {m}")
         shape = build_unit_shape(param)
         if scale not in (None, 1.0):
             shape = scaled(shape, scale)
     else:
-        _reject_family_params(theta, r, s, m, degrees)
         if scale is not None:
             raise UsageError("--scale applies only to a shape built with --family")
         if input_text is None:

@@ -20,16 +20,16 @@ R_F and R_D, for the rest; a parabolic arc's is an ``asinh`` form. Only the
 trig-free rational arcs take their measures from adaptive quadrature. That quadrature is
 one named reference, ``quadrature_length``, ``quadrature_area_term`` and
 ``quadrature_measures``, which measures any piece or shape as an independent cross-check
-of the closed forms. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one loop
-over its edges.
+of the closed forms, to the one relative tolerance ``quadrature.REL_TOL``. A Polyline
+holds coordinate tuples, and ``_edge_terms`` is the one loop over its edges.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
 
-A piece's shape JSON is its kind and its fields: ``_json_value`` writes each field and
-``_field_from_json`` reads it back. That layer checks only that numbers are numbers and
-lists have their lengths; each constructor rejects a NaN or an infinity, for JSON and
-every other caller alike.
+A piece's shape JSON is its kind and its fields, or a polyline's ``vertices``:
+``_json_value`` writes each field and ``_field_from_json`` reads it back. That layer
+checks only that numbers are numbers and lists have their lengths; each constructor
+rejects a NaN or an infinity, for JSON and every other caller alike.
 
 All types are immutable values; every operation here is pure.
 """
@@ -47,7 +47,6 @@ from .quadrature import adaptive_quadrature
 from .records import Record, setfield
 
 JOIN_TOL = 1e-12
-QUAD_REL_TOL = 1e-10
 AGM_MAX_STEPS = 64  # the AGM converges quadratically; about 10 steps reach 1e-15
 # Carlson's stop rule for a relative error r = 1e-16: the arguments lie within (3r)^(1/6) of
 # R_F's mean and (r/4)^(1/6) of R_D's. Disparate arguments draw together quadratically, then
@@ -276,7 +275,7 @@ def quadrature_length(piece: CurvePiece) -> float:
     speed = lambda t: hypot(*velocity(t))
     total = 0.0
     for lo, hi in piece._smooth_spans():
-        total += abs(adaptive_quadrature(speed, lo, hi, rel_tol=QUAD_REL_TOL, abs_tol=0.0))
+        total += abs(adaptive_quadrature(speed, lo, hi, abs_tol=0.0))
     return total
 
 
@@ -296,7 +295,7 @@ def quadrature_area_term(piece: CurvePiece) -> float:
 
     total = 0.0
     for lo, hi in piece._smooth_spans():
-        total += adaptive_quadrature(integrand, lo, hi, rel_tol=QUAD_REL_TOL)
+        total += adaptive_quadrature(integrand, lo, hi)
     return total
 
 
@@ -307,7 +306,7 @@ def quadrature_measures(shape: "Shape") -> tuple[float, float]:
 
 
 class LineSegment(CurvePiece):
-    _fields = ("start_point", "end_point")
+    _fields = ("start", "end")  # the stored ends, which are CurvePiece's start and end
     # The length sits outside the fields, so ==, hash and repr see only the fields.
     __slots__ = _fields + ("_length",)
 
@@ -315,26 +314,26 @@ class LineSegment(CurvePiece):
     t_start = 0.0
     t_end = 1.0
 
-    def __init__(self, start_point: Point, end_point: Point) -> None:
-        length = start_point.distance_to(end_point)
+    def __init__(self, start: Point, end: Point) -> None:
+        length = start.distance_to(end)
         if length == 0.0:
             raise DomainError("degenerate line segment (zero length)")
-        setfield(self, "start_point", start_point)
-        setfield(self, "end_point", end_point)
+        setfield(self, "start", start)
+        setfield(self, "end", end)
         setfield(self, "_length", length)
 
     def _xy(self, t: float) -> tuple[float, float]:
-        return (self.start_point.x + t * (self.end_point.x - self.start_point.x),
-                self.start_point.y + t * (self.end_point.y - self.start_point.y))
+        return (self.start.x + t * (self.end.x - self.start.x),
+                self.start.y + t * (self.end.y - self.start.y))
 
     def velocity(self, t: float) -> tuple[float, float]:
-        return (self.end_point.x - self.start_point.x, self.end_point.y - self.start_point.y)
+        return (self.end.x - self.start.x, self.end.y - self.start.y)
 
     def reversed_(self) -> "LineSegment":
-        return LineSegment(self.end_point, self.start_point)
+        return LineSegment(self.end, self.start)
 
     def transformed(self, sim: Similarity) -> "LineSegment":
-        return LineSegment(sim.apply(self.start_point), sim.apply(self.end_point))
+        return LineSegment(sim.apply(self.start), sim.apply(self.end))
 
     def _exact_length(self) -> float:
         return self._length
@@ -343,26 +342,19 @@ class LineSegment(CurvePiece):
 
     def _ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
         # The stored points: _xy(0.0) would make start + 0.0 * inf, which is NaN.
-        return ((self.start_point.x, self.start_point.y), (self.end_point.x, self.end_point.y))
+        return ((self.start.x, self.start.y), (self.end.x, self.end.y))
 
     def _exact_area_term(self) -> float:
-        return 0.5 * (self.start_point.x * self.end_point.y - self.end_point.x * self.start_point.y)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": [self.start_point.x, self.start_point.y],
-            "end": [self.end_point.x, self.end_point.y],
-        }
+        return 0.5 * (self.start.x * self.end.y - self.end.x * self.start.y)
 
 
 def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """The polyline's length and its Green's-theorem area term (1/2) sum (ax by - bx ay).
 
     Raises DomainError on a zero-length edge. One explicit loop: map-based versions
-    measured 40-110 % slower at 256 to 4 vertices (CPython 3.11). Both sums are fsum,
-    correctly rounded, so neither depends on the edge order (sum() does, and rounds
-    differently on Python 3.12+); ``_total`` is the rare fallback.
+    measured 40-110 % slower at 256 to 4 vertices (CPython 3.11). Both sums are
+    ``_total``'s fsum, correctly rounded, so neither depends on the edge order (sum() does,
+    and rounds differently on Python 3.12+).
     """
     hypot = math.hypot
     edges = []
@@ -377,17 +369,12 @@ def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]
     # rounds to at least the larger of them, and a subnormal difference is not 0.0.
     if 0.0 in edges:
         raise DomainError("degenerate polyline edge (zero length)")
-    try:
-        return math.fsum(edges), 0.5 * math.fsum(area_terms)
-    except (OverflowError, ValueError):
-        return _total(edges), 0.5 * _total(area_terms)
+    return _total(edges), 0.5 * _total(area_terms)
 
 
 def _total(terms: list[float]) -> float:
     """The correctly rounded sum of the terms, or where fsum raises, sum()'s: inf where finite
     terms overflow and NaN where they hold +inf and -inf, both of which unitize rejects.
-
-    ``_edge_terms`` calls fsum inline, saving a call, and comes here only if it raised.
     """
     try:
         return math.fsum(terms)
@@ -1028,10 +1015,6 @@ class Shape:
         self.pieces = pieces
         self._perimeter: float | None = None
 
-    def signed_area(self) -> float:
-        """Positive: the pieces run counterclockwise."""
-        return self._area
-
     def area(self) -> float:
         return self._area
 
@@ -1053,8 +1036,8 @@ class Shape:
     def to_dict(self) -> dict:
         return {"pieces": [p.to_dict() for p in self.pieces]}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def __repr__(self) -> str:
         kinds = ", ".join(p.kind for p in self.pieces)
@@ -1154,14 +1137,9 @@ def _field_from_json(name: str, value):
     return Point(*floats) if name in _POINT_FIELDS else floats
 
 
-# Each arc kind's class and the JSON names of its constructor's arguments, in order.
-_PIECE_KINDS = {cls.kind: (cls, names) for cls, names in (
-    (LineSegment, ("start", "end")),
-    (CircularArc, CircularArc._fields),
-    (EllipticalArc, EllipticalArc._fields),
-    (ParabolicArc, ParabolicArc._fields),
-    (RationalPoint, RationalPoint._fields),
-)}
+# Every kind but the polyline, whose JSON names are its constructor's arguments, its _fields.
+_PIECE_KINDS = {cls.kind: cls for cls in (
+    LineSegment, CircularArc, EllipticalArc, ParabolicArc, RationalPoint)}
 
 
 def _parse_piece(d: dict) -> CurvePiece:
@@ -1173,9 +1151,10 @@ def _parse_piece(d: dict) -> CurvePiece:
         return Polyline([float(x) for x, _ in vertices], [float(y) for _, y in vertices])
     if kind not in _PIECE_KINDS:
         raise ValueError(f"unknown piece kind: {kind!r}")
-    cls, names = _PIECE_KINDS[kind]
+    cls = _PIECE_KINDS[kind]
     # A frame, always the last argument, may be left out for the constructor's identity.
-    return cls(*[_field_from_json(name, d[name]) for name in names if name in d or name != "frame"])
+    return cls(*[_field_from_json(name, d[name]) for name in cls._fields
+                 if name in d or name != "frame"])
 
 
 def _piece_from_dict(d: dict, piece: int) -> CurvePiece:

@@ -5,6 +5,9 @@ interval (largest error estimate) is bisected until the summed error estimate
 meets tolerance. Intervals are never split beyond ``MAX_DEPTH`` halvings of
 the original interval, nor more than ``MAX_BISECTIONS`` times in all; either
 limit raises QuadratureFailure, which signals a pathological integrand.
+
+Every integral stops on the one relative tolerance ``REL_TOL``, the reference's
+accuracy wherever it cross-checks a closed form; only the absolute floor varies.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import QuadratureFailure
 # integrand whose error estimate is rounding noise would bisect without end.
 MAX_BISECTIONS = 2000
 MAX_DEPTH = 60  # halvings of the original interval, down to 2^-60 of it
+REL_TOL = 1e-10  # the summed error estimate's share of |integral| at which a call stops
 
 # The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule: the weights of the
 # centre node, then (abscissa, Kronrod weight, Gauss weight) of each symmetric node pair,
@@ -59,13 +63,12 @@ def adaptive_quadrature(
     f: Callable[[float], float],
     a: float,
     b: float,
-    rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
 ) -> float:
     """Integrate f from a to b (either order) to the requested tolerance.
 
     Convergence requires the summed per-interval error estimate to fall below
-    max(abs_tol, rel_tol * |integral|). Raises QuadratureFailure if the worst
+    max(abs_tol, REL_TOL * |integral|). Raises QuadratureFailure if the worst
     remaining interval has already been bisected MAX_DEPTH times, after
     MAX_BISECTIONS bisections, or if the estimate or its error is NaN, as where
     the integrand overflows.
@@ -84,7 +87,7 @@ def adaptive_quadrature(
     total = value
     total_err = err
 
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    while total_err > max(abs_tol, REL_TOL * abs(total)):
         if len(heap) > MAX_BISECTIONS:  # each bisection adds one interval to the heap
             raise QuadratureFailure(f"no convergence on [{a}, {b}] after {MAX_BISECTIONS}"
                                     f" bisections: error estimate {total_err:.3e}")

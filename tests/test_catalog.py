@@ -12,7 +12,6 @@ from unitshapes.catalog import (
     FAMILIES,
     FAMILY_BY_NAME,
     Ellipse,
-    EllipseMeanRadius,
     Parallelogram,
     Rectangle,
     RegularPolygon,
@@ -27,7 +26,7 @@ from unitshapes.catalog import (
     fundamental_measure,
     rhombus_short_diagonal,
 )
-from unitshapes.curves import ellipse_half_perimeter, quadrature_measures
+from unitshapes.curves import Point, ellipse_half_perimeter, quadrature_measures
 from unitshapes.errors import DomainError
 from unitshapes.verify import CONCILIATION_GRID, CONCILIATIONS, check_conciliation
 
@@ -350,24 +349,16 @@ def test_ellipse_semi_minor_domain():
         ellipse_semi_minor(1.0)
 
 
-def test_ellipse_mean_radius_record():
-    from unitshapes.catalog import EllipseMeanRadius, ellipse_mean_radius
-
-    record = ellipse_mean_radius(0.5)
-    assert record.R == pytest.approx(ellipse_semi_minor(0.5), rel=1e-12)
-    assert 2.0 / math.pi < record.R < 1.0
-    # R equals the radius of the circle with the same semiperimeter as the
-    # semi-major-1 ellipse.
-    from oracles import dense_simpson
-
+def test_ellipse_semi_minor_is_the_mean_radius():
+    # The radius of the circle with the same semiperimeter as the semi-major-1 ellipse.
+    radius = ellipse_semi_minor(0.5)
+    assert 2.0 / math.pi < radius < 1.0
     semiperimeter = dense_simpson(
         lambda t: math.sqrt(math.sin(t) ** 2 + 0.25 * math.cos(t) ** 2), 0.0, math.pi, 50_000
     )
-    assert record.R == pytest.approx(semiperimeter / math.pi, rel=1e-8)
+    assert radius == pytest.approx(semiperimeter / math.pi, rel=1e-8)
     with pytest.raises(DomainError):
-        EllipseMeanRadius(0.5, 0.5)  # below the 2/pi floor
-    with pytest.raises(DomainError):
-        ellipse_mean_radius(1.2)
+        ellipse_semi_minor(1.2)
 
 
 # --- rhombus auxiliary ------------------------------------------------------
@@ -482,7 +473,7 @@ def test_family_tables_are_the_standard_catalog_rows():
 
 
 @pytest.mark.parametrize(
-    "p", [EllipseMeanRadius(0.5, 0.8), "ellipse", None, Ellipse, (0.5,)], ids=repr
+    "p", [Point(0.5, 0.8), "ellipse", None, Ellipse, (0.5,)], ids=repr
 )
 def test_non_family_argument_rejected(p):
     with pytest.raises(DomainError, match="unsupported family parameter"):
