@@ -83,20 +83,27 @@ class Triangle(Record):
         setfield(self, "s", s)
 
     def _heron_product(self) -> float:
-        """(-r + s + 1)(r - s + 1)(r + s - 1): Heron's factors of 16 area^2 but the perimeter."""
-        r, s = self.r, self.s
-        return (-r + s + 1.0) * (r - s + 1.0) * (r + s - 1.0)
+        """Heron's factors of 16 area^2 but the perimeter, in Kahan's needle-proof order.
+
+        With sides 1 >= b >= c, the factors are (1 + (b - c))(c + (1 - b))(c - (1 - b))
+        (W. Kahan, "Miscalculating Area and Angles of a Needle-like Triangle", 2014).
+        b + c > 1 puts b in [1/2, 1], so 1 - b is exact and each factor rounds once; the
+        factor r + s - 1 written as such would carry the rounding of r + s whole.
+        """
+        b, c = max(self.r, self.s), min(self.r, self.s)
+        return (1.0 + (b - c)) * (c + (1.0 - b)) * (c - (1.0 - b))
 
     def _measure(self) -> float:
         return (self.r + self.s + 1.0) ** 1.5 / math.sqrt(self._heron_product())
 
     def _unit_shape(self) -> Shape:
+        # Longest side c on the x-axis. The apex's height is twice the area, the measure, over
+        # c, and its x is c (1 + s^2 - r^2) / 2, the difference of squares taken as a product:
+        # both keep their bits as the triangle flattens.
         r, s = self.r, self.s
         c = 2.0 * math.sqrt((r + s + 1.0) / self._heron_product())
-        # Longest side on the x-axis, apex located from the two side lengths.
-        x3 = (c * c + (s * c) ** 2 - (r * c) ** 2) / (2.0 * c)
-        y3 = math.sqrt((s * c) ** 2 - x3 * x3)
-        return make_polygon([(0.0, 0.0), (c, 0.0), (x3, y3)])
+        x3 = 0.5 * c * (1.0 + (s - r) * (s + r))
+        return make_polygon([(0.0, 0.0), (c, 0.0), (x3, 2.0 * self._measure() / c)])
 
 
 class Rectangle(Record):

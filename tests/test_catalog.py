@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -462,6 +463,97 @@ def test_registry_entry(cls):
         assert family_from_dict(family_to_dict(p)) == p
         assert math.isfinite(fundamental_measure(p))
         assert build_unit_shape(p).area() == pytest.approx(fundamental_measure(p), rel=1e-9)
+
+
+# Each family's parameter intervals for the sweep below; an infinite end is reached
+# log-uniformly up to 1e300. The triangle and the regular polygon draw their own.
+SWEEP_DOMAINS = {
+    RightTriangle: ((0.0, math.pi / 2.0),),
+    Rectangle: ((0.0, math.inf),),
+    Rhombus: ((0.0, math.pi),),
+    Parallelogram: ((0.0, math.pi), (0.0, math.inf)),
+    Ellipse: ((0.0, 1.0),),
+}
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _sweep_value(rng, lo, hi):
+    """A value in (lo, hi) whose distance from a random end is log-uniform from 1e-12 to the
+    whole width; for (0, inf), log-uniform from 1e-300 to 1e300."""
+    if hi == math.inf:
+        return _log_uniform(rng, 1e-300, 1e300)
+    distance = _log_uniform(rng, 1e-12, hi - lo)
+    return lo + distance if rng.random() < 0.5 else hi - distance
+
+
+def _sweep_triangle(rng):
+    """Sides 1 >= b >= c with 1 - b and the excess b + c - 1 each log-uniform down to 1e-12,
+    and b = 1 itself, the closed edge, a tenth of the time."""
+    while True:
+        b = 1.0 if rng.random() < 0.1 else 1.0 - _log_uniform(rng, 1e-12, 0.5)
+        if 2.0 * b - 1.0 > 1e-12:
+            c = (1.0 - b) + _log_uniform(rng, 1e-12, 2.0 * b - 1.0)
+            r, s = (b, c) if rng.random() < 0.5 else (c, b)
+            if Triangle.admits(r, s):
+                return Triangle(r, s)
+
+
+def _sweep_member(cls, rng):
+    if cls is Triangle:
+        return _sweep_triangle(rng)
+    if cls is RegularPolygon:
+        return RegularPolygon(round(_log_uniform(rng, 3.0, 1e4)))
+    while True:
+        try:
+            return cls(*[_sweep_value(rng, lo, hi) for lo, hi in SWEEP_DOMAINS[cls]])
+        except DomainError:  # an end the rounding of lo + distance or hi - distance reached
+            pass
+
+
+@pytest.mark.parametrize("cls", FAMILIES, ids=lambda cls: cls.name)
+def test_every_member_over_the_whole_domain_has_its_measure(cls):
+    """The unit member's area and semiperimeter are ``fundamental_measure`` to 1e-13 up to
+    1e-12 from every domain edge, or both raise a DomainError naming the parameter."""
+    rng = random.Random(f"sweep {cls.name}")
+    members = [RegularPolygon(3), RegularPolygon(10**4)] if cls is RegularPolygon else []
+    members += [_sweep_member(cls, rng) for _ in range(30 if cls is RegularPolygon else 300)]
+    for p in members:
+        try:
+            measure = fundamental_measure(p)
+        except DomainError as exc:
+            assert repr(p) in str(exc)
+            with pytest.raises(DomainError, match=re.escape(repr(p))):
+                build_unit_shape(p)
+            continue
+        try:
+            shape = build_unit_shape(p)
+        except DomainError as exc:
+            # Only the perimeter, twice the measure, may overflow where the measure does not.
+            assert repr(p) in str(exc) and 2.0 * measure > 1e308
+            continue
+        assert shape.area() == pytest.approx(measure, rel=1e-13, abs=0.0), p
+        assert shape.semiperimeter() == pytest.approx(measure, rel=1e-13, abs=0.0), p
+
+
+@pytest.mark.parametrize(
+    "r, s, expected",
+    [
+        # r + s - 1 = 1e-12, which the rounding of r + s took whole in Heron's factor.
+        (0.5, 0.500000000001, 2828458.410103995615944011216024719150881),
+        # -r + s + 1 = 1e-6 + 1e-12, a second factor that cancels.
+        (0.999999999999, 1e-06, 2000002.000000750069632502463648371796985),
+    ],
+)
+def test_needle_triangle_matches_its_40_digit_measure(r, s, expected):
+    # expected: (r + s + 1)^1.5 / sqrt((-r + s + 1)(r - s + 1)(r + s - 1)) at the float r and s,
+    # by mpmath at 50 digits.
+    p = Triangle(r, s)
+    shape = build_unit_shape(p)
+    for value in (fundamental_measure(p), shape.area(), shape.semiperimeter()):
+        assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_family_tables_are_the_standard_catalog_rows():
