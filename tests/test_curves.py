@@ -1253,6 +1253,27 @@ def test_piece_json_reads_back_the_piece(piece, mirror):
 
 
 @pytest.mark.parametrize(
+    "piece", [p for p in sample_pieces() if p.kind != "polyline"], ids=lambda p: p.kind)
+def test_piece_json_is_its_kind_and_fields(piece):
+    # A polyline's JSON is its vertices; every other kind writes its fields under their names.
+    assert list(piece.to_dict()) == ["kind", *piece._fields]
+    members = [(piece, piece.to_dict())]
+    if "frame" in piece._fields:  # the last field; left out, it reads back as the identity
+        unframed = type(piece)(*[getattr(piece, name) for name in piece._fields[:-1]])
+        doc = unframed.to_dict()
+        assert doc.pop("frame") == {"rotation_angle": 0.0, "reflect": False,
+                                    "translation": [0.0, 0.0]}
+        members += [(unframed, unframed.to_dict()), (unframed, doc)]
+    for member, doc in members:
+        # Closed by two segments through the chord turned a quarter about the start.
+        start, end = member.start, member.end
+        apex = Point(start.x - (end.y - start.y), start.y + (end.x - start.x))
+        closing = [LineSegment(end, apex), LineSegment(apex, start)]
+        restored = shape_from_dict({"pieces": [doc, *(p.to_dict() for p in closing)]})
+        assert restored.pieces == Shape([member, *closing]).pieces
+
+
+@pytest.mark.parametrize(
     "kind, field, bad",
     [
         ("circular_arc", "radius", [1.0]),
