@@ -83,13 +83,10 @@ class Triangle(Record):
         setfield(self, "s", s)
 
     def _heron_product(self) -> float:
-        """Heron's factors of 16 area^2 but the perimeter, in Kahan's needle-proof order.
-
-        With sides 1 >= b >= c, the factors are (1 + (b - c))(c + (1 - b))(c - (1 - b))
-        (W. Kahan, "Miscalculating Area and Angles of a Needle-like Triangle", 2014).
-        b + c > 1 puts b in [1/2, 1], so 1 - b is exact and each factor rounds once; the
-        factor r + s - 1 written as such would carry the rounding of r + s whole.
-        """
+        """Heron's factors of 16 area^2 but the perimeter, in Kahan's order for needle-like
+        triangles (W. Kahan, "Miscalculating Area and Angles of a Needle-like Triangle", 2014):
+        with sides 1 >= b >= c, (1 + (b - c))(c + (1 - b))(c - (1 - b)). b + c > 1 puts b in
+        [1/2, 1], so 1 - b is exact and each factor rounds once."""
         b, c = max(self.r, self.s), min(self.r, self.s)
         return (1.0 + (b - c)) * (c + (1.0 - b)) * (c - (1.0 - b))
 
@@ -97,13 +94,14 @@ class Triangle(Record):
         return (self.r + self.s + 1.0) ** 1.5 / math.sqrt(self._heron_product())
 
     def _unit_shape(self) -> Shape:
-        # Longest side c on the x-axis. The apex's height is twice the area, the measure, over
-        # c, and its x is c (1 + s^2 - r^2) / 2, the difference of squares taken as a product:
-        # both keep their bits as the triangle flattens.
+        # Longest side c on the x-axis. The apex's height is twice the area over c, and the area
+        # is the semiperimeter c (1 + r + s) / 2, so the height is 1 + r + s; its x is
+        # c (1 + s^2 - r^2) / 2 with the squares' difference as a product. Neither cancels as
+        # the triangle flattens.
         r, s = self.r, self.s
         c = 2.0 * math.sqrt((r + s + 1.0) / self._heron_product())
         x3 = 0.5 * c * (1.0 + (s - r) * (s + r))
-        return make_polygon([(0.0, 0.0), (c, 0.0), (x3, 2.0 * self._measure() / c)])
+        return make_polygon([(0.0, 0.0), (c, 0.0), (x3, r + s + 1.0)])
 
 
 class Rectangle(Record):

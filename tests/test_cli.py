@@ -324,7 +324,7 @@ GOLDEN_RUNS = {
     **{f"verify_{suite}_seed{seed}.jsonl": ["verify", "--suite", suite, "--seed", str(seed),
                                             "--format", "json"]
        for suite in ("mgon", "all") for seed in (0, 7, 42)},
-    # --tol replaces every check's own tolerance: at 1e-6 all of seed 5 passes; at 1e-15 five
+    # --tol replaces every check's own tolerance: at 1e-6 all of seed 5 passes; at 1e-15 four
     # claims of seed 9 fail on rounding alone (GOLDEN_EXIT).
     **{f"verify_all_seed{seed}_tol{tol}.jsonl": ["verify", "--suite", "all", "--seed", str(seed),
                                                   "--tol", tol, "--format", "json"]
