@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -536,6 +537,18 @@ def test_every_member_over_the_whole_domain_has_its_measure(cls):
             continue
         assert shape.area() == pytest.approx(measure, rel=1e-13, abs=0.0), p
         assert shape.semiperimeter() == pytest.approx(measure, rel=1e-13, abs=0.0), p
+
+
+def test_triangle_measure_is_its_exact_square_root_to_rounding():
+    # Pi^2 = (r + s + 1)^3 / ((-r + s + 1)(r - s + 1)(r + s - 1)) is a rational of the float r
+    # and s. The sweep's unit members are built from Heron's product, so they cannot see its
+    # error; this can.
+    rng = random.Random("sweep triangle")
+    for _ in range(300):
+        p = _sweep_triangle(rng)
+        r, s = Fraction(p.r), Fraction(p.s)
+        exact = (r + s + 1) ** 3 / ((-r + s + 1) * (r - s + 1) * (r + s - 1))
+        assert abs(Fraction(fundamental_measure(p)) ** 2 / exact - 1) < 2e-15, p
 
 
 @pytest.mark.parametrize(
