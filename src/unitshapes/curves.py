@@ -1137,7 +1137,7 @@ def _field_from_json(name: str, value):
     return Point(*floats) if name in _POINT_FIELDS else floats
 
 
-# Every kind but the polyline, whose JSON names are its constructor's arguments, its _fields.
+# Each kind but the polyline, read as its _fields, its constructor's arguments in order.
 _PIECE_KINDS = {cls.kind: cls for cls in (
     LineSegment, CircularArc, EllipticalArc, ParabolicArc, RationalPoint)}
 
