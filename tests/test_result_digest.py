@@ -7,10 +7,13 @@ measure, or its exception's type and message. Each CLI call's line is its exit c
 SHA-256 of its stdout. The ``suites`` section holds every report line of ``run_suite("all",
 seed)`` for seeds 0-19 and the ``repr`` of ``minimize_2d`` for both two-parameter families at
 three tolerances. It calls them directly, not through the benchmark's ``search`` pool, so a
-change to that pool does not move it. ``golden/result_digest.json`` holds one SHA-256 per section and the
-lines themselves, so a change that claims the same results shows the same digests, and a
-change that moves results on purpose shows in the file's diff which requests moved and by how
-much. Regenerate it on purpose only, from the root of the repository:
+change to that pool does not move it. The ``search`` section holds the ``minimize_1d`` and
+``scan`` tasks of that pool (1,000 tasks): a minimum as its ``repr``, a scan as the SHA-256 of
+its values' reprs. ``golden/result_digest.json`` holds one SHA-256 per section and the lines
+themselves, so a change that claims the same results shows the same digests, and a change that
+moves results on purpose shows in the file's diff which requests moved and by how much. On a
+mismatch the test names every moved request, with its relative move where only numbers moved.
+Regenerate the file on purpose only, from the root of the repository:
 
     PYTHONPATH=src python tests/test_result_digest.py
 """
@@ -21,9 +24,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
+import re
 import sys
 
+import unitshapes
 from unitshapes import cli, shape_from_json, unitize
 from unitshapes.cli import FORMATS
 from unitshapes.optimize import minimize_2d
@@ -32,7 +38,7 @@ from unitshapes.verify import run_suite
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 DIGEST = GOLDEN / "result_digest.json"
-POOL_SIZES = {"curved": 4000, "polygon": 3000}  # the benchmark's pool sizes
+POOL_SIZES = {"curved": 4000, "polygon": 3000, "search": 1000}  # the benchmark's pool sizes
 SUITE_SEEDS = range(20)
 MINIMIZE_TOLS = (1e-7, 3e-8, 1e-8)
 
@@ -73,6 +79,13 @@ def _cli_line(argv: tuple[str, ...]) -> str:
     return f"exit {code} stdout {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 
+def _search_line(workloads, task: tuple) -> str:
+    result = workloads.run_task(unitshapes, task)
+    if task[0] == "scan":
+        return hashlib.sha256("\n".join(map(repr, result.values)).encode()).hexdigest()
+    return repr(result)
+
+
 def sections() -> dict[str, list[tuple[str, str]]]:
     """Each section's (request, line) pairs: the pools', the CLI calls' and the search results'."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
@@ -81,8 +94,8 @@ def sections() -> dict[str, list[tuple[str, str]]]:
     finally:
         sys.path.remove(str(HERE.parent / "perfbench"))
     out = {}
-    for name, size in POOL_SIZES.items():
-        requests = getattr(workloads, name)(size)
+    for name in ("curved", "polygon"):
+        requests = getattr(workloads, name)(POOL_SIZES[name])
         out[name] = [(f"{name}[{i}] {req.kind}: {req.payload[:120]}", _measure_line(req.payload))
                      for i, req in enumerate(requests)]
     out["cli"] = [(" ".join(argv), _cli_line(argv)) for argv in CLI_CALLS]
@@ -92,6 +105,9 @@ def sections() -> dict[str, list[tuple[str, str]]]:
         *((f"minimize_2d({family!r}, tol={tol})", repr(minimize_2d(family, tol=tol)))
           for family in ("triangle", "parallelogram") for tol in MINIMIZE_TOLS),
     ]
+    out["search"] = [(f"search[{i}] {req.payload!r}", _search_line(workloads, req.payload))
+                     for i, req in enumerate(workloads.search(POOL_SIZES["search"]))
+                     if req.payload[0] in ("minimize_1d", "scan")]
     return out
 
 
@@ -99,18 +115,40 @@ def digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+# A number as ``repr`` writes a float or an int, standing apart from words and other numbers.
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[+-]?\d+)?|inf|nan)(?![\w.])")
+
+
+def relative_move(old: str, new: str) -> float | None:
+    """The largest relative move between the numbers of two lines, or None where more than
+    their numbers differ (a hash, a message or the count of numbers)."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return None
+    move = 0.0
+    for a, b in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
+        if a != b:
+            step = abs(b - a) / abs(a) if a else abs(b)
+            move = max(move, step if not math.isnan(step) else math.inf)
+    return move
+
+
 def test_results_match_the_committed_digest():
     committed = json.loads(DIGEST.read_text())
+    moved = []
     for name, pairs in sections().items():
         lines = [line for _, line in pairs]
         if digest(lines) == committed["sha256"][name]:
             continue
         expected = committed[name]
+        if len(expected) != len(lines) or digest(expected) != committed["sha256"][name]:
+            moved.append(f"{name}: {len(lines)} results against {len(expected)} committed, or a "
+                         f"digest that is not the hash of the committed lines")
         for (request, line), old in zip(pairs, expected):
-            assert line == old, (f"first differing request: {request}\n"
-                                 f"  committed: {old}\n  now:       {line}")
-        raise AssertionError(f"{name}: {len(lines)} results against {len(expected)} committed, or "
-                             f"a digest that is not the hash of the committed lines")
+            if line != old:
+                move = relative_move(old, line)
+                moved.append(f"{request}\n  committed: {old}\n  now:       {line}\n  relative "
+                             f"move: {'not numeric' if move is None else f'{move:.3e}'}")
+    assert not moved, f"{len(moved)} moved:\n" + "\n".join(moved)
 
 
 if __name__ == "__main__":
