@@ -13,6 +13,7 @@ integral is kept only as the reference that the ``conciliation`` suite of
 from __future__ import annotations
 
 import math
+import typing
 
 from .curves import EllipticalArc, Point, Shape, ellipse_half_perimeter, make_polygon
 from .errors import DomainError
@@ -230,15 +231,12 @@ class RegularPolygon(Record):
         return make_polygon([(radius * math.cos(a), radius * math.sin(a)) for a in angles])
 
 
-FamilyParam = (
-    RightTriangle | Triangle | Rectangle | Rhombus | Parallelogram | Ellipse | RegularPolygon
-)
-
 # The one list of families. Each class carries its ``name``, ``_measure``, ``_unit_shape``, its
 # rows of the standard ``catalog`` table as parameter tuples (``table``), ``draw(rng)``, a seeded
 # member away from blow-up boundaries for the verify suites, and search data: a one-parameter
 # ``bracket``, or two-parameter Nelder-Mead ``seeds`` and ``step``.
 FAMILIES = (RightTriangle, Triangle, Rectangle, Rhombus, Parallelogram, Ellipse, RegularPolygon)
+FamilyParam = typing.Union[FAMILIES]  # a parameter record of any one family
 FAMILY_BY_NAME = {cls.name: cls for cls in FAMILIES}
 
 

@@ -116,25 +116,22 @@ def catalog_cmd(family, theta, r, s, m, degrees, fmt):
     param = _family_param(family, theta, r, s, m, degrees)
     entries = [param] if param is not None else [
         cls(*row) for cls in catalog.FAMILIES for row in cls.table]
-    rows = []
-    for p in entries:
-        d = family_to_dict(p)
-        name = d.pop("family")
-        rows.append({"family": name, "params": d, "Pi": fundamental_measure(p)})
+    rows = [(family_to_dict(p), fundamental_measure(p)) for p in entries]
     if fmt == "json":
-        for row in rows:
-            print(json.dumps({"family": row["family"], **row["params"], "Pi": row["Pi"]}))
+        for d, measure in rows:
+            print(json.dumps({**d, "Pi": measure}))
     elif fmt == "csv":
         print(
             _csv_text(
                 ["family", "params", "Pi"],
-                [[row["family"], json.dumps(row["params"]), repr(row["Pi"])] for row in rows],
+                [[d.pop("family"), json.dumps(d), repr(measure)] for d, measure in rows],
             )
         )
     else:
-        for row in rows:
-            params = ", ".join(f"{k}={v:g}" for k, v in row["params"].items())
-            print(f"{row['family']:<16} {params:<24} Pi = {row['Pi']:.12g}")
+        for d, measure in rows:
+            family = d.pop("family")
+            params = ", ".join(f"{k}={v:g}" for k, v in d.items())
+            print(f"{family:<16} {params:<24} Pi = {measure:.12g}")
 
 
 def unitize_cmd(family, theta, r, s, m, degrees, scale, input_text, fmt):
@@ -211,17 +208,18 @@ def scan_cmd(family, quantity, lo, hi, n, fmt):
         raise UsageError(f"--n is at most {MAX_SCAN_POINTS}, got {n}")
     result = optimize.scan(family, quantity, lo, hi, n)
     if fmt == "csv":
-        print(_csv_text(["param", "value"], [[repr(p), repr(v)] for p, v in result.rows()]))
+        rows = zip(result.params, result.values)
+        print(_csv_text(["param", "value"], [[repr(p), repr(v)] for p, v in rows]))
     elif fmt == "json":
         print(
             json.dumps(
                 {
                     "family": result.family,
                     "quantity": result.quantity,
-                    "monotone_runs": [list(run) for run in result.monotone_runs],
-                    "minimum": list(result.minimum),
-                    "maximum": list(result.maximum),
-                    "endpoints": list(result.endpoint_values),
+                    "monotone_runs": result.monotone_runs,
+                    "minimum": result.minimum,
+                    "maximum": result.maximum,
+                    "endpoints": (result.values[0], result.values[-1]),
                 }
             )
         )

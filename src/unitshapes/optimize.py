@@ -196,18 +196,11 @@ def minimize_2d(
     """Best Nelder-Mead result over the family's fixed restart seeds."""
     make = _searchable(family, "seeds", "two")
     objective = _penalized(make)
-
-    best: tuple[tuple[float, ...], float, int, bool] | None = None
-    total_iterations = 0
-    for seed in make.seeds:
-        x, fx, iters, converged = nelder_mead(objective, seed, step=make.step, tol=tol)
-        total_iterations += iters
-        if best is None or fx < best[1]:
-            best = (x, fx, iters, converged)
-    assert best is not None
-    if not best[3]:
+    runs = [nelder_mead(objective, seed, step=make.step, tol=tol) for seed in make.seeds]
+    x, fx, _, converged = min(runs, key=lambda run: run[1])  # the first seed's run on a tie
+    if not converged:
         raise NotConverged(f"no Nelder-Mead restart met tolerance {tol} for {family!r}")
-    return MinimizationResult(best[0], best[1], total_iterations, best[3])
+    return MinimizationResult(x, fx, sum(run[2] for run in runs), converged)
 
 
 SCAN_QUANTITIES = ("Pi", "a", "h")
@@ -227,13 +220,6 @@ class ScanResult(Record):
         setfield(self, "monotone_runs", monotone_runs)
         setfield(self, "minimum", minimum)
         setfield(self, "maximum", maximum)
-
-    @property
-    def endpoint_values(self) -> tuple[float, float]:
-        return self.values[0], self.values[-1]
-
-    def rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.params, self.values))
 
 
 def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult:

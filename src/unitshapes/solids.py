@@ -126,9 +126,7 @@ def _incidence(kind: str) -> tuple[tuple[tuple[int, int, int], bool, tuple[int, 
             continue  # a triple of an already found facet spans that facet's plane
         a = pts[tri[0]]
         n = _cross(_sub(pts[tri[1]], a), _sub(pts[tri[2]], a))
-        norm = math.hypot(*n)
-        if norm <= tol * edge_length:
-            continue  # collinear triple; |n| is twice its area, a squared length
+        norm = math.hypot(*n)  # no three vertices of a convex solid are collinear
         ux, uy, uz = n[0] / norm, n[1] / norm, n[2] / norm
         offset = ux * a[0] + uy * a[1] + uz * a[2]
         above = below = False

@@ -389,7 +389,7 @@ def test_scan_rhombus_diagonal():
     result = scan("rhombus", "h", 0.01, math.pi - 0.01, 201)
     assert len(result.monotone_runs) == 2
     assert result.maximum[1] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-4)
-    lo_val, hi_val = result.endpoint_values
+    lo_val, hi_val = result.values[0], result.values[-1]
     assert lo_val == pytest.approx(2.0, abs=1e-2)
     assert hi_val == pytest.approx(2.0, abs=1e-2)
 
