@@ -878,7 +878,7 @@ class ParabolicArc(CurvePiece):
             asinh_over_z = math.asinh(z) / z if z else 1.0
             mean_speed = 0.5 * ((u0 + u1) * (1.0 + u0 * u0 + u1 * u1) / (u1 * r1 + u0 * r0)
                                 + ratio * asinh_over_z)
-        elif u0 == u1:  # a straight graph, or one whose slope changes below rounding
+        elif u0 == u1:  # both 0, a flat graph: equal non-zero slopes take the branch above
             mean_speed = r0
         else:  # u0 and u1 straddle 0, where g(u1) - g(u0) and u1 - u0 add like-signed terms
             mean_speed = (u1 * r1 + math.asinh(u1) - u0 * r0 - math.asinh(u0)) / (2.0 * (u1 - u0))

@@ -118,6 +118,7 @@ def test_ellipse_measure_approaches_circle_value():
         lambda: Rectangle(-1.0),
         lambda: Rhombus(math.pi),
         lambda: Parallelogram(1.0, 0.0),
+        lambda: Parallelogram(0.0, 1.0),
         lambda: Ellipse(1.0),
         lambda: Ellipse(0.0),
         lambda: RegularPolygon(2),

@@ -526,6 +526,11 @@ def test_verify_rejects_bad_tol(capsys, tol):
     assert "--tol" in err
 
 
+def test_verify_names_a_tol_that_is_not_a_number(capsys):
+    code, out, err = invoke(capsys, "verify", "--tol", "abc")
+    assert (code, out, err) == (2, "", "error: argument --tol: invalid float value: 'abc'\n")
+
+
 @pytest.mark.parametrize("bound", [["--lo", "5.0"], ["--hi", "5.0"]])
 def test_minimize_rejects_half_bracket(capsys, bound):
     code, out, err = invoke(capsys, "minimize", "--family", "rectangle", *bound)

@@ -917,6 +917,11 @@ def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
     assert straight.length() == 3.5 * math.hypot(1.0, 0.6)
 
 
+def test_flat_parabolic_arc_is_as_long_as_its_span():
+    # Zero slope at both ends: the only arc whose slopes are equal and not of one sign.
+    assert ParabolicArc((0.0, 0.0, 2.0), -1.5, 2.0).length() == 3.5
+
+
 # --- similarity transforms --------------------------------------------------
 
 # Poses for the arc kinds: any rotation, with and without a mirror, a power-of-two or a

@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from unitshapes.catalog import FAMILIES, Triangle, fundamental_measure
+from unitshapes import optimize
+from unitshapes.catalog import FAMILIES, Parallelogram, Triangle, fundamental_measure
 from unitshapes.errors import DomainError, NotConverged
 from unitshapes.optimize import (
     _penalized,
@@ -331,6 +332,40 @@ def test_parallelogram_minimum_is_square():
     assert result.min_value == pytest.approx(oracle_value, abs=1e-6)
 
 
+def _stub_restarts(monkeypatch, runs):
+    """Make nelder_mead answer the family's restart seeds, in order, with ``runs``, each a
+    (value, iterations, converged), at the seed itself."""
+    answers = iter(runs)
+
+    def stub(f, start, step, tol):
+        value, iterations, converged = next(answers)
+        return tuple(start), value, iterations, converged
+
+    monkeypatch.setattr(optimize, "nelder_mead", stub)
+
+
+def test_minimize_2d_takes_the_first_seed_of_the_tied_best(monkeypatch):
+    seeds = Parallelogram.seeds
+    _stub_restarts(monkeypatch, [(5.0, 1, True), (4.0, 2, True), (4.0, 3, False), (4.5, 4, True),
+                                 (4.0, 5, True)])
+    result = minimize_2d("parallelogram")
+    assert result.argmin == seeds[1]
+    assert result.min_value == 4.0
+    assert result.converged
+    assert result.iterations == 1 + 2 + 3 + 4 + 5  # every run's, not the best run's
+
+
+def test_minimize_2d_raises_when_no_restart_converges(monkeypatch):
+    _stub_restarts(monkeypatch, [(4.0, 1000, False)] * len(Triangle.seeds))
+    with pytest.raises(NotConverged, match="no Nelder-Mead restart met tolerance 1e-08"):
+        minimize_2d("triangle")
+
+
+def test_parallelogram_objective_is_inf_where_the_angle_is_0():
+    # Parallelogram has no ``admits`` test, so the objective meets its DomainError.
+    assert _penalized(Parallelogram)((0.0, 1.0)) == math.inf
+
+
 def test_stationary_seed_stays_put():
     # The equilateral corner is a stationary point; starting there must not move.
     result = minimize_2d("triangle")
@@ -404,3 +439,10 @@ def test_scan_validation():
     # The grid is floats, so an integer-parameter family is refused by name, not at its first point.
     with pytest.raises(DomainError, match="scan needs a one-parameter family, got 'regular-polygon'"):
         scan("regular-polygon", "Pi", 3.0, 8.0, 6)
+
+
+def test_scan_names_an_unknown_quantity_and_h_off_the_rhombus():
+    with pytest.raises(DomainError, match=r"unknown scan quantity 'b'; choose from \('Pi', 'a', 'h'\)"):
+        scan("ellipse", "b", 0.1, 0.9, 10)
+    with pytest.raises(DomainError, match="quantity 'h' is defined for the rhombus family only"):
+        scan("rectangle", "h", 0.1, 0.9, 10)

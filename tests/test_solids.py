@@ -123,6 +123,14 @@ def test_table_check_passes():
     assert report.worst_slack <= 1e-9
 
 
+def test_table_check_names_a_cube_volume_moved_by_1e_6(monkeypatch):
+    expression, value = UNIT_VOLUMES["cube"]
+    monkeypatch.setitem(UNIT_VOLUMES, "cube", (expression, value + 1e-6))
+    report = check_platonic_table()
+    assert not report.passed
+    assert [c["solid"] for c in report.counterexamples] == ["cube"]
+
+
 def test_solids_table_rows():
     rows = solids_table()
     assert [row["solid"] for row in rows] == list(KINDS)

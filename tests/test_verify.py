@@ -118,6 +118,15 @@ def test_scale_equivalence_circle_above_pi():
     assert report.worst_slack < 0.0
 
 
+def test_scale_equivalence_fails_a_shape_that_is_not_unit():
+    # The radius-2 circle's mean of area and semiperimeter is 3 pi, so rho = 0.99 * 3 pi passes
+    # that side while every rescaling has rho A > S^2: each kappa is a counterexample.
+    report = check_scale_equivalence(make_circle(2.0), 0.99 * 3.0 * math.pi, [0.5, 1.0, 3.0])
+    assert not report.passed
+    assert [c["kappa"] for c in report.counterexamples] == [0.5, 1.0, 3.0]
+    assert all(c["expected"] and c["slack"] < 0.0 for c in report.counterexamples)
+
+
 # --- m-gon bound ---------------------------------------------------------------
 
 
@@ -143,6 +152,13 @@ def test_mgon_equality_survives_scaling():
     for kappa in (0.25, 1.0, 17.0):
         report = check_mgon_bound(5, [scaled(regular, kappa)])
         assert report.details["equality_indices"] == [0]
+
+
+def test_mgon_bound_fails_a_hexagon_held_to_the_triangle_bound():
+    report = check_mgon_bound(3, [build_unit_shape(RegularPolygon(6))])
+    assert not report.passed
+    assert [c["index"] for c in report.counterexamples] == [0]
+    assert report.worst_slack < 0.0
 
 
 def test_rho_4_is_square_constant():
