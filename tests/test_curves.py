@@ -915,10 +915,7 @@ def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
         assert arc.length() == pytest.approx(abs(x1 - x0) * math.hypot(1.0, slope), rel=1e-14)
     straight = ParabolicArc((0.0, 0.6, -0.3), -1.5, 2.0)
     assert straight.length() == 3.5 * math.hypot(1.0, 0.6)
-
-
-def test_flat_parabolic_arc_is_as_long_as_its_span():
-    # Zero slope at both ends: the only arc whose slopes are equal and not of one sign.
+    # Zero slope at both ends, the one pair of equal slopes that are not of one sign.
     assert ParabolicArc((0.0, 0.0, 2.0), -1.5, 2.0).length() == 3.5
 
 

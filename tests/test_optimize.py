@@ -439,9 +439,6 @@ def test_scan_validation():
     # The grid is floats, so an integer-parameter family is refused by name, not at its first point.
     with pytest.raises(DomainError, match="scan needs a one-parameter family, got 'regular-polygon'"):
         scan("regular-polygon", "Pi", 3.0, 8.0, 6)
-
-
-def test_scan_names_an_unknown_quantity_and_h_off_the_rhombus():
     with pytest.raises(DomainError, match=r"unknown scan quantity 'b'; choose from \('Pi', 'a', 'h'\)"):
         scan("ellipse", "b", 0.1, 0.9, 10)
     with pytest.raises(DomainError, match="quantity 'h' is defined for the rhombus family only"):

@@ -82,7 +82,7 @@ def _cli_line(argv: tuple[str, ...]) -> str:
 def _search_line(workloads, task: tuple) -> str:
     result = workloads.run_task(unitshapes, task)
     if task[0] == "scan":
-        return hashlib.sha256("\n".join(map(repr, result.values)).encode()).hexdigest()
+        return digest(list(map(repr, result.values)))
     return repr(result)
 
 
