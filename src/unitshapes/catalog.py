@@ -3,11 +3,11 @@
 Each family is one parameter record class, listed once in ``FAMILIES``,
 which also carries its rows of the standard ``catalog`` table and its
 seeded draw for the verify suites; ``fundamental_measure`` evaluates its
-closed form (the ellipse's half perimeter by the arithmetic-geometric mean)
-and ``build_unit_shape`` constructs its concrete unit-scale member so the
+closed form (the ellipse's half perimeter by Carlson's R_G) and
+``build_unit_shape`` constructs its concrete unit-scale member so the
 curve kernel can cross-check the formulas. Adaptive quadrature of the ellipse's speed
 integral is kept only as the reference that the ``conciliation`` suite of
-``verify`` holds the AGM to.
+``verify`` holds that half perimeter to.
 """
 
 from __future__ import annotations

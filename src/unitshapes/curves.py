@@ -14,9 +14,9 @@ polylines hold absolute coordinates.
 Area comes from the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter
 from the speed integral. Line segments, polylines, circular, elliptical and parabolic
 arcs take both measures in closed form. An elliptical arc's length is the
-complete elliptic integral, ``ellipse_half_perimeter`` by the arithmetic-geometric
-mean, for each whole quarter of its sweep, and the incomplete one, by Carlson's
-R_F and R_D, for the rest; a parabolic arc's is an ``asinh`` form. Only the
+complete elliptic integral, ``ellipse_half_perimeter`` by Carlson's R_G, for each whole
+quarter of its sweep, and the incomplete one for the rest; both come from Carlson's R_F
+and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh`` form. Only the
 trig-free rational arcs take their measures from adaptive quadrature. That quadrature is
 one named reference, ``quadrature_length``, ``quadrature_area_term`` and
 ``quadrature_measures``, which measures any piece or shape as an independent cross-check
@@ -47,7 +47,6 @@ from .quadrature import adaptive_quadrature
 from .records import Record, setfield
 
 JOIN_TOL = 1e-12
-AGM_MAX_STEPS = 64  # the AGM converges quadratically; about 10 steps reach 1e-15
 # Carlson's stop rule for a relative error r = 1e-16: the arguments lie within (3r)^(1/6) of
 # R_F's mean and (r/4)^(1/6) of R_D's. Disparate arguments draw together quadratically, then
 # fourfold a step, so about 10 to 20 steps suffice.
@@ -522,31 +521,21 @@ class CircularArc(CurvePiece):
 
 
 def ellipse_half_perimeter(a: float, b: float) -> float:
-    """Half the perimeter of the ellipse with semi-axes a, b > 0, by the arithmetic-geometric mean.
+    """Half the perimeter of the ellipse with semi-axes a, b > 0, by Carlson's R_G.
 
-    pi (a^2 - sum_n 2^(n-1) c_n^2) / M(a, b) with c_0^2 = a^2 - b^2 (Borwein & Borwein,
-    *Pi and the AGM*, 1987). The loop stops once c_n is below an ulp-scale share of
-    a_n: a_n and b_n can stay one ulp apart forever, so c_n == 0 is no stop rule. The
-    semi-axes are first scaled by the power of two that takes the major one into [1, 2),
-    which changes no bit of a normal result and keeps the squares clear of overflow and
-    underflow at any scale; a half perimeter beyond the float range is inf.
+    That is 4 R_G(0, a^2, b^2) (Carlson 1995, arXiv:math/9409227). With z = (minor/major)^2,
+    2 R_G(0, 1, z) = z R_F(0, 1, z) + z (1 - z) R_D(0, 1, z) / 3, whose terms are all
+    positive, so nothing cancels at any axis ratio. Where z leaves the normal range, R_D's 1/z
+    would overflow; the bracket has rounded to 1 since z = 2^-60, so the half perimeter is
+    2 major, a segment there and back. A half perimeter beyond the float range is inf.
     """
     major, minor = max(a, b), min(a, b)
-    exponent = math.frexp(major)[1] - 1
-    an, bn = math.ldexp(major, -exponent), math.ldexp(minor, -exponent)
-    if bn == 0.0 < minor:  # minor/major is below the least float: a segment there and back
+    ratio = minor / major
+    z = ratio * ratio
+    if z < 2.0**-1022:
         return 2.0 * major
-    major_squared = an * an
-    cn = math.sqrt((an - bn) * (an + bn))
-    weight = 0.5
-    total = weight * cn * cn
-    for _ in range(AGM_MAX_STEPS):
-        if cn <= 1e-15 * an:
-            return math.pi * (major_squared - total) / an * 2.0**exponent
-        an, bn, cn = 0.5 * (an + bn), math.sqrt(an * bn), 0.5 * (an - bn)
-        weight *= 2.0
-        total += weight * cn * cn
-    raise ArithmeticError(f"AGM for semi-axes ({a}, {b}) did not converge in {AGM_MAX_STEPS} steps")
+    rf, rd = carlson_rf_rd(0.0, 1.0, z)
+    return 2.0 * major * (z * rf + z * (1.0 - z) * rd / 3.0)
 
 
 def carlson_rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
@@ -704,9 +693,9 @@ def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | Non
     integral by ``_part_quarter_arc``. A part between a quarter end k pi/2 and an end of
     the sweep that is w wide, with |w| max(a, b) < 2^-27 times the speed at k pi/2, is
     that speed times w: the speed is stationary there (``_from_quarter_end``). So a half
-    or quarter sweep whose ends lie within rounding of quarter ends takes no R_F or R_D.
-    The semi-axes are first scaled as for the AGM. None when the minor axis is below
-    MIN_AXIS_RATIO of the major one.
+    or quarter sweep whose ends lie within rounding of quarter ends takes no incomplete integral.
+    The semi-axes are first scaled by the power of two that takes the major one into [1, 2).
+    None when the minor axis is below MIN_AXIS_RATIO of the major one.
     """
     lo, hi = min(t0, t1), max(t0, t1)
     exponent = math.frexp(max(a, b))[1] - 1
@@ -736,9 +725,9 @@ class EllipticalArc(CurvePiece):
     that rotates it by ``rotation`` and shifts it to the center.
 
     A sweep of k whole turns is k closed ellipses: its length is 2k times
-    ``ellipse_half_perimeter(a, b)``, by the AGM. Any other sweep's length is
-    ``elliptic_arc_length``: whole quarters from the AGM, the rest an incomplete
-    elliptic integral by Carlson's R_F and R_D. The area term is closed for every sweep.
+    ``ellipse_half_perimeter(a, b)``. Any other sweep's length is ``elliptic_arc_length``:
+    whole quarters from that half perimeter, the rest an incomplete elliptic integral, all by
+    Carlson's R_F and R_D. The area term is closed for every sweep.
     """
 
     _fields = ("center", "semi_axes", "rotation", "t_start", "t_end")
@@ -784,8 +773,8 @@ class EllipticalArc(CurvePiece):
         return t0 if self._turns else t1 - TURN * int((t1 - t0) / TURN)
 
     def _exact_length(self) -> float | None:
-        # A closed ellipse's length is the complete elliptic integral, which the AGM gives;
-        # every other sweep is an incomplete one.
+        # A closed ellipse's length is the complete elliptic integral, Carlson's R_G; every
+        # other sweep adds an incomplete one.
         a, b = self.semi_axes
         if self._turns:
             return 2.0 * self._turns * ellipse_half_perimeter(a, b)

@@ -1,12 +1,13 @@
 """Write ``golden/quarter_arcs.json``: 40-digit lengths of elliptical arcs whose ends lie
-within rounding of quarter ends k pi/2, for ``test_curves``.
+within rounding of quarter ends k pi/2, and of half perimeters, for ``test_curves``.
 
 Each case is an axis pair (a, b) and a sweep (t0, t1) of (a cos t, b sin t), all floats. The
 lengths come from mpmath at 60 digits, from the floats themselves: whole quarters by the
 complete integral E(m), and the part between each end and its nearest quarter end by
 mpmath's quadrature. Each axis pair's quarter length is written too. Short sweeps are checked against a quadrature over the whole sweep,
-split at the quarter ends. Tests read the JSON only; mpmath is needed to regenerate it, from
-the root of the repository:
+split at the quarter ends. ``half_perimeters`` holds axis pairs at ratios 1..1e-12 and each
+one's half perimeter, 2 max(a, b) E(m), as [a, b, value]. Tests read the JSON only; mpmath is
+needed to regenerate it, from the root of the repository:
 
     python tests/quarter_arc_references.py
 """
@@ -23,6 +24,7 @@ mp.dps = 60
 OUT = pathlib.Path(__file__).resolve().parent / "golden" / "quarter_arcs.json"
 
 RATIOS = (1e-3, 0.05, 0.5)
+HALF_PERIMETER_RATIOS = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5)
 SCALES = (1e-12, 1.0, 1e12)
 # Quarter indices k whose float k pi/2 lies within 4e-16 of k pi/2: denominators of the
 # continued fractions of (pi/2)/ulp, for t near 1e9 and 1e12 (and twice one of them).
@@ -30,10 +32,11 @@ LARGE = {"1e9": (133768429, 455432915, 589201344, 2 * 455432915),
          "1e12": (247148399641, 358682241669, 2 * 358682241669)}
 
 
-def axis_pairs() -> list[tuple[float, float]]:
+def axis_pairs(ratios: tuple[float, ...] = RATIOS) -> list[tuple[float, float]]:
+    """Each scale's pairs at each ratio in both orders, then its circle."""
     pairs = []
     for scale in SCALES:
-        for ratio in RATIOS:
+        for ratio in ratios:
             pairs += [(scale, scale * ratio), (scale * ratio, scale)]
         pairs.append((scale, scale))
     return pairs
@@ -97,9 +100,12 @@ def main() -> None:
             row.append(mp.nstr(value, 40))
         lengths.append(row)
     quarters = [mp.nstr(quarter(mpf(a), mpf(b)), 40) for a, b in pairs]
+    halves = [[a, b, mp.nstr(2 * quarter(mpf(a), mpf(b)), 40)]
+              for a, b in axis_pairs(HALF_PERIMETER_RATIOS)]
     rows = ",\n".join(json.dumps(row) for row in lengths)
     OUT.write_text(f'{{"axes": {json.dumps(pairs)},\n"quarters": {json.dumps(quarters)},\n'
-                   f'"sweeps": {json.dumps(arcs)},\n"lengths": [\n{rows}]}}\n')
+                   f'"sweeps": {json.dumps(arcs)},\n"lengths": [\n{rows}],\n'
+                   f'"half_perimeters": {json.dumps(halves)}}}\n')
 
 
 if __name__ == "__main__":

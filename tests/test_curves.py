@@ -683,34 +683,42 @@ def test_short_arc_keeps_its_relative_accuracy(k, ratio):
                 assert arc.reversed_().length() == arc.length()
 
 
-class CarlsonCalled(Exception):
+class IncompleteIntegralCalled(Exception):
     pass
 
 
-def test_arcs_between_quarter_ends_take_no_carlson_integral(monkeypatch):
+def test_arcs_between_quarter_ends_take_no_incomplete_integral(monkeypatch):
     # Quarter, half and three-quarter sweeps from float k pi/2, k = -9..9, and sweeps between
     # floats within 4e-16 of quarter ends near 1e9 and 1e12, at axis ratios 1e-3..1 in both
     # orders and scales 1e-12..1e12, mirrored and reversed. The part between each end and its
-    # quarter end is its width times the speed there, so R_F and R_D never run. The lengths
-    # are 40-digit references from the floats (quarter_arc_references.py, mpmath). Each is
-    # within 4 ulps once the n whole quarters' own error is allowed: the AGM's quarter is up to
-    # 5.7 ulps off at ratio 1e-3, where its a^2 - sum 2^(n-1) c_n^2 cancels.
+    # quarter end is its width times the speed there, so no incomplete integral runs; whole
+    # quarters come from the half perimeter. The lengths are 40-digit references from the
+    # floats (quarter_arc_references.py, mpmath), and each is within 4 ulps.
     def fail(*args):
-        raise CarlsonCalled(args)
+        raise IncompleteIntegralCalled(args)
 
-    monkeypatch.setattr(curves, "carlson_rf_rd", fail)
-    with pytest.raises(CarlsonCalled):  # the patch is the one the kernel calls
+    monkeypatch.setattr(curves, "_eighth_arc", fail)
+    with pytest.raises(IncompleteIntegralCalled):  # the patch is the one the kernel calls
         EllipticalArc(Point(0.0, 0.0), (1.0, 0.5), 0.0, 0.0, 1.0).length()
     refs = json.loads((pathlib.Path(__file__).parent / "golden" / "quarter_arcs.json").read_text())
-    for (a, b), quarter, lengths in zip(refs["axes"], refs["quarters"], refs["lengths"]):
-        quarter_error = abs(Decimal(0.5 * ellipse_half_perimeter(a, b)) - Decimal(quarter))
+    for (a, b), lengths in zip(refs["axes"], refs["lengths"]):
         for (t0, t1), reference in zip(refs["sweeps"], lengths):
-            whole = round(abs(t1 - t0) / (0.5 * math.pi))
             for s0, s1 in ((t0, t1), (t1, t0), (-t0, -t1), (-t1, -t0)):
                 length = EllipticalArc(Point(0.0, 0.0), (a, b), 0.0, s0, s1).length()
                 error = abs(Decimal(length) - Decimal(reference))
-                assert error <= 4 * Decimal(math.ulp(length)) + whole * quarter_error, (
-                    a, b, s0, s1, length, reference)
+                assert error <= 4 * Decimal(math.ulp(length)), (a, b, s0, s1, length, reference)
+
+
+def test_ellipse_half_perimeter_is_within_6_ulps_of_its_40_digit_value():
+    # Axis ratios 1..1e-12 in both orders at scales 1e-12..1e12, against 2 max(a, b) E(m) of
+    # the floats (quarter_arc_references.py, mpmath). The AGM form
+    # pi (a^2 - sum 2^(n-1) c_n^2) / M(a, b) cancels at small ratios, up to 34 ulps here.
+    refs = json.loads((pathlib.Path(__file__).parent / "golden" / "quarter_arcs.json").read_text())
+    assert len(refs["half_perimeters"]) == 39
+    for a, b, reference in refs["half_perimeters"]:
+        half = ellipse_half_perimeter(a, b)
+        error = abs(Decimal(half) - Decimal(reference))
+        assert error <= 6 * Decimal(math.ulp(half)), (a, b, half, reference)
 
 
 @pytest.mark.parametrize(
@@ -747,7 +755,8 @@ def test_arc_length_where_the_quotient_rounds_onto_a_quarter_end(sign):
 
 @pytest.mark.parametrize("size", [1e-300, 1e-200, 1e200, 1e300])
 def test_whole_turn_length_at_the_ends_of_the_float_range(size):
-    # The AGM's squares of semi-axes this size would overflow or underflow unscaled.
+    # Squares of semi-axes this size would overflow or underflow; the length squares only
+    # their ratio.
     arc = EllipticalArc(Point(0.0, 0.0), (size, 0.4 * size), 0.3, 1.0, 1.0 - 2.0 * math.pi)
     assert arc.length() == pytest.approx(2.0 * size * ellipse_half_perimeter(1.0, 0.4), rel=1e-15)
 
