@@ -16,12 +16,14 @@ from the speed integral. Line segments, polylines, circular, elliptical and para
 arcs take both measures in closed form. An elliptical arc's length is the
 complete elliptic integral, ``ellipse_half_perimeter`` by Carlson's R_G, for each whole
 quarter of its sweep, and the incomplete one for the rest; both come from Carlson's R_F
-and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh`` form. Only the
-trig-free rational arcs take their measures from adaptive quadrature. That quadrature is
-one named reference, ``quadrature_length``, ``quadrature_area_term`` and
-``quadrature_measures``, which measures any piece or shape as an independent cross-check
-of the closed forms, to the one relative tolerance ``quadrature.REL_TOL``. A Polyline
-holds coordinate tuples, and ``_edge_terms`` is the one loop over its edges.
+and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh`` form, and a trig-free
+rational arc's is 2 |atan2(t1 - t0, 1 + t0 t1)|. Only the rational arc's area term takes
+adaptive quadrature, and an arc reaching past ``MAX_RATIONAL_T``, which that quadrature
+would lose, is rejected. That quadrature is one named reference, ``quadrature_length``,
+``quadrature_area_term`` and ``quadrature_measures``, which measures any piece or shape
+as an independent cross-check of the closed forms, to the one relative tolerance
+``quadrature.REL_TOL``. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one
+loop over its edges.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
@@ -54,6 +56,9 @@ CARLSON_RF_SHARE = (3.0e-16) ** (1.0 / 6.0)
 CARLSON_RD_SHARE = (0.25e-16) ** (1.0 / 6.0)
 CARLSON_MAX_STEPS = 64
 MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
+# A rational arc reaching past this |t| is rejected: from about 1e15 on, the first GK15 panel of
+# its area term's quadrature misses the arc, and the estimate falls below the absolute floor.
+MAX_RATIONAL_T = 1e13
 TURN = 2.0 * math.pi
 QUARTER_TURN = 0.5 * math.pi
 # pi/2 as a 33-bit head and its tail (fdlibm's pio2_1, pio2_1t): the head times an integer
@@ -907,6 +912,9 @@ class RationalPoint(CurvePiece):
 
     The parameterization is trig-free: both coordinates and their derivatives
     are rational in t. t in [-1, 1] covers the upper half of the circle.
+
+    The length is closed at every finite t. The area term is the quadrature reference's, so
+    an arc reaching past ``MAX_RATIONAL_T`` raises DomainError when it is measured.
     """
 
     __slots__ = _fields = ("t_start", "t_end", "frame")
@@ -940,6 +948,25 @@ class RationalPoint(CurvePiece):
         u = 1.0 / t
         d = (1.0 + u * u) ** 2
         return (2.0 * u * u * (u * u - 1.0) / d, -4.0 * u * u * u / d)
+
+    def _exact_length(self) -> float:
+        # t sits at polar angle pi/2 - 2 atan t, and (1 + t0 t1, t1 - t0) is (cos d, sin d)
+        # sqrt((1 + t0^2)(1 + t1^2)) for d = atan t1 - atan t0 in (-pi, pi): atan2 takes its
+        # branch from the signs, and nearly equal ends do not cancel.
+        t0, t1 = self.t_start, self.t_end
+        big = max(abs(t0), abs(t1))
+        if big * big == math.inf:
+            # t0 t1 or t1 - t0 could overflow: a power of two scales both arguments exactly.
+            s = 2.0 ** -math.frexp(big)[1]
+            return 2.0 * abs(math.atan2(t1 * s - t0 * s, s + (t0 * s) * t1))
+        return 2.0 * abs(math.atan2(t1 - t0, 1.0 + t0 * t1))
+
+    def _exact_area_term(self) -> None:
+        t = max(self.t_start, self.t_end, key=abs)
+        if abs(t) > MAX_RATIONAL_T:
+            raise DomainError(f"rational arc parameter t = {t!r} lies beyond {MAX_RATIONAL_T:g}, "
+                              "where its area term cannot be measured")
+        return None
 
     def _placed(self, frame: RigidMotion, scale: float) -> CurvePiece:
         if scale == 1.0:

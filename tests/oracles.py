@@ -3,12 +3,14 @@
 Nothing here goes through the package's quadrature or search code: integrals
 use dense composite Simpson, minima come from exhaustive grid evaluation of
 numpy-vectorized closed forms (with one zoom pass where grid resolution alone
-cannot reach the required value accuracy).
+cannot reach the required value accuracy), and arctangents are Taylor series
+in 80-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
@@ -129,3 +131,33 @@ def measure_multiset_match(a, b, rel_tol: float = 1e-8) -> bool:
         math.isclose(x, y, rel_tol=0.0, abs_tol=rel_tol * scale)
         for x, y in zip(lengths_a, lengths_b)
     )
+
+
+def decimal_atan(x: Decimal) -> Decimal:
+    """atan x to 80 digits: atan x = pi/2 - atan(1/x) past 1, then the half-angle step
+    atan x = 2 atan(x / (1 + sqrt(1 + x^2))) until the Taylor series converges fast."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        if abs(x) > 1:
+            return (decimal_atan(Decimal(1)) * 2).copy_sign(x) - decimal_atan(1 / x)
+        halvings = 0
+        while abs(x) > Decimal("1e-4"):
+            x /= 1 + (1 + x * x).sqrt()
+            halvings += 1
+        total, power, n = Decimal(0), x, 1
+        while abs(power) > abs(x) * Decimal("1e-82"):
+            total += power / n
+            power *= -x * x
+            n += 2
+        return total * 2**halvings
+
+
+def rational_arc_sweep(t0: float, t1: float) -> Decimal:
+    """atan t1 - atan t0 to about 80 digits, half the rational arc's signed length. Past 1 on
+    one side atan t = +-pi/2 - atan(1/t), so the two pi/2 cancel before any rounding."""
+    a, b = Decimal(t0), Decimal(t1)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        if min(abs(a), abs(b)) > 1 and (a > 0) == (b > 0):
+            return decimal_atan(1 / a) - decimal_atan(1 / b)
+        return decimal_atan(b) - decimal_atan(a)

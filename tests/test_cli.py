@@ -96,8 +96,10 @@ def test_unitize_joins_a_half_disk_of_radius_1e8(tmp_path, capsys):
 
 
 def test_unitize_of_a_rational_arc_from_t_1e100_exits_two(tmp_path, capsys):
-    # (1 + t^2)^2 overflows at t = 1e100, where the velocity divides through by t^4 instead; the
-    # quadrature of the area term then cannot meet its tolerance, which is an input error.
+    # The length is closed at any t, but the area term's quadrature drops an arc from t past
+    # about 1e15 without a word: its first panel misses the arc. (With the length taken by
+    # quadrature too, that quadrature failed first, past t of about 1e18.) So an arc past
+    # curves.MAX_RATIONAL_T = 1e13 is rejected, which is an input error.
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"pieces": [
         {"kind": "rational_point", "t_start": 1e100, "t_end": -1.0},
@@ -105,6 +107,18 @@ def test_unitize_of_a_rational_arc_from_t_1e100_exits_two(tmp_path, capsys):
     code, out, err = invoke(capsys, "unitize", "--input", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unitize_of_a_rational_arc_from_t_1e16_exits_two_naming_t(tmp_path, capsys):
+    # The area term's quadrature lost this arc and printed 18.767629358460457, where the measure
+    # is 3.2854256639223482.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [
+        {"kind": "rational_point", "t_start": 1e16, "t_end": -1.0},
+        {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rational arc parameter t = 1e+16 ") and err.count("\n") == 1
 
 
 def test_scan_csv(capsys):

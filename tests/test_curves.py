@@ -27,6 +27,7 @@ from unitshapes.curves import (
     Similarity,
     carlson_rf_rd,
     ellipse_half_perimeter,
+    MAX_RATIONAL_T,
     make_circle,
     make_polygon,
     make_rational_circle,
@@ -41,7 +42,7 @@ from unitshapes.curves import (
 from unitshapes.errors import DomainError, UnitShapesError
 from unitshapes.unitize import unitize
 
-from oracles import dense_simpson
+from oracles import dense_simpson, rational_arc_sweep
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -427,6 +428,70 @@ def test_rational_circle_matches_circular_arc_circle():
     assert rational.semiperimeter() == pytest.approx(arc.semiperimeter(), rel=1e-10)
 
 
+RATIONAL_ARC_ENDS = [
+    (1.0, -1.0), (-3.0, 0.2), (0.3, -0.9), (-0.2, 2.9), (7.0, 1e-3),
+    # Nearly equal ends.
+    (0.3, math.nextafter(0.3, 1.0)), (-7.0, math.nextafter(-7.0, 0.0)), (1e5, 1e5 + 1e-10),
+    (0.0, 5e-324), (1e-300, 2e-300),
+    # t0 t1 near -1, where 1 + t0 t1 cancels and the sweep is near a half turn.
+    (2.0, -0.5), (3.0, -1.0 / 3.0), (0.1, math.nextafter(-10.0, 0.0)), (1e8, -1e-8),
+    (-1e150, 1e-150), (1e300, -1e-300),
+    # Far ends: t0 t1 and t1 - t0 overflow past |t| of about 1.34e154 and 9e307.
+    (1e16, -1.0), (1e100, -1.0), (1.3e154, 1.4e154), (-1e200, -1e100), (1e300, 1e-300),
+    (1e300, math.nextafter(1e300, math.inf)), (1e300, -1e300), (1.7e308, -1.7e308),
+    (-1.7e308, 1e-308),
+]
+RATIONAL_ARC_FRAMES = [RigidMotion(), RigidMotion(0.7, True, (3.0, -2.0)),
+                       RigidMotion(-2.5, False, (-1e6, 4e5))]
+
+
+@pytest.mark.parametrize("t0, t1", RATIONAL_ARC_ENDS)
+def test_rational_arc_length_is_within_2_ulps_of_its_80_digit_value(t0, t1):
+    # Twice |atan t1 - atan t0| by Taylor series in decimal arithmetic (oracles.py), for the arc
+    # posed, mirrored and shifted, and reversed.
+    reference = 2 * abs(rational_arc_sweep(t0, t1))
+    for frame in RATIONAL_ARC_FRAMES:
+        for s0, s1 in ((t0, t1), (t1, t0)):
+            length = RationalPoint(s0, s1, frame).length()
+            error = abs(Decimal(length) - reference)
+            assert 0.0 < length and error <= 2 * Decimal(math.ulp(length)), (s0, s1, length)
+
+
+def test_rational_arc_length_against_the_quadrature_reference():
+    rng = random.Random(29)
+    for _ in range(300):
+        t0, t1 = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+        frame = RigidMotion(rng.uniform(-4.0, 4.0), rng.random() < 0.5,
+                            (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)))
+        arc = RationalPoint(t0, t1, frame)
+        assert arc.length() == pytest.approx(quadrature_length(arc), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("frame", RATIONAL_ARC_FRAMES[:2], ids=["plain", "mirrored"])
+def test_rational_area_term_quadrature_holds_to_the_parameter_bound(frame):
+    # The circular arc at the polar angles pi/2 - 2 atan t, in the same frame, gives the term in
+    # closed form. Past MAX_RATIONAL_T the quadrature's first panel misses the arc.
+    for t0 in (-1.0, 0.3, -5.0):
+        for t1 in [sign * 10.0**k for k in range(14) for sign in (1.0, -1.0)] + [MAX_RATIONAL_T]:
+            if t1 == t0:
+                continue
+            angles = [curves.QUARTER_TURN - 2.0 * math.atan(t) for t in (t0, t1)]
+            closed = CircularArc(Point(0.0, 0.0), 1.0, *angles).transformed(Similarity(frame))
+            arc = RationalPoint(t0, t1, frame)
+            assert quadrature_area_term(arc) == pytest.approx(
+                closed.signed_area_term(), rel=0.0, abs=1e-12), (t0, t1)
+
+
+def test_rational_arc_past_the_parameter_bound_is_rejected():
+    at_bound = RationalPoint(MAX_RATIONAL_T, -1.0)
+    assert Shape([at_bound, LineSegment(at_bound.end, at_bound.start)]).area() > 0.0
+    for t in (math.nextafter(MAX_RATIONAL_T, math.inf), -1e16, 1e100, 1.7e308):
+        arc = RationalPoint(t, -1.0)
+        assert arc.length() > 0.0  # the length is closed at every t; the area term is not
+        with pytest.raises(DomainError, match=rf"^rational arc parameter t = {re.escape(repr(t))} "):
+            Shape([arc, LineSegment(arc.end, arc.start)])
+
+
 def test_ellipse_semiperimeter_against_simpson_oracle():
     # Frozen from dense Simpson (n = 200k) on sqrt(sin^2 t + 0.25 cos^2 t).
     expected = 2.422112055136949
@@ -710,11 +775,12 @@ def test_arcs_between_quarter_ends_take_no_incomplete_integral(monkeypatch):
 
 
 def test_ellipse_half_perimeter_is_within_6_ulps_of_its_40_digit_value():
-    # Axis ratios 1..1e-12 in both orders at scales 1e-12..1e12, against 2 max(a, b) E(m) of
-    # the floats (quarter_arc_references.py, mpmath). The AGM form
-    # pi (a^2 - sum 2^(n-1) c_n^2) / M(a, b) cancels at small ratios, up to 34 ulps here.
+    # Axis ratios 1e-6..1e-12 in both orders at scales 1e-12..1e12, against 2 max(a, b) E(m) of
+    # the floats (quarter_arc_references.py, mpmath); the quarter-end arcs above take in the
+    # ratios 1e-3..1. The AGM form pi (a^2 - sum 2^(n-1) c_n^2) / M(a, b) cancels at small
+    # ratios, up to 34 ulps here.
     refs = json.loads((pathlib.Path(__file__).parent / "golden" / "quarter_arcs.json").read_text())
-    assert len(refs["half_perimeters"]) == 39
+    assert len(refs["half_perimeters"]) == 18
     for a, b, reference in refs["half_perimeters"]:
         half = ellipse_half_perimeter(a, b)
         error = abs(Decimal(half) - Decimal(reference))
