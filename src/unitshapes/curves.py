@@ -18,20 +18,22 @@ complete elliptic integral, ``ellipse_half_perimeter`` by Carlson's R_G, for eac
 quarter of its sweep, and the incomplete one for the rest; both come from Carlson's R_F
 and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh`` form, and a trig-free
 rational arc's is 2 |atan2(t1 - t0, 1 + t0 t1)|. Only the rational arc's area term takes
-adaptive quadrature, and an arc reaching past ``MAX_RATIONAL_T``, which that quadrature
-would lose, is rejected. That quadrature is one named reference, ``quadrature_length``,
+adaptive quadrature. That quadrature is one named reference, ``quadrature_length``,
 ``quadrature_area_term`` and ``quadrature_measures``, which measures any piece or shape
 as an independent cross-check of the closed forms, to the one relative tolerance
-``quadrature.REL_TOL``. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one
+``quadrature.REL_TOL``. It rejects a rational arc reaching past ``MAX_RATIONAL_T``, which
+it would lose. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one
 loop over its edges.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
 
-A piece's shape JSON is its kind and its fields, or a polyline's ``vertices``:
-``_json_value`` writes each field and ``_field_from_json`` reads it back. That layer
-checks only that numbers are numbers and lists have their lengths; each constructor
-rejects a NaN or an infinity, for JSON and every other caller alike.
+A piece's shape JSON is its kind and its fields, or a polyline's ``vertices``, a list of
+[x, y] pairs: ``_json_value`` writes each field and ``_field_from_json`` reads it back. That
+layer checks only that numbers are numbers and lists have their lengths, and reads the
+vertices in C-level passes; each constructor rejects a NaN or an infinity, for JSON and
+every other caller alike. A Polyline scans its coordinates for one only where its length
+is not finite, or where it would name a zero-length edge.
 
 All types are immutable values; every operation here is pure.
 """
@@ -56,8 +58,9 @@ CARLSON_RF_SHARE = (3.0e-16) ** (1.0 / 6.0)
 CARLSON_RD_SHARE = (0.25e-16) ** (1.0 / 6.0)
 CARLSON_MAX_STEPS = 64
 MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
-# A rational arc reaching past this |t| is rejected: from about 1e15 on, the first GK15 panel of
-# its area term's quadrature misses the arc, and the estimate falls below the absolute floor.
+# The quadrature reference rejects a rational arc reaching past this |t|: from about 1e15 on,
+# the first GK15 panel of its area term misses the arc, and the estimate falls below the
+# absolute floor.
 MAX_RATIONAL_T = 1e13
 TURN = 2.0 * math.pi
 QUARTER_TURN = 0.5 * math.pi
@@ -386,6 +389,11 @@ def _total(terms: list[float]) -> float:
         return sum(terms)
 
 
+def _check_finite(xs: Sequence[float], ys: Sequence[float]) -> None:
+    if not all(map(math.isfinite, chain(xs, ys))):
+        raise DomainError("non-finite number in a polyline")
+
+
 class Polyline(CurvePiece):
     _fields = ("xs", "ys")
     # The length and the area term sit outside the fields, so ==, hash and repr see only the fields.
@@ -398,9 +406,15 @@ class Polyline(CurvePiece):
         xs, ys = tuple(xs), tuple(ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise DomainError(f"polyline needs 2+ (x, y) vertices, got {len(xs)} x and {len(ys)} y")
-        if not all(map(math.isfinite, chain(xs, ys))):
-            raise DomainError("non-finite number in a polyline")
-        length, area_term = _edge_terms(xs, ys)
+        # A NaN or an infinity makes an edge's hypot NaN or inf, and so the length: the
+        # coordinates are scanned only then, or where a zero-length edge would be named first.
+        try:
+            length, area_term = _edge_terms(xs, ys)
+        except DomainError:
+            _check_finite(xs, ys)
+            raise
+        if not length < math.inf:
+            _check_finite(xs, ys)
         setfield(self, "xs", xs)
         setfield(self, "ys", ys)
         setfield(self, "_length", length)
@@ -913,8 +927,10 @@ class RationalPoint(CurvePiece):
     The parameterization is trig-free: both coordinates and their derivatives
     are rational in t. t in [-1, 1] covers the upper half of the circle.
 
-    The length is closed at every finite t. The area term is the quadrature reference's, so
-    an arc reaching past ``MAX_RATIONAL_T`` raises DomainError when it is measured.
+    The length is closed at every finite t. The area term is the quadrature reference's,
+    whose spans, ``_smooth_spans``, raise DomainError for an arc reaching past
+    ``MAX_RATIONAL_T``: past it the reference would lose the arc, so both reference functions
+    refuse it, and so does a Shape, which measures the area term at construction.
     """
 
     __slots__ = _fields = ("t_start", "t_end", "frame")
@@ -961,12 +977,13 @@ class RationalPoint(CurvePiece):
             return 2.0 * abs(math.atan2(t1 * s - t0 * s, s + (t0 * s) * t1))
         return 2.0 * abs(math.atan2(t1 - t0, 1.0 + t0 * t1))
 
-    def _exact_area_term(self) -> None:
+    def _smooth_spans(self) -> list[tuple[float, float]]:
+        # The quadrature reference's one entry, so every caller of it meets the bound.
         t = max(self.t_start, self.t_end, key=abs)
         if abs(t) > MAX_RATIONAL_T:
             raise DomainError(f"rational arc parameter t = {t!r} lies beyond {MAX_RATIONAL_T:g}, "
-                              "where its area term cannot be measured")
-        return None
+                              "where quadrature cannot measure the arc")
+        return [(self.t_start, self.t_end)]
 
     def _placed(self, frame: RigidMotion, scale: float) -> CurvePiece:
         if scale == 1.0:
@@ -1161,10 +1178,21 @@ _PIECE_KINDS = {cls.kind: cls for cls in (
 def _parse_piece(d: dict) -> CurvePiece:
     kind = d["kind"]
     if kind == "polyline":
+        # C-level passes over the vertices: one for the numbers' types, one for the pairs, and
+        # zip for the coordinate tuples, which Polyline keeps. Polyline rejects a NaN or an
+        # infinity, and fewer than 2 vertices, itself.
         vertices = d["vertices"]
-        _check_numbers(chain.from_iterable(vertices))
-        # Polyline rejects a NaN or an infinity itself.
-        return Polyline([float(x) for x, _ in vertices], [float(y) for _, y in vertices])
+        # A set of the types, which also tells whether an int is present; _check_numbers
+        # keeps its cheaper test for the other kinds' short lists.
+        types = set(map(type, chain.from_iterable(vertices)))
+        if not types <= _NUMBER_TYPES:
+            raise _Malformed("holds a value that is not a number")
+        if not {2}.issuperset(map(len, vertices)):
+            raise _Malformed("has a vertex that is not a pair of numbers")
+        xs, ys = zip(*vertices) if vertices else ((), ())
+        if int in types:
+            xs, ys = tuple(map(float, xs)), tuple(map(float, ys))
+        return Polyline(xs, ys)
     if kind not in _PIECE_KINDS:
         raise ValueError(f"unknown piece kind: {kind!r}")
     cls = _PIECE_KINDS[kind]

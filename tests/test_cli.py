@@ -10,7 +10,8 @@ from decimal import Decimal
 import pytest
 
 from unitshapes import cli
-from unitshapes.curves import shape_from_dict
+from unitshapes.curves import shape_from_dict, shape_from_json
+from unitshapes.errors import DomainError
 
 
 def invoke(capsys, *argv):
@@ -580,6 +581,33 @@ def test_unitize_nan_vertex_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "piece 0" in err
+
+
+@pytest.mark.parametrize(
+    "vertices, words",
+    [
+        ("[[0, 0], [1, 0, 0], [1, 1], [0, 0]]", "has a vertex that is not a pair of numbers"),
+        ("[[0, 0], [1, 0], [1, 1, 2], [0]]", "has a vertex that is not a pair of numbers"),
+        ("[[0, 0], 5, [1, 1], [0, 0]]", "is invalid: 'int' object is not iterable"),
+        ("[[0, 0], [true, 0], [1, 1], [0, 0]]", "holds a value that is not a number"),
+        ('[[0, 0], ["1", 0], [1, 1], [0, 0]]', "holds a value that is not a number"),
+        ("[]", "is invalid: polyline needs 2+ (x, y) vertices, got 0 x and 0 y"),
+        ("[[0, 0]]", "is invalid: polyline needs 2+ (x, y) vertices, got 1 x and 1 y"),
+        ("[[0, 0], [1, 0], [1, 0], [NaN, 1], [0, 0]]",
+         "is invalid: non-finite number in a polyline"),
+    ],
+    ids=["three_numbers", "mixed_lengths", "bare_number", "true", "string", "empty",
+         "one_vertex", "nan_after_a_repeated_vertex"],
+)
+def test_unitize_names_a_malformed_polyline_in_one_line(tmp_path, capsys, vertices, words):
+    document = '{"pieces": [{"kind": "polyline", "vertices": %s}]}' % vertices
+    with pytest.raises(DomainError) as raised:
+        shape_from_json(document)
+    assert str(raised.value) == f"piece 0 of the shape JSON {words}"
+    path = tmp_path / "shape.json"
+    path.write_text(document)
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: piece 0 of the shape JSON {words}\n")
 
 
 def test_unitize_overflowing_shape_json_names_the_overflow(tmp_path, capsys):

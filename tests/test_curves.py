@@ -485,11 +485,16 @@ def test_rational_area_term_quadrature_holds_to_the_parameter_bound(frame):
 def test_rational_arc_past_the_parameter_bound_is_rejected():
     at_bound = RationalPoint(MAX_RATIONAL_T, -1.0)
     assert Shape([at_bound, LineSegment(at_bound.end, at_bound.start)]).area() > 0.0
-    for t in (math.nextafter(MAX_RATIONAL_T, math.inf), -1e16, 1e100, 1.7e308):
+    for t in (math.nextafter(MAX_RATIONAL_T, math.inf), 1e15, -1e16, 1e100, 1.7e308):
         arc = RationalPoint(t, -1.0)
         assert arc.length() > 0.0  # the length is closed at every t; the area term is not
-        with pytest.raises(DomainError, match=rf"^rational arc parameter t = {re.escape(repr(t))} "):
-            Shape([arc, LineSegment(arc.end, arc.start)])
+        # The reference itself refuses the arc: at t = 1e15 its area term came out 6.976e-13,
+        # where the term is 3 pi / 4.
+        for measure in (lambda: Shape([arc, LineSegment(arc.end, arc.start)]),
+                        lambda: quadrature_area_term(arc), lambda: quadrature_length(arc)):
+            with pytest.raises(DomainError,
+                               match=rf"^rational arc parameter t = {re.escape(repr(t))} "):
+                measure()
 
 
 def test_ellipse_semiperimeter_against_simpson_oracle():
@@ -1299,6 +1304,10 @@ def test_nan_literal_in_shape_json_rejected():
     text = '{"pieces": [{"kind": "polyline", "vertices": [[0, 0], [1, 0], [NaN, 1], [0, 0]]}]}'
     with pytest.raises(DomainError, match="piece 0 "):
         shape_from_json(text)
+    # The repeated vertex [1, 0] is a zero-length edge, met before the NaN; the NaN is named.
+    text = '{"pieces": [{"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 0], [NaN, 1], [0, 0]]}]}'
+    with pytest.raises(DomainError, match="^piece 0 .*: non-finite number in a polyline$"):
+        shape_from_json(text)
 
 
 @pytest.mark.parametrize("bad", ["1", " 1 ", "nan", True, False, None])
@@ -1317,6 +1326,21 @@ def test_json_integers_are_numbers():
     shape = shape_from_json(text)
     assert shape.area() == 2.0
     assert all(type(c) is float for v in shape.pieces[0].vertices for c in (v.x, v.y))
+    # All ints, or ints beside floats, measure as the float spelling bit for bit, also past
+    # 2^53, where an int and its float differ.
+    ints = [[0, 0], [0, 3], [2**60 + 1, 7], [5, -2**55 - 1], [4, -1], [0, 0]]
+    floats = [[float(x), float(y)] for x, y in ints]
+    mixed = [ints[i] if i % 2 else floats[i] for i in range(len(ints))]
+    reference = shape_from_json(json.dumps({"pieces": [{"kind": "polyline", "vertices": floats}]}))
+    for vertices in (ints, mixed):
+        shape = shape_from_json(json.dumps({"pieces": [{"kind": "polyline", "vertices": vertices}]}))
+        line = shape.pieces[0]
+        assert all(type(c) is float for c in line.xs + line.ys)
+        assert (line.xs, line.ys) == (reference.pieces[0].xs, reference.pieces[0].ys)
+        assert shape.area().hex() == reference.area().hex()
+        assert shape.perimeter().hex() == reference.perimeter().hex()
+        assert (unitize(shape).fundamental_measure.hex()
+                == unitize(reference).fundamental_measure.hex())
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["as_built", "mirrored"])
@@ -1455,8 +1479,11 @@ def test_polyline_rejects_coordinate_arrays_of_unequal_length(xs, ys):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_polyline_rejects_a_non_finite_value_in_either_array(bad):
-    for xs, ys in [((0.0, bad, 1.0), (0.0, 0.5, 1.0)), ((0.0, 2.0, 1.0), (0.0, 0.5, bad))]:
-        with pytest.raises(DomainError, match="non-finite number in a polyline"):
+    # The last two hold a zero-length edge as well, before and after the bad value: the bad
+    # value is named.
+    for xs, ys in [((0.0, bad, 1.0), (0.0, 0.5, 1.0)), ((0.0, 2.0, 1.0), (0.0, 0.5, bad)),
+                   ((0.0, 1.0, 1.0, bad), (0.0, 0.0, 0.0, 1.0)), ((bad, 1.0, 1.0), (0.0, 2.0, 2.0))]:
+        with pytest.raises(DomainError, match="^non-finite number in a polyline$"):
             Polyline(xs, ys)
     # The images of finite vertices are checked too.
     with pytest.raises(DomainError, match="non-finite number in a polyline"):
