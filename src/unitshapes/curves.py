@@ -8,8 +8,8 @@ so whether a chain closes does not depend on its scale or position.
 Each arc is a local curve placed by one frame, a RigidMotion: a radius, semi-axes, a
 parabola over an x-range, or a rational t-range. Its image under a similarity composes
 the frames and scales the local curve, and its area term is det(frame) times the local
-one plus (1/2) T x (p1 - p0), the frame's shift across the chord. Line segments and
-polylines hold absolute coordinates.
+one plus (1/2) T x (p1 - p0), the frame's shift across the chord. Polylines hold absolute
+coordinates, and a line segment is the one-edge Polyline.
 
 Area comes from the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter
 from the speed integral. Line segments, polylines, circular, elliptical and parabolic
@@ -22,8 +22,8 @@ adaptive quadrature. That quadrature is one named reference, ``quadrature_length
 ``quadrature_area_term`` and ``quadrature_measures``, which measures any piece or shape
 as an independent cross-check of the closed forms, to the one relative tolerance
 ``quadrature.REL_TOL``. It rejects a rational arc reaching past ``MAX_RATIONAL_T``, which
-it would lose. A Polyline holds coordinate tuples, and ``_edge_terms`` is the one
-loop over its edges.
+it would lose. A Polyline holds coordinate tuples, and ``_edge_terms``, the one loop
+over its edges, is the one edge measure: a segment takes its length and area term there.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
@@ -176,7 +176,8 @@ class CurvePiece(Record, ABC):
     point and velocity (``_local_xy``, ``_local_velocity``), its length, its local area term
     and ``_placed``, the piece of its size times a scale in another frame. This class gives
     the rest once: the placed point and velocity, the image under a similarity, and the area
-    term. LineSegment and Polyline hold absolute coordinates and give their own.
+    term. Polyline holds absolute coordinates, measured by ``_edge_terms``, the one edge
+    measure, and LineSegment is the one-edge Polyline.
     """
 
     __slots__ = ()
@@ -312,49 +313,6 @@ def quadrature_measures(shape: "Shape") -> tuple[float, float]:
     return area, 0.5 * _total([quadrature_length(p) for p in shape.pieces])
 
 
-class LineSegment(CurvePiece):
-    _fields = ("start", "end")  # the stored ends, which are CurvePiece's start and end
-    # The length sits outside the fields, so ==, hash and repr see only the fields.
-    __slots__ = _fields + ("_length",)
-
-    kind = "line_segment"
-    t_start = 0.0
-    t_end = 1.0
-
-    def __init__(self, start: Point, end: Point) -> None:
-        length = start.distance_to(end)
-        if length == 0.0:
-            raise DomainError("degenerate line segment (zero length)")
-        setfield(self, "start", start)
-        setfield(self, "end", end)
-        setfield(self, "_length", length)
-
-    def _xy(self, t: float) -> tuple[float, float]:
-        return (self.start.x + t * (self.end.x - self.start.x),
-                self.start.y + t * (self.end.y - self.start.y))
-
-    def velocity(self, t: float) -> tuple[float, float]:
-        return (self.end.x - self.start.x, self.end.y - self.start.y)
-
-    def reversed_(self) -> "LineSegment":
-        return LineSegment(self.end, self.start)
-
-    def transformed(self, sim: Similarity) -> "LineSegment":
-        return LineSegment(sim.apply(self.start), sim.apply(self.end))
-
-    def _exact_length(self) -> float:
-        return self._length
-
-    _size = _exact_length
-
-    def _ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        # The stored points: _xy(0.0) would make start + 0.0 * inf, which is NaN.
-        return ((self.start.x, self.start.y), (self.end.x, self.end.y))
-
-    def _exact_area_term(self) -> float:
-        return 0.5 * (self.start.x * self.end.y - self.end.x * self.start.y)
-
-
 def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """The polyline's length and its Green's-theorem area term (1/2) sum (ax by - bx ay).
 
@@ -445,8 +403,8 @@ class Polyline(CurvePiece):
 
     def reversed_(self) -> "Polyline":
         # Each edge keeps its length and negates its area term exactly, and the sums are
-        # order-free, so the reversal takes them over instead of walking the edges again.
-        line = Polyline.__new__(Polyline)
+        # order-free, so the reversal takes them over. A reversed segment stays a segment.
+        line = self.__class__.__new__(self.__class__)
         setfield(line, "xs", self.xs[::-1])
         setfield(line, "ys", self.ys[::-1])
         setfield(line, "_length", self._length)
@@ -469,6 +427,28 @@ class Polyline(CurvePiece):
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "vertices": [[x, y] for x, y in zip(self.xs, self.ys)]}
+
+
+class LineSegment(Polyline):
+    """The straight piece from ``start`` to ``end``: the one-edge Polyline, which ``_edge_terms``
+    measures. Its kind, its fields and JSON and its image under a similarity are a segment's."""
+
+    _fields = ("start", "end")  # CurvePiece's start and end, read from the stored coordinates
+    __slots__ = ()
+
+    kind = "line_segment"
+
+    def __init__(self, start: Point, end: Point) -> None:
+        sx, sy, ex, ey = start.x, start.y, end.x, end.y
+        # Finite coordinates differ by 0.0, a zero length, exactly when they are equal.
+        if sx == ex and sy == ey:
+            raise DomainError("degenerate line segment (zero length)")
+        Polyline.__init__(self, (sx, ex), (sy, ey))
+
+    def transformed(self, sim: Similarity) -> "LineSegment":
+        return LineSegment(sim.apply(self.start), sim.apply(self.end))
+
+    to_dict = CurvePiece.to_dict
 
 
 class CircularArc(CurvePiece):

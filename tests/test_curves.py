@@ -347,6 +347,83 @@ def test_single_segment_not_closed():
         Shape([LineSegment(Point(0, 0), Point(1, 0))])
 
 
+# --- the line segment, the one-edge polyline ----------------------------------------------
+
+
+def test_line_segment_is_the_one_edge_polyline():
+    segment = LineSegment(Point(0.5, -1.0), Point(2.0, 3.0))
+    assert isinstance(segment, Polyline)
+    assert (segment.xs, segment.ys, segment.t_start, segment.t_end) == ((0.5, 2.0), (-1.0, 3.0), 0.0, 1.0)
+    # Every measure and point comes from Polyline; the segment adds only its fields, its
+    # kind, its construction, its image and its JSON.
+    own = {"_xy", "velocity", "reversed_", "_ends", "_exact_length", "_size", "_exact_area_term",
+           "_smooth_spans", "length", "signed_area_term"}
+    assert not own & set(vars(LineSegment))
+
+
+def _same(got, expected):
+    """Equal as numbers (so 0.0 and -0.0 are), or both NaN."""
+    return got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+# Coordinates of every magnitude: subnormal differences, spans near 1e+-300, and spans whose
+# length or area term overflows.
+_segment_coordinate = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ax=_segment_coordinate, ay=_segment_coordinate, bx=_segment_coordinate,
+       by=_segment_coordinate, t=st.floats(0.0, 1.0))
+@example(ax=0.0, ay=0.0, bx=-0.0, by=0.0, t=0.5)  # equal points, no segment
+@example(ax=0.0, ay=0.0, bx=5e-324, by=0.0, t=0.5)  # a subnormal span
+@example(ax=-1e308, ay=0.0, bx=1e308, by=0.0, t=0.0)  # a length that overflows
+@example(ax=1e300, ay=1e300, bx=1e300, by=-1e300, t=1.0)  # an area term that overflows
+@example(ax=1e300, ay=1e300, bx=-1e300, by=-1e300, t=0.25)  # inf - inf, a NaN area term
+def test_line_segment_measures_are_the_two_point_formulas(ax, ay, bx, by, t):
+    length = math.hypot(ax - bx, ay - by)
+    if length == 0.0:
+        with pytest.raises(DomainError, match=r"^degenerate line segment \(zero length\)$"):
+            LineSegment(Point(ax, ay), Point(bx, by))
+        return
+    segment = LineSegment(Point(ax, ay), Point(bx, by))
+    assert _same(segment.length(), length)
+    assert _same(segment.signed_area_term(), 0.5 * (ax * by - bx * ay))
+    assert segment._ends() == ((ax, ay), (bx, by))
+    assert (segment.start, segment.end) == (Point(ax, ay), Point(bx, by))
+    x, y = segment._xy(t)
+    assert _same(x, ax + t * (bx - ax)) and _same(y, ay + t * (by - ay))
+    vx, vy = segment.velocity(t)
+    assert _same(vx, bx - ax) and _same(vy, by - ay)
+
+
+@pytest.mark.parametrize("sim", [Similarity(), Similarity(RigidMotion(0.7, True, (1.5, -2.0)), 2.5)],
+                         ids=["identity", "mirror"])
+def test_line_segment_reversal_and_image_are_segments(sim):
+    segment = LineSegment(Point(0.5, -1.0), Point(2.0, 3.0))
+    reversed_, image = segment.reversed_(), segment.transformed(sim)
+    assert reversed_ == LineSegment(segment.end, segment.start)
+    assert image == LineSegment(sim.apply(segment.start), sim.apply(segment.end))
+    for piece in (reversed_, image, reversed_.reversed_(), image.reversed_()):
+        assert type(piece) is LineSegment
+        assert piece.to_dict() == {"kind": "line_segment", "start": [piece.start.x, piece.start.y],
+                                   "end": [piece.end.x, piece.end.y]}
+    assert reversed_.length() == segment.length()
+    assert reversed_.signed_area_term() == -segment.signed_area_term()
+
+
+def test_line_segment_round_trips_as_a_segment():
+    segment = LineSegment(Point(0.5, -1.0), Point(2.0, 3.0))
+    for clone in _with_copies(segment):
+        assert type(clone) is LineSegment and clone == segment
+        assert (clone.length(), clone.signed_area_term()) == (segment.length(), segment.signed_area_term())
+    parsed = _piece_from_dict(json.loads(json.dumps(segment.to_dict())), 0)
+    assert type(parsed) is LineSegment and parsed == segment
+
+
 def _signed_area(shape):
     """The pieces' own Green's-theorem sum, which is positive when they run counterclockwise."""
     return math.fsum(p.signed_area_term() for p in shape.pieces)

@@ -149,6 +149,9 @@ CASES = {
 }
 # The records whose fields hold lists or dicts, and so are unhashable, as a tuple holding one is.
 UNHASHABLE = {ScanResult, VerificationReport}
+# Record classes that subclass another record class, each with its base's arguments for the
+# same value: a segment is the one-edge polyline through its two ends.
+SUBCLASSES = {LineSegment: (Polyline, dict(xs=(0.5, 2.0), ys=(-1.0, 3.0)))}
 
 
 def _comparable(record):
@@ -219,3 +222,17 @@ def test_record_protocol(cls):
         assert repr(clone) == expected_repr
         assert _comparable(clone) == _comparable(record)
         assert (clone == record) is not holds_shape
+
+
+@pytest.mark.parametrize("cls", list(SUBCLASSES), ids=lambda cls: cls.__name__)
+def test_a_subclass_record_is_its_base_but_never_equal_to_it(cls):
+    base, base_kwargs = SUBCLASSES[cls]
+    kwargs, *_ = CASES[cls]
+    record, twin = cls(**kwargs), base(**base_kwargs)
+    assert isinstance(record, base) and not isinstance(twin, cls)
+    assert (record.length(), record.signed_area_term()) == (twin.length(), twin.signed_area_term())
+    # == never crosses classes, a subclass included, so the two are unequal either way round.
+    assert record.__eq__(twin) is NotImplemented and twin.__eq__(record) is NotImplemented
+    assert record != twin and twin != record
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
