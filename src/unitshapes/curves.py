@@ -390,7 +390,8 @@ class Polyline(CurvePiece):
         return float(len(self.xs) - 1)
 
     def _edge(self, t: float) -> int:
-        return min(max(int(math.floor(t)), 0), len(self.xs) - 2)
+        last = len(self.xs) - 2
+        return last if t >= last else int(t) if t >= 1.0 else 0  # a NaN t takes edge 0
 
     def _xy(self, t: float) -> tuple[float, float]:
         i = self._edge(t)
@@ -439,11 +440,10 @@ class LineSegment(Polyline):
     kind = "line_segment"
 
     def __init__(self, start: Point, end: Point) -> None:
-        sx, sy, ex, ey = start.x, start.y, end.x, end.y
         # Finite coordinates differ by 0.0, a zero length, exactly when they are equal.
-        if sx == ex and sy == ey:
+        if start.x == end.x and start.y == end.y:
             raise DomainError("degenerate line segment (zero length)")
-        Polyline.__init__(self, (sx, ex), (sy, ey))
+        Polyline.__init__(self, (start.x, end.x), (start.y, end.y))
 
     def transformed(self, sim: Similarity) -> "LineSegment":
         return LineSegment(sim.apply(self.start), sim.apply(self.end))

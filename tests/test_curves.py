@@ -415,13 +415,23 @@ def test_line_segment_reversal_and_image_are_segments(sim):
     assert reversed_.signed_area_term() == -segment.signed_area_term()
 
 
-def test_line_segment_round_trips_as_a_segment():
-    segment = LineSegment(Point(0.5, -1.0), Point(2.0, 3.0))
-    for clone in _with_copies(segment):
-        assert type(clone) is LineSegment and clone == segment
-        assert (clone.length(), clone.signed_area_term()) == (segment.length(), segment.signed_area_term())
-    parsed = _piece_from_dict(json.loads(json.dumps(segment.to_dict())), 0)
-    assert type(parsed) is LineSegment and parsed == segment
+@pytest.mark.parametrize("t,text", [(math.nan, "nan, nan"), (math.inf, "inf, inf"), (-math.inf, "-inf, -inf")])
+def test_a_point_at_a_non_finite_parameter_is_a_domain_error(t, text):
+    # The edge index is compared, not floored, so the point is NaN or infinite, and Point
+    # names it, as it did for a segment's own two-point formula.
+    with pytest.raises(DomainError, match=f"^non-finite number in a point: {text}$"):
+        LineSegment(Point(0.0, 0.0), Point(1.0, 2.0)).point(t)
+    with pytest.raises(DomainError, match="^non-finite number in a point"):
+        Polyline((0.0, 1.0, 2.0), (0.0, 1.0, 0.0)).point(t)
+
+
+@given(vertices=st.integers(2, 300), t=st.floats(allow_nan=False, allow_infinity=False))
+@example(vertices=2, t=-0.0)
+@example(vertices=5, t=3.0)
+@example(vertices=5, t=math.nextafter(1.0, 0.0))
+def test_polyline_edge_is_the_clamped_floor(vertices, t):
+    line = Polyline(tuple(range(vertices)), (0.0,) * vertices)
+    assert line._edge(t) == min(max(math.floor(t), 0), vertices - 2)
 
 
 def _signed_area(shape):

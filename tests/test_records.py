@@ -234,5 +234,3 @@ def test_a_subclass_record_is_its_base_but_never_equal_to_it(cls):
     # == never crosses classes, a subclass included, so the two are unequal either way round.
     assert record.__eq__(twin) is NotImplemented and twin.__eq__(record) is NotImplemented
     assert record != twin and twin != record
-    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-        assert type(clone) is cls and clone == record
