@@ -12,18 +12,21 @@ one plus (1/2) T x (p1 - p0), the frame's shift across the chord. Polylines hold
 coordinates, and a line segment is the one-edge Polyline.
 
 Area comes from the Green's-theorem line integral (1/2) oint (x dy - y dx); perimeter
-from the speed integral. Line segments, polylines, circular, elliptical and parabolic
-arcs take both measures in closed form. An elliptical arc's length is the
-complete elliptic integral, ``ellipse_half_perimeter`` by Carlson's R_G, for each whole
-quarter of its sweep, and the incomplete one for the rest; both come from Carlson's R_F
-and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh`` form, and a trig-free
-rational arc's is 2 |atan2(t1 - t0, 1 + t0 t1)|. Only the rational arc's area term takes
-adaptive quadrature. That quadrature is one named reference, ``quadrature_length``,
+from the speed integral. Every piece kind takes both measures in closed form. An
+elliptical arc's length is the complete elliptic integral, ``ellipse_half_perimeter`` by
+Carlson's R_G, for each whole quarter of its sweep, and the incomplete one for the rest;
+both come from Carlson's R_F and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh``
+form. A trig-free rational arc turns through -2 d on the unit circle, d = atan t1 - atan t0
+= atan2(t1 - t0, 1 + t0 t1), so its length is 2 |d| and its local area term -d. Only an
+elliptical arc flatter than ``MIN_AXIS_RATIO`` and a parabolic arc whose slope overflows
+the length's form, both outside those forms' float range, fall back to adaptive quadrature.
+That quadrature is otherwise one named reference, ``quadrature_length``,
 ``quadrature_area_term`` and ``quadrature_measures``, which measures any piece or shape
 as an independent cross-check of the closed forms, to the one relative tolerance
 ``quadrature.REL_TOL``. It rejects a rational arc reaching past ``MAX_RATIONAL_T``, which
-it would lose. A Polyline holds coordinate tuples, and ``_edge_terms``, the one loop
-over its edges, is the one edge measure: a segment takes its length and area term there.
+it would lose; a Shape measures that arc in closed form. A Polyline holds coordinate
+tuples, and ``_edge_terms``, the one loop over its edges, is the one edge measure: a
+segment takes its length and area term there.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
@@ -31,9 +34,9 @@ are the same on every Python version.
 A piece's shape JSON is its kind and its fields, or a polyline's ``vertices``, a list of
 [x, y] pairs: ``_json_value`` writes each field and ``_field_from_json`` reads it back. That
 layer checks only that numbers are numbers and lists have their lengths, and reads the
-vertices in C-level passes; each constructor rejects a NaN or an infinity, for JSON and
-every other caller alike. A Polyline scans its coordinates for one only where its length
-is not finite, or where it would name a zero-length edge.
+vertices in C-level passes; each constructor rejects a NaN, an infinity or an int beyond
+the float range, for JSON and every other caller alike. A Polyline scans its coordinates
+for one only where its length is not finite, or where it would name a zero-length edge.
 
 All types are immutable values; every operation here is pure.
 """
@@ -60,7 +63,7 @@ CARLSON_MAX_STEPS = 64
 MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
 # The quadrature reference rejects a rational arc reaching past this |t|: from about 1e15 on,
 # the first GK15 panel of its area term misses the arc, and the estimate falls below the
-# absolute floor.
+# absolute floor. The closed forms that Shape measures with hold at every finite t.
 MAX_RATIONAL_T = 1e13
 TURN = 2.0 * math.pi
 QUARTER_TURN = 0.5 * math.pi
@@ -78,9 +81,13 @@ class Point(Record):
     __slots__ = _fields = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        # v - v is 0.0 for a finite v and NaN for NaN or an infinity, so one test covers both.
-        if (x - x) + (y - y):
-            raise DomainError(f"non-finite number in a point: {x}, {y}")
+        # v * 0.0 is 0.0 for a finite v and NaN for NaN or an infinity, so one test covers both;
+        # for an int beyond the float range it raises OverflowError, which only such a number does.
+        try:
+            if x * 0.0 + y * 0.0:
+                raise DomainError(f"non-finite number in a point: {x}, {y}")
+        except OverflowError:
+            raise DomainError("number beyond the float range in a point") from None
         setfield(self, "x", x)
         setfield(self, "y", y)
 
@@ -102,8 +109,12 @@ class RigidMotion(Record):
     def __init__(self, rotation_angle: float = 0.0, reflect: bool = False,
                  translation: tuple[float, float] = (0.0, 0.0)) -> None:
         tx, ty = translation
-        if (rotation_angle - rotation_angle) + (tx - tx) + (ty - ty):
-            raise DomainError(f"non-finite number in a rigid motion: {rotation_angle}, {translation}")
+        try:
+            if rotation_angle * 0.0 + tx * 0.0 + ty * 0.0:
+                raise DomainError(
+                    f"non-finite number in a rigid motion: {rotation_angle}, {translation}")
+        except OverflowError:
+            raise DomainError("number beyond the float range in a rigid motion") from None
         # The rows of S^eps R: times -1.0 is exact, so a mirrored row negates its sum exactly.
         c, s, mirror = math.cos(rotation_angle), math.sin(rotation_angle), -1.0 if reflect else 1.0
         self._fill(rotation_angle, reflect, translation, (c, -s, mirror * s, mirror * c))
@@ -130,8 +141,11 @@ class Similarity(Record):
     __slots__ = _fields = ("motion", "scale")
 
     def __init__(self, motion: RigidMotion = RigidMotion(), scale: float = 1.0) -> None:
-        if not (scale > 0.0 and math.isfinite(scale)):
-            raise DomainError(f"similarity scale must be positive, got {scale}")
+        try:
+            if not 0.0 < scale * 1.0 < math.inf:
+                raise DomainError(f"similarity scale must be positive, got {scale}")
+        except OverflowError:
+            raise DomainError("similarity scale beyond the float range") from None
         setfield(self, "motion", motion)
         setfield(self, "scale", scale)
 
@@ -348,7 +362,11 @@ def _total(terms: list[float]) -> float:
 
 
 def _check_finite(xs: Sequence[float], ys: Sequence[float]) -> None:
-    if not all(map(math.isfinite, chain(xs, ys))):
+    try:
+        finite = all(map(math.isfinite, chain(xs, ys)))
+    except OverflowError:
+        raise DomainError("number beyond the float range in a polyline") from None
+    if not finite:
         raise DomainError("non-finite number in a polyline")
 
 
@@ -371,6 +389,8 @@ class Polyline(CurvePiece):
         except DomainError:
             _check_finite(xs, ys)
             raise
+        except OverflowError:  # an int beyond the float range, or int terms that sum beyond it
+            raise DomainError("number beyond the float range in a polyline or its terms") from None
         if not length < math.inf:
             _check_finite(xs, ys)
         setfield(self, "xs", xs)
@@ -466,9 +486,12 @@ class CircularArc(CurvePiece):
             raise DomainError(f"arc radius must be positive, got {radius}")
         if angle_start == angle_end:
             raise DomainError("degenerate circular arc (zero sweep)")
-        if (radius - radius) + (angle_start - angle_start) + (angle_end - angle_end):
-            raise DomainError(
-                f"non-finite number in a circular arc: {radius}, {angle_start}, {angle_end}")
+        try:
+            if radius * 0.0 + angle_start * 0.0 + angle_end * 0.0:
+                raise DomainError(
+                    f"non-finite number in a circular arc: {radius}, {angle_start}, {angle_end}")
+        except OverflowError:
+            raise DomainError("number beyond the float range in a circular arc") from None
         setfield(self, "center", center)
         setfield(self, "radius", radius)
         setfield(self, "angle_start", angle_start)
@@ -743,9 +766,12 @@ class EllipticalArc(CurvePiece):
             raise DomainError(f"ellipse semi-axes must be positive, got {semi_axes}")
         if t_start == t_end:
             raise DomainError("degenerate elliptical arc (zero sweep)")
-        if (a - a) + (b - b) + (rotation - rotation) + (t_start - t_start) + (t_end - t_end):
-            raise DomainError(f"non-finite number in an elliptical arc: {semi_axes}, {rotation},"
-                              f" {t_start}, {t_end}")
+        try:
+            if a * 0.0 + b * 0.0 + rotation * 0.0 + t_start * 0.0 + t_end * 0.0:
+                raise DomainError(f"non-finite number in an elliptical arc: {semi_axes},"
+                                  f" {rotation}, {t_start}, {t_end}")
+        except OverflowError:
+            raise DomainError("number beyond the float range in an elliptical arc") from None
         setfield(self, "center", center)
         setfield(self, "semi_axes", semi_axes)
         setfield(self, "rotation", rotation)
@@ -824,9 +850,12 @@ class ParabolicArc(CurvePiece):
         if x_start == x_end:
             raise DomainError("degenerate parabolic arc (zero span)")
         alpha, beta, gamma = coefficients
-        if (alpha - alpha) + (beta - beta) + (gamma - gamma) + (x_start - x_start) + (x_end - x_end):
-            raise DomainError(
-                f"non-finite number in a parabolic arc: {coefficients}, {x_start}, {x_end}")
+        try:
+            if alpha * 0.0 + beta * 0.0 + gamma * 0.0 + x_start * 0.0 + x_end * 0.0:
+                raise DomainError(
+                    f"non-finite number in a parabolic arc: {coefficients}, {x_start}, {x_end}")
+        except OverflowError:
+            raise DomainError("number beyond the float range in a parabolic arc") from None
         setfield(self, "coefficients", coefficients)
         setfield(self, "x_start", x_start)
         setfield(self, "x_end", x_end)
@@ -907,10 +936,10 @@ class RationalPoint(CurvePiece):
     The parameterization is trig-free: both coordinates and their derivatives
     are rational in t. t in [-1, 1] covers the upper half of the circle.
 
-    The length is closed at every finite t. The area term is the quadrature reference's,
-    whose spans, ``_smooth_spans``, raise DomainError for an arc reaching past
+    Both measures are closed at every finite t, from the one ``_sweep``. The quadrature
+    reference's spans, ``_smooth_spans``, raise DomainError for an arc reaching past
     ``MAX_RATIONAL_T``: past it the reference would lose the arc, so both reference functions
-    refuse it, and so does a Shape, which measures the area term at construction.
+    refuse it, while a Shape measures it.
     """
 
     __slots__ = _fields = ("t_start", "t_end", "frame")
@@ -920,8 +949,11 @@ class RationalPoint(CurvePiece):
     def __init__(self, t_start: float, t_end: float, frame: RigidMotion = RigidMotion()) -> None:
         if t_start == t_end:
             raise DomainError("degenerate rational arc (zero sweep)")
-        if (t_start - t_start) + (t_end - t_end):
-            raise DomainError(f"non-finite number in a rational arc: {t_start}, {t_end}")
+        try:
+            if t_start * 0.0 + t_end * 0.0:
+                raise DomainError(f"non-finite number in a rational arc: {t_start}, {t_end}")
+        except OverflowError:
+            raise DomainError("number beyond the float range in a rational arc") from None
         setfield(self, "t_start", t_start)
         setfield(self, "t_end", t_end)
         setfield(self, "frame", frame)
@@ -945,17 +977,27 @@ class RationalPoint(CurvePiece):
         d = (1.0 + u * u) ** 2
         return (2.0 * u * u * (u * u - 1.0) / d, -4.0 * u * u * u / d)
 
-    def _exact_length(self) -> float:
-        # t sits at polar angle pi/2 - 2 atan t, and (1 + t0 t1, t1 - t0) is (cos d, sin d)
-        # sqrt((1 + t0^2)(1 + t1^2)) for d = atan t1 - atan t0 in (-pi, pi): atan2 takes its
-        # branch from the signs, and nearly equal ends do not cancel.
+    def _sweep(self) -> float:
+        """d = atan t1 - atan t0, in (-pi, pi): the point at t sits at polar angle
+        pi/2 - 2 atan t, so the arc turns through -2 d.
+
+        (1 + t0 t1, t1 - t0) is (cos d, sin d) sqrt((1 + t0^2)(1 + t1^2)): atan2 takes its
+        branch from the signs, and nearly equal ends do not cancel.
+        """
         t0, t1 = self.t_start, self.t_end
         big = max(abs(t0), abs(t1))
         if big * big == math.inf:
             # t0 t1 or t1 - t0 could overflow: a power of two scales both arguments exactly.
             s = 2.0 ** -math.frexp(big)[1]
-            return 2.0 * abs(math.atan2(t1 * s - t0 * s, s + (t0 * s) * t1))
-        return 2.0 * abs(math.atan2(t1 - t0, 1.0 + t0 * t1))
+            return math.atan2(t1 * s - t0 * s, s + (t0 * s) * t1)
+        return math.atan2(t1 - t0, 1.0 + t0 * t1)
+
+    def _exact_length(self) -> float:
+        return 2.0 * abs(self._sweep())
+
+    def _local_area_term(self) -> float:
+        # On the unit circle (1/2) int (x y' - y x') is half the polar angle turned, -2 d.
+        return -self._sweep()
 
     def _smooth_spans(self) -> list[tuple[float, float]]:
         # The quadrature reference's one entry, so every caller of it meets the bound.

@@ -96,30 +96,22 @@ def test_unitize_joins_a_half_disk_of_radius_1e8(tmp_path, capsys):
     assert json.loads(out)["fundamental_measure"] == 4.207416099162478  # (pi + 2)^2 / (2 pi)
 
 
-def test_unitize_of_a_rational_arc_from_t_1e100_exits_two(tmp_path, capsys):
-    # The length is closed at any t, but the area term's quadrature drops an arc from t past
-    # about 1e15 without a word: its first panel misses the arc. (With the length taken by
-    # quadrature too, that quadrature failed first, past t of about 1e18.) So an arc past
-    # curves.MAX_RATIONAL_T = 1e13 is rejected, which is an input error.
-    path = tmp_path / "shape.json"
-    path.write_text(json.dumps({"pieces": [
-        {"kind": "rational_point", "t_start": 1e100, "t_end": -1.0},
-        {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}))
-    code, out, err = invoke(capsys, "unitize", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+# (3 pi/4 + sqrt(2)/2)^2 / (3 pi/4 + 1/2) to 40 digits: three quarters of the unit circle closed
+# by the chord of the last quarter.
+FAR_ARC_MEASURE = 3.285425663922348629275983730303651840662
 
 
-def test_unitize_of_a_rational_arc_from_t_1e16_exits_two_naming_t(tmp_path, capsys):
-    # The area term's quadrature lost this arc and printed 18.767629358460457, where the measure
-    # is 3.2854256639223482.
+@pytest.mark.parametrize("t", ["1e16", "1e100"])
+def test_unitize_of_a_rational_arc_from_a_far_t_gives_its_measure(t, tmp_path, capsys):
+    # The area term's quadrature lost the arc from t = 1e16 and printed 18.767629358460457; the
+    # closed forms measure it at every t.
     path = tmp_path / "shape.json"
-    path.write_text(json.dumps({"pieces": [
-        {"kind": "rational_point", "t_start": 1e16, "t_end": -1.0},
-        {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}))
-    code, out, err = invoke(capsys, "unitize", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: rational arc parameter t = 1e+16 ") and err.count("\n") == 1
+    path.write_text('{"pieces": [{"kind": "rational_point", "t_start": ' + t + ', "t_end": -1.0},'
+                    ' {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}')
+    code, out, err = invoke(capsys, "unitize", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    measure = json.loads(out)["fundamental_measure"]
+    assert abs(measure - FAR_ARC_MEASURE) <= 1e-15 * FAR_ARC_MEASURE
 
 
 def test_scan_csv(capsys):

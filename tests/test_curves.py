@@ -184,6 +184,7 @@ NUMBER_SLOTS = {
         lambda v: RationalPoint(-1.0, v),
         lambda v: RationalPoint(-1.0, 1.0, RigidMotion(0.0, False, (v, 0.0))),
     ],
+    "similarity": [lambda v: Similarity(RigidMotion(), v)],
 }
 
 
@@ -194,6 +195,24 @@ def test_non_finite_numbers_rejected_at_construction(kind):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 build(bad)
+
+
+@pytest.mark.parametrize("kind, slot", [(kind, slot) for kind in sorted(NUMBER_SLOTS)
+                                        for slot in range(len(NUMBER_SLOTS[kind]))])
+def test_an_int_beyond_the_float_range_is_a_domain_error(kind, slot):
+    # v * 0.0 converts an int, so its OverflowError tells one beyond the float range. An int in
+    # the range builds and is kept as it is: its repr is not the float's.
+    build = NUMBER_SLOTS[kind][slot]
+    assert repr(build(3)) != repr(build(3.0))
+    for bad in (10**400, -10**400):
+        with pytest.raises(DomainError):
+            build(bad)
+
+
+def test_a_polyline_names_an_int_beyond_the_float_range_before_its_zero_length_edge():
+    # Every edge's hypot is finite, so the zero-length edge is met first, then the coordinate scan.
+    with pytest.raises(DomainError, match="^number beyond the float range in a polyline$"):
+        Polyline((10**400, 10**400, 10**400), (0, 0, 1))
 
 
 def test_degenerate_json_piece_is_named_as_invalid():
@@ -556,8 +575,9 @@ def test_rational_arc_length_against_the_quadrature_reference():
 
 @pytest.mark.parametrize("frame", RATIONAL_ARC_FRAMES[:2], ids=["plain", "mirrored"])
 def test_rational_area_term_quadrature_holds_to_the_parameter_bound(frame):
-    # The circular arc at the polar angles pi/2 - 2 atan t, in the same frame, gives the term in
-    # closed form. Past MAX_RATIONAL_T the quadrature's first panel misses the arc.
+    # The circular arc at the polar angles pi/2 - 2 atan t, in the same frame, and the rational
+    # arc's own closed form give the term. Past MAX_RATIONAL_T the quadrature's first panel
+    # misses the arc.
     for t0 in (-1.0, 0.3, -5.0):
         for t1 in [sign * 10.0**k for k in range(14) for sign in (1.0, -1.0)] + [MAX_RATIONAL_T]:
             if t1 == t0:
@@ -565,23 +585,57 @@ def test_rational_area_term_quadrature_holds_to_the_parameter_bound(frame):
             angles = [curves.QUARTER_TURN - 2.0 * math.atan(t) for t in (t0, t1)]
             closed = CircularArc(Point(0.0, 0.0), 1.0, *angles).transformed(Similarity(frame))
             arc = RationalPoint(t0, t1, frame)
-            assert quadrature_area_term(arc) == pytest.approx(
-                closed.signed_area_term(), rel=0.0, abs=1e-12), (t0, t1)
+            reference = quadrature_area_term(arc)
+            for term in (closed.signed_area_term(), arc.signed_area_term()):
+                assert reference == pytest.approx(term, rel=0.0, abs=1e-12), (t0, t1)
+
+
+@pytest.mark.parametrize("t0, t1", RATIONAL_ARC_ENDS)
+def test_rational_arc_area_term_is_within_2_ulps_of_its_80_digit_value_at_listed_ends(t0, t1):
+    _assert_area_term_within_2_ulps(t0, t1)
+
+
+def test_rational_arc_area_term_is_within_2_ulps_of_its_80_digit_value_at_seeded_ends():
+    # Ends of both signs with |t| from 1e-300 to 1e300, so that in about half the draws t^2
+    # overflows and the sweep's arguments are scaled by a power of two.
+    rng = random.Random(32)
+    draws = [[rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2)]
+             for _ in range(400)]
+    assert sum(t * t == math.inf for t in (max(map(abs, ends)) for ends in draws)) > 100
+    for t0, t1 in draws:
+        _assert_area_term_within_2_ulps(t0, t1)
+
+
+def _assert_area_term_within_2_ulps(t0: float, t1: float) -> None:
+    """On the unit circle the area term is half the polar angle turned, -(atan t1 - atan t0),
+    which oracles.py sums by Taylor series in decimal arithmetic. A mirror about the arc's own
+    origin negates the term exactly, and so does the reversal."""
+    for s0, s1 in ((t0, t1), (t1, t0)):
+        sweep = rational_arc_sweep(s0, s1)
+        for frame, expected in ((RigidMotion(), -sweep), (RigidMotion(0.7, True), sweep)):
+            term = RationalPoint(s0, s1, frame).signed_area_term()
+            error = abs(Decimal(term) - expected)
+            assert error <= 2 * Decimal(math.ulp(term)), (s0, s1, frame, term)
 
 
 def test_rational_arc_past_the_parameter_bound_is_rejected():
-    at_bound = RationalPoint(MAX_RATIONAL_T, -1.0)
-    assert Shape([at_bound, LineSegment(at_bound.end, at_bound.start)]).area() > 0.0
+    # Only the quadrature reference refuses the arc: at t = 1e15 its area term came out
+    # 6.976e-13, where the term is 3 pi / 4. A Shape measures the arc in closed form.
     for t in (math.nextafter(MAX_RATIONAL_T, math.inf), 1e15, -1e16, 1e100, 1.7e308):
         arc = RationalPoint(t, -1.0)
-        assert arc.length() > 0.0  # the length is closed at every t; the area term is not
-        # The reference itself refuses the arc: at t = 1e15 its area term came out 6.976e-13,
-        # where the term is 3 pi / 4.
-        for measure in (lambda: Shape([arc, LineSegment(arc.end, arc.start)]),
-                        lambda: quadrature_area_term(arc), lambda: quadrature_length(arc)):
+        for measure in (lambda: quadrature_area_term(arc), lambda: quadrature_length(arc)):
             with pytest.raises(DomainError,
                                match=rf"^rational arc parameter t = {re.escape(repr(t))} "):
                 measure()
+        # From 2 / |t| short of the bottom of the circle the arc runs to (-1, 0), through three
+        # quarters counterclockwise for t > 0 and one clockwise for t < 0; the segment closes it.
+        shape = Shape([arc, LineSegment(arc.end, arc.start)])
+        if t > 0.0:
+            area, semiperimeter = 3.0 * math.pi / 4.0 + 0.5, 3.0 * math.pi / 4.0 + math.sqrt(0.5)
+        else:
+            area, semiperimeter = math.pi / 4.0 - 0.5, math.pi / 4.0 + math.sqrt(0.5)
+        for measure, value in ((shape.area(), area), (shape.semiperimeter(), semiperimeter)):
+            assert measure == pytest.approx(value, rel=1e-15 + 2.0 / abs(t), abs=0.0), t
 
 
 def test_ellipse_semiperimeter_against_simpson_oracle():
