@@ -19,14 +19,14 @@ both come from Carlson's R_F and R_D, ``carlson_rf_rd``. A parabolic arc's is an
 form. A trig-free rational arc turns through -2 d on the unit circle, d = atan t1 - atan t0
 = atan2(t1 - t0, 1 + t0 t1), so its length is 2 |d| and its local area term -d. Only an
 elliptical arc flatter than ``MIN_AXIS_RATIO`` and a parabolic arc whose slope overflows
-the length's form, both outside those forms' float range, fall back to adaptive quadrature.
-That quadrature is otherwise one named reference, ``quadrature_length``,
-``quadrature_area_term`` and ``quadrature_measures``, which measures any piece or shape
-as an independent cross-check of the closed forms, to the one relative tolerance
-``quadrature.REL_TOL``. It rejects a rational arc reaching past ``MAX_RATIONAL_T``, which
-it would lose; a Shape measures that arc in closed form. A Polyline holds coordinate
-tuples, and ``_edge_terms``, the one loop over its edges, is the one edge measure: a
-segment takes its length and area term there.
+the length's form, both outside those forms' float range, take their length from adaptive
+quadrature; no area term does. That quadrature is otherwise one named reference,
+``quadrature_length``, ``quadrature_area_term`` and ``quadrature_measures``, which measures
+any piece or shape as an independent cross-check of the closed forms, to the one relative
+tolerance ``quadrature.REL_TOL``. It integrates a rational arc within |t| <= 1 only, taking
+each part past it through the mirror u = 1/t, so it measures the arc at every finite t.
+A Polyline holds coordinate tuples, and ``_edge_terms``, the one loop over its edges, is the
+one edge measure: a segment takes its length and area term there.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
 of the terms, so a reversed polyline keeps its sums without a second walk, and the digits
 are the same on every Python version.
@@ -61,10 +61,6 @@ CARLSON_RF_SHARE = (3.0e-16) ** (1.0 / 6.0)
 CARLSON_RD_SHARE = (0.25e-16) ** (1.0 / 6.0)
 CARLSON_MAX_STEPS = 64
 MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
-# The quadrature reference rejects a rational arc reaching past this |t|: from about 1e15 on,
-# the first GK15 panel of its area term misses the arc, and the estimate falls below the
-# absolute floor. The closed forms that Shape measures with hold at every finite t.
-MAX_RATIONAL_T = 1e13
 TURN = 2.0 * math.pi
 QUARTER_TURN = 0.5 * math.pi
 # pi/2 as a 33-bit head and its tail (fdlibm's pio2_1, pio2_1t): the head times an integer
@@ -187,8 +183,9 @@ class CurvePiece(Record, ABC):
     polylines). Speed never vanishes on the open parameter interval.
 
     An arc is a local curve placed by one ``frame``, a RigidMotion. Its kind gives the local
-    point and velocity (``_local_xy``, ``_local_velocity``), its length, its local area term
-    and ``_placed``, the piece of its size times a scale in another frame. This class gives
+    point and velocity (``_local_xy``, ``_local_velocity``), ``_exact_length``,
+    ``_local_area_term`` and ``_placed``, the piece of its size times a scale in another
+    frame; every kind, Polyline too, gives its length that way. This class gives
     the rest once: the placed point and velocity, the image under a similarity, and the area
     term. Polyline holds absolute coordinates, measured by ``_edge_terms``, the one edge
     measure, and LineSegment is the one-edge Polyline.
@@ -248,29 +245,21 @@ class CurvePiece(Record, ABC):
         """The parameter the end point is taken at: t_end, or one of the same point."""
         return self.t_end
 
-    def _smooth_spans(self) -> list[tuple[float, float]]:
-        """Parameter spans on which the integrands are smooth."""
-        return [(self.t_start, self.t_end)]
+    def _smooth_spans(self) -> list[tuple["CurvePiece", float, float]]:
+        """The quadrature reference's spans: (piece, lo, hi), on which the piece's point and
+        velocity are smooth and trace a part of this piece, in its direction."""
+        return [(self, self.t_start, self.t_end)]
 
     def _local_chord(self) -> tuple[float, float]:
         """The local end less the local start."""
         (x0, y0), (x1, y1) = self._local_xy(self.t_start), self._local_xy(self._end_parameter())
         return (x1 - x0, y1 - y0)
 
-    def _local_area_term(self) -> float | None:
-        """(1/2) int (x y' - y x') over the local curve, or None where there is no closed form."""
-        return None
-
-    def _exact_length(self) -> float | None:
-        return None
-
-    def _exact_area_term(self) -> float | None:
+    def _exact_area_term(self) -> float:
         # With p = T + R l, (1/2) int p x p' = (1/2) T x (p1 - p0) + det(R) (1/2) int l x l'.
         # p1 - p0 is the local chord through R, not a difference of placed points, which
         # would cancel far from the origin.
         local = self._local_area_term()
-        if local is None:
-            return None
         vx, vy = self.frame.apply_vector(*self._local_chord())
         tx, ty = self.frame.translation
         return 0.5 * (tx * vy - ty * vx) + (-local if self.frame.reflect else local)
@@ -281,10 +270,8 @@ class CurvePiece(Record, ABC):
         return quadrature_length(self) if exact is None else exact
 
     def signed_area_term(self) -> float:
-        """Contribution of this piece to (1/2) oint (x dy - y dx): the closed form, or the
-        quadrature reference where the piece has none."""
-        exact = self._exact_area_term()
-        return quadrature_area_term(self) if exact is None else exact
+        """Contribution of this piece to (1/2) oint (x dy - y dx), closed for every kind."""
+        return self._exact_area_term()
 
 
 def quadrature_length(piece: CurvePiece) -> float:
@@ -293,11 +280,11 @@ def quadrature_length(piece: CurvePiece) -> float:
     The reference for every closed form. A length is positive, so no absolute floor is
     needed: the quadrature stops on its relative tolerance at any scale.
     """
-    hypot, velocity = math.hypot, piece.velocity
-    speed = lambda t: hypot(*velocity(t))
+    hypot = math.hypot
     total = 0.0
-    for lo, hi in piece._smooth_spans():
-        total += abs(adaptive_quadrature(speed, lo, hi, abs_tol=0.0))
+    for part, lo, hi in piece._smooth_spans():
+        velocity = part.velocity
+        total += abs(adaptive_quadrature(lambda t: hypot(*velocity(t)), lo, hi, abs_tol=0.0))
     return total
 
 
@@ -308,15 +295,15 @@ def quadrature_area_term(piece: CurvePiece) -> float:
     not scale-free: below unit size the floor, not the relative tolerance, stops it. A
     scale-free floor needs a size for each piece (ROADMAP item 2).
     """
-    xy, velocity = piece._xy, piece.velocity
-
-    def integrand(t: float) -> float:
-        x, y = xy(t)
-        vx, vy = velocity(t)
-        return 0.5 * (x * vy - y * vx)
-
     total = 0.0
-    for lo, hi in piece._smooth_spans():
+    for part, lo, hi in piece._smooth_spans():
+        xy, velocity = part._xy, part.velocity
+
+        def integrand(t: float) -> float:
+            x, y = xy(t)
+            vx, vy = velocity(t)
+            return 0.5 * (x * vy - y * vx)
+
         total += adaptive_quadrature(integrand, lo, hi)
     return total
 
@@ -435,8 +422,8 @@ class Polyline(CurvePiece):
     def transformed(self, sim: Similarity) -> "Polyline":
         return Polyline(*sim.apply_coordinates(self.xs, self.ys))
 
-    def _smooth_spans(self) -> list[tuple[float, float]]:
-        return [(float(i), float(i + 1)) for i in range(len(self.xs) - 1)]
+    def _smooth_spans(self) -> list[tuple[CurvePiece, float, float]]:
+        return [(self, float(i), float(i + 1)) for i in range(len(self.xs) - 1)]
 
     def _exact_length(self) -> float:
         return self._length
@@ -515,7 +502,9 @@ class CircularArc(CurvePiece):
         return (-self.radius * math.sin(t), self.radius * math.cos(t))
 
     def _local_area_term(self) -> float:
-        return 0.5 * (self.radius * self.radius * (self.angle_end - self.angle_start))
+        # 1.0 * takes an int size to the float it spells, so its square overflows to inf as the
+        # float's does, not in converting an int product; a float's bits do not move.
+        return 0.5 * (1.0 * self.radius * self.radius * (self.angle_end - self.angle_start))
 
     def _placed(self, frame: RigidMotion, scale: float) -> "CircularArc":
         # The frame's rotation and mirror fold into the angles: S R(rot) takes t to -(t + rot).
@@ -807,7 +796,7 @@ class EllipticalArc(CurvePiece):
 
     def _local_area_term(self) -> float:
         a, b = self.semi_axes
-        return 0.5 * (a * b * (self.t_end - self.t_start))
+        return 0.5 * (1.0 * a * b * (self.t_end - self.t_start))  # 1.0 * as in CircularArc's
 
     def _placed(self, frame: RigidMotion, scale: float) -> "EllipticalArc":
         a, b = self.semi_axes
@@ -913,7 +902,7 @@ class ParabolicArc(CurvePiece):
     def _local_area_term(self) -> float:
         # x y' - y = alpha x^2 - gamma: the term is (alpha (x1^3 - x0^3) / 3 - gamma (x1 - x0)) / 2
         alpha, _, gamma = self.coefficients
-        x0, x1 = self.x_start, self.x_end
+        x0, x1 = 1.0 * self.x_start, 1.0 * self.x_end  # as in CircularArc's
         return 0.5 * ((x1 - x0) * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma))
 
     def _placed(self, frame: RigidMotion, scale: float) -> "ParabolicArc":
@@ -937,9 +926,8 @@ class RationalPoint(CurvePiece):
     are rational in t. t in [-1, 1] covers the upper half of the circle.
 
     Both measures are closed at every finite t, from the one ``_sweep``. The quadrature
-    reference's spans, ``_smooth_spans``, raise DomainError for an arc reaching past
-    ``MAX_RATIONAL_T``: past it the reference would lose the arc, so both reference functions
-    refuse it, while a Shape measures it.
+    reference measures the arc at every finite t too: its spans, ``_smooth_spans``, take each
+    part past |t| = 1 through the mirror u = 1/t, so every span it integrates lies in [-1, 1].
     """
 
     __slots__ = _fields = ("t_start", "t_end", "frame")
@@ -999,13 +987,21 @@ class RationalPoint(CurvePiece):
         # On the unit circle (1/2) int (x y' - y x') is half the polar angle turned, -2 d.
         return -self._sweep()
 
-    def _smooth_spans(self) -> list[tuple[float, float]]:
-        # The quadrature reference's one entry, so every caller of it meets the bound.
-        t = max(self.t_start, self.t_end, key=abs)
-        if abs(t) > MAX_RATIONAL_T:
-            raise DomainError(f"rational arc parameter t = {t!r} lies beyond {MAX_RATIONAL_T:g}, "
-                              "where quadrature cannot measure the arc")
-        return [(self.t_start, self.t_end)]
+    def _smooth_spans(self) -> list[tuple[CurvePiece, float, float]]:
+        # Far out in t the arc is a sliver that quadrature's panels miss. The point at t is
+        # the mirror (y -> -y) of the one at u = 1/t, at speed 2/(1 + u^2) in u, so each part
+        # past t = +-1 is measured in u, in the frame composed with the mirror S, R(rot) S =
+        # S R(-rot). 1/t rounds each end by half an ulp, so a part a few ulps wide loses its width.
+        t0, t1 = self.t_start, self.t_end
+        if abs(t0) <= 1.0 >= abs(t1):
+            return [(self, t0, t1)]
+        frame = self.frame
+        mirrored = RationalPoint(-1.0, 1.0, RigidMotion(
+            -frame.rotation_angle, not frame.reflect, frame.translation))
+        cuts = [c for c in (-1.0, 1.0) if min(t0, t1) < c < max(t0, t1)]
+        ends = [t0, *(cuts if t0 < t1 else cuts[::-1]), t1]
+        return [(self, lo, hi) if abs(lo) <= 1.0 >= abs(hi) else (mirrored, 1.0 / lo, 1.0 / hi)
+                for lo, hi in zip(ends, ends[1:])]
 
     def _placed(self, frame: RigidMotion, scale: float) -> CurvePiece:
         if scale == 1.0:

@@ -27,7 +27,6 @@ from unitshapes.curves import (
     Similarity,
     carlson_rf_rd,
     ellipse_half_perimeter,
-    MAX_RATIONAL_T,
     make_circle,
     make_polygon,
     make_rational_circle,
@@ -213,6 +212,20 @@ def test_a_polyline_names_an_int_beyond_the_float_range_before_its_zero_length_e
     # Every edge's hypot is finite, so the zero-length edge is met first, then the coordinate scan.
     with pytest.raises(DomainError, match="^number beyond the float range in a polyline$"):
         Polyline((10**400, 10**400, 10**400), (0, 0, 1))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda n: make_circle(n).area(),
+    lambda n: Shape([EllipticalArc(Point(0, 0), (n, n), 0, 0, 2 * math.pi)]).area(),
+    lambda n: ParabolicArc((1.0, 0.0, 0.0), -n, n).signed_area_term(),
+], ids=["circle", "ellipse", "parabola"])
+def test_an_int_size_measures_as_the_float_it_spells(measure):
+    # An int in the float range whose square is not: the area term overflows to inf (NaN for
+    # the parabola's inf - inf), as the float's does, where converting the int square raised.
+    for n in (3, 10**200):
+        assert _same(measure(n), measure(float(n))), n
+    with pytest.raises(DomainError, match="overflows the float range"):
+        unitize(make_circle(10**200))
 
 
 def test_degenerate_json_piece_is_named_as_invalid():
@@ -563,23 +576,29 @@ def test_rational_arc_length_is_within_2_ulps_of_its_80_digit_value(t0, t1):
             assert 0.0 < length and error <= 2 * Decimal(math.ulp(length)), (s0, s1, length)
 
 
-def test_rational_arc_length_against_the_quadrature_reference():
+def test_rational_arc_measures_against_the_quadrature_reference():
+    # Ends of both signs with |t| from 1e-300 to 1e300, posed, mirrored and shifted: the
+    # reference takes each part past |t| = 1 through u = 1/t, so it keeps even an arc that
+    # lies in a sliver at the bottom of the circle.
     rng = random.Random(29)
-    for _ in range(300):
-        t0, t1 = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+    for _ in range(1000):
+        t0, t1 = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
         frame = RigidMotion(rng.uniform(-4.0, 4.0), rng.random() < 0.5,
                             (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)))
         arc = RationalPoint(t0, t1, frame)
         assert arc.length() == pytest.approx(quadrature_length(arc), rel=1e-10, abs=0.0)
+        term = arc.signed_area_term()
+        assert quadrature_area_term(arc) == pytest.approx(term, rel=0.0,
+                                                          abs=1e-12 * max(1.0, abs(term)))
 
 
 @pytest.mark.parametrize("frame", RATIONAL_ARC_FRAMES[:2], ids=["plain", "mirrored"])
-def test_rational_area_term_quadrature_holds_to_the_parameter_bound(frame):
+def test_rational_area_term_quadrature_holds_to_1e300(frame):
     # The circular arc at the polar angles pi/2 - 2 atan t, in the same frame, and the rational
-    # arc's own closed form give the term. Past MAX_RATIONAL_T the quadrature's first panel
-    # misses the arc.
+    # arc's own closed form give the term. Integrated in t, the quadrature's first panel missed
+    # the arc from about t = 1e15 on; in u = 1/t it does not.
     for t0 in (-1.0, 0.3, -5.0):
-        for t1 in [sign * 10.0**k for k in range(14) for sign in (1.0, -1.0)] + [MAX_RATIONAL_T]:
+        for t1 in [sign * 10.0**k for k in range(301) for sign in (1.0, -1.0)]:
             if t1 == t0:
                 continue
             angles = [curves.QUARTER_TURN - 2.0 * math.atan(t) for t in (t0, t1)]
@@ -618,15 +637,14 @@ def _assert_area_term_within_2_ulps(t0: float, t1: float) -> None:
             assert error <= 2 * Decimal(math.ulp(term)), (s0, s1, frame, term)
 
 
-def test_rational_arc_past_the_parameter_bound_is_rejected():
-    # Only the quadrature reference refuses the arc: at t = 1e15 its area term came out
-    # 6.976e-13, where the term is 3 pi / 4. A Shape measures the arc in closed form.
-    for t in (math.nextafter(MAX_RATIONAL_T, math.inf), 1e15, -1e16, 1e100, 1.7e308):
+def test_far_rational_arcs_are_measured_alike_by_the_reference_and_the_closed_forms():
+    # Integrated in t, the reference's area term of the arc from t = 1e15 came out 6.976e-13,
+    # where the term is 3 pi / 4.
+    for t in (math.nextafter(1e13, math.inf), 1e15, -1e16, 1e100, 1.7e308):
         arc = RationalPoint(t, -1.0)
-        for measure in (lambda: quadrature_area_term(arc), lambda: quadrature_length(arc)):
-            with pytest.raises(DomainError,
-                               match=rf"^rational arc parameter t = {re.escape(repr(t))} "):
-                measure()
+        assert quadrature_length(arc) == pytest.approx(arc.length(), rel=2e-15, abs=0.0), t
+        assert quadrature_area_term(arc) == pytest.approx(arc.signed_area_term(), rel=2e-15,
+                                                          abs=0.0), t
         # From 2 / |t| short of the bottom of the circle the arc runs to (-1, 0), through three
         # quarters counterclockwise for t > 0 and one clockwise for t < 0; the segment closes it.
         shape = Shape([arc, LineSegment(arc.end, arc.start)])
@@ -634,8 +652,9 @@ def test_rational_arc_past_the_parameter_bound_is_rejected():
             area, semiperimeter = 3.0 * math.pi / 4.0 + 0.5, 3.0 * math.pi / 4.0 + math.sqrt(0.5)
         else:
             area, semiperimeter = math.pi / 4.0 - 0.5, math.pi / 4.0 + math.sqrt(0.5)
-        for measure, value in ((shape.area(), area), (shape.semiperimeter(), semiperimeter)):
-            assert measure == pytest.approx(value, rel=1e-15 + 2.0 / abs(t), abs=0.0), t
+        closed = (shape.area(), shape.semiperimeter())
+        assert closed == pytest.approx((area, semiperimeter), rel=1e-15 + 2.0 / abs(t), abs=0.0), t
+        assert quadrature_measures(shape) == pytest.approx(closed, rel=2e-15, abs=0.0), t
 
 
 def test_ellipse_semiperimeter_against_simpson_oracle():

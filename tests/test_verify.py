@@ -16,8 +16,10 @@ from unitshapes.catalog import (
     fundamental_measure,
 )
 from unitshapes.curves import (
+    LineSegment,
     Polyline,
     RationalPoint,
+    RigidMotion,
     Shape,
     make_circle,
     make_polygon,
@@ -221,13 +223,21 @@ def test_rational_circle_is_unit_shape():
 
 def test_rational_circle_measured_by_quadrature(monkeypatch):
     area, semiperimeter = quadrature_measures(make_rational_circle())
+    # Three quarters of the unit circle from t = 1e100, which the reference takes in u = 1/t,
+    # closed by its chord.
+    arc = RationalPoint(1e100, -1.0, RigidMotion(0.7, True, (3.0, -2.0)))
+    far = Shape([arc, LineSegment(arc.end, arc.start)])
+    far_measures = quadrature_measures(far)
+    assert far_measures == pytest.approx((far.area(), far.semiperimeter()), rel=2e-15, abs=0.0)
     # A closed form for the rational piece, right or wrong, must not reach the fixture.
     monkeypatch.setattr(RationalPoint, "_exact_length", lambda self: 1.0, raising=False)
     monkeypatch.setattr(RationalPoint, "_exact_area_term", lambda self: 1.0, raising=False)
+    monkeypatch.setattr(RationalPoint, "_sweep", lambda self: 1.0)
     report = check_rational_circle()
     assert report.passed
     assert report.details["area"] == area
     assert report.details["semiperimeter"] == semiperimeter
+    assert quadrature_measures(far) == far_measures
 
 
 # --- calculus, idempotence and conciliation: each can fail -------------------------
