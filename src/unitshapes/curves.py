@@ -35,8 +35,9 @@ A piece's shape JSON is its kind and its fields, or a polyline's ``vertices``, a
 [x, y] pairs: ``_json_value`` writes each field and ``_field_from_json`` reads it back. That
 layer checks only that numbers are numbers and lists have their lengths, and reads the
 vertices in C-level passes; each constructor rejects a NaN, an infinity or an int beyond
-the float range, for JSON and every other caller alike. A Polyline scans its coordinates
-for one only where its length is not finite, or where it would name a zero-length edge.
+the float range by the one rule ``errors.require_finite``, for JSON and every other caller
+alike. A Polyline instead scans its coordinates in one C-level pass, and only where its
+length is not finite or where it would name a zero-length edge.
 
 All types are immutable values; every operation here is pure.
 """
@@ -49,7 +50,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .quadrature import adaptive_quadrature
 from .records import Record, setfield
 
@@ -77,13 +78,7 @@ class Point(Record):
     __slots__ = _fields = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        # v * 0.0 is 0.0 for a finite v and NaN for NaN or an infinity, so one test covers both;
-        # for an int beyond the float range it raises OverflowError, which only such a number does.
-        try:
-            if x * 0.0 + y * 0.0:
-                raise DomainError(f"non-finite number in a point: {x}, {y}")
-        except OverflowError:
-            raise DomainError("number beyond the float range in a point") from None
+        require_finite("a point", x, y)
         setfield(self, "x", x)
         setfield(self, "y", y)
 
@@ -105,12 +100,7 @@ class RigidMotion(Record):
     def __init__(self, rotation_angle: float = 0.0, reflect: bool = False,
                  translation: tuple[float, float] = (0.0, 0.0)) -> None:
         tx, ty = translation
-        try:
-            if rotation_angle * 0.0 + tx * 0.0 + ty * 0.0:
-                raise DomainError(
-                    f"non-finite number in a rigid motion: {rotation_angle}, {translation}")
-        except OverflowError:
-            raise DomainError("number beyond the float range in a rigid motion") from None
+        require_finite("a rigid motion", rotation_angle, tx, ty)
         # The rows of S^eps R: times -1.0 is exact, so a mirrored row negates its sum exactly.
         c, s, mirror = math.cos(rotation_angle), math.sin(rotation_angle), -1.0 if reflect else 1.0
         self._fill(rotation_angle, reflect, translation, (c, -s, mirror * s, mirror * c))
@@ -137,11 +127,9 @@ class Similarity(Record):
     __slots__ = _fields = ("motion", "scale")
 
     def __init__(self, motion: RigidMotion = RigidMotion(), scale: float = 1.0) -> None:
-        try:
-            if not 0.0 < scale * 1.0 < math.inf:
-                raise DomainError(f"similarity scale must be positive, got {scale}")
-        except OverflowError:
-            raise DomainError("similarity scale beyond the float range") from None
+        require_finite("a similarity scale", scale)
+        if not scale > 0.0:
+            raise DomainError(f"similarity scale must be positive, got {scale}")
         setfield(self, "motion", motion)
         setfield(self, "scale", scale)
 
@@ -473,12 +461,7 @@ class CircularArc(CurvePiece):
             raise DomainError(f"arc radius must be positive, got {radius}")
         if angle_start == angle_end:
             raise DomainError("degenerate circular arc (zero sweep)")
-        try:
-            if radius * 0.0 + angle_start * 0.0 + angle_end * 0.0:
-                raise DomainError(
-                    f"non-finite number in a circular arc: {radius}, {angle_start}, {angle_end}")
-        except OverflowError:
-            raise DomainError("number beyond the float range in a circular arc") from None
+        require_finite("a circular arc", radius, angle_start, angle_end)
         setfield(self, "center", center)
         setfield(self, "radius", radius)
         setfield(self, "angle_start", angle_start)
@@ -755,12 +738,7 @@ class EllipticalArc(CurvePiece):
             raise DomainError(f"ellipse semi-axes must be positive, got {semi_axes}")
         if t_start == t_end:
             raise DomainError("degenerate elliptical arc (zero sweep)")
-        try:
-            if a * 0.0 + b * 0.0 + rotation * 0.0 + t_start * 0.0 + t_end * 0.0:
-                raise DomainError(f"non-finite number in an elliptical arc: {semi_axes},"
-                                  f" {rotation}, {t_start}, {t_end}")
-        except OverflowError:
-            raise DomainError("number beyond the float range in an elliptical arc") from None
+        require_finite("an elliptical arc", a, b, rotation, t_start, t_end)
         setfield(self, "center", center)
         setfield(self, "semi_axes", semi_axes)
         setfield(self, "rotation", rotation)
@@ -839,12 +817,7 @@ class ParabolicArc(CurvePiece):
         if x_start == x_end:
             raise DomainError("degenerate parabolic arc (zero span)")
         alpha, beta, gamma = coefficients
-        try:
-            if alpha * 0.0 + beta * 0.0 + gamma * 0.0 + x_start * 0.0 + x_end * 0.0:
-                raise DomainError(
-                    f"non-finite number in a parabolic arc: {coefficients}, {x_start}, {x_end}")
-        except OverflowError:
-            raise DomainError("number beyond the float range in a parabolic arc") from None
+        require_finite("a parabolic arc", alpha, beta, gamma, x_start, x_end)
         setfield(self, "coefficients", coefficients)
         setfield(self, "x_start", x_start)
         setfield(self, "x_end", x_end)
@@ -903,7 +876,12 @@ class ParabolicArc(CurvePiece):
         # x y' - y = alpha x^2 - gamma: the term is (alpha (x1^3 - x0^3) / 3 - gamma (x1 - x0)) / 2
         alpha, _, gamma = self.coefficients
         x0, x1 = 1.0 * self.x_start, 1.0 * self.x_end  # as in CircularArc's
-        return 0.5 * ((x1 - x0) * (alpha * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0 - gamma))
+        quadratic = alpha * (x0 * x0 + x0 * x1 + x1 * x1)
+        if not math.isfinite(quadratic):  # x^2 overflowed, maybe to inf - inf: divide out the
+            size = max(abs(x0), abs(x1))  # larger end, and multiply alpha by it first
+            u0, u1 = x0 / size, x1 / size
+            quadratic = alpha * size * size * (u0 * u0 + u0 * u1 + u1 * u1)
+        return 0.5 * ((x1 - x0) * (quadratic / 3.0 - gamma))
 
     def _placed(self, frame: RigidMotion, scale: float) -> "ParabolicArc":
         # Scaling a graph y = a x^2 + b x + c by lambda keeps it parabolic with
@@ -937,11 +915,7 @@ class RationalPoint(CurvePiece):
     def __init__(self, t_start: float, t_end: float, frame: RigidMotion = RigidMotion()) -> None:
         if t_start == t_end:
             raise DomainError("degenerate rational arc (zero sweep)")
-        try:
-            if t_start * 0.0 + t_end * 0.0:
-                raise DomainError(f"non-finite number in a rational arc: {t_start}, {t_end}")
-        except OverflowError:
-            raise DomainError("number beyond the float range in a rational arc") from None
+        require_finite("a rational arc", t_start, t_end)
         setfield(self, "t_start", t_start)
         setfield(self, "t_end", t_end)
         setfield(self, "frame", frame)
@@ -1155,11 +1129,6 @@ _LIST_LENGTHS = {**dict.fromkeys(_POINT_FIELDS, 2), "semi_axes": 2, "coefficient
                  "translation": 2}
 
 
-def _check_numbers(values: Iterable) -> None:
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        raise _Malformed("holds a value that is not a number")
-
-
 def _field_from_json(name: str, value):
     """The field ``name`` read back as ``_json_value`` writes it: a number as a float, a list
     as a tuple of floats (a Point for a center, start or end), a frame as a RigidMotion.
@@ -1183,7 +1152,8 @@ def _field_from_json(name: str, value):
         return float(value)
     if type(value) is not list or len(value) != length:
         raise _Malformed(f"has {name} {value!r} where a list of {length} numbers belongs")
-    _check_numbers(value)
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise _Malformed("holds a value that is not a number")
     floats = tuple(map(float, value))
     return Point(*floats) if name in _POINT_FIELDS else floats
 
@@ -1200,7 +1170,7 @@ def _parse_piece(d: dict) -> CurvePiece:
         # zip for the coordinate tuples, which Polyline keeps. Polyline rejects a NaN or an
         # infinity, and fewer than 2 vertices, itself.
         vertices = d["vertices"]
-        # A set of the types, which also tells whether an int is present; _check_numbers
+        # A set of the types, which also tells whether an int is present; _field_from_json
         # keeps its cheaper test for the other kinds' short lists.
         types = set(map(type, chain.from_iterable(vertices)))
         if not types <= _NUMBER_TYPES:

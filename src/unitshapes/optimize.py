@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from itertools import groupby
 
 from . import catalog
 from .catalog import FAMILIES, FAMILY_BY_NAME, Ellipse, Rhombus, family_key, fundamental_measure
-from .errors import DomainError, NotConverged
+from .errors import DomainError, NotConverged, require_finite
 from .records import Record, setfield
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -175,6 +176,7 @@ def minimize_1d(
     """Golden-section minimum of a one-parameter family's measure."""
     make = _searchable(family, "bracket", "one")
     lo, hi = bracket if bracket is not None else make.bracket
+    require_finite("the bracket", lo, hi)
     if not lo < hi:
         raise DomainError(f"empty bracket ({lo}, {hi})")
 
@@ -247,24 +249,19 @@ def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult
             raise DomainError(f"scan needs a one-parameter family, got {family!r}")
         evaluate = lambda t: fundamental_measure(make(t))
 
+    require_finite("the scan range", lo, hi)
     params = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     params[-1] = hi
     values = [evaluate(t) for t in params]
 
-    monotone_runs = []
-    run_start = 0
-    direction = ""
-    for i in range(1, n):
-        step = "increasing" if values[i] > values[i - 1] else (
-            "decreasing" if values[i] < values[i - 1] else "flat"
-        )
-        if direction == "":
-            direction = step
-        elif step != direction:
-            monotone_runs.append((params[run_start], params[i - 1], direction))
-            run_start = i - 1
-            direction = step
-    monotone_runs.append((params[run_start], params[-1], direction))
+    # Each maximal run of equal step directions; a NaN step compares neither way, so is flat.
+    steps = ["increasing" if b > a else "decreasing" if b < a else "flat"
+             for a, b in zip(values, values[1:])]
+    monotone_runs, start = [], 0
+    for direction, run in groupby(steps):
+        end = start + len(list(run))
+        monotone_runs.append((params[start], params[end], direction))
+        start = end
 
     i_min = min(range(n), key=values.__getitem__)
     i_max = max(range(n), key=values.__getitem__)

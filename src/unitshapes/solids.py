@@ -17,7 +17,7 @@ import math
 import sys
 from itertools import combinations
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .records import Record, setfield
 
 Vec = tuple[float, float, float]
@@ -68,8 +68,9 @@ class PlatonicSolid(Record):
     def __init__(self, kind: str, edge_length: float = 1.0) -> None:
         if kind not in _BASES:
             raise DomainError(f"unknown solid kind {kind!r}; choose from {KINDS}")
-        if not (edge_length > 0.0 and math.isfinite(edge_length)):
-            raise DomainError(f"edge length must be positive and finite, got {edge_length}")
+        require_finite("a solid's edge length", edge_length)
+        if not edge_length > 0.0:
+            raise DomainError(f"edge length must be positive, got {edge_length}")
         setfield(self, "kind", kind)
         setfield(self, "edge_length", edge_length)
 

@@ -484,6 +484,16 @@ def test_unitize_non_finite_piece_end_is_the_point_error(tmp_path, capsys, piece
     assert (code, out, err) == (2, "", f"error: non-finite number in a point: {shown}\n")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["minimize", "--family", "rectangle", "--lo", "0.5", "--hi", "inf"], "the bracket"),
+    (["scan", "--family", "rectangle", "--lo", "0.5", "--hi", "inf", "--n", "3"], "the scan range"),
+], ids=["minimize", "scan"])
+def test_a_non_finite_bracket_or_range_is_named_as_typed(capsys, argv, named):
+    # One line naming the numbers given, not the NaN a search would make of the infinity.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: non-finite number in {named}: 0.5, inf\n")
+
+
 def test_scan_rejects_regular_polygon_up_front(capsys):
     code, out, err = invoke(capsys, "scan", "--family", "regular_polygon", "--lo", "3", "--hi", "8",
                             "--n", "6")

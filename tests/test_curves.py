@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,6 +40,8 @@ from unitshapes.curves import (
     _piece_from_dict,
 )
 from unitshapes.errors import DomainError, UnitShapesError
+from unitshapes.optimize import minimize_1d, scan
+from unitshapes.solids import PlatonicSolid
 from unitshapes.unitize import unitize
 
 from oracles import dense_simpson, rational_arc_sweep
@@ -184,6 +187,15 @@ NUMBER_SLOTS = {
         lambda v: RationalPoint(-1.0, 1.0, RigidMotion(0.0, False, (v, 0.0))),
     ],
     "similarity": [lambda v: Similarity(RigidMotion(), v)],
+    "platonic_solid": [lambda v: PlatonicSolid("cube", v)],
+}
+# The boundaries whose result does not keep the number as given: each end of a search bracket
+# and of a scan range.
+RANGE_SLOTS = {
+    "minimize_1d": [lambda v: minimize_1d("rectangle", (v, 4.0)),
+                    lambda v: minimize_1d("rectangle", (0.1, v))],
+    "scan": [lambda v: scan("rectangle", "Pi", v, 4.0, 3),
+             lambda v: scan("rectangle", "Pi", 0.1, v, 3)],
 }
 
 
@@ -208,6 +220,18 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(kind, slot):
             build(bad)
 
 
+@pytest.mark.parametrize("kind", sorted(RANGE_SLOTS))
+def test_a_bracket_or_scan_range_takes_the_one_finiteness_rule(kind):
+    # Before the search, so neither a NaN the search makes of an infinity nor a bare
+    # OverflowError from an int beyond the float range reaches the caller.
+    for build in RANGE_SLOTS[kind]:
+        build(0.25)
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400):
+            with pytest.raises(DomainError, match="^(non-finite number|number beyond the float"
+                                                  " range) in the (bracket|scan range)"):
+                build(bad)
+
+
 def test_a_polyline_names_an_int_beyond_the_float_range_before_its_zero_length_edge():
     # Every edge's hypot is finite, so the zero-length edge is met first, then the coordinate scan.
     with pytest.raises(DomainError, match="^number beyond the float range in a polyline$"):
@@ -220,8 +244,8 @@ def test_a_polyline_names_an_int_beyond_the_float_range_before_its_zero_length_e
     lambda n: ParabolicArc((1.0, 0.0, 0.0), -n, n).signed_area_term(),
 ], ids=["circle", "ellipse", "parabola"])
 def test_an_int_size_measures_as_the_float_it_spells(measure):
-    # An int in the float range whose square is not: the area term overflows to inf (NaN for
-    # the parabola's inf - inf), as the float's does, where converting the int square raised.
+    # An int in the float range whose square is not: the area term overflows to inf, as the
+    # float's does, where converting the int square raised.
     for n in (3, 10**200):
         assert _same(measure(n), measure(float(n))), n
     with pytest.raises(DomainError, match="overflows the float range"):
@@ -1140,6 +1164,36 @@ def test_reference_raises_where_an_interior_point_overflows():
     for reference in (quadrature_area_term, quadrature_length):
         with pytest.raises(UnitShapesError):
             reference(arc)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-300, -1e-300, 1.0])
+@pytest.mark.parametrize("x0, x1", [(-1e160, 1e160), (-1e200, 1e200), (1e200, 2e200),
+                                    (-2e200, -1e200), (3e200, -1e199), (-1.5, 2.0)])
+def test_parabolic_area_term_where_x_squared_overflows(alpha, x0, x1):
+    # x0^2 and x1^2 overflow, or x0 x1 cancels them as inf - inf, where the term need not: the
+    # straight arc over +-1e160 and the 1e-300 cap over +-1e200 are finite. Held to the exact
+    # term in Fractions, or to its infinity where that lies beyond the float range.
+    gamma = 0.75
+    a, u, v = Fraction(alpha), Fraction(x0), Fraction(x1)
+    exact = (v - u) * (a * (u * u + u * v + v * v) / 3 - Fraction(gamma)) / 2
+    term = ParabolicArc((alpha, 0.0, gamma), x0, x1)._local_area_term()
+    if abs(exact) > 2**1024:
+        assert term == (math.inf if exact > 0 else -math.inf)
+    else:
+        assert term == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+def test_parabolic_arcs_past_the_square_overflow_close_into_measured_shapes():
+    # x^2 overflows in both arcs, where their measures do not: a straight arc closed through the
+    # origin, and the 1e-300 cap closed by its chord, 1e100 high: its S^2/A is (2e200)^2 /
+    # ((4/3) 1e200 1e100) = 3e100, the arc being as long as the chord to 1e-200.
+    line = ParabolicArc((0.0, 0.0, 1.0), -1e160, 1e160)
+    origin = Point(0.0, 0.0)
+    wedge = Shape([line, LineSegment(line.end, origin), LineSegment(origin, line.start)])
+    assert wedge.area() == pytest.approx(1e160, rel=1e-15)
+    cap = ParabolicArc((1e-300, 0.0, 0.0), -1e200, 1e200)
+    result = unitize(Shape([cap, LineSegment(cap.end, cap.start)]))
+    assert result.fundamental_measure == pytest.approx(3e100, rel=1e-15)
 
 
 def test_parabolic_length_is_the_straight_length_as_alpha_vanishes():
