@@ -88,6 +88,8 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    # Not errors.require_finite: argparse prints any ValueError from a type function, a
+    # DomainError too, as "invalid _tolerance value: 'nan'" and drops its message.
     if not (value > 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value

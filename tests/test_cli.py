@@ -484,6 +484,37 @@ def test_unitize_non_finite_piece_end_is_the_point_error(tmp_path, capsys, piece
     assert (code, out, err) == (2, "", f"error: non-finite number in a point: {shown}\n")
 
 
+@pytest.mark.parametrize(
+    "piece, shown",
+    [
+        ('"circular_arc", "center": [0, 0], "radius": NaN, "angle_start": 0, "angle_end": 1',
+         "a circular arc: nan, 0.0, 1.0"),
+        ('"circular_arc", "center": [0, 0], "radius": 1, "angle_start": Infinity,'
+         ' "angle_end": Infinity', "a circular arc: 1.0, inf, inf"),
+        ('"elliptical_arc", "center": [0, 0], "semi_axes": [NaN, 1], "rotation": 0,'
+         ' "t_start": 0, "t_end": 1', "an elliptical arc: nan, 1.0, 0.0, 0.0, 1.0"),
+        ('"elliptical_arc", "center": [0, 0], "semi_axes": [2, 1], "rotation": -Infinity,'
+         ' "t_start": 0, "t_end": 1', "an elliptical arc: 2.0, 1.0, -inf, 0.0, 1.0"),
+        ('"parabolic_arc", "coefficients": [NaN, 0, 0], "x_start": -1, "x_end": 1',
+         "a parabolic arc: nan, 0.0, 0.0, -1.0, 1.0"),
+        ('"parabolic_arc", "coefficients": [1, 0, 0], "x_start": Infinity, "x_end": Infinity',
+         "a parabolic arc: 1.0, 0.0, 0.0, inf, inf"),
+        ('"rational_point", "t_start": -1, "t_end": NaN', "a rational arc: -1.0, nan"),
+        ('"rational_point", "t_start": Infinity, "t_end": Infinity', "a rational arc: inf, inf"),
+    ],
+    ids=["circle-nan-radius", "circle-equal-infinite-ends", "ellipse-nan-axis",
+         "ellipse-infinite-rotation", "parabola-nan-alpha", "parabola-equal-infinite-ends",
+         "rational-nan-end", "rational-equal-infinite-ends"],
+)
+def test_unitize_names_a_non_finite_arc_number_in_one_line(tmp_path, capsys, piece, shown):
+    # The finiteness rule runs before each arc's positivity and zero-sweep tests.
+    path = tmp_path / "shape.json"
+    path.write_text('{"pieces": [{"kind": %s}]}' % piece)
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: piece 0 of the shape JSON is invalid: non-finite number in {shown}\n")
+
+
 @pytest.mark.parametrize("argv, named", [
     (["minimize", "--family", "rectangle", "--lo", "0.5", "--hi", "inf"], "the bracket"),
     (["scan", "--family", "rectangle", "--lo", "0.5", "--hi", "inf", "--n", "3"], "the scan range"),

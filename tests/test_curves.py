@@ -130,9 +130,12 @@ def test_degenerate_pieces_rejected():
         (lambda: ParabolicArc((1.0, 0.0, 0.0), 0.5, 0.5), "degenerate parabolic arc"),
         (lambda: EllipticalArc(Point(0, 0), (1.0, 2.0), 0.0, 0.5, 0.5), "degenerate elliptical arc"),
         (lambda: Similarity(scale=0.0), "similarity scale must be positive"),
-        (lambda: make_circle(-1.0), "circle radius must be positive"),
+        (lambda: make_circle(-1.0), "^arc radius must be positive, got -1.0$"),
+        (lambda: make_circle(math.nan), "^non-finite number in a circular arc: nan, 0.0, "
+                                        "6.283185307179586$"),
     ],
-    ids=["no_piece", "zero_area", "parabolic_arc", "elliptical_arc", "similarity", "make_circle"],
+    ids=["no_piece", "zero_area", "parabolic_arc", "elliptical_arc", "similarity", "make_circle",
+         "make_circle_nan"],
 )
 def test_construction_errors_are_domain_errors(build, message):
     with pytest.raises(DomainError, match=message):
@@ -218,6 +221,45 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(kind, slot):
     for bad in (10**400, -10**400):
         with pytest.raises(DomainError):
             build(bad)
+
+
+# Each arc kind with a size or parameter replaced by v, both ends at once included, keyed by the
+# name its finiteness error gives it.
+ARC_NUMBER_SLOTS = {
+    "a circular arc": [
+        lambda v: CircularArc(Point(0.0, 0.0), v, 0.0, 1.0),
+        lambda v: CircularArc(Point(0.0, 0.0), 1.0, 0.0, v),
+        lambda v: CircularArc(Point(0.0, 0.0), 1.0, v, v),
+    ],
+    "an elliptical arc": [
+        lambda v: EllipticalArc(Point(0.0, 0.0), (v, 1.0), 0.3, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, v), 0.3, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, 1.0), v, 0.0, 1.0),
+        lambda v: EllipticalArc(Point(0.0, 0.0), (2.0, 1.0), 0.3, v, v),
+    ],
+    "a parabolic arc": [
+        lambda v: ParabolicArc((v, 0.0, 1.0), -1.0, 1.0),
+        lambda v: ParabolicArc((1.0, 0.0, 0.0), -1.0, v),
+        lambda v: ParabolicArc((1.0, 0.0, 0.0), v, v),
+    ],
+    "a rational arc": [
+        lambda v: RationalPoint(-1.0, v),
+        lambda v: RationalPoint(v, v),
+    ],
+}
+
+
+@pytest.mark.parametrize("what", sorted(ARC_NUMBER_SLOTS))
+def test_an_arc_takes_the_finiteness_rule_before_its_domain_tests(what):
+    # A NaN or an infinite size is named as non-finite, not as a size that is not positive, and
+    # equal infinite ends as non-finite, not as a zero sweep.
+    for build in ARC_NUMBER_SLOTS[what]:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError) as raised:
+                build(bad)
+            prefix, _, values = str(raised.value).partition(": ")
+            assert prefix == f"non-finite number in {what}"
+            assert str(bad) in values.split(", ")
 
 
 @pytest.mark.parametrize("kind", sorted(RANGE_SLOTS))
@@ -1176,11 +1218,15 @@ def test_parabolic_area_term_where_x_squared_overflows(alpha, x0, x1):
     gamma = 0.75
     a, u, v = Fraction(alpha), Fraction(x0), Fraction(x1)
     exact = (v - u) * (a * (u * u + u * v + v * v) / 3 - Fraction(gamma)) / 2
-    term = ParabolicArc((alpha, 0.0, gamma), x0, x1)._local_area_term()
+    arc = ParabolicArc((alpha, 0.0, gamma), x0, x1)
+    term = arc._local_area_term()
     if abs(exact) > 2**1024:
         assert term == (math.inf if exact > 0 else -math.inf)
     else:
         assert term == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    # The identity frame shifts by nothing, so the placed term is the local one, also where
+    # the chord's rise overflows and 0 times it would be NaN.
+    assert arc.signed_area_term() == term
 
 
 def test_parabolic_arcs_past_the_square_overflow_close_into_measured_shapes():
@@ -1415,8 +1461,9 @@ def _arcs_built_every_way():
 
 
 def test_an_arc_frame_is_the_checked_rigid_motion_bit_for_bit():
-    # The arcs build their frames from numbers they have checked already; each must hold what
-    # the checking constructor gives, the -0.0 of a circle's unrotated linear part included.
+    # Every way of building an arc, placing and reversing it included, gives the frame that
+    # RigidMotion's constructor gives for its rotation and center, the -0.0 of a circle's
+    # unrotated linear part included.
     bits = lambda values: [float(v).hex() for v in values]
     for arc, angle in _arcs_built_every_way():
         expected = RigidMotion(angle, False, (arc.center.x, arc.center.y))

@@ -2,9 +2,12 @@
 
 README's "Performance" section names one ``BENCH_<n>.json`` at the repository root and prints
 its numbers in one table. Each printed number must be the file's value rounded to the
-decimals README prints, so the table cannot drift from the file.
+decimals README prints, so the table cannot drift from the file. And every construction that
+skips a constructor's checks must have its measured cost in README's "Measured dead ends and
+kept costs".
 """
 
+import ast
 import json
 import pathlib
 import re
@@ -23,6 +26,39 @@ COLUMNS = {
     "attempted": ("attempted",),
     "failed": ("failed",),
 }
+
+
+def _kept_costs_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    heading = r"^### Measured dead ends and kept costs\n(.*?)^## "
+    return re.search(heading, readme, re.M | re.S).group(1)
+
+
+def _new_callers(tree: ast.AST, scope: str = "") -> list[str]:
+    """The qualified name (Class.function) of each function that calls ``X.__new__(...)``."""
+    callers = []
+    for node in ast.iter_child_nodes(tree):
+        name = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"):
+            callers.append(scope)
+        callers += _new_callers(node, name)
+    return callers
+
+
+def test_every_unchecked_construction_has_its_measured_cost_in_readme():
+    # X.__new__ builds an object without its constructor's checks: each function that does so
+    # is one more construction path, kept only with the cost that rebuilding through the
+    # constructor was measured to add.
+    sample = "class A:\n    def f(self):\n        return [A.__new__(A)]\n\ndef g():\n    pass\n"
+    assert _new_callers(ast.parse(sample)) == ["A.f"]
+    section = _kept_costs_section()
+    callers = {caller for path in sorted((ROOT / "src" / "unitshapes").glob("*.py"))
+               for caller in _new_callers(ast.parse(path.read_text(encoding="utf-8")))}
+    for caller in sorted(callers):
+        assert f"`{caller}`" in section, caller
 
 
 def _performance_section() -> str:
