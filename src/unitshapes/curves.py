@@ -15,16 +15,16 @@ Area comes from the Green's-theorem line integral (1/2) oint (x dy - y dx); peri
 from the speed integral. Every piece kind takes both measures in closed form. An
 elliptical arc's length is the complete elliptic integral, ``ellipse_half_perimeter`` by
 Carlson's R_G, for each whole quarter of its sweep, and the incomplete one for the rest;
-both come from Carlson's R_F and R_D, ``carlson_rf_rd``. A parabolic arc's is an ``asinh``
-form. A trig-free rational arc turns through -2 d on the unit circle, d = atan t1 - atan t0
-= atan2(t1 - t0, 1 + t0 t1), so its length is 2 |d| and its local area term -d. Only an
-elliptical arc flatter than ``MIN_AXIS_RATIO`` and a parabolic arc whose slope overflows
-the length's form, both outside those forms' float range, take their length from adaptive
-quadrature; no area term does. That quadrature is otherwise one named reference,
-``quadrature_length``, ``quadrature_area_term`` and ``quadrature_measures``, which measures
-any piece or shape as an independent cross-check of the closed forms, to the one relative
-tolerance ``quadrature.REL_TOL``. It integrates a rational arc within |t| <= 1 only, taking
-each part past it through the mirror u = 1/t, so it measures the arc at every finite t.
+both come from Carlson's R_F and R_D, ``carlson_rf_rd``, or flatter than ``FLAT_AXIS_RATIO``
+from the segment the arc traces. A parabolic arc's is its span times its mean speed, an
+``asinh`` form, ``_mean_hypot``. A trig-free rational arc turns through -2 d on the unit
+circle, d = atan t1 - atan t0 = atan2(t1 - t0, 1 + t0 t1), so its length is 2 |d| and its
+local area term -d. A length past the float range is inf. Adaptive quadrature is one named
+reference, ``quadrature_length``, ``quadrature_area_term`` and ``quadrature_measures``, which
+measures any piece or shape as an independent cross-check of the closed forms, to the one
+relative tolerance ``quadrature.REL_TOL``; no measure calls it. It integrates a rational arc
+within |t| <= 1, taking each longer part past it through the mirror u = 1/t, so it measures
+the arc at every finite t.
 A Polyline holds coordinate tuples, and ``_edge_terms``, the one loop over its edges, is the
 one edge measure: a segment takes its length and area term there.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
@@ -61,7 +61,7 @@ JOIN_TOL = 1e-12
 CARLSON_RF_SHARE = (3.0e-16) ** (1.0 / 6.0)
 CARLSON_RD_SHARE = (0.25e-16) ** (1.0 / 6.0)
 CARLSON_MAX_STEPS = 64
-MIN_AXIS_RATIO = 1e-100  # partial arcs flatter than this are left to quadrature
+FLAT_AXIS_RATIO = 1e-100  # a partial arc flatter than this is measured from the segment it traces
 TURN = 2.0 * math.pi
 QUARTER_TURN = 0.5 * math.pi
 # pi/2 as a 33-bit head and its tail (fdlibm's pio2_1, pio2_1t): the head times an integer
@@ -108,7 +108,10 @@ class RigidMotion(Record):
     def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
         """Linear part only (no translation)."""
         xx, xy, yx, yy = self._linear
-        return (xx * vx + xy * vy, yx * vx + yy * vy)
+        x, y = xx * vx + xy * vy, yx * vx + yy * vy
+        if x != x or y != y:  # NaN: inf - inf, or 0 times inf, which a zero entry does not take
+            return tuple(sum(e * v for e, v in zip(r, (vx, vy)) if e) for r in ((xx, xy), (yx, yy)))
+        return (x, y)
 
 
 class Similarity(Record):
@@ -246,9 +249,8 @@ class CurvePiece(Record, ABC):
         return 0.5 * shift + (-local if self.frame.reflect else local)
 
     def length(self) -> float:
-        """The closed form, or the quadrature reference where the piece has none."""
-        exact = self._exact_length()
-        return quadrature_length(self) if exact is None else exact
+        """The piece's length, in closed form for every kind; inf past the float range."""
+        return self._exact_length()
 
     def signed_area_term(self) -> float:
         """Contribution of this piece to (1/2) oint (x dy - y dx), closed for every kind."""
@@ -497,6 +499,30 @@ class CircularArc(CurvePiece):
         return self.radius
 
 
+def _mean_hypot(c: float, u0: float, u1: float) -> float:
+    """The mean of sqrt(c^2 + u^2) for u from u0 to u1, c > 0, inf past the float range: the
+    divided difference of g(u) = (u sqrt(c^2 + u^2) + c^2 asinh(u/c)) / 2. Arguments past 2^+-300
+    are scaled by the power of two taking the largest into [1, 2): no square or cube overflows."""
+    if u0 == u1 == 0.0:  # equal non-zero ends take the first branch below
+        return c
+    same_sign = u0 > 0.0 < u1 or u0 < 0.0 > u1  # told before an end far below c underflows
+    exponent = 0
+    if not (2.0**-300 < c and abs(u0) < 2.0**300 > abs(u1)):
+        exponent = math.frexp(max(c, abs(u0), abs(u1)))[1] - 1
+        c, u0, u1 = math.ldexp(c, -exponent), math.ldexp(u0, -exponent), math.ldexp(u1, -exponent)
+    r0, r1, cc = math.hypot(c, u0), math.hypot(c, u1), c * c
+    if same_sign:
+        # g(u1) - g(u0) would cancel. u1 r1 - u0 r0 and asinh's argument, (u1 r0 - u0 r1) / c^2,
+        # are u1 - u0 times ratios of like-signed sums, and u1 - u0 cancels against the divisor.
+        ratio = (u0 + u1) / (u1 * r0 + u0 * r1)
+        z = (u1 - u0) * ratio
+        asinh_over_z = math.asinh(z) / z if z else 1.0
+        return 0.5 * ((u0 + u1) * (cc + u0 * u0 + u1 * u1) / (u1 * r1 + u0 * r0)
+                      + cc * ratio * asinh_over_z) * 2.0**exponent
+    return (u1 * r1 + cc * math.asinh(u1 / c) - u0 * r0 - cc * math.asinh(u0 / c)) / (
+        2.0 * (u1 - u0)) * 2.0**exponent  # ends either side of 0: the terms add, like-signed
+
+
 def ellipse_half_perimeter(a: float, b: float) -> float:
     """Half the perimeter of the ellipse with semi-axes a, b > 0, by Carlson's R_G.
 
@@ -617,6 +643,12 @@ def _part_quarter_arc(p: float, q: float, start: tuple[float, float], end: tuple
     # An end past the quarter's end by less than an ulp is taken at it; the speed is
     # stationary there. The other end lies at least an ulp further on, inside the quarter.
     u0, v1 = max(u0, 0.0), max(v1, 0.0)
+    if min(p, q) < FLAT_AXIS_RATIO:
+        # Flat, from the end of small speed: big sqrt(w^2 + ratio^2) to 2^30 ratio, big sin w past.
+        big, ratio, w0, w1 = (q, p / q, u0, u1) if p < q else (p, q / p, v1, v0)
+        if w1 < 2.0**30 * ratio:
+            return big * sweep * _mean_hypot(ratio, w0, w1)
+        return 2.0 * big * math.sin(0.5 * sweep) * math.sin(0.5 * (w0 + w1))
     if u1 <= EIGHTH_TURN:
         return _eighth_arc(u0, u1, sweep, p, q)
     if v0 <= EIGHTH_TURN:
@@ -662,7 +694,7 @@ def _whole_turns(t0: float, t1: float) -> int:
     return turns if turns and abs(sweep - turns * TURN) <= slack < 0.25 else 0
 
 
-def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | None:
+def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float:
     """Length of (a cos t, b sin t) for t from t0 to t1, for semi-axes a, b > 0.
 
     The sweep is split at multiples of pi/2: each whole quarter is half of
@@ -671,14 +703,12 @@ def elliptic_arc_length(a: float, b: float, t0: float, t1: float) -> float | Non
     the sweep that is w wide, with |w| max(a, b) < 2^-27 times the speed at k pi/2, is
     that speed times w: the speed is stationary there (``_from_quarter_end``). So a half
     or quarter sweep whose ends lie within rounding of quarter ends takes no incomplete integral.
-    The semi-axes are first scaled by the power of two that takes the major one into [1, 2).
-    None when the minor axis is below MIN_AXIS_RATIO of the major one.
+    The semi-axes are first scaled by the power of two that takes the major one into [1, 2),
+    and a length past the float range is inf.
     """
     lo, hi = min(t0, t1), max(t0, t1)
     exponent = math.frexp(max(a, b))[1] - 1
     a, b = math.ldexp(a, -exponent), math.ldexp(b, -exponent)
-    if min(a, b) < MIN_AXIS_RATIO:
-        return None
     # The speed at k pi/2 is b for even k and a for odd k.
     speeds = [(b, a), (a, b)]
     # The quotient of an end within rounding of a quarter end can fall on either side of it
@@ -744,7 +774,7 @@ class EllipticalArc(CurvePiece):
         t0, t1 = self.t_start, self.t_end
         return t0 if self._turns else t1 - TURN * int((t1 - t0) / TURN)
 
-    def _exact_length(self) -> float | None:
+    def _exact_length(self) -> float:
         # A closed ellipse's length is the complete elliptic integral, Carlson's R_G; every
         # other sweep adds an incomplete one.
         a, b = self.semi_axes
@@ -774,9 +804,9 @@ class EllipticalArc(CurvePiece):
 class ParabolicArc(CurvePiece):
     """Graph y = alpha x^2 + beta x + gamma in a local frame, placed rigidly.
 
-    Both measures are closed: the length an ``asinh`` form, kept accurate as alpha (x1 - x0)
-    -> 0 and exact for alpha = 0, a straight segment, and the area term a cubic. Where a
-    slope beyond about 1e154 overflows the length's form, quadrature takes over.
+    Both measures are closed: the length an ``asinh`` form, ``_mean_hypot``, kept accurate as
+    alpha (x1 - x0) -> 0, exact for alpha = 0, a straight segment, and inf past the float
+    range; and the area term a cubic.
     """
 
     __slots__ = _fields = ("coefficients", "x_start", "x_end", "frame")
@@ -810,31 +840,14 @@ class ParabolicArc(CurvePiece):
         alpha, beta, _ = self.coefficients
         return (1.0, 2.0 * alpha * t + beta)
 
-    def _exact_length(self) -> float | None:
-        # The speed is sqrt(1 + u^2) with u = 2 alpha x + beta, so the length is |x1 - x0| times
-        # the divided difference [g(u1) - g(u0)] / (u1 - u0) of g(u) = (u sqrt(1 + u^2) + asinh u)
-        # / 2: the mean speed, which the rounding of a small u barely moves. Dividing by 2 alpha
-        # instead would magnify that rounding as alpha (x1 - x0) -> 0.
+    def _exact_length(self) -> float:
+        # The speed is sqrt(1 + u^2), u = 2 alpha x + beta: the length is |x1 - x0| times its
+        # mean, which the integral's difference over 2 alpha would lose as alpha (x1 - x0) -> 0.
         alpha, beta, _ = self.coefficients
         x0, x1 = self.x_start, self.x_end
         u0, u1 = 2.0 * alpha * x0 + beta, 2.0 * alpha * x1 + beta
-        r0, r1 = math.hypot(1.0, u0), math.hypot(1.0, u1)
-        if u0 > 0.0 < u1 or u0 < 0.0 > u1:
-            # g(u1) - g(u0) would cancel. u1 r1 - u0 r0 and the argument of the asinh
-            # difference, asinh(u1 r0 - u0 r1), each equal u1 - u0 times a ratio of sums of
-            # like-signed terms, and u1 - u0 cancels against the divisor.
-            ratio = (u0 + u1) / (u1 * r0 + u0 * r1)
-            z = (u1 - u0) * ratio
-            asinh_over_z = math.asinh(z) / z if z else 1.0
-            mean_speed = 0.5 * ((u0 + u1) * (1.0 + u0 * u0 + u1 * u1) / (u1 * r1 + u0 * r0)
-                                + ratio * asinh_over_z)
-        elif u0 == u1:  # both 0, a flat graph: equal non-zero slopes take the branch above
-            mean_speed = r0
-        else:  # u0 and u1 straddle 0, where g(u1) - g(u0) and u1 - u0 add like-signed terms
-            mean_speed = (u1 * r1 + math.asinh(u1) - u0 * r0 - math.asinh(u0)) / (2.0 * (u1 - u0))
-        length = abs(x1 - x0) * mean_speed
-        # Slopes near the float range overflow u^2, where quadrature still measures the arc.
-        return length if math.isfinite(length) else None
+        require_finite("the slope 2 alpha x + beta of a parabolic arc", u0, u1)
+        return abs(x1 - x0) * _mean_hypot(1.0, u0, u1)
 
     def _local_chord(self) -> tuple[float, float]:
         # The rise as a divided difference, which does not cancel against gamma.
@@ -933,20 +946,17 @@ class RationalPoint(CurvePiece):
         return -self._sweep()
 
     def _smooth_spans(self) -> list[tuple[CurvePiece, float, float]]:
-        # Far out in t the arc is a sliver that quadrature's panels miss. The point at t is
-        # the mirror (y -> -y) of the one at u = 1/t, at speed 2/(1 + u^2) in u, so each part
-        # past t = +-1 is measured in u, in the frame composed with the mirror S, R(rot) S =
-        # S R(-rot). 1/t rounds each end by half an ulp, so a part a few ulps wide loses its width.
-        t0, t1 = self.t_start, self.t_end
-        if abs(t0) <= 1.0 >= abs(t1):
-            return [(self, t0, t1)]
-        frame = self.frame
+        # Far out in t the arc is a sliver that quadrature's panels miss. The point at t is the
+        # mirror (y -> -y) of the one at u = 1/t, at speed 2/(1 + u^2) in u, so each part past
+        # t = +-1 is measured in u, in the frame composed with S, R(rot) S = S R(-rot), unless it
+        # is narrower than its nearer end: 1/t would round off 2^-53 |t| / |hi - lo| of its width.
+        t0, t1, frame = self.t_start, self.t_end, self.frame
         mirrored = RationalPoint(-1.0, 1.0, RigidMotion(
             -frame.rotation_angle, not frame.reflect, frame.translation))
         cuts = [c for c in (-1.0, 1.0) if min(t0, t1) < c < max(t0, t1)]
         ends = [t0, *(cuts if t0 < t1 else cuts[::-1]), t1]
-        return [(self, lo, hi) if abs(lo) <= 1.0 >= abs(hi) else (mirrored, 1.0 / lo, 1.0 / hi)
-                for lo, hi in zip(ends, ends[1:])]
+        return [(self, lo, hi) if abs(hi - lo) < min(abs(lo), abs(hi)) or abs(lo) <= 1.0 >= abs(hi)
+                else (mirrored, 1.0 / lo, 1.0 / hi) for lo, hi in zip(ends, ends[1:])]
 
     def _placed(self, frame: RigidMotion, scale: float) -> CurvePiece:
         if scale == 1.0:
@@ -1009,7 +1019,7 @@ class Shape:
         if signed_area < 0.0:  # a clockwise chain
             pieces = tuple(p.reversed_() for p in reversed(pieces))
         self.pieces = pieces
-        self._perimeter: float | None = None
+        self._perimeter = None  # summed on the first read
 
     def area(self) -> float:
         return self._area

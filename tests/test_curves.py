@@ -723,6 +723,16 @@ def test_far_rational_arcs_are_measured_alike_by_the_reference_and_the_closed_fo
         assert quadrature_measures(shape) == pytest.approx(closed, rel=2e-15, abs=0.0), t
 
 
+def test_reference_takes_a_short_far_rational_part_in_t():
+    # 1/t rounds both ends of a part a few ulps wide past |t| = 1, which lost its width in u:
+    # the reference gave 0.0 for the first arc and 2.0329e-20 for the second.
+    for t0, t1 in ((7.0, math.nextafter(7.0, 8.0)), (1e5, 1e5 + 1e-10), (-1e5 - 1e-10, -1e5)):
+        arc = RationalPoint(t0, t1, RigidMotion(0.7, True))
+        assert quadrature_length(arc) == pytest.approx(arc.length(), rel=1e-14, abs=0.0)
+        assert quadrature_area_term(arc) == pytest.approx(arc.signed_area_term(), rel=1e-14,
+                                                          abs=0.0)
+
+
 def test_ellipse_semiperimeter_against_simpson_oracle():
     # Frozen from dense Simpson (n = 200k) on sqrt(sin^2 t + 0.25 cos^2 t).
     expected = 2.422112055136949
@@ -734,9 +744,9 @@ REFERENCE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "quadrature_refere
 
 
 def reference_pieces():
-    """Every piece kind posed plain, mirrored, shifted and scaled by 1e12 and 1e-12, plus the two
-    closed-form fallbacks, by name. A rational arc scaled off the unit circle is a circular arc,
-    so rational arcs take no scaled poses."""
+    """Every piece kind posed plain, mirrored, shifted and scaled by 1e12 and 1e-12, plus a flat
+    elliptical arc and a steep parabolic arc, by name. A rational arc scaled off the unit circle
+    is a circular arc, so rational arcs take no scaled poses."""
     poses = {
         "plain": Similarity(),
         "mirrored": Similarity(RigidMotion(0.7, True, (3.0, -2.0))),
@@ -880,7 +890,6 @@ def test_whole_turn_length_is_closed_and_matches_quadrature_and_simpson(k, pose,
     assert arc.signed_area_term() == pytest.approx(area, rel=1e-14, abs=0.0)
     assert quadrature_area_term(arc) == pytest.approx(area, rel=1e-10, abs=0.0)
     exact = arc._exact_length()
-    assert exact is not None
     assert arc.length() == exact
     assert exact == pytest.approx(quadrature_length(arc), rel=1e-10, abs=0.0)
     # The speed |d/dt (a cos t, b sin t)|, integrated over the arc's sweep before it was posed.
@@ -893,7 +902,6 @@ def test_whole_turn_length_is_closed_and_matches_quadrature_and_simpson(k, pose,
 def test_part_turn_length_is_closed_and_matches_quadrature_and_simpson(sweep):
     arc = EllipticalArc(Point(1.5, -2.0), (2.0, 0.6), 0.4, 0.7, 0.7 + sweep)
     exact = arc._exact_length()
-    assert exact is not None
     assert arc.length() == exact
     assert arc.reversed_()._exact_length() == exact
     assert exact == pytest.approx(quadrature_length(arc), rel=1e-13, abs=0.0)
@@ -934,7 +942,6 @@ def test_partial_arc_length_matches_quadrature_over_sweeps_ratios_and_poses():
         if arc._turns:
             continue
         exact = arc._exact_length()
-        assert exact is not None
         err = abs(exact - quadrature_length(arc)) / exact
         key = "long" if sweep >= 0.1 else "short"
         worst[key] = max(worst[key], err)
@@ -1162,7 +1169,6 @@ def test_parabolic_length_and_area_term_are_closed_and_match_quadrature_and_simp
     if reverse:
         arc = arc.reversed_()
     length, area_term = arc._exact_length(), arc._exact_area_term()
-    assert length is not None and area_term is not None
     assert (arc.length(), arc.signed_area_term()) == (length, area_term)
     simpson_length, simpson_area_term = _parabola_terms_by_simpson(arc)
     assert length == pytest.approx(quadrature_length(arc), rel=1e-12, abs=0.0)
@@ -1189,14 +1195,109 @@ def test_parabolic_terms_reverse_and_mirror():
         quadrature_area_term(image), rel=1e-12, abs=0.0)
 
 
-def test_closed_lengths_leave_the_float_range_to_quadrature():
-    # (b/a)^2 and u^2 = (2 alpha x)^2 would overflow; quadrature measures these arcs instead.
+def test_closed_lengths_hold_where_squares_overflow():
+    # (b/a)^2 and u^2 = (2 alpha x)^2 overflow in these arcs, where their closed lengths do not:
+    # the flat arc is the segment from cos 0.3 to cos 2.4, and the steep one's slope runs from
+    # 2e160 to 4e160. Their 40-digit lengths, from the floats, are to 1e-15.
     flat = EllipticalArc(Point(0.0, 0.0), (1.0, 1e-200), 0.0, 0.3, 2.4)
-    assert flat._exact_length() is None
-    assert flat.length() == pytest.approx(math.cos(0.3) - math.cos(2.4), rel=1e-12)
+    assert flat.length() == pytest.approx(1.692730204666851463, rel=1e-15, abs=0.0)
     steep = ParabolicArc((1e300, 0.0, 0.0), 1e-140, 2e-140)
-    assert steep._exact_length() is None
-    assert steep.length() == pytest.approx(3e20, rel=1e-12)
+    assert steep.length() == pytest.approx(3.000000000000000057e20, rel=1e-15, abs=0.0)
+    # Past the float range a length is inf, as a half perimeter's is.
+    assert ParabolicArc((1e300, 0.0, 0.0), 1e7, 2e7).length() == math.inf
+    assert EllipticalArc(Point(0.0, 0.0), (1.7e308, 1e-300), 0.0, 0.3, 2.4).length() == math.inf
+    # A slope that is itself beyond the float range is named.
+    with pytest.raises(DomainError, match="slope 2 alpha x"):
+        ParabolicArc((1e300, 0.0, 0.0), 1e10, 2e10).length()
+
+
+FLAT_STEEP = pathlib.Path(__file__).parent / "golden" / "flat_steep_arcs.json"
+
+
+def test_flat_and_steep_lengths_are_within_2_ulps_of_their_40_digit_values():
+    # Elliptical arcs at axis ratios 1e-101..1e-300 and below 2^-1074, both ways round, over
+    # sweeps across k pi, from ends within 2^-26 of it and about t = 0 where the minor axis sets
+    # the speed; and parabolic arcs whose slopes of one sign or both reach 1e300. The lengths
+    # are 40-digit references from the floats (flat_steep_references.py, mpmath); 2 ulps is at
+    # most 4.4e-16 of a length. Each arc and its reversal give one length.
+    refs = json.loads(FLAT_STEEP.read_text())
+    arcs = [(EllipticalArc(Point(0.0, 0.0), (a, b), 0.0, t0, t1), value)
+            for a, b, t0, t1, value in refs["elliptical"]]
+    arcs += [(ParabolicArc((alpha, beta, 0.0), x0, x1), value)
+             for alpha, beta, x0, x1, value in refs["parabolic"]]
+    for arc, value in arcs:
+        length = arc.length()
+        assert arc.reversed_().length() == length
+        assert abs(Decimal(length) - Decimal(value)) <= 2 * Decimal(math.ulp(length)), (arc, value)
+
+
+def test_flat_and_steep_lengths_match_the_quadrature_reference_at_seeded_draws():
+    # Flat arcs of ratio 1e-101..1e-300, and parabolic arcs with alpha up to 1e300 whose slopes,
+    # of one sign and up to 1e200, pass the overflow of the old mean-speed form, and where the
+    # reference's sums stay in the float range. The reference's relative tolerance is 1e-10, but
+    # a flat arc's turn at an end of small speed is a corner to its panels: it misses the worst
+    # of these arcs by 7.9e-9, where the closed form is 1e-16 from mpmath's 40 digits. It misses
+    # the kink of a steep parabola's speed at its vertex too, so the golden points hold the
+    # flat arcs to 2 ulps and the parabolas whose slopes straddle 0.
+    rng = random.Random(36)
+    for _ in range(200):
+        ratio, size = 10.0 ** rng.uniform(-300.0, -101.0), 10.0 ** rng.uniform(0.0, 100.0)
+        axes = (size, ratio * size) if rng.random() < 0.5 else (ratio * size, size)
+        t0 = rng.uniform(-7.0, 7.0)
+        arc = EllipticalArc(Point(1.0, -2.0), axes, rng.uniform(-3.0, 3.0), t0,
+                            t0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 1.0))
+        assert arc.length() == pytest.approx(quadrature_length(arc), rel=2e-8, abs=0.0), arc
+        alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(100.0, 300.0)
+        reach = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(100.0, 200.0) / abs(alpha)
+        x0, x1 = reach * rng.uniform(0.01, 1.0), reach * rng.uniform(0.01, 1.0)
+        arc = ParabolicArc((alpha, rng.uniform(-5.0, 5.0), 0.0), x0, x1)
+        assert arc.length() == pytest.approx(quadrature_length(arc), rel=1e-12, abs=0.0), arc
+
+
+class QuadratureCalled(Exception):
+    pass
+
+
+def _extreme_pieces(rng: random.Random) -> list:
+    """One seeded draw of each piece kind at the ends of its range: coordinates, radii and
+    axes of 1e-300..1e300, axis ratios down to below 2^-1074, sweeps from 1e-12 to 30 and ends
+    on quarter ends, parabolic slopes up to 1e300, and rational ends up to 1e300."""
+    big = lambda lo=-300.0, hi=300.0: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+    size = abs(big())
+    t0 = rng.choice((rng.uniform(-10.0, 10.0), rng.randrange(-8, 9) * 0.5 * math.pi))
+    t1 = t0 + big(-12.0, 1.5)
+    major, minor = size, max(size * 10.0 ** rng.uniform(-340.0, 0.0), 5e-324)
+    scale = rng.uniform(-300.0, 300.0)  # alpha's, and the slope's such that |x0| <= 1e300
+    alpha = big(scale, scale)
+    x0 = big(max(-300.0, scale - 300.0), min(300.0, scale + 300.0)) / (2.0 * alpha)
+    x1 = x0 * rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.0)
+    return [
+        LineSegment(Point(big(), big()), Point(big(), big())),
+        Polyline([big() for _ in range(5)], [big() for _ in range(5)]),
+        CircularArc(Point(big(), big()), size, t0, t1),
+        EllipticalArc(Point(big(), big()), rng.choice(((major, minor), (minor, major))),
+                      rng.uniform(-3.0, 3.0), t0, t1),
+        ParabolicArc((alpha, 0.0, big()), x0, x1, RigidMotion(rng.uniform(-3.0, 3.0), True)),
+        RationalPoint(big(), big(), RigidMotion(rng.uniform(-3.0, 3.0), False, (big(), big()))),
+    ]
+
+
+def test_every_piece_measure_is_closed(monkeypatch):
+    # No length or area term calls quadrature: not the reference pieces, the flat arc and the
+    # steep parabolic arc among them, nor seeded draws of every kind at its extremes.
+    def fail(*args, **kwargs):
+        raise QuadratureCalled(args)
+
+    monkeypatch.setattr(curves, "adaptive_quadrature", fail)
+    with pytest.raises(QuadratureCalled):  # the patch is the one the reference calls
+        quadrature_length(sample_pieces()[0])
+    rng = random.Random(360)
+    pieces = list(reference_pieces().values())
+    for _ in range(300):
+        pieces += _extreme_pieces(rng)
+    for piece in pieces:
+        piece.signed_area_term()
+        assert piece.length() >= 0.0, piece
 
 
 def test_reference_raises_where_an_interior_point_overflows():
@@ -1227,6 +1328,15 @@ def test_parabolic_area_term_where_x_squared_overflows(alpha, x0, x1):
     # The identity frame shifts by nothing, so the placed term is the local one, also where
     # the chord's rise overflows and 0 times it would be NaN.
     assert arc.signed_area_term() == term
+    # Shifted up by 5, the term gains -(5/2) (x1 - x0): the unrotated frame's zero entries take
+    # no product with an overflowed rise.
+    shifted = ParabolicArc((alpha, 0.0, gamma), x0, x1, RigidMotion(0.0, False, (0.0, 5.0)))
+    exact -= Fraction(5, 2) * (v - u)
+    term = shifted.signed_area_term()
+    if abs(exact) > 2**1024:
+        assert term == (math.inf if exact > 0 else -math.inf)
+    else:
+        assert term == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_parabolic_arcs_past_the_square_overflow_close_into_measured_shapes():
