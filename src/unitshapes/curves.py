@@ -22,9 +22,8 @@ circle, d = atan t1 - atan t0 = atan2(t1 - t0, 1 + t0 t1), so its length is 2 |d
 local area term -d. A length past the float range is inf. Adaptive quadrature is one named
 reference, ``quadrature_length``, ``quadrature_area_term`` and ``quadrature_measures``, which
 measures any piece or shape as an independent cross-check of the closed forms, to the one
-relative tolerance ``quadrature.REL_TOL``; no measure calls it. It integrates a rational arc
-within |t| <= 1, taking each longer part past it through the mirror u = 1/t, so it measures
-the arc at every finite t.
+relative tolerance ``quadrature.REL_TOL``; no measure calls it. It takes a rational arc's
+wider parts past |t| = 1 through the mirror u = 1/t, so it measures the arc at every finite t.
 A Polyline holds coordinate tuples, and ``_edge_terms``, the one loop over its edges, is the
 one edge measure: a segment takes its length and area term there.
 Edge and piece sums are ``math.fsum``, correctly rounded: they do not depend on the order
@@ -108,10 +107,7 @@ class RigidMotion(Record):
     def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
         """Linear part only (no translation)."""
         xx, xy, yx, yy = self._linear
-        x, y = xx * vx + xy * vy, yx * vx + yy * vy
-        if x != x or y != y:  # NaN: inf - inf, or 0 times inf, which a zero entry does not take
-            return tuple(sum(e * v for e, v in zip(r, (vx, vy)) if e) for r in ((xx, xy), (yx, yy)))
-        return (x, y)
+        return (xx * vx + xy * vy, yx * vx + yy * vy)
 
 
 class Similarity(Record):
@@ -240,10 +236,14 @@ class CurvePiece(Record, ABC):
         # With p = T + R l, (1/2) int p x p' = (1/2) T x (p1 - p0) + det(R) (1/2) int l x l'.
         # p1 - p0 is the local chord through R, not a difference of placed points, which
         # would cancel far from the origin.
-        # A shift coordinate of 0 adds nothing, so its product is not taken: 0 times an
-        # overflowed chord would be NaN where the term is the local one.
+        # A zero shift coordinate or linear entry takes no product: 0 times inf would be NaN.
         local = self._local_area_term()
-        vx, vy = self.frame.apply_vector(*self._local_chord())
+        cx, cy = self._local_chord()
+        vx, vy = self.frame.apply_vector(cx, cy)
+        if vx != vx or vy != vy:
+            xx, xy, yx, yy = self.frame._linear
+            vx = (xx * cx if xx else 0.0) + (xy * cy if xy else 0.0)
+            vy = (yx * cx if yx else 0.0) + (yy * cy if yy else 0.0)
         tx, ty = self.frame.translation
         shift = (tx * vy if tx else 0.0) - (ty * vx if ty else 0.0)
         return 0.5 * shift + (-local if self.frame.reflect else local)
@@ -501,15 +501,13 @@ class CircularArc(CurvePiece):
 
 def _mean_hypot(c: float, u0: float, u1: float) -> float:
     """The mean of sqrt(c^2 + u^2) for u from u0 to u1, c > 0, inf past the float range: the
-    divided difference of g(u) = (u sqrt(c^2 + u^2) + c^2 asinh(u/c)) / 2. Arguments past 2^+-300
-    are scaled by the power of two taking the largest into [1, 2): no square or cube overflows."""
+    divided difference of g(u) = (u sqrt(c^2 + u^2) + c^2 asinh(u/c)) / 2. The arguments are
+    scaled by the power of two taking the largest into [1, 2): no square or cube overflows."""
     if u0 == u1 == 0.0:  # equal non-zero ends take the first branch below
         return c
     same_sign = u0 > 0.0 < u1 or u0 < 0.0 > u1  # told before an end far below c underflows
-    exponent = 0
-    if not (2.0**-300 < c and abs(u0) < 2.0**300 > abs(u1)):
-        exponent = math.frexp(max(c, abs(u0), abs(u1)))[1] - 1
-        c, u0, u1 = math.ldexp(c, -exponent), math.ldexp(u0, -exponent), math.ldexp(u1, -exponent)
+    unit = math.ldexp(1.0, math.frexp(max(c, abs(u0), abs(u1)))[1] - 1)
+    c, u0, u1 = c / unit, u0 / unit, u1 / unit
     r0, r1, cc = math.hypot(c, u0), math.hypot(c, u1), c * c
     if same_sign:
         # g(u1) - g(u0) would cancel. u1 r1 - u0 r0 and asinh's argument, (u1 r0 - u0 r1) / c^2,
@@ -518,9 +516,9 @@ def _mean_hypot(c: float, u0: float, u1: float) -> float:
         z = (u1 - u0) * ratio
         asinh_over_z = math.asinh(z) / z if z else 1.0
         return 0.5 * ((u0 + u1) * (cc + u0 * u0 + u1 * u1) / (u1 * r1 + u0 * r0)
-                      + cc * ratio * asinh_over_z) * 2.0**exponent
+                      + cc * ratio * asinh_over_z) * unit
     return (u1 * r1 + cc * math.asinh(u1 / c) - u0 * r0 - cc * math.asinh(u0 / c)) / (
-        2.0 * (u1 - u0)) * 2.0**exponent  # ends either side of 0: the terms add, like-signed
+        2.0 * (u1 - u0)) * unit  # ends either side of 0: the terms add, like-signed
 
 
 def ellipse_half_perimeter(a: float, b: float) -> float:
@@ -841,13 +839,14 @@ class ParabolicArc(CurvePiece):
         return (1.0, 2.0 * alpha * t + beta)
 
     def _exact_length(self) -> float:
-        # The speed is sqrt(1 + u^2), u = 2 alpha x + beta: the length is |x1 - x0| times its
-        # mean, which the integral's difference over 2 alpha would lose as alpha (x1 - x0) -> 0.
+        # The speed is sqrt(1 + u^2), u = 2 alpha x + beta: the length is |x1 - x0| times its mean.
         alpha, beta, _ = self.coefficients
         x0, x1 = self.x_start, self.x_end
         u0, u1 = 2.0 * alpha * x0 + beta, 2.0 * alpha * x1 + beta
-        require_finite("the slope 2 alpha x + beta of a parabolic arc", u0, u1)
-        return abs(x1 - x0) * _mean_hypot(1.0, u0, u1)
+        length = abs(x1 - x0) * _mean_hypot(1.0, u0, u1)
+        if not length < math.inf:  # past the float range, unless the slope itself is
+            require_finite("the slope 2 alpha x + beta of a parabolic arc", u0, u1)
+        return length
 
     def _local_chord(self) -> tuple[float, float]:
         # The rise as a divided difference, which does not cancel against gamma.
@@ -948,15 +947,16 @@ class RationalPoint(CurvePiece):
     def _smooth_spans(self) -> list[tuple[CurvePiece, float, float]]:
         # Far out in t the arc is a sliver that quadrature's panels miss. The point at t is the
         # mirror (y -> -y) of the one at u = 1/t, at speed 2/(1 + u^2) in u, so each part past
-        # t = +-1 is measured in u, in the frame composed with S, R(rot) S = S R(-rot), unless it
-        # is narrower than its nearer end: 1/t would round off 2^-53 |t| / |hi - lo| of its width.
+        # t = +-1 is measured in u, in the frame composed with S, R(rot) S = S R(-rot), but one
+        # narrower than its nearer end, whose width 1/t rounds off, in t while 2/t^2 is normal.
         t0, t1, frame = self.t_start, self.t_end, self.frame
         mirrored = RationalPoint(-1.0, 1.0, RigidMotion(
             -frame.rotation_angle, not frame.reflect, frame.translation))
         cuts = [c for c in (-1.0, 1.0) if min(t0, t1) < c < max(t0, t1)]
         ends = [t0, *(cuts if t0 < t1 else cuts[::-1]), t1]
-        return [(self, lo, hi) if abs(hi - lo) < min(abs(lo), abs(hi)) or abs(lo) <= 1.0 >= abs(hi)
-                else (mirrored, 1.0 / lo, 1.0 / hi) for lo, hi in zip(ends, ends[1:])]
+        return [(self, lo, hi) if abs(hi - lo) < min(abs(lo), abs(hi)) < 2.0**500
+                or abs(lo) <= 1.0 >= abs(hi) else (mirrored, 1.0 / lo, 1.0 / hi)
+                for lo, hi in zip(ends, ends[1:])]
 
     def _placed(self, frame: RigidMotion, scale: float) -> CurvePiece:
         if scale == 1.0:
