@@ -19,10 +19,12 @@ both come from Carlson's R_F and R_D, ``carlson_rf_rd``, or flatter than ``FLAT_
 from the segment the arc traces. A parabolic arc's is its span times its mean speed, an
 ``asinh`` form, ``_mean_hypot``. A trig-free rational arc turns through -2 d on the unit
 circle, d = atan t1 - atan t0 = atan2(t1 - t0, 1 + t0 t1), so its length is 2 |d| and its
-local area term -d. A length past the float range is inf. Adaptive quadrature is one named
-reference, ``quadrature_length``, ``quadrature_area_term`` and ``quadrature_measures``, which
-measures any piece or shape as an independent cross-check of the closed forms, to the one
-relative tolerance ``quadrature.REL_TOL``; no measure calls it. It takes a rational arc's
+local area term -d. A length past the float range is inf, and so is an area term, whose
+parts, where they overflow with opposite signs, are taken again at coordinates scaled by a
+power of two. Adaptive quadrature is one named reference, ``quadrature_length``,
+``quadrature_area_term`` and ``quadrature_measures``, which measures any piece or shape as an
+independent cross-check of the closed forms, to the one relative tolerance
+``quadrature.REL_TOL``; no measure calls it. It takes a rational arc's
 wider parts past |t| = 1 through the mirror u = 1/t, so it measures the arc at every finite t.
 A Polyline holds coordinate tuples, and ``_edge_terms``, the one loop over its edges, is the
 one edge measure: a segment takes its length and area term there.
@@ -246,7 +248,36 @@ class CurvePiece(Record, ABC):
             vy = (yx * cx if yx else 0.0) + (yy * cy if yy else 0.0)
         tx, ty = self.frame.translation
         shift = (tx * vy if tx else 0.0) - (ty * vx if ty else 0.0)
-        return 0.5 * shift + (-local if self.frame.reflect else local)
+        local = -local if self.frame.reflect else local
+        term = 0.5 * shift + local
+        if term != term:  # parts of opposite signs overflowed
+            return self._rescaled_area_term(local, vx, vy)
+        return term
+
+    def _rescaled_area_term(self, local: float, vx: float, vy: float) -> float:
+        """The area term where its parts overflow with opposite signs, from coordinates scaled
+        by 2^-k: inf of the term's sign past the float range, else its finite value.
+
+        Where the local term and chord are finite, only the shift's products overflowed: the
+        shift scales by the 2^-k that takes it below 1, and the term with it. Else the piece
+        scaled by 2^-k about the origin, its shift and size below 1, has the term 4^-k times
+        this one. The term stays NaN where that piece cannot be built (a minor axis or a
+        parabola's span underflows, or its curvature overflows) or its size is not finite.
+        """
+        tx, ty = self.frame.translation
+        if -math.inf < local + vx + vy < math.inf:
+            k = math.frexp(max(abs(tx), abs(ty)))[1]
+            s = 2.0**-k
+            shift = (tx * s * vy if tx else 0.0) - (ty * s * vx if ty else 0.0)
+            return _times_two_to(0.5 * shift + local * s, k)
+        k = math.frexp(max(abs(tx), abs(ty), self._size()))[1]  # 0 for an infinite size
+        if k <= 0:
+            return math.nan
+        try:
+            scaled = self.transformed(Similarity(scale=2.0**-k))
+        except DomainError:
+            return math.nan
+        return _times_two_to(scaled._exact_area_term(), 2 * k)
 
     def length(self) -> float:
         """The piece's length, in closed form for every kind; inf past the float range."""
@@ -302,7 +333,8 @@ def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]
 
     Raises DomainError on a zero-length edge. Both sums are ``_total``'s fsum, correctly
     rounded, so neither depends on the edge order (sum() does, and rounds differently on
-    Python 3.12+).
+    Python 3.12+). Where area terms overflow with opposite signs, or within one term, the sum
+    is taken again at the coordinates over the power of two that takes the largest below 1.
     """
     hypot = math.hypot
     edges = []
@@ -317,7 +349,22 @@ def _edge_terms(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]
     # rounds to at least the larger of them, and a subnormal difference is not 0.0.
     if 0.0 in edges:
         raise DomainError("degenerate polyline edge (zero length)")
-    return _total(edges), 0.5 * _total(area_terms)
+    area = _total(area_terms)
+    if area != area:
+        k = math.frexp(max(map(abs, chain(xs, ys))))[1]
+        s = 2.0**-k
+        xs, ys = [x * s for x in xs], [y * s for y in ys]
+        area = _times_two_to(math.fsum([ax * by - bx * ay for ax, ay, bx, by in
+                                        zip(xs, ys, xs[1:], ys[1:])]), 2 * k)
+    return _total(edges), 0.5 * area
+
+
+def _times_two_to(x: float, k: int) -> float:
+    """x 2^k, exact, or inf of x's sign past the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _total(terms: list[float]) -> float:

@@ -480,7 +480,7 @@ _segment_coordinate = st.one_of(
 @example(ax=0.0, ay=0.0, bx=5e-324, by=0.0, t=0.5)  # a subnormal span
 @example(ax=-1e308, ay=0.0, bx=1e308, by=0.0, t=0.0)  # a length that overflows
 @example(ax=1e300, ay=1e300, bx=1e300, by=-1e300, t=1.0)  # an area term that overflows
-@example(ax=1e300, ay=1e300, bx=-1e300, by=-1e300, t=0.25)  # inf - inf, a NaN area term
+@example(ax=1e300, ay=1e300, bx=-1e300, by=-1e300, t=0.25)  # inf - inf in the area term
 def test_line_segment_measures_are_the_two_point_formulas(ax, ay, bx, by, t):
     length = math.hypot(ax - bx, ay - by)
     if length == 0.0:
@@ -489,7 +489,13 @@ def test_line_segment_measures_are_the_two_point_formulas(ax, ay, bx, by, t):
         return
     segment = LineSegment(Point(ax, ay), Point(bx, by))
     assert _same(segment.length(), length)
-    assert _same(segment.signed_area_term(), 0.5 * (ax * by - bx * ay))
+    term = 0.5 * (ax * by - bx * ay)
+    if math.isnan(term):  # both products overflowed alike: the formula without an exponent
+        # limit, from the coordinates times 2^-512. A product overflows only where both its
+        # factors are 1 or more, and those stay normal at that scale.
+        s = 2.0**-512
+        term = 0.5 * ((ax * s) * (by * s) - (bx * s) * (ay * s)) * 2.0**512 * 2.0**512
+    assert _same(segment.signed_area_term(), term)
     assert segment._ends() == ((ax, ay), (bx, by))
     assert (segment.start, segment.end) == (Point(ax, ay), Point(bx, by))
     x, y = segment._xy(t)
@@ -1286,7 +1292,8 @@ def _extreme_pieces(rng: random.Random) -> list:
 
 def test_every_piece_measure_is_closed(monkeypatch):
     # No length or area term calls quadrature: not the reference pieces, the flat arc and the
-    # steep parabolic arc among them, nor seeded draws of every kind at its extremes.
+    # steep parabolic arc among them, nor seeded draws of every kind at its extremes. No area
+    # term of those draws is NaN, though 93 of them have parts that overflow with opposite signs.
     def fail(*args, **kwargs):
         raise QuadratureCalled(args)
 
@@ -1298,8 +1305,42 @@ def test_every_piece_measure_is_closed(monkeypatch):
     for _ in range(300):
         pieces += _extreme_pieces(rng)
     for piece in pieces:
-        piece.signed_area_term()
+        term = piece.signed_area_term()
+        assert term == term, piece  # parts that overflow with opposite signs give inf, not NaN
         assert piece.length() >= 0.0, piece
+
+
+def test_area_term_whose_parts_overflow_with_opposite_signs_is_its_value():
+    # Each product is rounded before the difference, so the term is held to a few ulps of
+    # the products' sum, as it is where nothing overflows.
+    def near(term, products, local=Fraction(0)):
+        exact = sum(p - q for p, q in products) / 2 + local
+        bound = Fraction(1, 2**50) * sum(abs(p) + abs(q) for p, q in products)
+        return abs(Fraction(term) - exact) <= bound
+
+    # A polyline whose two edge terms are +inf and -inf, and whose sum is finite.
+    a = 1e155
+    xs, ys = [a, -a, a], [a, a, a * (1.0 + 2.0**-33)]
+    x, y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    term = Polyline(xs, ys).signed_area_term()
+    assert math.isfinite(term)
+    assert near(term, [(x[i] * y[i + 1], x[i + 1] * y[i]) for i in range(2)])
+    # A flat ellipse far out, whose shift products overflow with opposite signs while its
+    # local term and chord are finite; scaled to a shift below 1, its minor axis underflows.
+    e0 = EllipticalArc(Point(0.0, 0.0), (1e10, 1e-300), 1.0, 0.0, 2.0)
+    vx, vy = e0.frame.apply_vector(*e0._local_chord())
+    tx = 1e300
+    ty = tx * (vy / vx) * (1.0 + 2.0**-20)
+    term = EllipticalArc(Point(tx, ty), (1e10, 1e-300), 1.0, 0.0, 2.0).signed_area_term()
+    assert math.isfinite(term)
+    assert near(term, [(Fraction(tx) * Fraction(vy), Fraction(ty) * Fraction(vx))],
+                Fraction(e0.signed_area_term()))
+    far = EllipticalArc(Point(tx, tx), (1e10, 1e-300), 1.0, 0.0, 2.0)
+    assert far.signed_area_term() == -math.inf
+    # A local term of 5.6e471 and a shift term of -1.6e386.
+    arc = CircularArc(Point(-6.62365368237654e-257, 2.358887899519665e+151),
+                      1.0483950716066684e+237, -8.754078292521575, -8.743857843218894)
+    assert arc.signed_area_term() == math.inf
 
 
 def test_reference_raises_where_an_interior_point_overflows():
