@@ -136,6 +136,7 @@ class Rhombus(Record):
     bracket = (0.01, math.pi - 0.01)
     table = ((math.pi / 2.0,),)
     draw = classmethod(lambda cls, rng: cls(rng.uniform(0.2, math.pi - 0.2)))
+    quantities = {"h": lambda theta: rhombus_short_diagonal(theta)}
 
     def __init__(self, theta: float) -> None:
         if not 0.0 < theta < math.pi:
@@ -191,6 +192,8 @@ class Ellipse(Record):
     bracket = (0.01, 0.99)
     table = ((0.5,),)
     draw = classmethod(lambda cls, rng: cls(rng.uniform(0.05, 0.95)))
+    quantities = {"a": lambda r: ellipse_semi_minor(r)}
+    boundary_infimum = math.pi  # the circle's measure, which the ellipses fall toward as r -> 1
 
     def __init__(self, r: float) -> None:
         if not 0.0 < r < 1.0:
@@ -234,7 +237,9 @@ class RegularPolygon(Record):
 # The one list of families. Each class carries its ``name``, ``_measure``, ``_unit_shape``, its
 # rows of the standard ``catalog`` table as parameter tuples (``table``), ``draw(rng)``, a seeded
 # member away from blow-up boundaries for the verify suites, and search data: a one-parameter
-# ``bracket``, or two-parameter Nelder-Mead ``seeds`` and ``step``.
+# ``bracket``, or two-parameter Nelder-Mead ``seeds`` and ``step``. Some add scan ``quantities``,
+# which call this module's function by its name at each call, so a rebinding of it is seen, and
+# ``boundary_infimum``, the measure's infimum past the bracket's upper end.
 FAMILIES = (RightTriangle, Triangle, Rectangle, Rhombus, Parallelogram, Ellipse, RegularPolygon)
 FamilyParam = typing.Union[FAMILIES]  # a parameter record of any one family
 FAMILY_BY_NAME = {cls.name: cls for cls in FAMILIES}

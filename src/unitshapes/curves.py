@@ -1101,10 +1101,13 @@ def _enclosed_area(signed_area: float) -> float:
     """The orientation rule of every measured chain: its area is |signed area|.
 
     A chain of negative signed area runs clockwise, and Shape reverses its pieces. A chain
-    of zero signed area encloses nothing and is rejected.
+    of zero signed area encloses nothing and is rejected, as is a NaN sum, which only area
+    terms that overflow with opposite signs give.
     """
     if signed_area == 0.0:
         raise DomainError("degenerate shape (zero enclosed area)")
+    if signed_area != signed_area:
+        raise DomainError("the shape's area terms overflow the float range with opposite signs")
     return abs(signed_area)
 
 

@@ -12,8 +12,7 @@ import math
 from collections.abc import Callable, Sequence
 from itertools import groupby
 
-from . import catalog
-from .catalog import FAMILIES, FAMILY_BY_NAME, Ellipse, Rhombus, family_key, fundamental_measure
+from .catalog import FAMILIES, FAMILY_BY_NAME, family_key, fundamental_measure
 from .errors import DomainError, NotConverged, require_finite
 from .records import Record, setfield
 
@@ -41,14 +40,11 @@ class MinimizationResult(Record):
         setfield(self, "boundary_infimum", boundary_infimum)
 
     def to_dict(self) -> dict:
-        d = {
-            "argmin": list(self.argmin),
-            "min_value": self.min_value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-        if self.boundary_infimum is not None:
-            d["boundary_infimum"] = self.boundary_infimum
+        """The fields, the argmin as a list; a boundary infimum only where there is one."""
+        d = {name: getattr(self, name) for name in self._fields}
+        d["argmin"] = list(self.argmin)
+        if self.boundary_infimum is None:
+            del d["boundary_infimum"]
         return d
 
 
@@ -183,11 +179,7 @@ def minimize_1d(
     x, fx, iterations = golden_section(lambda t: fundamental_measure(make(t)), lo, hi, tol=tol)
     edge = 10.0 * max(tol, 1e-12 * (hi - lo))
     interior = (x - lo > edge) and (hi - x > edge)
-    boundary_inf = None
-    if not interior and make is Ellipse and hi - x <= edge:
-        # The measure decreases toward the circle limit; there is no interior
-        # minimizer, only the infimum pi on the boundary.
-        boundary_inf = math.pi
+    boundary_inf = getattr(make, "boundary_infimum", None) if hi - x <= edge else None
     return MinimizationResult((x,), fx, iterations, interior, boundary_inf)
 
 
@@ -205,7 +197,8 @@ def minimize_2d(
     return MinimizationResult(x, fx, sum(run[2] for run in runs), converged)
 
 
-SCAN_QUANTITIES = ("Pi", "a", "h")
+_QUANTITY_OWNER = {q: cls for cls in FAMILIES for q in getattr(cls, "quantities", ())}
+SCAN_QUANTITIES = ("Pi", *sorted(_QUANTITY_OWNER))
 
 
 class ScanResult(Record):
@@ -227,27 +220,23 @@ class ScanResult(Record):
 def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult:
     """Evaluate a family quantity on a uniform grid and describe its shape.
 
-    Quantities: "Pi" (the fundamental measure, any family), "a" (unit-ellipse
-    semi-minor axis, ellipse only), "h" (unit-rhombus shortest diagonal,
-    rhombus only).
+    Quantities: "Pi" (the fundamental measure, any one-parameter family), or a
+    name in one family's ``quantities``, for that family only.
     """
     if n < 2:
         raise DomainError(f"scan needs at least two grid points, got {n}")
     if quantity not in SCAN_QUANTITIES:
         raise DomainError(f"unknown scan quantity {quantity!r}; choose from {SCAN_QUANTITIES}")
     make = FAMILY_BY_NAME.get(family_key(family))
-    if quantity == "a":
-        if make is not Ellipse:
-            raise DomainError("quantity 'a' is defined for the ellipse family only")
-        evaluate = catalog.ellipse_semi_minor
-    elif quantity == "h":
-        if make is not Rhombus:
-            raise DomainError("quantity 'h' is defined for the rhombus family only")
-        evaluate = catalog.rhombus_short_diagonal
-    else:
-        if not hasattr(make, "bracket"):
-            raise DomainError(f"scan needs a one-parameter family, got {family!r}")
+    if quantity != "Pi":
+        owner = _QUANTITY_OWNER[quantity]
+        if make is not owner:
+            raise DomainError(f"quantity {quantity!r} is defined for the {owner.name} family only")
+        evaluate = owner.quantities[quantity]
+    elif hasattr(make, "bracket"):
         evaluate = lambda t: fundamental_measure(make(t))
+    else:
+        raise DomainError(f"scan needs a one-parameter family, got {family!r}")
 
     require_finite("the scan range", lo, hi)
     params = [lo + (hi - lo) * i / (n - 1) for i in range(n)]

@@ -454,6 +454,16 @@ def test_registry_entry(cls):
     if hasattr(cls, "seeds"):
         assert len(cls._fields) == 2 and cls.step > 0.0
         members += [cls(*seed) for seed in cls.seeds]
+    # Scan quantities of its own, and an infimum past its bracket's upper end, on the families
+    # the paper poses them for.
+    expected = {Ellipse: {"a": ellipse_semi_minor}, Rhombus: {"h": rhombus_short_diagonal}}
+    quantities = getattr(cls, "quantities", {})
+    assert quantities.keys() == expected.get(cls, {}).keys()
+    for name, quantity in quantities.items():
+        assert [quantity(x) for x in cls.bracket] == [expected[cls][name](x) for x in cls.bracket]
+    assert getattr(cls, "boundary_infimum", None) == (math.pi if cls is Ellipse else None)
+    if cls is Ellipse:
+        assert fundamental_measure(cls(cls.bracket[1])) > cls.boundary_infimum
     # Rows of the standard table, and seeded draws away from the blow-up boundaries.
     assert cls.table and all(len(row) == len(cls._fields) for row in cls.table)
     members += [cls(*row) for row in cls.table]

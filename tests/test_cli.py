@@ -96,6 +96,19 @@ def test_unitize_joins_a_half_disk_of_radius_1e8(tmp_path, capsys):
     assert json.loads(out)["fundamental_measure"] == 4.207416099162478  # (pi + 2)^2 / (2 pi)
 
 
+def test_unitize_of_a_far_square_with_overflowing_terms_is_one_error_line(tmp_path, capsys):
+    # Its four segments' area terms are -inf, inf, inf, -inf; their NaN sum once printed A=nan.
+    lo, hi = 1e160 - 1e150, 1e160 + 1e150
+    corners = [[lo, lo], [hi, lo], [hi, hi], [lo, hi]]
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pieces": [
+        {"kind": "line_segment", "start": a, "end": b}
+        for a, b in zip(corners, corners[1:] + corners[:1])]}))
+    code, out, err = invoke(capsys, "unitize", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nan" not in err
+
+
 # (3 pi/4 + sqrt(2)/2)^2 / (3 pi/4 + 1/2) to 40 digits: three quarters of the unit circle closed
 # by the chord of the last quarter.
 FAR_ARC_MEASURE = 3.285425663922348629275983730303651840662

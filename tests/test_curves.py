@@ -142,6 +142,29 @@ def test_construction_errors_are_domain_errors(build, message):
         build()
 
 
+def _far_square_segments():
+    c, d = 1e160, 1e150
+    corners = [(c - d, c - d), (c + d, c - d), (c + d, c + d), (c - d, c + d)]
+    return [LineSegment(Point(*a), Point(*b)) for a, b in zip(corners, corners[1:] + corners[:1])]
+
+
+def _far_half_disk():
+    c, d = 1e160, 1e150
+    return [CircularArc(Point(c, c), d, 0.0, math.pi), LineSegment(Point(c - d, c), Point(c + d, c))]
+
+
+@pytest.mark.parametrize("pieces,terms", [
+    (_far_square_segments(), [-math.inf, math.inf, math.inf, -math.inf]),
+    (_far_half_disk(), [math.inf, -math.inf]),
+], ids=["square_of_segments", "half_disk"])
+def test_area_terms_overflowing_with_opposite_signs_are_rejected_not_nan(pieces, terms):
+    # Far from the origin each term overflows; summed with opposite signs they give NaN.
+    assert [p.signed_area_term() for p in pieces] == terms
+    with pytest.raises(DomainError, match="^the shape's area terms overflow the float range "
+                                          "with opposite signs$"):
+        Shape(pieces)
+
+
 # Each constructor with one of its numbers replaced by v, for every number it takes.
 NUMBER_SLOTS = {
     "point": [lambda v: Point(v, 0.0), lambda v: Point(0.0, v)],

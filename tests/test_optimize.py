@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from unitshapes import optimize
+from unitshapes import catalog, optimize
 from unitshapes.catalog import FAMILIES, Parallelogram, Triangle, fundamental_measure
 from unitshapes.errors import DomainError, NotConverged
 from unitshapes.optimize import (
@@ -430,9 +430,11 @@ def test_scan_rhombus_diagonal():
 
 
 def test_scan_validation():
+    # "Pi", then the families' own quantities in name order: the CLI's --quantity choices.
+    assert optimize.SCAN_QUANTITIES == ("Pi", "a", "h")
     with pytest.raises(DomainError):
         scan("ellipse", "Pi", 0.1, 0.9, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^quantity 'a' is defined for the ellipse family only$"):
         scan("rectangle", "a", 0.1, 0.9, 10)
     with pytest.raises(DomainError):
         scan("triangle", "Pi", 0.1, 0.9, 10)
@@ -443,3 +445,25 @@ def test_scan_validation():
         scan("ellipse", "b", 0.1, 0.9, 10)
     with pytest.raises(DomainError, match="quantity 'h' is defined for the rhombus family only"):
         scan("rectangle", "h", 0.1, 0.9, 10)
+
+
+def test_scan_calls_the_quantity_through_its_catalog_name(monkeypatch):
+    # A wrapper bound in place of catalog.ellipse_semi_minor must see every grid point, so a
+    # record that held the function itself, captured at import, fails here.
+    calls = []
+    original = catalog.ellipse_semi_minor
+
+    def counting(r):
+        calls.append(r)
+        return original(r)
+
+    monkeypatch.setattr(catalog, "ellipse_semi_minor", counting)
+    result = scan("ellipse", "a", 0.1, 0.9, 7)
+    assert calls == result.params and len(calls) == 7
+    assert result.values == [original(r) for r in calls]
+
+
+def test_upper_end_minimizer_without_an_infimum_reports_none():
+    result = minimize_1d("rectangle", (0.01, 0.5))  # (1 + r)^2 / r falls until r = 1
+    assert result.argmin[0] == pytest.approx(0.5, abs=1e-8)
+    assert (result.converged, result.boundary_infimum) == (False, None)

@@ -53,12 +53,15 @@ CLI_CALLS = (
       for fmt in ("json", "csv")),
     *(("minimize", "--family", family, "--format", fmt)
       for family in ("parallelogram", "triangle") for fmt in FORMATS),
-    ("minimize", "--family", "ellipse", "--format", "pretty"),
+    *(("minimize", "--family", "ellipse", "--format", fmt) for fmt in FORMATS),
     ("minimize", "--family", "rhombus", "--lo", "0.5", "--hi", "2.5", "--format", "csv"),
     *(("scan", "--family", "rectangle", "--quantity", "Pi", "--lo", "0.1", "--hi", "2", "--n", "50",
        "--format", fmt) for fmt in FORMATS),
     ("scan", "--family", "ellipse", "--quantity", "a", "--lo", "0.05", "--hi", "0.95", "--n", "20",
      "--format", "json"),
+    ("scan", "--family", "rhombus", "--quantity", "h", "--lo", "0.5", "--hi", "2.5", "--n", "21",
+     "--format", "csv"),
+    ("scan", "--family", "rectangle", "--quantity", "a", "--lo", "0.1", "--hi", "0.9"),  # exit 2
     *(("verify", "--suite", "all", "--seed", str(seed)) for seed in (0, 7)),
     ("verify", "--suite", "mgon", "--seed", "3", "--format", "pretty"),
     *(("solids", "--format", fmt) for fmt in FORMATS),
