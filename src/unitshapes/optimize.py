@@ -12,7 +12,7 @@ import math
 from collections.abc import Callable, Sequence
 from itertools import groupby
 
-from .catalog import FAMILIES, FAMILY_BY_NAME, family_key, fundamental_measure
+from .catalog import FAMILIES, FAMILY_BY_NAME, family_key, family_named, fundamental_measure
 from .errors import DomainError, NotConverged, require_finite
 from .records import Record, setfield
 
@@ -227,7 +227,7 @@ def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult
         raise DomainError(f"scan needs at least two grid points, got {n}")
     if quantity not in SCAN_QUANTITIES:
         raise DomainError(f"unknown scan quantity {quantity!r}; choose from {SCAN_QUANTITIES}")
-    make = FAMILY_BY_NAME.get(family_key(family))
+    make = family_named(family)
     if quantity != "Pi":
         owner = _QUANTITY_OWNER[quantity]
         if make is not owner:

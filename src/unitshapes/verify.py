@@ -6,10 +6,17 @@ Each check's tolerance is its ``tol``, whose default its signature holds. Each
 suite draws its inputs from a seed, at the sizes the module constants set, so
 runs are reproducible, and passes a ``tol`` on to its checks: ``run_suite``'s
 ``tol`` (``unit-shapes verify --tol``) replaces every check's own tolerance.
+
+Two inputs are built once and kept. The rational circle's quadrature measures
+depend on nothing, so they are taken once per process; each call still compares
+them with pi under its own ``tol``. The seeded circle and posed members of the
+isoperimetric and unit-floor suites are kept for the last seed, so an "all" run
+builds them once for both.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -143,11 +150,15 @@ def _mgon_report(claim: str, m: int, measures: Sequence[tuple[float, float]], *,
     counterexamples = []
     equalities = []
     for i, (a, s) in enumerate(measures):
-        slack = s * s - rho * a
-        worst = min(worst, slack / (s * s))
-        if slack < -tol * s * s:
+        square = s * s
+        slack = square - rho * a
+        relative = slack / square
+        if relative < worst:
+            worst = relative
+        bound = tol * s * s  # (tol s) s, as rounded, not tol (s s)
+        if slack < -bound:
             counterexamples.append({"index": i, "slack": slack})
-        elif abs(slack) <= tol * s * s:
+        elif abs(slack) <= bound:
             equalities.append(i)
     if tight and not equalities:
         counterexamples.append({"expected": "equality for the regular m-gon"})
@@ -172,9 +183,16 @@ def check_blob_pythagoras(
                                "right_triple": is_right_triple})
 
 
+@functools.cache
+def _rational_circle_measures() -> tuple[float, float]:
+    """The rational circle's area and semiperimeter by the quadrature reference. The shape
+    takes no input, so they are measured once per process."""
+    return quadrature_measures(make_rational_circle())
+
+
 def check_rational_circle(tol: float = 1e-9) -> VerificationReport:
     """The trig-free rational circle measures A = S = pi by quadrature alone."""
-    a, s = quadrature_measures(make_rational_circle())
+    a, s = _rational_circle_measures()
     error = max(abs(a - math.pi), abs(s - math.pi))
     counterexamples = [{"area": a, "semiperimeter": s}] if error > tol else []
     return VerificationReport("rational_circle", 1, error, counterexamples,
@@ -282,15 +300,18 @@ def random_simple_mgon(m: int, rng: random.Random) -> Shape:
     the center lies outside and the loop can cross itself. Such draws are not
     rejected yet, since that changes the seeded stream (ROADMAP item 4).
     """
-    xs, ys, _, _ = _mgon_sample(m, rng)
+    [(xs, ys, _, _)] = _mgon_samples(m, rng, 1)
     return Shape((Polyline(xs, ys),))
 
 
-def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], float, float]:
-    """``random_simple_mgon``'s draw as its closed loop's x and y lists, area and semiperimeter.
+def _mgon_samples(m: int, rng: random.Random,
+                  count: int) -> list[tuple[list[float], list[float], float, float]]:
+    """The next ``count`` of ``random_simple_mgon``'s draws, in order, each as its closed
+    loop's x and y lists, area and semiperimeter.
 
-    The loop that places each vertex also measures the edge that ends there: its
-    ``hypot(ax - bx, ay - by)`` length and its ``ax * by - bx * ay`` area term, the float
+    One loop makes all ``count`` draws, so ``suite_mgon`` sets the sampler up once per order,
+    not once per draw. The loop that places each vertex also measures the edge that ends
+    there: its ``hypot(ax - bx, ay - by)`` length and its ``ax * by - bx * ay`` area term, the float
     expressions of ``curves._edge_terms``, and the closing edge after the loop. fsum does not
     depend on the order of its terms, and ``_enclosed_area`` is the orientation rule of
     ``Shape``, so the measures are those of ``Shape((Polyline(xs, ys),))`` bit for bit. No
@@ -301,7 +322,8 @@ def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], 
     draw = rng.random
     cos, sin, hypot, fsum = math.cos, math.sin, math.hypot, math.fsum
     two_pi = 2.0 * math.pi
-    while True:
+    samples = []
+    while len(samples) < count:
         cx = -5.0 + (5.0 - -5.0) * draw()
         cy = -5.0 + (5.0 - -5.0) * draw()
         angles = [two_pi * draw() for _ in range(m)]
@@ -333,7 +355,8 @@ def _mgon_sample(m: int, rng: random.Random) -> tuple[list[float], list[float], 
         area_terms.append(ax * y0 - x0 * ay)
         area = _enclosed_area(0.5 * fsum(area_terms))
         if area >= 1e-6:
-            return xs, ys, area, 0.5 * fsum(edges)
+            samples.append((xs, ys, area, 0.5 * fsum(edges)))
+    return samples
 
 
 def random_family_param(rng: random.Random) -> FamilyParam:
@@ -355,10 +378,14 @@ def _posed_member(rng: random.Random) -> Shape:
     return build_unit_shape(random_family_param(rng)).transformed(random_similarity(rng))
 
 
-def _circle_and_posed_members(seed: int) -> list[Shape]:
-    """A seeded circle, then POSED_SAMPLES posed members."""
+@functools.lru_cache(maxsize=1)
+def _circle_and_posed_members(seed: int) -> tuple[Shape, ...]:
+    """A seeded circle, then POSED_SAMPLES posed members. The isoperimetric and unit-floor
+    suites both measure them, so the members of the last seed are kept: an "all" run builds
+    them once. The key is the seed alone, so a caller that changes what they are built from
+    clears the cache first."""
     rng = random.Random(seed)
-    return [make_circle(rng.uniform(0.5, 3.0))] + [_posed_member(rng) for _ in range(POSED_SAMPLES)]
+    return (make_circle(rng.uniform(0.5, 3.0)), *(_posed_member(rng) for _ in range(POSED_SAMPLES)))
 
 
 def suite_isoperimetric(seed: int, **tol: float) -> list[VerificationReport]:
@@ -392,7 +419,7 @@ def suite_mgon(seed: int, **tol: float) -> list[VerificationReport]:
     rng = random.Random(seed)
     reports = []
     for m in MGON_ORDERS:
-        measures = [_mgon_sample(m, rng)[2:] for _ in range(MGON_SAMPLES)]
+        measures = [(a, s) for _, _, a, s in _mgon_samples(m, rng, MGON_SAMPLES)]
         reports.append(_mgon_report(f"{m}-gon_bound", m, measures, tight=False, **tol))
         regular = build_unit_shape(RegularPolygon(m))
         reports.append(_mgon_report(f"{m}-gon_bound_regular_equality", m,

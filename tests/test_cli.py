@@ -545,6 +545,14 @@ def test_scan_rejects_regular_polygon_up_front(capsys):
     assert err == "error: scan needs a one-parameter family, got 'regular_polygon'\n"
 
 
+@pytest.mark.parametrize("quantity", ["Pi", "a"])
+def test_scan_names_an_unknown_family_whatever_the_quantity(capsys, quantity):
+    # Neither the one-parameter test nor the quantity's owner may speak for a name no family has.
+    code, out, err = invoke(capsys, "scan", "--family", "nope", "--quantity", quantity,
+                            "--lo", "0.1", "--hi", "0.9")
+    assert (code, out, err) == (2, "", "error: unknown family: 'nope'\n")
+
+
 def test_missing_param_exit_two(capsys):
     code, _, err = invoke(capsys, "catalog", "--family", "rectangle")
     assert code == 2

@@ -445,6 +445,10 @@ def test_scan_validation():
         scan("ellipse", "b", 0.1, 0.9, 10)
     with pytest.raises(DomainError, match="quantity 'h' is defined for the rhombus family only"):
         scan("rectangle", "h", 0.1, 0.9, 10)
+    # A name no family has is named so, whether or not the quantity is the measure.
+    for quantity in ("Pi", "a", "h"):
+        with pytest.raises(DomainError, match="^unknown family: 'nope'$"):
+            scan("nope", quantity, 0.1, 0.9, 10)
 
 
 def test_scan_calls_the_quantity_through_its_catalog_name(monkeypatch):

@@ -44,6 +44,22 @@ from unitshapes.verify import (
 )
 
 
+@pytest.fixture
+def fresh_rational_circle():
+    """The rational circle measured anew in the test, and its measures not kept after it."""
+    verify._rational_circle_measures.cache_clear()
+    yield
+    verify._rational_circle_measures.cache_clear()
+
+
+@pytest.fixture
+def fresh_posed_members():
+    """No posed members kept from before the test, nor from it after."""
+    verify._circle_and_posed_members.cache_clear()
+    yield
+    verify._circle_and_posed_members.cache_clear()
+
+
 # --- isoperimetric inequality -------------------------------------------------
 
 
@@ -221,7 +237,7 @@ def test_rational_circle_is_unit_shape():
     assert report.details["semiperimeter"] == pytest.approx(math.pi, abs=1e-9)
 
 
-def test_rational_circle_measured_by_quadrature(monkeypatch):
+def test_rational_circle_measured_by_quadrature(monkeypatch, fresh_rational_circle):
     area, semiperimeter = quadrature_measures(make_rational_circle())
     # Three quarters of the unit circle from t = 1e100, which the reference takes in u = 1/t,
     # closed by its chord.
@@ -233,11 +249,70 @@ def test_rational_circle_measured_by_quadrature(monkeypatch):
     monkeypatch.setattr(RationalPoint, "_exact_length", lambda self: 1.0, raising=False)
     monkeypatch.setattr(RationalPoint, "_exact_area_term", lambda self: 1.0, raising=False)
     monkeypatch.setattr(RationalPoint, "_sweep", lambda self: 1.0)
+    verify._rational_circle_measures.cache_clear()  # else the patched pieces are never measured
     report = check_rational_circle()
     assert report.passed
     assert report.details["area"] == area
     assert report.details["semiperimeter"] == semiperimeter
     assert quadrature_measures(far) == far_measures
+
+
+def test_rational_circle_is_measured_once_per_process(monkeypatch, fresh_rational_circle):
+    calls = []
+
+    def counting(shape):
+        calls.append(shape)
+        return quadrature_measures(shape)
+
+    monkeypatch.setattr(verify, "quadrature_measures", counting)
+    first, second = check_rational_circle(), check_rational_circle(tol=1e-12)
+    assert len(calls) == 1
+    assert first.details == second.details
+    # The kept measures still meet each caller's own tolerance.
+    assert first.passed and check_rational_circle(tol=0.0).worst_slack == first.worst_slack
+
+
+def test_rational_circle_fails_an_area_off_by_1e_6(monkeypatch, fresh_rational_circle):
+    def off_area(shape):
+        area, semiperimeter = quadrature_measures(shape)
+        return area * (1.0 + 1e-6), semiperimeter
+
+    monkeypatch.setattr(verify, "quadrature_measures", off_area)
+    report = check_rational_circle()
+    assert not report.passed
+    assert report.worst_slack == pytest.approx(1e-6 * math.pi, rel=1e-6)
+
+
+# --- posed members: built once per "all" run, never for a stale seed ----------------
+
+
+def test_all_builds_the_posed_members_once(monkeypatch, fresh_posed_members):
+    # 25 posed members for isoperimetric and unit-floor together, and 20 for blob-pythagoras.
+    calls = []
+    original = verify._posed_member
+
+    def counting(rng):
+        calls.append(rng)
+        return original(rng)
+
+    monkeypatch.setattr(verify, "_posed_member", counting)
+    for seed in (0, 1, 2):
+        calls.clear()
+        run_suite("all", seed)
+        assert len(calls) == verify.POSED_SAMPLES + verify.BLOB_CASES == 45
+
+
+def test_posed_members_of_another_seed_are_not_reused(fresh_posed_members):
+    def fresh(suite, seed):
+        verify._circle_and_posed_members.cache_clear()
+        return [r.to_dict() for r in run_suite(suite, seed)]
+
+    expected = fresh("isoperimetric", 1), fresh("unit-floor", 2)
+    verify._circle_and_posed_members.cache_clear()
+    got = [r.to_dict() for r in run_suite("isoperimetric", 1)], \
+        [r.to_dict() for r in run_suite("unit-floor", 2)]
+    assert got == expected
+    assert expected[0] != fresh("isoperimetric", 2)  # the seed shows in the reports
 
 
 # --- calculus, idempotence and conciliation: each can fail -------------------------
@@ -390,17 +465,17 @@ def test_suite_mgon_equals_the_shape_path_float_for_float(monkeypatch):
 def test_mgon_sample_measures_its_closed_loop_as_shape_does(m):
     # The sampler measures each edge as it draws it; the Shape of its own closed lists must agree
     # bit for bit, for loops either way round and for the loop's closing edge.
+    # One call makes 40 draws, which are random_simple_mgon's next 40, in order.
     seen = set()
     for seed in (0, 5, 11, 2019):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        for _ in range(40):
-            xs, ys, area, semiperimeter = verify._mgon_sample(m, rng)
+        for xs, ys, area, semiperimeter in verify._mgon_samples(m, rng, 40):
             assert len(xs) == len(ys) == m + 1
             assert (xs[-1], ys[-1]) == (xs[0], ys[0])
             shape = Shape((Polyline(xs, ys),))
             assert (area, semiperimeter) == (shape.area(), shape.semiperimeter())
             seen.add(tuple(shape.pieces[0].xs) == tuple(xs))
-            random_simple_mgon(m, ref_rng)
+            assert random_simple_mgon(m, ref_rng).pieces == shape.pieces
         assert rng.getstate() == ref_rng.getstate()
     # A draw runs clockwise when its center falls outside it, which is common only at small m;
     # Shape reverses such a loop, and the sampler's |area| must still agree.
