@@ -178,7 +178,7 @@ def minimize_cmd(family, lo, hi, tol, fmt):
     tol_arg = {} if tol is None else {"tol": tol}
     if (lo is None) != (hi is None):
         raise UsageError("--lo and --hi set the bracket together; give both or neither")
-    family = catalog.family_key(family)  # the optimizers' errors echo the name they are given
+    family = catalog.family_key(family)  # spelled as FAMILY_BY_NAME's keys
     if hasattr(catalog.FAMILY_BY_NAME.get(family), "seeds"):
         if lo is not None:
             raise UsageError(f"--lo/--hi bracket one-parameter families; {family!r} has two")

@@ -51,7 +51,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, NotConverged, require_finite
 from .quadrature import adaptive_quadrature
 from .records import Record, setfield
 
@@ -177,8 +177,8 @@ class CurvePiece(Record, ABC):
     t_end: float
     frame: RigidMotion
 
-    # _xy and velocity apply the frame inline, as apply_vector does: the quadrature reference
-    # calls them at every node.
+    # _xy applies the frame inline, as apply_vector does: every Shape reads both ends of each
+    # piece through _ends to check its joins, so it runs for every shape built.
     def _xy(self, t: float) -> tuple[float, float]:
         """The point at t as plain floats, which the quadrature reference integrates."""
         x, y = self._local_xy(t)
@@ -189,9 +189,7 @@ class CurvePiece(Record, ABC):
         return Point(*self._xy(t))
 
     def velocity(self, t: float) -> tuple[float, float]:
-        vx, vy = self._local_velocity(t)
-        xx, xy, yx, yy = self.frame._linear
-        return (xx * vx + xy * vy, yx * vx + yy * vy)
+        return self.frame.apply_vector(*self._local_velocity(t))
 
     def transformed(self, sim: Similarity) -> "CurvePiece":
         """The image under ``sim``: the frames compose, and the local size scales."""
@@ -612,7 +610,7 @@ def carlson_rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         af, ad = 0.25 * (af + lam), 0.25 * (ad + lam)
     else:
-        raise ArithmeticError(f"R_F, R_D at ({x0}, {y0}, {z0}) did not converge")
+        raise NotConverged(f"R_F, R_D at ({x0}, {y0}, {z0}) did not converge")
     # The arguments' relative offsets from each mean: (mean_0 - v_0) 4^-n / mean_n.
     dx, dy = (mean_f - x0) * shrink / af, (mean_f - y0) * shrink / af
     dz = -(dx + dy)

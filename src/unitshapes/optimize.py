@@ -12,19 +12,23 @@ import math
 from collections.abc import Callable, Sequence
 from itertools import groupby
 
-from .catalog import FAMILIES, FAMILY_BY_NAME, family_key, family_named, fundamental_measure
+from .catalog import FAMILIES, family_named, fundamental_measure
 from .errors import DomainError, NotConverged, require_finite
 from .records import Record, setfield
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Each search datum a family record may carry, as an error names it.
+_SEARCH_DATA = {"bracket": "search bracket over a real parameter",
+                "seeds": "search seeds over two real parameters"}
 
 
-def _searchable(family: str, data: str, kind: str):
-    """The family class named ``family`` if it carries the search ``data`` ("bracket", "seeds")."""
-    cls = FAMILY_BY_NAME.get(family_key(family))
+def _searchable(family: str, data: str):
+    """The family class named ``family``, which must carry the search ``data`` ("bracket" or
+    "seeds")."""
+    cls = family_named(family)
     if not hasattr(cls, data):
         names = sorted(other.name for other in FAMILIES if hasattr(other, data))
-        raise DomainError(f"no {kind}-parameter family named {family!r}; choose from {names}")
+        raise DomainError(f"family {cls.name!r} has no {_SEARCH_DATA[data]}; choose from {names}")
     return cls
 
 
@@ -170,7 +174,7 @@ def minimize_1d(
     tol: float = 1e-10,
 ) -> MinimizationResult:
     """Golden-section minimum of a one-parameter family's measure."""
-    make = _searchable(family, "bracket", "one")
+    make = _searchable(family, "bracket")
     lo, hi = bracket if bracket is not None else make.bracket
     require_finite("the bracket", lo, hi)
     if not lo < hi:
@@ -188,7 +192,7 @@ def minimize_2d(
     tol: float = 1e-8,
 ) -> MinimizationResult:
     """Best Nelder-Mead result over the family's fixed restart seeds."""
-    make = _searchable(family, "seeds", "two")
+    make = _searchable(family, "seeds")
     objective = _penalized(make)
     runs = [nelder_mead(objective, seed, step=make.step, tol=tol) for seed in make.seeds]
     x, fx, _, converged = min(runs, key=lambda run: run[1])  # the first seed's run on a tie
@@ -220,23 +224,21 @@ class ScanResult(Record):
 def scan(family: str, quantity: str, lo: float, hi: float, n: int) -> ScanResult:
     """Evaluate a family quantity on a uniform grid and describe its shape.
 
-    Quantities: "Pi" (the fundamental measure, any one-parameter family), or a
+    Quantities: "Pi" (the fundamental measure, any family with a search bracket), or a
     name in one family's ``quantities``, for that family only.
     """
     if n < 2:
         raise DomainError(f"scan needs at least two grid points, got {n}")
     if quantity not in SCAN_QUANTITIES:
         raise DomainError(f"unknown scan quantity {quantity!r}; choose from {SCAN_QUANTITIES}")
-    make = family_named(family)
-    if quantity != "Pi":
-        owner = _QUANTITY_OWNER[quantity]
+    if quantity == "Pi":
+        make = _searchable(family, "bracket")
+        evaluate = lambda t: fundamental_measure(make(t))
+    else:
+        make, owner = family_named(family), _QUANTITY_OWNER[quantity]
         if make is not owner:
             raise DomainError(f"quantity {quantity!r} is defined for the {owner.name} family only")
         evaluate = owner.quantities[quantity]
-    elif hasattr(make, "bracket"):
-        evaluate = lambda t: fundamental_measure(make(t))
-    else:
-        raise DomainError(f"scan needs a one-parameter family, got {family!r}")
 
     require_finite("the scan range", lo, hi)
     params = [lo + (hi - lo) * i / (n - 1) for i in range(n)]

@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import pytest
 
-from unitshapes import cli
+from unitshapes import cli, curves
 from unitshapes.curves import shape_from_dict, shape_from_json
 from unitshapes.errors import DomainError
 
@@ -109,22 +109,54 @@ def test_unitize_of_a_far_square_with_overflowing_terms_is_one_error_line(tmp_pa
     assert err.startswith("error: ") and err.count("\n") == 1 and "nan" not in err
 
 
-# (3 pi/4 + sqrt(2)/2)^2 / (3 pi/4 + 1/2) to 40 digits: three quarters of the unit circle closed
-# by the chord of the last quarter.
-FAR_ARC_MEASURE = 3.285425663922348629275983730303651840662
+# Each call's argv, the shape document unitize reads on stdin, the reference S^2/A to 40 digits
+# (mpmath at 60 digits, from the input's own floats) and the relative error its printed measure
+# may have.
+PRINTED_MEASURES = {
+    # Three quarters of the unit circle from a far t, closed by the chord of the last quarter:
+    # (3 pi/4 + sqrt(2)/2)^2 / (3 pi/4 + 1/2). The area term's quadrature lost the arc from
+    # t = 1e16 and printed 18.767629358460457; the closed forms measure it at every t.
+    **{f"rational-arc-from-{t}": (
+        ["unitize"], '{"pieces": [{"kind": "rational_point", "t_start": ' + t + ', "t_end": -1.0},'
+        ' {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}',
+        3.285425663922348629275983730303651840662, 1e-15) for t in ("1e16", "1e100")},
+    # The flat ellipse r = 1e-8: its half perimeter is a sum of positive terms.
+    "flat-ellipse": (["catalog", "--family", "ellipse", "--r", "1e-8"], None,
+                     127323954.4735165117752057580466827321797, 1e-15),
+    # The elliptical arc of axis ratio 1e-101 from t = 0.3 to 4.0, closed by its chord: flatter
+    # than curves.FLAT_AXIS_RATIO, it is measured as the segment it traces there and back.
+    "flat-elliptical-arc": (
+        ["unitize"], '{"pieces": [{"kind": "elliptical_arc", "center": [0, 0],'
+        ' "semi_axes": [1, 1e-101], "rotation": 0, "t_start": 0.3, "t_end": 4.0},'
+        ' {"kind": "line_segment", "start": [-0.6536436208636119, -7.568024953079283e-102],'
+        ' "end": [0.955336489125606, 2.9552020666133955e-102]}]}',
+        1.807796169089834155745503146754067388309e+101, 1e-14),
+    # The 1e300 parabolic arc over [-1e-140, 2e-140], closed by its chord: its slope, up to
+    # 4e160, overflows u^2, not its closed length.
+    "steep-parabolic-arc": (
+        ["unitize"], '{"pieces": [{"kind": "parabolic_arc", "coefficients": [1e300, 0, 0],'
+        ' "x_start": -1e-140, "x_end": 2e-140}, {"kind": "line_segment", "start": [2e-140, 4e20],'
+        ' "end": [-1e-140, 1e20]}]}', 3.555555555555555677054045341001304854689e+160, 1e-14),
+    # The golden half-ellipse run clockwise: its area terms are the counterclockwise ones
+    # negated and its lengths the same, so its measure is the one unitize_half_ellipse.json
+    # prints, bit for bit.
+    "half-ellipse-clockwise": (
+        ["unitize"], '{"pieces": [{"kind": "elliptical_arc", "center": [1, 0.5],'
+        ' "semi_axes": [2, 1], "rotation": 0, "t_start": 3.141592653589793, "t_end": 0},'
+        ' {"kind": "line_segment", "start": [3, 0.5], "end": [-1, 0.5]}]}', 6.224573706537777, 0.0),
+}
 
 
-@pytest.mark.parametrize("t", ["1e16", "1e100"])
-def test_unitize_of_a_rational_arc_from_a_far_t_gives_its_measure(t, tmp_path, capsys):
-    # The area term's quadrature lost the arc from t = 1e16 and printed 18.767629358460457; the
-    # closed forms measure it at every t.
-    path = tmp_path / "shape.json"
-    path.write_text('{"pieces": [{"kind": "rational_point", "t_start": ' + t + ', "t_end": -1.0},'
-                    ' {"kind": "line_segment", "start": [-1, 0], "end": [0, -1]}]}')
-    code, out, err = invoke(capsys, "unitize", "--input", str(path), "--format", "json")
+@pytest.mark.parametrize("name", PRINTED_MEASURES)
+def test_printed_measure_is_near_its_reference(capsys, monkeypatch, name):
+    argv, document, reference, rel = PRINTED_MEASURES[name]
+    if document is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    code, out, err = invoke(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
-    measure = json.loads(out)["fundamental_measure"]
-    assert abs(measure - FAR_ARC_MEASURE) <= 1e-15 * FAR_ARC_MEASURE
+    doc = json.loads(out)
+    measure = doc["Pi" if argv[0] == "catalog" else "fundamental_measure"]
+    assert abs(measure - reference) <= rel * reference
 
 
 def test_scan_csv(capsys):
@@ -213,11 +245,11 @@ def test_catalog_infinite_or_overflowing_measure_exit_two(capsys, params, messag
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("r, line", [("1e200", '"Pi": 1e+200}'), ("1e308", '"Pi": 1e+308}')])
-def test_catalog_measure_past_the_square_overflow(capsys, r, line):
+@pytest.mark.parametrize("r", ["1e200", "1e308"])
+def test_catalog_measure_past_the_square_overflow(capsys, r):
     code, out, err = invoke(capsys, "catalog", "--family", "rectangle", "--r", r, "--format", "json")
-    assert (code, err) == (0, "")
-    assert out.endswith(line + "\n")
+    line = f'{{"family": "rectangle", "r": {float(r)!r}, "Pi": {float(r)!r}}}\n'
+    assert (code, out, err) == (0, line, "")
 
 
 @pytest.mark.parametrize(
@@ -502,6 +534,8 @@ def test_unitize_non_finite_piece_end_is_the_point_error(tmp_path, capsys, piece
     [
         ('"circular_arc", "center": [0, 0], "radius": NaN, "angle_start": 0, "angle_end": 1',
          "a circular arc: nan, 0.0, 1.0"),
+        ('"circular_arc", "center": [NaN, 0], "radius": 1, "angle_start": 0,'
+         ' "angle_end": 6.283185307179586', "a point: nan, 0.0"),
         ('"circular_arc", "center": [0, 0], "radius": 1, "angle_start": Infinity,'
          ' "angle_end": Infinity', "a circular arc: 1.0, inf, inf"),
         ('"elliptical_arc", "center": [0, 0], "semi_axes": [NaN, 1], "rotation": 0,'
@@ -515,7 +549,7 @@ def test_unitize_non_finite_piece_end_is_the_point_error(tmp_path, capsys, piece
         ('"rational_point", "t_start": -1, "t_end": NaN', "a rational arc: -1.0, nan"),
         ('"rational_point", "t_start": Infinity, "t_end": Infinity', "a rational arc: inf, inf"),
     ],
-    ids=["circle-nan-radius", "circle-equal-infinite-ends", "ellipse-nan-axis",
+    ids=["circle-nan-radius", "circle-nan-center", "circle-equal-infinite-ends", "ellipse-nan-axis",
          "ellipse-infinite-rotation", "parabola-nan-alpha", "parabola-equal-infinite-ends",
          "rational-nan-end", "rational-equal-infinite-ends"],
 )
@@ -542,7 +576,8 @@ def test_scan_rejects_regular_polygon_up_front(capsys):
     code, out, err = invoke(capsys, "scan", "--family", "regular_polygon", "--lo", "3", "--hi", "8",
                             "--n", "6")
     assert (code, out) == (2, "")
-    assert err == "error: scan needs a one-parameter family, got 'regular_polygon'\n"
+    assert err == ("error: family 'regular_polygon' has no search bracket over a real parameter;"
+                   " choose from ['ellipse', 'rectangle', 'rhombus', 'right_triangle']\n")
 
 
 @pytest.mark.parametrize("quantity", ["Pi", "a"])
@@ -551,6 +586,14 @@ def test_scan_names_an_unknown_family_whatever_the_quantity(capsys, quantity):
     code, out, err = invoke(capsys, "scan", "--family", "nope", "--quantity", quantity,
                             "--lo", "0.1", "--hi", "0.9")
     assert (code, out, err) == (2, "", "error: unknown family: 'nope'\n")
+
+
+def test_carlson_iteration_that_runs_out_is_one_error_line(capsys, monkeypatch):
+    # The ellipse's half perimeter with no duplication step allowed: NotConverged, not a traceback.
+    monkeypatch.setattr(curves, "CARLSON_MAX_STEPS", 0)
+    code, out, err = invoke(capsys, "catalog", "--family", "ellipse", "--r", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: R_F, R_D at (") and err.count("\n") == 1
 
 
 def test_missing_param_exit_two(capsys):
@@ -783,6 +826,10 @@ def test_cli_import_loads_no_numpy_or_scipy():
         (["unitize", "--input", "missing.json"], "does not exist"),
         (["verify", "--suite", "nope"], "'nope'"),
         (["verify", "--seed", "x"], "--seed"),
+        (["minimize", "--family", "nope"], "error: unknown family: 'nope'\n"),
+        (["minimize", "--family", "regular_polygon"],
+         "error: family 'regular_polygon' has no search bracket over a real parameter; choose from"
+         " ['ellipse', 'rectangle', 'rhombus', 'right_triangle']\n"),
     ],
 )
 def test_usage_errors_print_one_line_and_exit_two(capsys, tmp_path, monkeypatch, argv, named):

@@ -1364,6 +1364,12 @@ def test_area_term_whose_parts_overflow_with_opposite_signs_is_its_value():
     arc = CircularArc(Point(-6.62365368237654e-257, 2.358887899519665e+151),
                       1.0483950716066684e+237, -8.754078292521575, -8.743857843218894)
     assert arc.signed_area_term() == math.inf
+    # The term stays NaN where the piece scaled by 2^-k is not there to measure: a steep arc
+    # whose size, the hypot of its chord, is inf, and one whose alpha 2^k overflows.
+    steep = (1e300, 0.0, 0.0)
+    for arc in (ParabolicArc(steep, 1e10, 2e10, RigidMotion(math.pi / 2, False, (0.0, -5.0))),
+                ParabolicArc(steep, 1e5, 1e5 + 1, RigidMotion(0.0, False, (-1e10, 0.0)))):
+        assert math.isnan(arc.signed_area_term()), arc
 
 
 def test_reference_raises_where_an_interior_point_overflows():

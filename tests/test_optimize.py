@@ -395,9 +395,11 @@ def test_minimum_values_respect_circle_floor():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^unknown family: 'moebius'$"):
         minimize_1d("moebius")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^family 'rectangle' has no search seeds over two "
+                                          r"real parameters; choose from \['parallelogram', "
+                                          r"'triangle'\]$"):
         minimize_2d("rectangle")
     with pytest.raises(DomainError):
         minimize_1d("rectangle", (5.0, 5.0))
@@ -439,7 +441,8 @@ def test_scan_validation():
     with pytest.raises(DomainError):
         scan("triangle", "Pi", 0.1, 0.9, 10)
     # The grid is floats, so an integer-parameter family is refused by name, not at its first point.
-    with pytest.raises(DomainError, match="scan needs a one-parameter family, got 'regular-polygon'"):
+    with pytest.raises(DomainError, match="^family 'regular_polygon' has no search bracket over a "
+                                          "real parameter; choose from "):
         scan("regular-polygon", "Pi", 3.0, 8.0, 6)
     with pytest.raises(DomainError, match=r"unknown scan quantity 'b'; choose from \('Pi', 'a', 'h'\)"):
         scan("ellipse", "b", 0.1, 0.9, 10)
